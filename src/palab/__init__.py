@@ -9,7 +9,7 @@ Layout
 ------
 model        model coefficients, built-in benchmarks, action optimization
 measures     empirical measures, measure flows, 1-d Wasserstein distance
-sde_engine   Euler particle simulation with hierarchical seeding
+sde_engine   the one Euler stepper, particle paths, hierarchical seeding
 contracts    terminal-payment contracts and reward accounting
 mkv_control  limit control problem, policy search, closed-form benchmarks
 principal_n  finite-n value estimation, gap sweeps, rate fitting
@@ -19,23 +19,17 @@ cli          config-driven experiment harness (`palab` console script)
 from .contracts import (
     Contract,
     ContractEvaluationError,
-    agent_reward,
     contract_report,
     evaluate_terminal_payment,
     joint_deviation_scan,
     mkv_contract_payment,
     multitask_principal_formula,
-    payment_matrix,
-    principal_reward,
-    recommended_controls,
 )
 from .estimates import MCEstimate, mean_se, variance_se
 from .measures import (
     BatchedEmpiricalMeasure,
     EmpiricalMeasure,
     MeasureFlow,
-    load_measure_csv,
-    save_measure_csv,
     wasserstein_p,
 )
 from .mkv_control import (
@@ -77,7 +71,6 @@ from .sde_engine import (
     SimulationBlowupError,
     ito_integral,
     save_paths_csv,
-    simulate_mkv_proxy,
     simulate_particles,
     simulate_terminal_measure,
 )
@@ -105,7 +98,6 @@ __all__ = [
     "SeedSpec",
     "SimGrid",
     "SimulationBlowupError",
-    "agent_reward",
     "analytic_multitask",
     "contract_report",
     "estimate_n_player_value",
@@ -118,7 +110,6 @@ __all__ = [
     "identity_utility",
     "ito_integral",
     "joint_deviation_scan",
-    "load_measure_csv",
     "maximize_hamiltonian",
     "mean_se",
     "mkv_contract_payment",
@@ -126,15 +117,10 @@ __all__ = [
     "multitask_principal_formula",
     "normal_law",
     "optimize_policy",
-    "payment_matrix",
     "point_mass",
-    "principal_reward",
     "quadratic_generic_model",
-    "recommended_controls",
     "reduced_coefficients",
-    "save_measure_csv",
     "save_paths_csv",
-    "simulate_mkv_proxy",
     "simulate_particles",
     "simulate_terminal_measure",
     "slope_over_sigma",

@@ -20,8 +20,10 @@ partition. Wall-clock data therefore never goes into result files; it
 lives in the run_meta.json sidecar (not written by self-check, whose
 output must be byte-stable).
 
-Exit codes: 0 success, 2 config error, 3 numeric blowup, 4 self-check
-failure.
+Exit codes: 0 success, 2 config error, 3 numeric blowup (a state left the
+guard threshold), 4 self-check failure, 5 numeric-domain error (a
+coefficient, the volatility, the Hamiltonian maximizer or the terminal
+payment map produced a non-finite, negative-volatility or ambiguous value).
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .contracts import (
+    MAX_DEVIATION_CELLS,
     Contract,
+    ContractEvaluationError,
     contract_report,
     evaluate_terminal_payment,
     joint_deviation_scan,
@@ -55,7 +59,9 @@ from .mkv_control import (
     optimize_policy,
 )
 from .model import (
+    AmbiguousMaximizerError,
     MultitaskParams,
+    NumericDomainError,
     exp_saturating_utility,
     hamiltonian_h,
     identity_utility,
@@ -87,6 +93,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_CHECK_FAILED = 4
+EXIT_NUMERIC = 5
 
 _MISSING = object()
 
@@ -650,6 +657,37 @@ def cmd_multitask_convergence(ec: ExperimentConfig, out_dir: str, workers: int) 
 # ---------------------------------------------------------------------------
 
 
+def _deviation_config(cfg: dict, replications: int):
+    """(n, replications, action grid) of the mc.deviation block, or None.
+
+    Everything is validated, and the cell count checked against the scan's
+    cap, before the action grid is allocated.
+    """
+    if _optional(cfg, "mc.deviation", "dict", None) is None:
+        return None
+    d_n = _optional(cfg, "mc.deviation.n", "int", 2)
+    d_reps = _optional(cfg, "mc.deviation.replications", "int", replications)
+    lo = _optional(cfg, "mc.deviation.min", "number", -3.0)
+    hi = _optional(cfg, "mc.deviation.max", "number", 3.0)
+    step = _optional(cfg, "mc.deviation.step", "number", 0.25)
+    if not 0 < step < math.inf or hi <= lo:
+        raise ConfigError("mc.deviation: need a finite step > 0 and max > min")
+    if d_n < 1:
+        raise ConfigError(f"mc.deviation.n: must be >= 1, got {d_n}")
+    if d_reps < 2:
+        raise ConfigError("mc.deviation.replications: need >= 2 for a standard error")
+    # The exponent is capped at 64: any grid of >= 2 actions is over the cap
+    # by then, and a one-action grid has one cell whatever the exponent.
+    spans = (hi - lo) / step
+    actions = round(spans) + 1 if spans < MAX_DEVIATION_CELLS else math.inf
+    if actions ** min(d_n, 64) > MAX_DEVIATION_CELLS:
+        raise ConfigError(
+            f"mc.deviation: ({actions} actions)^(n={d_n}) cells exceed the "
+            f"{MAX_DEVIATION_CELLS} cap; raise mc.deviation.step or lower mc.deviation.n"
+        )
+    return d_n, d_reps, np.arange(lo, hi + step / 2, step)
+
+
 def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
     cfg = ec.raw
     info = _parse_model(cfg)
@@ -661,6 +699,7 @@ def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
     replications = _require(cfg, "mc.replications", "int")
     if replications < 2:
         raise ConfigError("mc.replications: need >= 2 for a standard error")
+    deviation = _deviation_config(cfg, replications)
     grid = SimGrid(info["T"], ec.steps)
     seed = SeedSpec(ec.master_seed)
 
@@ -690,16 +729,8 @@ def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
             "note": "untruncated closed form; truncation or clamping shifts these",
         }
 
-    dev = _optional(cfg, "mc.deviation", "dict", None)
-    if dev is not None:
-        d_n = _optional(cfg, "mc.deviation.n", "int", 2)
-        d_reps = _optional(cfg, "mc.deviation.replications", "int", replications)
-        lo = _optional(cfg, "mc.deviation.min", "number", -3.0)
-        hi = _optional(cfg, "mc.deviation.max", "number", 3.0)
-        step = _optional(cfg, "mc.deviation.step", "number", 0.25)
-        if step <= 0 or hi <= lo:
-            raise ConfigError("mc.deviation: need step > 0 and max > min")
-        action_grid = np.arange(lo, hi + step / 2, step)
+    if deviation is not None:
+        d_n, d_reps, action_grid = deviation
         scan = joint_deviation_scan(contract, model, action_grid, d_n, grid, d_reps, seed.child(1))
         with np.errstate(divide="ignore", invalid="ignore"):
             std_gain = np.where(
@@ -1166,6 +1197,9 @@ def main(argv: Optional[list] = None) -> int:
     except SimulationBlowupError as exc:
         print(f"numeric blowup: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
+    except (ContractEvaluationError, NumericDomainError, AmbiguousMaximizerError) as exc:
+        print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 def entry() -> None:

@@ -10,9 +10,10 @@ the ensemble certainty-equivalent process
                    +  mean_i [ z^i_k / sigma(t_k, X^i_k) * (X^i_{k+1} - X^i_k) ],
 
 with z = gamma ^ l along the paths, and xi = g^{-1}(mu, Y_T). The same
-one-step update (contract_y_step below) is reused verbatim by the n-player
-value estimator so the two agree to floating-point accumulation error, not
-just in distribution.
+one-step update (contract_y_step below) is used by the stored-path pricer
+evaluate_terminal_payment, by contract_report while it simulates, and by
+the n-player value estimator, so all three agree bit for bit on the same
+draws, not just in distribution.
 
 Because X^i_{k+1} - X^i_k = b_hat dt + sigma dW for an agent playing the
 recommended response, the two H terms cancel pathwise and the update
@@ -31,14 +32,8 @@ import numpy as np
 
 from .estimates import MCEstimate, mean_se
 from .measures import BatchedEmpiricalMeasure, EmpiricalMeasure, MeasureFlow
-from .model import (
-    ModelSpec,
-    _maximize_array,
-    identity_utility,
-    reduced_coefficients,
-    slope_over_sigma,
-)
-from .sde_engine import ParticlePaths, SeedSpec, SimGrid, simulate_particles
+from .model import ModelSpec, identity_utility, reduced_coefficients, slope_over_sigma
+from .sde_engine import ParticlePaths, SeedSpec, SimGrid, _euler_steps, _initial_states
 
 MAX_DEVIATION_CELLS = 20_000
 
@@ -94,10 +89,10 @@ def _check_floor(contract: Contract, model: ModelSpec) -> None:
 def contract_y_step(y: float, dt: float, H, zsig, dX) -> float:
     """One ensemble step of the certainty-equivalent accumulation.
 
-    Shared between evaluate_terminal_payment and the n-player value
-    estimator so both produce bit-identical Y paths on the same inputs:
-    per step, take the ensemble mean of H and of z/sigma * dX, then
-    accumulate.
+    Shared between evaluate_terminal_payment, contract_report and the
+    n-player value estimator so all produce bit-identical Y paths on the
+    same inputs: per step, take the ensemble mean of H and of z/sigma * dX,
+    then accumulate.
     """
     return y - dt * float(np.mean(H)) + float(np.mean(zsig * dX))
 
@@ -188,104 +183,6 @@ def mkv_contract_payment(
     return payment
 
 
-def recommended_controls(
-    contract: Contract,
-    model: ModelSpec,
-    paths: ParticlePaths,
-    flow: MeasureFlow,
-) -> np.ndarray:
-    """The Hamiltonian-optimal actions along the paths, shape (n, steps)."""
-    times = paths.times
-    n = paths.n_particles
-    out = np.empty((n, paths.n_steps))
-    for k in range(paths.n_steps):
-        t = float(times[k])
-        x = paths.states[:, k]
-        m = flow.at(k)
-        e = contract.aleph_l(t, x)
-        zsig = slope_over_sigma(contract.gamma_l(t, x), model.vol_sigma(t, x))
-        if model.analytic_maximizer is not None:
-            a = model.analytic_maximizer(t, x, m, e, zsig)
-        else:
-            a = _maximize_array(model, t, x, m, e, zsig)
-        out[:, k] = np.broadcast_to(a, (n,))
-    return out
-
-
-def payment_matrix(contract: Contract, paths: ParticlePaths) -> np.ndarray:
-    """The truncated rate field along the paths, shape (n, steps)."""
-    n = paths.n_particles
-    out = np.empty((n, paths.n_steps))
-    for k in range(paths.n_steps):
-        e = contract.aleph_l(float(paths.times[k]), paths.states[:, k])
-        out[:, k] = np.broadcast_to(e, (n,))
-    return out
-
-
-def agent_reward(
-    model: ModelSpec,
-    paths: ParticlePaths,
-    flow: MeasureFlow,
-    actions: np.ndarray,
-    payments: np.ndarray,
-    xi: float,
-) -> MCEstimate:
-    """Average agent reward mean_i [ integral L dt + g(flow, xi) ].
-
-    The SE is the within-ensemble spread of the per-agent running terms; it
-    is a diagnostic for one simulated ensemble, not a sampling error for
-    the expectation (use replications for that).
-    """
-    times = paths.times
-    dt = _grid_dt(times)
-    acc = np.zeros(paths.n_particles)
-    for k in range(paths.n_steps):
-        t = float(times[k])
-        x = paths.states[:, k]
-        m = flow.at(k)
-        L = model.running_cost_L(t, x, m, payments[:, k], actions[:, k])
-        acc = acc + L * dt
-    rewards = acc + float(model.terminal_utility_g(flow, xi))
-    return mean_se(rewards)
-
-
-def principal_reward(
-    model: ModelSpec,
-    paths: ParticlePaths,
-    flow: MeasureFlow,
-    payments: np.ndarray,
-    xi: float,
-    u_inside: bool = True,
-) -> MCEstimate:
-    """Principal's realized reward on one simulated ensemble.
-
-    The pre-utility value is v = mean_i Upsilon(X^i_T) - g_P(flow, xi)
-    - mean_i integral L_P dt. One ensemble is one replication of the
-    n-agent system, so u_inside=True returns U(v) — averaging these across
-    replications puts the utility inside the expectation — while
-    u_inside=False returns v itself, for callers that average first and
-    apply U to the aggregate. SEs are within-ensemble diagnostics (delta
-    method through U when inside).
-    """
-    times = paths.times
-    dt = _grid_dt(times)
-    lp = np.zeros(paths.n_particles)
-    for k in range(paths.n_steps):
-        t = float(times[k])
-        lp = lp + model.principal_running_cost_LP(t, payments[:, k]) * dt
-    v_i = model.production_utility_Upsilon(paths.states[:, -1]) - lp
-    inner = mean_se(v_i)
-    v = inner.value - float(model.principal_terminal_cost_gP(flow, xi))
-    if not u_inside:
-        return MCEstimate(value=v, se=inner.se, n_samples=paths.n_particles)
-    U = model.principal_utility_U
-    h = 1e-6 * max(1.0, abs(v))
-    slope = (float(U(v + h)) - float(U(v - h))) / (2.0 * h)
-    return MCEstimate(
-        value=float(U(v)), se=abs(slope) * inner.se, n_samples=paths.n_particles
-    )
-
-
 def contract_report(
     contract: Contract,
     model: ModelSpec,
@@ -297,9 +194,15 @@ def contract_report(
     """Simulate the contracted system and report across-replication stats.
 
     Each replication simulates n agents playing the recommended response to
-    the truncated contract fields, evaluates the terminal payment, and
-    records the payment, the average agent reward, and the principal's
-    pre-utility value v. The report gives across-replication estimates of
+    the truncated contract fields and, in the same pass, accumulates the
+    contract level Y, each agent's integral of L_hat dt and of L_P dt. It
+    records the payment xi = g^{-1}(mu_T, Y_T), the average agent reward
+    mean_i [int L_hat dt + g(mu_T, xi)], and the principal's pre-utility
+    value v = mean_i [Upsilon(X^i_T) - int L_P dt] - g_P(mu_T, xi). Terminal
+    maps receive the one-node flow of the terminal measure. Replication r
+    draws from seed.child(r), exactly as simulate_particles would, so its
+    payment equals evaluate_terminal_payment on those stored paths. The
+    report gives across-replication estimates of
     E[xi] and the agent reward, plus the principal's value under both
     utility conventions: "principal_inside" averages U(v) over replications
     and "principal_outside" applies U to the averaged v (delta-method SE).
@@ -307,22 +210,30 @@ def contract_report(
     _check_floor(contract, model)
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    dt = grid.dt
     xi_vals = np.empty(replications)
     agent_vals = np.empty(replications)
     v_vals = np.empty(replications)
     u_vals = np.empty(replications)
     for r in range(replications):
-        paths, flow = simulate_particles(
-            model, contract.gamma_l, contract.aleph_l, n, grid, seed.child(r)
-        )
-        xi, _ = evaluate_terminal_payment(contract, model, paths, flow)
-        actions = recommended_controls(contract, model, paths, flow)
-        payments = payment_matrix(contract, paths)
+        rng = seed.generator(r)
+        x = _initial_states(model, n, rng)
+        y = float(contract.Y0)
+        lhat_acc = np.zeros(n)
+        lp_acc = np.zeros(n)
+        draws = lambda k: rng.standard_normal(n)
+        for step in _euler_steps(model, contract.gamma_l, contract.aleph_l, x, grid, draws):
+            y = contract_y_step(y, dt, step.H, step.zsig, step.x_next - x)
+            lhat_acc = lhat_acc + step.L * dt
+            lp_acc = lp_acc + model.principal_running_cost_LP(step.t, step.e) * dt
+            x = step.x_next
+        flow1 = MeasureFlow.single(grid.horizon_T, EmpiricalMeasure(x))
+        xi = float(_g_inverse(model, flow1, y))
         xi_vals[r] = xi
-        agent_vals[r] = agent_reward(model, paths, flow, actions, payments, xi).value
-        v_vals[r] = principal_reward(
-            model, paths, flow, payments, xi, u_inside=False
-        ).value
+        agent_vals[r] = float(np.mean(lhat_acc + float(model.terminal_utility_g(flow1, xi))))
+        v_vals[r] = float(np.mean(model.production_utility_Upsilon(x) - lp_acc)) - float(
+            model.principal_terminal_cost_gP(flow1, xi)
+        )
         u_vals[r] = float(model.principal_utility_U(v_vals[r]))
 
     v_est = mean_se(v_vals)
@@ -367,58 +278,43 @@ def joint_deviation_scan(
 
     Returns {"actions": (B, n), "gain": (B,), "se": (B,), "baseline":
     MCEstimate of the recommended-play reward}. Requires terminal maps that
-    ignore the flow argument or accept batched measures.
+    ignore the flow argument or accept batched measures. A deviation that
+    drives any state past the blow-up threshold raises
+    SimulationBlowupError, like every other simulation.
     """
     _check_floor(contract, model)
     action_grid = np.asarray(action_grid, dtype=float)
-    cells = np.array(list(itertools.product(action_grid, repeat=n)))
-    B = cells.shape[0]
+    B = action_grid.size ** n
     if B > MAX_DEVIATION_CELLS:
         raise ValueError(
             f"{B} deviation cells exceed the {MAX_DEVIATION_CELLS} cap; "
             "use a coarser action grid or fewer agents"
         )
+    cells = np.array(list(itertools.product(action_grid, repeat=n)))
     rows = B + 1  # last row: everyone plays the recommendation
-    times = grid.nodes
     dt = grid.dt
-    sqdt = math.sqrt(dt)
+
+    def play(t, x, a_rec):
+        a_play = np.array(np.broadcast_to(a_rec, x.shape))
+        a_play[:B, :] = cells
+        return a_play
 
     rewards = np.empty((replications, rows))
     for r in range(replications):
         rng = seed.generator(r)
-        x0 = np.asarray(model.initial_law_nu(n, rng), dtype=float)
-        x = np.tile(x0, (rows, 1))
+        x = np.tile(_initial_states(model, n, rng), (rows, 1))
         y = np.full(rows, float(contract.Y0))
         run_acc = np.zeros((rows, n))
-        for k in range(grid.steps):
-            t = float(times[k])
-            m = BatchedEmpiricalMeasure(x)
-            e = contract.aleph_l(t, x)
-            z = contract.gamma_l(t, x)
-            sig = model.vol_sigma(t, x)
-            zsig = slope_over_sigma(z, sig)
-            if model.analytic_maximizer is not None:
-                a_rec = model.analytic_maximizer(t, x, m, e, zsig)
-            else:
-                a_rec = _maximize_array(model, t, x, m, e, zsig)
-            a_play = np.array(np.broadcast_to(a_rec, x.shape))
-            a_play[:B, :] = cells
-            b = model.drift_b(t, x, m, e, a_play)
-            run_acc = run_acc + np.broadcast_to(
-                model.running_cost_L(t, x, m, e, a_play), x.shape
-            ) * dt
-            _, _, H = reduced_coefficients(model, t, x, m, e, z)
-            dW = sqdt * rng.standard_normal(n)
-            x_next = x + b * dt + sig * dW[None, :]
-            if not np.all(np.isfinite(x_next)):
-                raise ContractEvaluationError(f"deviation scan blew up at step {k}")
-            dX = x_next - x
+        draws = lambda k: rng.standard_normal(n)
+        for step in _euler_steps(model, contract.gamma_l, contract.aleph_l, x, grid, draws, play):
+            run_acc = run_acc + np.broadcast_to(step.L, x.shape) * dt
+            dX = step.x_next - x
             y = (
                 y
-                - dt * np.mean(np.broadcast_to(H, x.shape), axis=1)
-                + np.mean(np.broadcast_to(zsig * dX, x.shape), axis=1)
+                - dt * np.mean(np.broadcast_to(step.H, x.shape), axis=1)
+                + np.mean(np.broadcast_to(step.zsig * dX, x.shape), axis=1)
             )
-            x = x_next
+            x = step.x_next
         flow1 = MeasureFlow.single(grid.horizon_T, BatchedEmpiricalMeasure(x))
         xi = np.asarray(_g_inverse(model, flow1, y), dtype=float)
         g_term = np.asarray(model.terminal_utility_g(flow1, xi), dtype=float)

@@ -12,7 +12,6 @@ are represented implicitly by the path ensembles themselves.
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import Sequence
 
@@ -153,16 +152,6 @@ class MeasureFlow:
         return cls(np.array([t]), [measure])
 
 
-def moment(m: EmpiricalMeasure, p: float) -> float:
-    """Sample mean of |x|^p under the measure."""
-    return m.moment(p)
-
-
-def clamped_mean(m: EmpiricalMeasure, b_bar: float) -> float:
-    """Sample mean of the clamp (-b_bar) ∨ (b_bar ∧ x) under the measure."""
-    return m.clamped_mean(b_bar)
-
-
 def wasserstein_p(a: EmpiricalMeasure, b: EmpiricalMeasure, p: float = 1.0) -> float:
     """p-Wasserstein distance between two 1-D empirical measures.
 
@@ -182,23 +171,3 @@ def wasserstein_p(a: EmpiricalMeasure, b: EmpiricalMeasure, p: float = 1.0) -> f
     if p == 1.0:
         return float(diff.mean())
     return float(np.mean(diff**p) ** (1.0 / p))
-
-
-def save_measure_csv(m: EmpiricalMeasure, path) -> None:
-    """Serialize a measure as CSV, one sample per row (header: state)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state"])
-        for x in m.samples:
-            writer.writerow([repr(float(x))])
-
-
-def load_measure_csv(path) -> EmpiricalMeasure:
-    """Read back a measure written by save_measure_csv."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["state"]:
-            raise ValueError(f"unexpected measure CSV header: {header}")
-        samples = [float(row[0]) for row in reader]
-    return EmpiricalMeasure(np.array(samples))

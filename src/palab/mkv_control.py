@@ -30,15 +30,8 @@ from scipy.optimize import Bounds, minimize
 
 from .estimates import MCEstimate
 from .measures import EmpiricalMeasure, MeasureFlow
-from .model import ModelSpec, MultitaskParams, reduced_coefficients
-from .sde_engine import (
-    BLOWUP_THRESHOLD,
-    DEFAULT_N_PROXY,
-    SeedSpec,
-    SimGrid,
-    SimulationBlowupError,
-    _as_generator,
-)
+from .model import ModelSpec, MultitaskParams
+from .sde_engine import DEFAULT_N_PROXY, SeedSpec, SimGrid, _as_generator, _euler_steps
 
 PARTS_ALL = ("gamma", "aleph")
 
@@ -176,27 +169,15 @@ def _limit_objective_from_draws(
     the caller controls whether these come fresh from a generator or from a
     cached matrix (the optimizer path).
     """
-    times = grid.nodes
     dt = grid.dt
-    sqdt = math.sqrt(dt)
     N = len(x0)
     x = x0
     lhat_acc = np.zeros(N)
     lp_acc = np.zeros(N)
-    for k in range(grid.steps):
-        t = float(times[k])
-        m = EmpiricalMeasure(x)
-        e = aleph(t, x)
-        z = gamma(t, x)
-        sig = model.vol_sigma(t, x)
-        b_hat, L_hat, _ = reduced_coefficients(model, t, x, m, e, z)
-        lhat_acc = lhat_acc + L_hat * dt
-        lp_acc = lp_acc + model.principal_running_cost_LP(t, e) * dt
-        dW = sqdt * draws(k)
-        x_next = x + b_hat * dt + sig * dW
-        if not np.all(np.isfinite(x_next)) or np.max(np.abs(x_next)) > BLOWUP_THRESHOLD:
-            raise SimulationBlowupError(k + 1, float(times[k + 1]), float(np.max(np.abs(x_next))))
-        x = x_next
+    for step in _euler_steps(model, gamma, aleph, x0, grid, draws):
+        lhat_acc = lhat_acc + step.L * dt
+        lp_acc = lp_acc + model.principal_running_cost_LP(step.t, step.e) * dt
+        x = step.x_next
 
     y_T = model.reservation_R - float(np.mean(lhat_acc))
     flow1 = MeasureFlow.single(grid.horizon_T, EmpiricalMeasure(x))

@@ -301,20 +301,28 @@ def maximize_hamiltonian(
 ):
     """Maximizer of a -> b(t,x,m,e,a)·z + L(t,x,m,e,a) over action_bounds.
 
-    When the model carries an analytic_maximizer it is returned directly
-    (and then array arguments are fine). Otherwise the scalar numeric path
-    runs: a uniform probe grid over action_bounds locates candidate local
-    maxima, each is refined by golden-section search to tol_a, and if two
-    refined candidates disagree in location by more than tol_a while agreeing
-    in value within tol_h, AmbiguousMaximizerError is raised — the underlying
-    theory assumes a unique maximizer and we will not pick one arbitrarily.
+    When the model carries an analytic_maximizer it is returned directly.
+    Otherwise scalar arguments take the numeric path: a uniform probe grid
+    over action_bounds locates candidate local maxima, each is refined by
+    golden-section search to tol_a, and if two refined candidates disagree
+    in location by more than tol_a while agreeing in value within tol_h,
+    AmbiguousMaximizerError is raised — the underlying theory assumes a
+    unique maximizer and we will not pick one arbitrarily. Array arguments
+    take the vectorized path, which refines only the best probe and does
+    not check for ties.
 
     Note the slope convention: to obtain the maximizer of h(·, z, a) pass
     z/sigma(t, x) here (that is what reduced_coefficients does).
     """
     if model.analytic_maximizer is not None:
         return model.analytic_maximizer(t, x, flow, e, z)
+    if np.ndim(x) == 0 and np.ndim(z) == 0 and np.ndim(e) == 0:
+        return _maximize_scalar(model, t, x, flow, e, z, tol_a, tol_h, probes)
+    return _maximize_array(model, t, x, flow, e, z, probes)
 
+
+def _maximize_scalar(model: ModelSpec, t, x, flow, e, z, tol_a, tol_h, probes):
+    """The numeric scalar path of maximize_hamiltonian, with the tie check."""
     lo, hi = model.action_bounds
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("numeric maximization needs finite action_bounds")
@@ -389,6 +397,19 @@ def _maximize_array(model: ModelSpec, t, x, flow, e, z, probes: int = DEFAULT_PR
     return 0.5 * (a_lo + a_hi)
 
 
+def _recommended(model: ModelSpec, t, x, flow, e, zsig):
+    """(alpha, b_hat, L_hat, H) at the slope zsig = z/sigma.
+
+    The one place the Hamiltonian maximizer runs for the simulation and
+    contract code: alpha comes from maximize_hamiltonian (analytic, scalar or
+    array path), and b_hat, L_hat and H are evaluated at it once.
+    """
+    a_star = maximize_hamiltonian(model, t, x, flow, e, zsig)
+    b_hat = model.drift_b(t, x, flow, e, a_star)
+    L_hat = model.running_cost_L(t, x, flow, e, a_star)
+    return a_star, b_hat, L_hat, b_hat * zsig + L_hat
+
+
 def reduced_coefficients(model: ModelSpec, t, x, flow, e, z):
     """(b_hat, L_hat, H) with the maximizer evaluated at slope z/sigma.
 
@@ -399,15 +420,5 @@ def reduced_coefficients(model: ModelSpec, t, x, flow, e, z):
     Accepts scalars or arrays for (x, e, z); arrays use the vectorized
     numeric maximizer when no analytic one is registered.
     """
-    sig = model.vol_sigma(t, x)
-    zsig = slope_over_sigma(z, sig)
-    if model.analytic_maximizer is not None:
-        a_star = model.analytic_maximizer(t, x, flow, e, zsig)
-    elif np.ndim(x) == 0 and np.ndim(zsig) == 0 and np.ndim(e) == 0:
-        a_star = maximize_hamiltonian(model, t, x, flow, e, zsig)
-    else:
-        a_star = _maximize_array(model, t, x, flow, e, zsig)
-    b_hat = model.drift_b(t, x, flow, e, a_star)
-    L_hat = model.running_cost_L(t, x, flow, e, a_star)
-    H = b_hat * zsig + L_hat
-    return b_hat, L_hat, H
+    zsig = slope_over_sigma(z, model.vol_sigma(t, x))
+    return _recommended(model, t, x, flow, e, zsig)[1:]

@@ -16,7 +16,6 @@ directly comparable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -26,20 +25,8 @@ from .contracts import contract_y_step
 from .estimates import MCEstimate, mean_se
 from .measures import EmpiricalMeasure, MeasureFlow
 from .mkv_control import PolicyParam, analytic_multitask
-from .model import (
-    ModelSpec,
-    MultitaskParams,
-    exp_saturating_utility,
-    multitask_model,
-    reduced_coefficients,
-    slope_over_sigma,
-)
-from .sde_engine import (
-    BLOWUP_THRESHOLD,
-    SeedSpec,
-    SimGrid,
-    SimulationBlowupError,
-)
+from .model import ModelSpec, MultitaskParams, exp_saturating_utility, multitask_model
+from .sde_engine import SeedSpec, SimGrid, _euler_steps, _initial_states
 
 DEFAULT_N_CAP = 64
 
@@ -115,10 +102,9 @@ def estimate_n_player_value(
     if replications < 1:
         raise ValueError("replications must be >= 1")
 
-    times = grid.nodes
     dt = grid.dt
-    sqdt = math.sqrt(dt)
     U = model.principal_utility_U
+    gamma = lambda t, x: n * policy.z_fn(t, x)  # effective slope under the n-scaling
 
     v_vals = np.empty(replications)
     xi_vals = np.empty(replications)
@@ -126,26 +112,14 @@ def estimate_n_player_value(
     out = np.empty(replications)
     for r in range(replications):
         rng = seed.generator(r)
-        x = np.asarray(model.initial_law_nu(n, rng), dtype=float)
+        x = _initial_states(model, n, rng)
         y = float(model.reservation_R)
         lp_acc = np.zeros(n)
-        for k in range(grid.steps):
-            t = float(times[k])
-            m = EmpiricalMeasure(x)
-            e = policy.aleph_fn(t, x)
-            z = n * policy.z_fn(t, x)  # effective slope under the n-scaling
-            sig = model.vol_sigma(t, x)
-            b_hat, _, H = reduced_coefficients(model, t, x, m, e, z)
-            dW = sqdt * rng.standard_normal(n)
-            x_next = x + b_hat * dt + sig * dW
-            if not np.all(np.isfinite(x_next)) or np.max(np.abs(x_next)) > BLOWUP_THRESHOLD:
-                raise SimulationBlowupError(
-                    k + 1, float(times[k + 1]), float(np.max(np.abs(x_next)))
-                )
-            dX = x_next - x
-            y = contract_y_step(y, dt, H, slope_over_sigma(z, sig), dX)
-            lp_acc = lp_acc + model.principal_running_cost_LP(t, e) * dt
-            x = x_next
+        draws = lambda k: rng.standard_normal(n)
+        for step in _euler_steps(model, gamma, policy.aleph_fn, x, grid, draws):
+            y = contract_y_step(y, dt, step.H, step.zsig, step.x_next - x)
+            lp_acc = lp_acc + model.principal_running_cost_LP(step.t, step.e) * dt
+            x = step.x_next
         flow1 = MeasureFlow.single(grid.horizon_T, EmpiricalMeasure(x))
         xi = float(model.g_inverse(flow1, y))
         v = (

@@ -11,6 +11,13 @@ explicitly supplied action field. The scheme is explicit Euler with the
 measure updated simultaneously with the states: the coefficients at step k
 see the measure of the step-k states.
 
+Every step loop in the package runs on one private stepper, _euler_steps.
+It steps an (n,) ensemble or a (batch, n) stack of ensembles, makes one
+maximizer call per step (model._recommended), and applies the one guard:
+sigma must be finite and >= 0 (NumericDomainError), and every state must
+stay finite with |X| <= blowup_threshold (SimulationBlowupError). It yields
+the per-step values; each caller keeps its own accumulators.
+
 Randomness is organized around SeedSpec: one counter-based generator per
 (master_seed, spawn key) pair, so any worker can reproduce any stream
 without coordinating with the others. Within a stream the consumption order
@@ -26,12 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, MeasureFlow
-from .model import ModelSpec, NumericDomainError, reduced_coefficients
+from .measures import BatchedEmpiricalMeasure, EmpiricalMeasure, MeasureFlow
+from .model import ModelSpec, NumericDomainError, _recommended, slope_over_sigma
 
 DEFAULT_N_PROXY = 100_000
 BLOWUP_THRESHOLD = 1e8
@@ -139,20 +146,84 @@ class ParticlePaths:
         return EmpiricalMeasure(self.states[:, -1])
 
 
-def _check_sigma(sig, t):
-    # The theory requires sigma > 0; the engine tolerates sigma == 0 so
-    # that deterministic ODE-limit diagnostics (sigma scaled to zero) run.
-    if not np.all(np.isfinite(sig)) or not np.all(np.greater_equal(sig, 0.0)):
-        raise NumericDomainError(f"volatility must be finite and >= 0 (t={t}): {sig!r}")
+def _initial_states(model: ModelSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The n initial draws of one ensemble, checked to be a length-n vector."""
+    if n < 1:
+        raise ValueError(f"need at least one particle, got n={n}")
+    x = np.asarray(model.initial_law_nu(n, rng), dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"initial law returned shape {x.shape}, expected ({n},)")
+    return x
 
 
-def _check_state(x_next, k, t, threshold):
-    finite = np.isfinite(x_next)
-    if not np.all(finite):
-        raise SimulationBlowupError(k + 1, t, math.inf)
-    worst = float(np.max(np.abs(x_next)))
-    if worst > threshold:
-        raise SimulationBlowupError(k + 1, t, worst)
+class _Step(NamedTuple):
+    """What one Euler step from (t_k, X_k) saw and produced.
+
+    X_k itself is not kept: callers that need dX hold their own copy, so a
+    long-lived ensemble never has three state vectors alive at once.
+    """
+
+    t: float
+    e: Any  # payment rate aleph(t_k, X_k)
+    zsig: Any  # slope over volatility gamma(t_k, X_k) / sigma(t_k, X_k)
+    L: Any  # running cost at the played action
+    H: Any  # reduced Hamiltonian (at the recommended action)
+    dW: np.ndarray  # Brownian increment sqrt(dt) * draw
+    x_next: np.ndarray  # X_{k+1}
+
+
+def _euler_steps(
+    model: ModelSpec,
+    gamma: Callable,
+    aleph: Callable,
+    x: np.ndarray,
+    grid: SimGrid,
+    draws: Callable[[int], np.ndarray],
+    play: Optional[Callable] = None,
+    blowup_threshold: float = BLOWUP_THRESHOLD,
+) -> Iterator[_Step]:
+    """Step the ensemble x (shape (n,) or (batch, n)) across the grid.
+
+    draws(k) returns the standard normals of step k: shape (n,), shared by
+    every row of a batch, or the shape of x. Each step evaluates the fields
+    and sigma at (t_k, X_k), makes one maximizer call for the recommended
+    action, moves the state by the played action (the recommendation, or
+    play(t, x, a_star) when given), guards the result, and yields a _Step.
+    """
+    times = grid.nodes
+    dt = grid.dt
+    sqdt = math.sqrt(dt)
+    measure = EmpiricalMeasure if x.ndim == 1 else BatchedEmpiricalMeasure
+    for k in range(grid.steps):
+        t = float(times[k])
+        m = measure(x)
+        e = aleph(t, x)
+        z = gamma(t, x)
+        sig = model.vol_sigma(t, x)
+        # The theory requires sigma > 0; the engine tolerates sigma == 0 so
+        # that deterministic ODE-limit diagnostics (sigma scaled to zero) run.
+        # A float sigma is checked without numpy calls; NaN fails either way.
+        if isinstance(sig, float):
+            sig_ok = 0.0 <= sig < math.inf
+        else:
+            sig_ok = np.all((sig >= 0.0) & (sig < math.inf))
+        if not sig_ok:
+            raise NumericDomainError(f"volatility must be finite and >= 0 (t={t}): {sig!r}")
+        zsig = slope_over_sigma(z, sig)
+        a, b, L, H = _recommended(model, t, x, m, e, zsig)
+        if play is not None:
+            a = play(t, x, a)
+            b = model.drift_b(t, x, m, e, a)
+            L = model.running_cost_L(t, x, m, e, a)
+        dW = sqdt * draws(k)
+        x_next = x + b * dt + sig * dW
+        worst = np.abs(x_next).max()
+        if not worst <= blowup_threshold:  # also catches NaN
+            raise SimulationBlowupError(
+                k + 1, float(times[k + 1]), float(worst) if math.isfinite(worst) else math.inf
+            )
+        yield _Step(t, e, zsig, L, H, dW, x_next)
+        x = x_next
 
 
 def simulate_particles(
@@ -177,69 +248,25 @@ def simulate_particles(
     measures at every grid node. Raises SimulationBlowupError if a state
     leaves [-blowup_threshold, blowup_threshold] or goes non-finite.
     """
-    if n < 1:
-        raise ValueError(f"need at least one particle, got n={n}")
     rng = _as_generator(seed)
-    times = grid.nodes
-    dt = grid.dt
-    sqdt = math.sqrt(dt)
-
-    x = np.asarray(model.initial_law_nu(n, rng), dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"initial law returned shape {x.shape}, expected ({n},)")
+    x = _initial_states(model, n, rng)
     states = np.empty((n, grid.steps + 1))
     incs = np.empty((n, grid.steps))
     states[:, 0] = x
-    x = states[:, 0].copy()
+    play = None if actions is None else (lambda t, x, a_star: actions(t, x))
+    steps = _euler_steps(
+        model, gamma, aleph, x, grid, lambda k: rng.standard_normal(n), play, blowup_threshold
+    )
+    for k, step in enumerate(steps):
+        states[:, k + 1] = step.x_next
+        incs[:, k] = step.dW
 
-    for k in range(grid.steps):
-        t = float(times[k])
-        m = EmpiricalMeasure(states[:, k])
-        e = aleph(t, x)
-        z = gamma(t, x)
-        sig = model.vol_sigma(t, x)
-        _check_sigma(sig, t)
-        if actions is None:
-            b, _, _ = reduced_coefficients(model, t, x, m, e, z)
-        else:
-            b = model.drift_b(t, x, m, e, actions(t, x))
-        dW = sqdt * rng.standard_normal(n)
-        x_next = x + b * dt + sig * dW
-        _check_state(x_next, k, float(times[k + 1]), blowup_threshold)
-        states[:, k + 1] = x_next
-        incs[:, k] = dW
-        x = x_next
-
+    times = grid.nodes
     paths = ParticlePaths(times=times, states=states, increments=incs)
     flow = MeasureFlow(
         times, [EmpiricalMeasure(states[:, k]) for k in range(grid.steps + 1)]
     )
     return paths, flow
-
-
-def simulate_mkv_proxy(
-    model: ModelSpec,
-    gamma: Callable,
-    aleph: Callable,
-    N_proxy: int = DEFAULT_N_PROXY,
-    grid: Optional[SimGrid] = None,
-    seed: SeedLike = None,
-    blowup_threshold: float = BLOWUP_THRESHOLD,
-) -> tuple[ParticlePaths, MeasureFlow]:
-    """Large-ensemble stand-in for the mean-field limit law.
-
-    Identical to simulate_particles with N_proxy particles; the returned
-    flow is treated downstream as the deterministic limit flow. Note the
-    memory cost is N_proxy x (steps+1) states — the streaming evaluators in
-    mkv_control avoid this when only terminal functionals are needed.
-    """
-    if grid is None:
-        raise ValueError("grid is required")
-    if seed is None:
-        raise ValueError("seed is required")
-    return simulate_particles(
-        model, gamma, aleph, N_proxy, grid, seed, blowup_threshold=blowup_threshold
-    )
 
 
 def simulate_terminal_measure(
@@ -258,23 +285,10 @@ def simulate_terminal_measure(
     where only the terminal law matters (e.g. chaos sweeps).
     """
     rng = _as_generator(seed)
-    times = grid.nodes
-    dt = grid.dt
-    sqdt = math.sqrt(dt)
-
-    x = np.asarray(model.initial_law_nu(n, rng), dtype=float)
-    for k in range(grid.steps):
-        t = float(times[k])
-        m = EmpiricalMeasure(x)
-        e = aleph(t, x)
-        z = gamma(t, x)
-        sig = model.vol_sigma(t, x)
-        _check_sigma(sig, t)
-        b, _, _ = reduced_coefficients(model, t, x, m, e, z)
-        dW = sqdt * rng.standard_normal(n)
-        x_next = x + b * dt + sig * dW
-        _check_state(x_next, k, float(times[k + 1]), blowup_threshold)
-        x = x_next
+    x = _initial_states(model, n, rng)
+    draws = lambda k: rng.standard_normal(n)
+    for step in _euler_steps(model, gamma, aleph, x, grid, draws, None, blowup_threshold):
+        x = step.x_next
     return EmpiricalMeasure(x)
 
 

@@ -4,6 +4,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import palab.cli as cli
@@ -252,6 +253,68 @@ def test_contract_eval_blowup_exit(tmp_path):
     out = tmp_path / "out"
     code = cli.main(["contract-eval", "--config", _write_config(tmp_path, cfg), "--out", str(out)])
     assert code == cli.EXIT_BLOWUP
+
+
+def _contract_config(**mc):
+    return {
+        "experiment": "ce-guard",
+        "model": {"name": "multitask", "params": {"kappa_bar": 0.0}},
+        "grid": {"steps": 5},
+        "policy": {"source": "constant", "value": 1.0},
+        "mc": {"master_seed": 1, "n": 4, "replications": 2, **mc},
+    }
+
+
+def test_contract_eval_deviation_blowup_exit(tmp_path, capsys):
+    # the deviation scan shares the stepper's guard: huge constant actions
+    # trip the blow-up threshold instead of yielding a verdict from NaN
+    cfg = _contract_config(deviation={"min": -1e200, "max": 1e200, "step": 1e200})
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        code = cli.main(["contract-eval", "--config", _write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == cli.EXIT_BLOWUP
+    assert "numeric blowup" in capsys.readouterr().err
+    assert not (out / "contract_summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "deviation, field",
+    [
+        ({"n": 0}, "mc.deviation.n"),
+        ({"replications": 0}, "mc.deviation.replications"),
+        ({"replications": 1}, "mc.deviation.replications"),
+        ({"min": -2.0, "max": 2.0, "step": 1e-9}, "mc.deviation"),
+    ],
+    ids=["n-zero", "replications-zero", "replications-one", "too-many-cells"],
+)
+def test_contract_eval_deviation_validated(tmp_path, capsys, deviation, field):
+    cfg = _contract_config(deviation=deviation)
+    out = tmp_path / "out"
+    code = cli.main(["contract-eval", "--config", _write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}")
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "contract_summary.json").exists()
+
+
+def test_contract_eval_numeric_error_exit(tmp_path, capsys):
+    # a slope of 1e308 overflows H, the level Y goes NaN and g^{-1} refuses
+    # it: a typed numeric error with its own exit code, not a traceback
+    cfg = {
+        "experiment": "ce-numeric",
+        "model": {"name": "quadratic"},
+        "grid": {"steps": 5},
+        "policy": {"source": "constant", "value": 1e308},
+        "mc": {"master_seed": 1, "n": 4, "replications": 2},
+    }
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["contract-eval", "--config", _write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ContractEvaluationError")
+    assert len(err.strip().splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

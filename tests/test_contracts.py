@@ -10,20 +10,18 @@ import conftest
 from palab.contracts import (
     Contract,
     ContractEvaluationError,
-    agent_reward,
     contract_report,
     evaluate_terminal_payment,
     joint_deviation_scan,
     mkv_contract_payment,
     multitask_principal_formula,
-    payment_matrix,
-    recommended_controls,
 )
 from palab.model import (
     MultitaskParams,
     exp_saturating_utility,
     multitask_model,
     normal_law,
+    quadratic_generic_model,
 )
 from palab.sde_engine import SeedSpec, SimGrid, simulate_particles
 
@@ -132,23 +130,25 @@ def test_expected_payment_identity():
 
 
 def test_recommended_controls_follow_truncated_slope():
+    # sigma = 1 and alpha = z for the multitask model: agents left to the
+    # recommendation move exactly like agents forced to play gamma_hat ^ l
     kappa = 0.5
     model = multitask_model(MultitaskParams(kappa))
     c = Contract(Y0=0.0, gamma=_gamma_hat(kappa), aleph=_zero, truncation_l=1.2)
-    paths, flow = _simulated(c, model, 10, 8)
-    acts = recommended_controls(c, model, paths, flow)
-    for k, t in enumerate(paths.times[:-1]):
-        want = min(_gamma_hat(kappa)(float(t), None), 1.2)
-        assert np.allclose(acts[:, k], want, atol=EXACT)
-
-
-def test_payment_matrix_broadcasts_rate():
-    model = multitask_model(MultitaskParams(0.0))
-    c = Contract(Y0=0.0, gamma=_zero, aleph=lambda t, x: 0.3)
-    paths, flow = _simulated(c, model, 6, 5)
-    pm = payment_matrix(c, paths)
-    assert pm.shape == (6, 5)
-    assert np.all(pm == 0.3)
+    paths, _ = _simulated(c, model, 10, 8)
+    forced, _ = simulate_particles(
+        model,
+        c.gamma_l,
+        c.aleph_l,
+        10,
+        SimGrid(1.0, 8),
+        SeedSpec(42).child(0),
+        actions=lambda t, x: min(_gamma_hat(kappa)(t, x), 1.2),
+    )
+    assert np.array_equal(paths.states, forced.states)
+    # the truncation binds early on, so this is not the untruncated response
+    free, _ = _simulated(replace(c, truncation_l=math.inf), model, 10, 8)
+    assert not np.array_equal(paths.states, free.states)
 
 
 def test_g_inverse_failure_is_wrapped():
@@ -243,15 +243,34 @@ def test_agent_reward_direct_formula():
     # zero slope, flat rate field: reward = integral of L(a=0) dt + g(xi)
     # with L(0) = 0, so it is exactly the payment
     model = multitask_model(MultitaskParams(0.0), nu=normal_law())
-    c = Contract(Y0=0.7, gamma=_zero, aleph=_zero)
-    paths, flow = _simulated(c, model, 15, 8)
-    xi, _ = evaluate_terminal_payment(c, model, paths, flow)
-    acts = recommended_controls(c, model, paths, flow)
-    pays = payment_matrix(c, paths)
-    est = agent_reward(model, paths, flow, acts, pays, xi)
-    assert abs(est.value - 0.7) <= EXACT
-    # no real scatter; np.std of a constant array only sees mean rounding
-    assert est.se <= 1e-15
+    c = Contract(Y0=0.7, gamma=_zero, aleph=lambda t, x: 0.3)
+    rep = contract_report(c, model, 15, SimGrid(1.0, 8), 4, SeedSpec(42))
+    assert rep["per_replication"]["xi"] == [0.7] * 4
+    for reward in rep["per_replication"]["agent_reward"]:
+        assert abs(reward - 0.7) <= EXACT
+    # no real scatter; np.std of near-constant values only sees mean rounding
+    assert rep["agent_reward"].se <= 1e-15
+
+
+@pytest.mark.parametrize("model_name", ["multitask", "quadratic"])
+def test_report_payment_equals_replay_pipeline(model_name):
+    # contract_report accumulates Y while it simulates; replaying the stored
+    # paths of the same stream through evaluate_terminal_payment must give
+    # the same payment bit for bit. The quadratic model has no analytic
+    # maximizer, so this also covers the numeric path.
+    if model_name == "multitask":
+        model = multitask_model(MultitaskParams(0.5, b_bar=1.0), R=0.1, nu=normal_law())
+        c = Contract(Y0=0.1, gamma=_gamma_hat(0.5), aleph=lambda t, x: 0.2 * x, truncation_l=1.3)
+    else:
+        model = quadratic_generic_model(a_base=0.3, sigma0=0.7, nu=normal_law())
+        c = Contract(Y0=0.0, gamma=lambda t, x: 0.5 + 0.3 * np.sin(x), aleph=_zero)
+    grid = SimGrid(1.0, 12)
+    seed = SeedSpec(31)
+    rep = contract_report(c, model, 9, grid, 4, seed)
+    for r in range(4):
+        paths, flow = simulate_particles(model, c.gamma_l, c.aleph_l, 9, grid, seed.child(r))
+        xi, _ = evaluate_terminal_payment(c, model, paths, flow)
+        assert rep["per_replication"]["xi"][r] == xi
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the empirical-measure layer: statistics, distances, CSV I/O."""
+"""Tests for the empirical-measure layer: statistics, distances, flows."""
 
 import itertools
 
@@ -10,10 +10,6 @@ from palab.measures import (
     BatchedEmpiricalMeasure,
     EmpiricalMeasure,
     MeasureFlow,
-    clamped_mean,
-    load_measure_csv,
-    moment,
-    save_measure_csv,
     wasserstein_p,
 )
 
@@ -24,20 +20,20 @@ N_PROPERTY_TRIALS = 200
 def test_basic_stats():
     m = EmpiricalMeasure([1.0, 2.0, 3.0, 6.0])
     assert m.mean() == 3.0
-    assert moment(m, 1.0) == 3.0
-    assert moment(m, 2.0) == (1 + 4 + 9 + 36) / 4.0
+    assert m.moment(1.0) == 3.0
+    assert m.moment(2.0) == (1 + 4 + 9 + 36) / 4.0
     assert len(m) == 4
 
 
 def test_clamped_mean_examples():
     m = EmpiricalMeasure([3.0, -3.0])
-    assert clamped_mean(m, 1.0) == 0.0
+    assert m.clamped_mean(1.0) == 0.0
     m2 = EmpiricalMeasure([3.0, 1.0])
-    assert clamped_mean(m2, 2.0) == 1.5
+    assert m2.clamped_mean(2.0) == 1.5
     # no clamp at b_bar = inf
-    assert clamped_mean(m2, np.inf) == m2.mean()
+    assert m2.clamped_mean(np.inf) == m2.mean()
     # clamp everything
-    assert clamped_mean(EmpiricalMeasure([10.0, 20.0]), 0.5) == 0.5
+    assert EmpiricalMeasure([10.0, 20.0]).clamped_mean(0.5) == 0.5
 
 
 def test_empty_or_2d_rejected():
@@ -135,23 +131,6 @@ def test_wasserstein_p_below_one_rejected():
     a = EmpiricalMeasure([0.0, 1.0])
     with pytest.raises(ValueError):
         wasserstein_p(a, a, 0.5)
-
-
-def test_measure_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(42)
-    x = rng.standard_normal(17)
-    m = EmpiricalMeasure(x)
-    path = tmp_path / "m.csv"
-    save_measure_csv(m, path)
-    back = load_measure_csv(path)
-    assert np.array_equal(back.samples, m.samples)  # repr() roundtrips floats
-
-
-def test_measure_csv_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("value\n1.0\n")
-    with pytest.raises(ValueError):
-        load_measure_csv(path)
 
 
 def test_flow_validation():

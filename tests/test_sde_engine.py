@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from palab.estimates import variance_se
+from palab.mkv_control import evaluate_limit_objective
 from palab.model import (
     MultitaskParams,
     NumericDomainError,
@@ -14,6 +15,7 @@ from palab.model import (
     normal_law,
     point_mass,
 )
+from palab.principal_n import NPlayerPolicy, estimate_n_player_value
 from palab.sde_engine import (
     ParticlePaths,
     SeedSpec,
@@ -21,7 +23,6 @@ from palab.sde_engine import (
     SimulationBlowupError,
     ito_integral,
     save_paths_csv,
-    simulate_mkv_proxy,
     simulate_particles,
     simulate_terminal_measure,
 )
@@ -140,19 +141,6 @@ def test_terminal_measure_matches_full_paths():
     assert np.array_equal(m.samples, paths.states[:, -1])
 
 
-def test_mkv_proxy_is_a_big_ensemble():
-    model = multitask_model(MultitaskParams(0.0))
-    grid = SimGrid(1.0, 10)
-    with pytest.raises(ValueError):
-        simulate_mkv_proxy(model, _zero, _zero, N_proxy=10, seed=SeedSpec(1))
-    with pytest.raises(ValueError):
-        simulate_mkv_proxy(model, _zero, _zero, N_proxy=10, grid=grid)
-    paths, flow = simulate_mkv_proxy(model, _zero, _zero, N_proxy=10, grid=grid, seed=SeedSpec(1))
-    direct, _ = simulate_particles(model, _zero, _zero, 10, grid, SeedSpec(1))
-    assert np.array_equal(paths.states, direct.states)
-    assert len(flow) == 11
-
-
 def test_initial_law_shape_checked():
     model = multitask_model(MultitaskParams(0.0))
     bad = replace(model, initial_law_nu=lambda n, rng: np.zeros((n, 1)))
@@ -161,10 +149,25 @@ def test_initial_law_shape_checked():
 
 
 def test_negative_volatility_rejected():
+    # Every step loop runs on the one stepper, so every entry point applies
+    # the same volatility guard, for float and for array sigma alike.
     model = multitask_model(MultitaskParams(0.0))
-    bad = replace(model, vol_sigma=lambda t, x: -1.0)
-    with pytest.raises(NumericDomainError):
-        simulate_particles(bad, _zero, _zero, 5, SimGrid(1.0, 2), SeedSpec(0))
+    grid = SimGrid(1.0, 2)
+    runs = {
+        "simulate_particles": lambda m: simulate_particles(m, _zero, _zero, 5, grid, SeedSpec(0)),
+        "estimate_n_player_value": lambda m: estimate_n_player_value(
+            m, NPlayerPolicy.from_loading(_zero), 5, grid, 2, SeedSpec(0)
+        ),
+        "evaluate_limit_objective": lambda m: evaluate_limit_objective(
+            m, (_zero, _zero), N_proxy=5, grid=grid, seed=SeedSpec(0)
+        ),
+    }
+    for sigma in (lambda t, x: -1.0, lambda t, x: np.full(np.shape(x), np.nan)):
+        bad = replace(model, vol_sigma=sigma)
+        for name, run in runs.items():
+            with pytest.raises(NumericDomainError):
+                run(bad)
+                pytest.fail(f"{name} accepted an invalid volatility")
 
 
 # ---------------------------------------------------------------------------
