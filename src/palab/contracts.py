@@ -33,7 +33,14 @@ import numpy as np
 from .estimates import MCEstimate, mean_se
 from .measures import BatchedEmpiricalMeasure, EmpiricalMeasure, MeasureFlow
 from .model import ModelSpec, identity_utility, reduced_coefficients, slope_over_sigma
-from .sde_engine import ParticlePaths, SeedSpec, SimGrid, _euler_steps, _initial_states
+from .sde_engine import (
+    ParticlePaths,
+    SeedSpec,
+    SimGrid,
+    _euler_steps,
+    _initial_states,
+    _replication_chunks,
+)
 
 MAX_DEVIATION_CELLS = 20_000
 
@@ -86,15 +93,26 @@ def _check_floor(contract: Contract, model: ModelSpec) -> None:
         )
 
 
-def contract_y_step(y: float, dt: float, H, zsig, dX) -> float:
+def contract_y_step(y, dt: float, H, zsig, dX):
     """One ensemble step of the certainty-equivalent accumulation.
 
     Shared between evaluate_terminal_payment, contract_report and the
     n-player value estimator so all produce bit-identical Y paths on the
     same inputs: per step, take the ensemble mean of H and of z/sigma * dX,
     then accumulate.
+
+    y is one float level for an (n,) ensemble, or a (batch,) array of levels
+    for a (batch, n) stack of ensembles. H and z/sigma * dX are averaged
+    over their last axis only where they have one: a scalar or (batch, 1)
+    H is used as it is, since the mean of n copies of h need not be h bit
+    for bit. Returns a float for a float y, else a (batch,) array.
     """
-    return y - dt * float(np.mean(H)) + float(np.mean(zsig * dX))
+
+    def ensemble_mean(v):
+        return np.mean(v, axis=-1) if np.ndim(v) else v
+
+    y_next = y - dt * ensemble_mean(H) + ensemble_mean(zsig * dX)
+    return float(y_next) if np.ndim(y) == 0 else y_next
 
 
 def _grid_dt(times: np.ndarray) -> float:
@@ -193,19 +211,26 @@ def contract_report(
 ) -> dict:
     """Simulate the contracted system and report across-replication stats.
 
-    Each replication simulates n agents playing the recommended response to
-    the truncated contract fields and, in the same pass, accumulates the
-    contract level Y, each agent's integral of L_hat dt and of L_P dt. It
+    Replications are stepped together in (batch, n) chunks; each one
+    simulates n agents playing the recommended response to the truncated
+    contract fields and, in the same pass, accumulates the contract level Y,
+    each agent's integral of L_hat dt and of L_P dt. Per replication it
     records the payment xi = g^{-1}(mu_T, Y_T), the average agent reward
     mean_i [int L_hat dt + g(mu_T, xi)], and the principal's pre-utility
     value v = mean_i [Upsilon(X^i_T) - int L_P dt] - g_P(mu_T, xi). Terminal
-    maps receive the one-node flow of the terminal measure. Replication r
-    draws from seed.child(r), exactly as simulate_particles would, so its
-    payment equals evaluate_terminal_payment on those stored paths. The
-    report gives across-replication estimates of
-    E[xi] and the agent reward, plus the principal's value under both
-    utility conventions: "principal_inside" averages U(v) over replications
-    and "principal_outside" applies U to the averaged v (delta-method SE).
+    maps run once per replication on the one-node flow of its terminal
+    measure. Replication r draws from seed.child(r), exactly as
+    simulate_particles would, so its payment equals
+    evaluate_terminal_payment on those stored paths. The report gives
+    across-replication estimates of E[xi] and the agent reward, plus the
+    principal's value under both utility conventions: "principal_inside"
+    averages U(v) over replications and "principal_outside" applies U to
+    the averaged v (delta-method SE).
+
+    A state past the blow-up threshold in any replication of a chunk raises
+    SimulationBlowupError at the first step where the chunk breaches it.
+    Overflow in the step arithmetic is left to the typed guards (blow-up,
+    g^{-1}) instead of numpy warnings.
     """
     _check_floor(contract, model)
     if replications < 1:
@@ -215,26 +240,26 @@ def contract_report(
     agent_vals = np.empty(replications)
     v_vals = np.empty(replications)
     u_vals = np.empty(replications)
-    for r in range(replications):
-        rng = seed.generator(r)
-        x = _initial_states(model, n, rng)
-        y = float(contract.Y0)
-        lhat_acc = np.zeros(n)
-        lp_acc = np.zeros(n)
-        draws = lambda k: rng.standard_normal(n)
-        for step in _euler_steps(model, contract.gamma_l, contract.aleph_l, x, grid, draws):
-            y = contract_y_step(y, dt, step.H, step.zsig, step.x_next - x)
-            lhat_acc = lhat_acc + step.L * dt
-            lp_acc = lp_acc + model.principal_running_cost_LP(step.t, step.e) * dt
-            x = step.x_next
-        flow1 = MeasureFlow.single(grid.horizon_T, EmpiricalMeasure(x))
-        xi = float(_g_inverse(model, flow1, y))
-        xi_vals[r] = xi
-        agent_vals[r] = float(np.mean(lhat_acc + float(model.terminal_utility_g(flow1, xi))))
-        v_vals[r] = float(np.mean(model.production_utility_Upsilon(x) - lp_acc)) - float(
-            model.principal_terminal_cost_gP(flow1, xi)
-        )
-        u_vals[r] = float(model.principal_utility_U(v_vals[r]))
+    for reps, x, draws in _replication_chunks(model, n, replications, seed):
+        y = np.full(len(reps), float(contract.Y0))
+        lhat_acc = np.zeros(x.shape)
+        lp_acc = np.zeros(x.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in _euler_steps(model, contract.gamma_l, contract.aleph_l, x, grid, draws):
+                y = contract_y_step(y, dt, step.H, step.zsig, step.x_next - x)
+                lhat_acc = lhat_acc + step.L * dt
+                lp_acc = lp_acc + model.principal_running_cost_LP(step.t, step.e) * dt
+                x = step.x_next
+        for i, r in enumerate(reps):
+            flow1 = MeasureFlow.single(grid.horizon_T, EmpiricalMeasure(x[i]))
+            xi = float(_g_inverse(model, flow1, float(y[i])))
+            xi_vals[r] = xi
+            g_term = float(model.terminal_utility_g(flow1, xi))
+            agent_vals[r] = float(np.mean(lhat_acc[i] + g_term))
+            v_vals[r] = float(np.mean(model.production_utility_Upsilon(x[i]) - lp_acc[i])) - float(
+                model.principal_terminal_cost_gP(flow1, xi)
+            )
+            u_vals[r] = float(model.principal_utility_U(v_vals[r]))
 
     v_est = mean_se(v_vals)
     U = model.principal_utility_U

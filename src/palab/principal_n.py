@@ -3,7 +3,9 @@
 estimate_n_player_value simulates the n-agent system under a slope/rate
 policy, builds the terminal payment through the same per-step accumulation
 as the contract evaluator (bit-identical op order on the same draws), and
-averages the principal's realized utility across replications. gap_sweep
+averages the principal's realized utility across replications, which are
+stepped together as (batch, n) chunks of ensembles, each row on its own
+stream. gap_sweep
 runs the estimator over a grid of ensemble sizes and clamp levels for the
 linear-interaction benchmark and reports the gap to the closed-form limit
 value; fit_rate turns (n, gap) rows into a log-log convergence slope.
@@ -21,12 +23,12 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .contracts import contract_y_step
+from .contracts import _g_inverse, contract_y_step
 from .estimates import MCEstimate, mean_se
 from .measures import EmpiricalMeasure, MeasureFlow
 from .mkv_control import PolicyParam, analytic_multitask
 from .model import ModelSpec, MultitaskParams, exp_saturating_utility, multitask_model
-from .sde_engine import SeedSpec, SimGrid, _euler_steps, _initial_states
+from .sde_engine import SeedSpec, SimGrid, _euler_steps, _replication_chunks
 
 DEFAULT_N_CAP = 64
 
@@ -91,6 +93,13 @@ def estimate_n_player_value(
     the MCEstimate over replications; with return_details=True also a dict
     of the per-replication v, xi and Y_T arrays.
 
+    Replications are stepped together in (batch, n) chunks, each row on its
+    own stream, so results do not depend on the chunking. A non-finite
+    payment raises ContractEvaluationError, as in contract_report. A state
+    past the blow-up threshold in any replication of a chunk raises
+    SimulationBlowupError whose step and t locate the first step at which
+    the chunk breached it, which need not be the first failing replication.
+
     n above n_cap (default 64) is rejected to catch accidentally quadratic
     experiment sizes; pass n_cap=None to lift the guard deliberately (the
     sweep drivers do).
@@ -110,27 +119,26 @@ def estimate_n_player_value(
     xi_vals = np.empty(replications)
     yT_vals = np.empty(replications)
     out = np.empty(replications)
-    for r in range(replications):
-        rng = seed.generator(r)
-        x = _initial_states(model, n, rng)
-        y = float(model.reservation_R)
-        lp_acc = np.zeros(n)
-        draws = lambda k: rng.standard_normal(n)
-        for step in _euler_steps(model, gamma, policy.aleph_fn, x, grid, draws):
-            y = contract_y_step(y, dt, step.H, step.zsig, step.x_next - x)
-            lp_acc = lp_acc + model.principal_running_cost_LP(step.t, step.e) * dt
-            x = step.x_next
-        flow1 = MeasureFlow.single(grid.horizon_T, EmpiricalMeasure(x))
-        xi = float(model.g_inverse(flow1, y))
-        v = (
-            float(np.mean(model.production_utility_Upsilon(x)))
-            - float(model.principal_terminal_cost_gP(flow1, xi))
-            - float(np.mean(lp_acc))
-        )
-        v_vals[r] = v
-        xi_vals[r] = xi
-        yT_vals[r] = y
-        out[r] = float(U(v)) if u_inside else v
+    for reps, x, draws in _replication_chunks(model, n, replications, seed):
+        y = np.full(len(reps), float(model.reservation_R))
+        lp_acc = np.zeros(x.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in _euler_steps(model, gamma, policy.aleph_fn, x, grid, draws):
+                y = contract_y_step(y, dt, step.H, step.zsig, step.x_next - x)
+                lp_acc = lp_acc + model.principal_running_cost_LP(step.t, step.e) * dt
+                x = step.x_next
+        for i, r in enumerate(reps):
+            flow1 = MeasureFlow.single(grid.horizon_T, EmpiricalMeasure(x[i]))
+            xi = float(_g_inverse(model, flow1, float(y[i])))
+            v = (
+                float(np.mean(model.production_utility_Upsilon(x[i])))
+                - float(model.principal_terminal_cost_gP(flow1, xi))
+                - float(np.mean(lp_acc[i]))
+            )
+            v_vals[r] = v
+            xi_vals[r] = xi
+            yT_vals[r] = y[i]
+            out[r] = float(U(v)) if u_inside else v
 
     est = mean_se(out)
     if return_details:

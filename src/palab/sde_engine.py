@@ -24,7 +24,9 @@ without coordinating with the others. Within a stream the consumption order
 is fixed — n initial draws, then one length-n increment vector per step —
 which makes every simulation bit-reproducible regardless of how the
 surrounding experiment is parallelized. Particle i always reads lane i of
-the step draws.
+the step draws. Independent replications are stepped together as one
+(batch, n) ensemble (_replication_chunks), each row still reading its own
+replication's stream in that order, so batching changes no result.
 
 All Ito sums in this package use the left endpoint of each interval.
 """
@@ -42,6 +44,10 @@ from .model import ModelSpec, NumericDomainError, _recommended, slope_over_sigma
 
 DEFAULT_N_PROXY = 100_000
 BLOWUP_THRESHOLD = 1e8
+# Replications stepped together are capped at this many state elements, so
+# each (batch, n) array of a chunk stays within 128 KiB (a replication whose
+# n alone exceeds the cap runs as a chunk of one).
+_BATCH_ELEMENTS = 1 << 14
 
 
 class SimulationBlowupError(RuntimeError):
@@ -154,6 +160,35 @@ def _initial_states(model: ModelSpec, n: int, rng: np.random.Generator) -> np.nd
     if x.shape != (n,):
         raise ValueError(f"initial law returned shape {x.shape}, expected ({n},)")
     return x
+
+
+def _replication_chunks(
+    model: ModelSpec, n: int, replications: int, seed: SeedSpec
+) -> Iterator[tuple[range, np.ndarray, Callable[[int], np.ndarray]]]:
+    """Independent replications grouped into (batch, n) chunks for _euler_steps.
+
+    Yields (reps, x0, draws) per chunk: reps is the range of replication
+    indices, x0 stacks their initial states (replication r from
+    seed.generator(r)), and draws(k) refills one reused (batch, n) buffer,
+    row i from the stream of replication reps[i]. Each stream is consumed
+    exactly as a lone simulation consumes it (n initial draws, then one
+    length-n vector per step), so every row matches simulate_particles on
+    seed.child(r) bit for bit.
+    """
+    size = max(1, _BATCH_ELEMENTS // n)
+    for start in range(0, replications, size):
+        reps = range(start, min(start + size, replications))
+        gens = [seed.generator(r) for r in reps]
+        x0 = np.stack([_initial_states(model, n, g) for g in gens])
+        buf = np.empty_like(x0)
+        rows = list(zip(gens, buf))
+
+        def draws(k, rows=rows, buf=buf):
+            for g, row in rows:
+                g.standard_normal(out=row)
+            return buf
+
+        yield reps, x0, draws
 
 
 class _Step(NamedTuple):

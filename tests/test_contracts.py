@@ -11,6 +11,7 @@ from palab.contracts import (
     Contract,
     ContractEvaluationError,
     contract_report,
+    contract_y_step,
     evaluate_terminal_payment,
     joint_deviation_scan,
     mkv_contract_payment,
@@ -23,6 +24,7 @@ from palab.model import (
     normal_law,
     quadratic_generic_model,
 )
+from palab import sde_engine
 from palab.sde_engine import SeedSpec, SimGrid, simulate_particles
 
 EXACT = 1e-12
@@ -252,12 +254,36 @@ def test_agent_reward_direct_formula():
     assert rep["agent_reward"].se <= 1e-15
 
 
-@pytest.mark.parametrize("model_name", ["multitask", "quadratic"])
-def test_report_payment_equals_replay_pipeline(model_name):
+def test_contract_y_step_batched_levels():
+    # A (batch,) level steps each row like its own float level. A scalar or
+    # (batch, 1) H is used as it is: the mean of three copies of 0.1 is not
+    # 0.1 bit for bit, so averaging a broadcast H would move Y.
+    dt = 0.25
+    dX = np.array([[0.3, -0.1, 0.7], [1.1, 0.2, -0.4]])
+    zsig = np.array([[0.5, 0.5, 0.5], [0.2, 0.9, 1.3]])
+    y0 = np.array([0.4, -0.2])
+    assert np.mean(np.full(3, 0.1)) != 0.1
+    y_lone = contract_y_step(0.0, 1.0, 0.1, 0.0, np.zeros(3))
+    assert isinstance(y_lone, float) and y_lone == -0.1
+    H_col = np.array([[0.1], [0.7]])
+    y_col = contract_y_step(np.zeros(2), 1.0, H_col, 0.0, np.zeros((2, 3)))
+    assert np.array_equal(y_col, -H_col[:, 0])
+    H_full = np.array([[0.1, 0.2, 0.3], [0.7, -0.5, 0.05]])
+    for H, H_rows in [(0.1, [0.1, 0.1]), (H_col, [0.1, 0.7]), (H_full, list(H_full))]:
+        y = contract_y_step(y0, dt, H, zsig, dX)
+        assert y.shape == (2,)
+        for i in range(2):
+            assert y[i] == contract_y_step(float(y0[i]), dt, H_rows[i], zsig[i], dX[i])
+
+
+@pytest.mark.parametrize("model_name", ["multitask", "quadratic", "quadratic-chunked"])
+def test_report_payment_equals_replay_pipeline(model_name, monkeypatch):
     # contract_report accumulates Y while it simulates; replaying the stored
     # paths of the same stream through evaluate_terminal_payment must give
     # the same payment bit for bit. The quadratic model has no analytic
-    # maximizer, so this also covers the numeric path.
+    # maximizer, so this also covers the numeric path. The chunked case caps
+    # the replication batch so the 5 replications run as chunks of 2, 2, 1.
+    n, reps = 9, 5
     if model_name == "multitask":
         model = multitask_model(MultitaskParams(0.5, b_bar=1.0), R=0.1, nu=normal_law())
         c = Contract(Y0=0.1, gamma=_gamma_hat(0.5), aleph=lambda t, x: 0.2 * x, truncation_l=1.3)
@@ -266,11 +292,17 @@ def test_report_payment_equals_replay_pipeline(model_name):
         c = Contract(Y0=0.0, gamma=lambda t, x: 0.5 + 0.3 * np.sin(x), aleph=_zero)
     grid = SimGrid(1.0, 12)
     seed = SeedSpec(31)
-    rep = contract_report(c, model, 9, grid, 4, seed)
-    for r in range(4):
-        paths, flow = simulate_particles(model, c.gamma_l, c.aleph_l, 9, grid, seed.child(r))
+    if model_name == "quadratic-chunked":
+        monkeypatch.setattr(sde_engine, "_BATCH_ELEMENTS", 2 * n)
+        chunks = sde_engine._replication_chunks(model, n, reps, seed)
+        assert [len(r) for r, _, _ in chunks] == [2, 2, 1]
+    rep = contract_report(c, model, n, grid, reps, seed)
+    for r in range(reps):
+        paths, flow = simulate_particles(model, c.gamma_l, c.aleph_l, n, grid, seed.child(r))
         xi, _ = evaluate_terminal_payment(c, model, paths, flow)
         assert rep["per_replication"]["xi"][r] == xi
+        v = float(np.mean(model.production_utility_Upsilon(paths.states[:, -1]))) - xi
+        assert rep["per_replication"]["principal_value"][r] == v
 
 
 # ---------------------------------------------------------------------------

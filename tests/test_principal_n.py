@@ -1,12 +1,14 @@
 """Tests for the n-agent value estimator and convergence-rate fitting."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import conftest
-from palab.contracts import Contract, evaluate_terminal_payment
+from palab import sde_engine
+from palab.contracts import Contract, ContractEvaluationError, evaluate_terminal_payment
 from palab.mkv_control import PolicyParam, analytic_multitask
 from palab.model import (
     MultitaskParams,
@@ -21,7 +23,7 @@ from palab.principal_n import (
     fit_rate,
     gap_sweep,
 )
-from palab.sde_engine import SeedSpec, SimGrid, simulate_particles
+from palab.sde_engine import SeedSpec, SimGrid, SimulationBlowupError, simulate_particles
 
 EXACT = 1e-12
 
@@ -82,6 +84,62 @@ def test_matches_contract_pipeline_stepwise():
         xi, y_path = evaluate_terminal_payment(contract, model, paths, flow)
         assert abs(y_path[-1] - details["y_T"][r]) <= EXACT
         assert abs(xi - details["xi"][r]) <= EXACT
+
+
+def test_chunked_replications_equal_lone_replays(monkeypatch):
+    # replications are stepped together in (batch, n) chunks; capping the
+    # batch so 7 replications run as chunks of 3, 3, 1 must still give every
+    # replication exactly what a lone simulation of its stream gives
+    kappa, n, reps = 0.5, 8, 7  # n a power of two: n * (gamma/n) is exact
+    model = multitask_model(MultitaskParams(kappa, b_bar=1.0), R=0.1, nu=normal_law())
+    grid = SimGrid(1.0, 12)
+    seed = SeedSpec(404)
+    monkeypatch.setattr(sde_engine, "_BATCH_ELEMENTS", 3 * n)
+    chunks = sde_engine._replication_chunks(model, n, reps, seed)
+    assert [len(r) for r, _, _ in chunks] == [3, 3, 1]
+    gamma = lambda t, x: 0.8 + 0.3 * np.sin(x)
+    policy = NPlayerPolicy.from_gamma(gamma, n)
+    _, details = estimate_n_player_value(
+        model, policy, n, grid, reps, seed, u_inside=False, return_details=True
+    )
+    contract = Contract(Y0=model.reservation_R, gamma=gamma, aleph=_zero)
+    for r in range(reps):
+        paths, flow = simulate_particles(model, gamma, _zero, n, grid, seed.child(r))
+        xi, y_path = evaluate_terminal_payment(contract, model, paths, flow)
+        v = float(np.mean(model.production_utility_Upsilon(paths.states[:, -1]))) - xi
+        assert details["y_T"][r] == y_path[-1]
+        assert details["xi"][r] == xi
+        assert details["v"][r] == v
+
+
+def test_nonfinite_payment_raises():
+    # the estimator pays through the same checked g^{-1} as contract_report
+    model = replace(multitask_model(MultitaskParams(0.5)), g_inverse=lambda flow, y: math.nan)
+    policy = NPlayerPolicy.from_gamma(lambda t, x: 1.0, 4)
+    with pytest.raises(ContractEvaluationError):
+        estimate_n_player_value(model, policy, 4, SimGrid(1.0, 5), 3, SeedSpec(0))
+
+
+def test_batched_blowup_raises_at_first_breach_in_chunk():
+    # With kappa_bar = 1e6 every replication leaves the blow-up threshold;
+    # on this seed replication 0 does so at step 3 and the others at step 2.
+    # The replications share one (batch, n) chunk, so the error's step and t
+    # locate the first step at which any of them breached it, not the step
+    # of the first failing replication.
+    model = multitask_model(MultitaskParams(1e6), nu=normal_law())
+    grid = SimGrid(1.0, 20)
+    seed = SeedSpec(0)
+    policy = NPlayerPolicy.from_gamma(lambda t, x: 1.0, 4)
+    with pytest.raises(SimulationBlowupError) as exc:
+        estimate_n_player_value(model, policy, 4, grid, 6, seed)
+    lone_steps = []
+    for r in range(6):
+        with pytest.raises(SimulationBlowupError) as lone:
+            simulate_particles(model, lambda t, x: 1.0, _zero, 4, grid, seed.child(r))
+        lone_steps.append(lone.value.step)
+    assert min(lone_steps) < lone_steps[0]
+    assert exc.value.step == min(lone_steps)
+    assert exc.value.t == grid.nodes[exc.value.step]
 
 
 def test_zero_loading_terminal_level_is_reservation():
