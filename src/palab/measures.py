@@ -33,12 +33,12 @@ class EmpiricalMeasure:
 
     __slots__ = ("samples", "_sorted", "_stat_cache")
 
-    def __init__(self, samples, sorted_cache: np.ndarray | None = None):
+    def __init__(self, samples):
         arr = np.asarray(samples, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("EmpiricalMeasure needs a non-empty 1-D sample vector")
         self.samples = arr
-        self._sorted = sorted_cache
+        self._sorted = None
         self._stat_cache: dict = {}
 
     def __len__(self) -> int:

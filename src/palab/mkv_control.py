@@ -33,9 +33,6 @@ from .measures import EmpiricalMeasure, MeasureFlow
 from .model import ModelSpec, MultitaskParams
 from .sde_engine import DEFAULT_N_PROXY, SeedSpec, SimGrid, _as_generator, _euler_steps
 
-PARTS_ALL = ("gamma", "aleph")
-
-
 _COEFF_FIELDS = ("gamma_c0", "gamma_c1", "aleph_c0", "aleph_c1")
 
 

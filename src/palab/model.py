@@ -22,6 +22,12 @@ the linear term b·z + L, while the reduced coefficients feed it z/sigma, so
 that H is the upper envelope of h in the action argument. This matches how
 the contract construction consumes these objects.
 
+Without an analytic maximizer, alpha_hat is found numerically by one
+vectorized routine for scalar and array arguments alike, and every call
+checks its answer for ties: the theory assumes a unique maximizer, so two
+equally good actions raise AmbiguousMaximizerError instead of one being
+picked silently.
+
 Coefficient functions must accept numpy arrays for the state/action/payment
 arguments and broadcast (the simulation engine calls them once per time step
 on whole particle ensembles). The measure argument ``m`` provides
@@ -269,140 +275,95 @@ def hamiltonian_h(model: ModelSpec, t, x, flow, e, z, a):
     return val
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization of a scalar function on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x_star = 0.5 * (a + b)
-    return x_star, f(x_star)
-
-
-def maximize_hamiltonian(
-    model: ModelSpec,
-    t,
-    x,
-    flow,
-    e,
-    z,
-    tol_a: float = TOL_A,
-    tol_h: float = TOL_H,
-    probes: int = DEFAULT_PROBES,
-):
+def maximize_hamiltonian(model: ModelSpec, t, x, flow, e, z):
     """Maximizer of a -> b(t,x,m,e,a)·z + L(t,x,m,e,a) over action_bounds.
 
     When the model carries an analytic_maximizer it is returned directly.
-    Otherwise scalar arguments take the numeric path: a uniform probe grid
-    over action_bounds locates candidate local maxima, each is refined by
-    golden-section search to tol_a, and if two refined candidates disagree
-    in location by more than tol_a while agreeing in value within tol_h,
-    AmbiguousMaximizerError is raised — the underlying theory assumes a
-    unique maximizer and we will not pick one arbitrarily. Array arguments
-    take the vectorized path, which refines only the best probe and does
-    not check for ties.
+    Otherwise every element of x (e and z broadcast against it) is searched
+    at once: a uniform probe grid of DEFAULT_PROBES points over
+    action_bounds, then a fixed number of golden-section steps on the
+    bracket of the best probe, enough to shrink it below TOL_A. A non-finite
+    probe value raises NumericDomainError. Where an element's probe values
+    have more than one local maximum (endpoints count with one-sided
+    neighbourhoods), each is refined the same way and the best refined one
+    is returned; if two of them lie more than TOL_A apart while their values
+    agree within TOL_H, AmbiguousMaximizerError is raised — the underlying
+    theory assumes a unique maximizer and we will not pick one arbitrarily.
+    Scalar arguments are a size-1 search and return a float.
 
     Note the slope convention: to obtain the maximizer of h(·, z, a) pass
     z/sigma(t, x) here (that is what reduced_coefficients does).
     """
     if model.analytic_maximizer is not None:
         return model.analytic_maximizer(t, x, flow, e, z)
-    if np.ndim(x) == 0 and np.ndim(z) == 0 and np.ndim(e) == 0:
-        return _maximize_scalar(model, t, x, flow, e, z, tol_a, tol_h, probes)
-    return _maximize_array(model, t, x, flow, e, z, probes)
-
-
-def _maximize_scalar(model: ModelSpec, t, x, flow, e, z, tol_a, tol_h, probes):
-    """The numeric scalar path of maximize_hamiltonian, with the tie check."""
     lo, hi = model.action_bounds
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("numeric maximization needs finite action_bounds")
-
-    def objective(a):
-        return float(
-            model.drift_b(t, x, flow, e, a) * z + model.running_cost_L(t, x, flow, e, a)
-        )
-
-    grid = np.linspace(lo, hi, int(probes))
-    vals = np.array([objective(a) for a in grid])
-    if not np.all(np.isfinite(vals)):
-        raise NumericDomainError("non-finite Hamiltonian probe value")
-
-    # Candidate brackets: probe points that dominate both neighbours
-    # (endpoints count as candidates with one-sided neighbourhoods).
-    candidates = []
-    for i in range(len(grid)):
-        left = vals[i - 1] if i > 0 else -np.inf
-        right = vals[i + 1] if i < len(grid) - 1 else -np.inf
-        if vals[i] >= left and vals[i] >= right:
-            blo = grid[max(i - 1, 0)]
-            bhi = grid[min(i + 1, len(grid) - 1)]
-            candidates.append((blo, bhi))
-
-    refined = [_golden_max(objective, blo, bhi, tol_a) for blo, bhi in candidates]
-    refined.sort(key=lambda pair: -pair[1])
-    a_best, h_best = refined[0]
-    for a_other, h_other in refined[1:]:
-        if abs(a_other - a_best) > tol_a and abs(h_other - h_best) < tol_h:
-            raise AmbiguousMaximizerError(
-                f"two maximizers at a={a_best:.10g} and a={a_other:.10g} "
-                f"with values within {tol_h}"
-            )
-    return a_best
-
-
-def _maximize_array(model: ModelSpec, t, x, flow, e, z, probes: int = DEFAULT_PROBES):
-    """Vectorized numeric argmax of b·z + L for array-valued (x, e, z).
-
-    Same probe-then-golden scheme as maximize_hamiltonian, run on all
-    elements simultaneously (every element keeps its own bracket). The
-    pairwise ambiguity check is not performed on this hot path — the scalar
-    op is the place where ties are detected and reported.
-    """
-    lo, hi = model.action_bounds
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("numeric maximization needs finite action_bounds")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"numeric maximization needs finite action_bounds lo < hi, got {lo, hi}")
     x = np.asarray(x, dtype=float)
 
     def objective(a):
         return model.drift_b(t, x, flow, e, a) * z + model.running_cost_L(t, x, flow, e, a)
 
-    grid = np.linspace(lo, hi, int(probes))
+    grid = np.linspace(lo, hi, DEFAULT_PROBES)
     vals = np.stack([np.broadcast_to(objective(a), x.shape) for a in grid])
-    best = np.argmax(vals, axis=0)
+    if not np.isfinite(vals).all():
+        raise NumericDomainError("non-finite Hamiltonian probe value")
     step = grid[1] - grid[0]
-    a_lo = np.maximum(grid[best] - step, lo)
-    a_hi = np.minimum(grid[best] + step, hi)
+    n_iter = max(int(math.ceil(math.log(TOL_A / (2.0 * step)) / math.log(_INVPHI))) + 1, 1)
 
-    c = a_hi - _INVPHI * (a_hi - a_lo)
-    d = a_lo + _INVPHI * (a_hi - a_lo)
-    fc, fd = objective(c), objective(d)
-    n_iter = int(math.ceil(math.log(TOL_A / (2.0 * step)) / math.log(_INVPHI))) + 1
-    for _ in range(max(n_iter, 1)):
-        take_left = fc >= fd
-        a_hi = np.where(take_left, d, a_hi)
-        a_lo = np.where(take_left, a_lo, c)
-        c = a_hi - _INVPHI * (a_hi - a_lo)
-        d = a_lo + _INVPHI * (a_hi - a_lo)
-        fc, fd = objective(c), objective(d)
-    return 0.5 * (a_lo + a_hi)
+    def refine(probe):
+        """Golden-section search on the bracket grid[probe] ± step, per element."""
+        a_lo = np.maximum(grid[probe] - step, lo)
+        a_hi = np.minimum(grid[probe] + step, hi)
+        for _ in range(n_iter):
+            c = a_hi - _INVPHI * (a_hi - a_lo)
+            d = a_lo + _INVPHI * (a_hi - a_lo)
+            take_left = objective(c) >= objective(d)
+            a_hi = np.where(take_left, d, a_hi)
+            a_lo = np.where(take_left, a_lo, c)
+        return 0.5 * (a_lo + a_hi)
+
+    best = np.argmax(vals, axis=0)
+    a_star = refine(best)
+    # Probe-local maxima besides the best probe, endpoints one-sided.
+    peaks = np.ones(vals.shape, dtype=bool)
+    peaks[1:] &= vals[1:] >= vals[:-1]
+    peaks[:-1] &= vals[:-1] >= vals[1:]
+    np.put_along_axis(peaks, best[None], False, axis=0)
+    multi = peaks.any(axis=0)
+    if not multi.any():
+        return float(a_star) if a_star.ndim == 0 else a_star
+
+    # Tie check: refine the other peaks one rank at a time (an element out
+    # of peaks repeats its best probe) and compare every refined candidate
+    # with the best refined one.
+    cands = [a_star]
+    while peaks.any():
+        probe = np.where(peaks.any(axis=0), np.argmax(peaks, axis=0), best)
+        np.put_along_axis(peaks, probe[None], False, axis=0)
+        cands.append(refine(probe))
+    cands = np.stack(cands)
+    values = np.stack([np.broadcast_to(objective(a), x.shape) for a in cands])
+    top = np.argmax(values, axis=0)[None]
+    a_top = np.take_along_axis(cands, top, axis=0)
+    h_top = np.take_along_axis(values, top, axis=0)
+    tie = multi & (np.abs(cands - a_top) > TOL_A) & (np.abs(values - h_top) < TOL_H)
+    if tie.any():
+        rank, *where = np.argwhere(tie)[0]
+        raise AmbiguousMaximizerError(
+            f"two maximizers at a={a_top[(0, *where)]:.10g} and "
+            f"a={cands[(rank, *where)]:.10g} with values within {TOL_H}"
+        )
+    a_star = np.where(multi, a_top[0], a_star)
+    return float(a_star) if a_star.ndim == 0 else a_star
 
 
 def _recommended(model: ModelSpec, t, x, flow, e, zsig):
     """(alpha, b_hat, L_hat, H) at the slope zsig = z/sigma.
 
     The one place the Hamiltonian maximizer runs for the simulation and
-    contract code: alpha comes from maximize_hamiltonian (analytic, scalar or
-    array path), and b_hat, L_hat and H are evaluated at it once.
+    contract code: alpha comes from maximize_hamiltonian (analytic or
+    numeric), and b_hat, L_hat and H are evaluated at it once.
     """
     a_star = maximize_hamiltonian(model, t, x, flow, e, zsig)
     b_hat = model.drift_b(t, x, flow, e, a_star)
@@ -417,8 +378,8 @@ def reduced_coefficients(model: ModelSpec, t, x, flow, e, z):
     slope z/sigma(t,x), and H = b_hat·z/sigma + L_hat, so that
     H(t,x,m,e,z) = max_a h(t,x,m,e,z,a) (the envelope property).
 
-    Accepts scalars or arrays for (x, e, z); arrays use the vectorized
-    numeric maximizer when no analytic one is registered.
+    Accepts scalars or arrays for (x, e, z), with or without an analytic
+    maximizer.
     """
     zsig = slope_over_sigma(z, model.vol_sigma(t, x))
     return _recommended(model, t, x, flow, e, zsig)[1:]

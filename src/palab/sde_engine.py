@@ -5,11 +5,11 @@ The n agents follow
     dX^i_t = b(t, X^i_t, mu^n_t, e^i_t, a^i_t) dt + sigma(t, X^i_t) dW^i_t,
 
 where mu^n_t is the empirical measure of the current ensemble, e^i_t is a
-payment-rate field evaluated along the path, and a^i_t is either the
-Hamiltonian-optimal response to a slope field gamma (the default) or an
-explicitly supplied action field. The scheme is explicit Euler with the
-measure updated simultaneously with the states: the coefficients at step k
-see the measure of the step-k states.
+payment-rate field evaluated along the path, and a^i_t is the
+Hamiltonian-optimal response to a slope field gamma (only the deviation
+scan in contracts overrides it, through the stepper's play hook). The
+scheme is explicit Euler with the measure updated simultaneously with the
+states: the coefficients at step k see the measure of the step-k states.
 
 Every step loop in the package runs on one private stepper, _euler_steps.
 It steps an (n,) ensemble or a (batch, n) stack of ensembles, makes one
@@ -268,16 +268,13 @@ def simulate_particles(
     n: int,
     grid: SimGrid,
     seed: SeedLike,
-    actions: Optional[Callable] = None,
     blowup_threshold: float = BLOWUP_THRESHOLD,
 ) -> tuple[ParticlePaths, MeasureFlow]:
     """Simulate the n-agent system under feedback fields gamma and aleph.
 
     gamma(t, x) is the payment slope and aleph(t, x) the payment-rate field;
-    both must broadcast over the length-n state vector. By default each
-    agent plays the Hamiltonian-optimal response to slope gamma/sigma; pass
-    `actions` (a (t, x) -> action field) to override the played actions
-    while keeping the same contract fields.
+    both must broadcast over the length-n state vector. Each agent plays the
+    Hamiltonian-optimal response to slope gamma/sigma.
 
     Returns the materialized paths together with the flow of empirical
     measures at every grid node. Raises SimulationBlowupError if a state
@@ -288,9 +285,8 @@ def simulate_particles(
     states = np.empty((n, grid.steps + 1))
     incs = np.empty((n, grid.steps))
     states[:, 0] = x
-    play = None if actions is None else (lambda t, x, a_star: actions(t, x))
     steps = _euler_steps(
-        model, gamma, aleph, x, grid, lambda k: rng.standard_normal(n), play, blowup_threshold
+        model, gamma, aleph, x, grid, lambda k: rng.standard_normal(n), None, blowup_threshold
     )
     for k, step in enumerate(steps):
         states[:, k + 1] = step.x_next

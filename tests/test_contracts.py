@@ -138,14 +138,14 @@ def test_recommended_controls_follow_truncated_slope():
     model = multitask_model(MultitaskParams(kappa))
     c = Contract(Y0=0.0, gamma=_gamma_hat(kappa), aleph=_zero, truncation_l=1.2)
     paths, _ = _simulated(c, model, 10, 8)
+    forced_play = lambda t, x, m, e, z: min(_gamma_hat(kappa)(t, x), 1.2)
     forced, _ = simulate_particles(
-        model,
+        replace(model, analytic_maximizer=forced_play),
         c.gamma_l,
         c.aleph_l,
         10,
         SimGrid(1.0, 8),
         SeedSpec(42).child(0),
-        actions=lambda t, x: min(_gamma_hat(kappa)(t, x), 1.2),
     )
     assert np.array_equal(paths.states, forced.states)
     # the truncation binds early on, so this is not the untruncated response

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from palab.contracts import Contract, contract_report
 from palab.measures import EmpiricalMeasure
 from palab.model import (
     AmbiguousMaximizerError,
@@ -23,6 +24,7 @@ from palab.model import (
     reduced_coefficients,
     slope_over_sigma,
 )
+from palab.sde_engine import SeedSpec, SimGrid, simulate_particles
 
 EXACT = 1e-12
 ARGMAX_TOL = 1e-6  # golden-section location accuracy we rely on
@@ -146,9 +148,9 @@ def test_analytic_maximizer_agrees_with_golden():
     assert worst <= ARGMAX_TOL
 
 
-def test_ambiguous_maximizer_detected():
-    # L = -(a^2 - 1)^2 with zero slope has two global maxima at a = +-1
-    model = ModelSpec(
+def _bimodal_model():
+    # L = -(a^2 - 1)^2: at zero slope two global maxima at a = +-1
+    return ModelSpec(
         drift_b=lambda t, x, m, e, a: np.asarray(a, dtype=float),
         vol_sigma=lambda t, x: 1.0,
         running_cost_L=lambda t, x, m, e, a: -((np.asarray(a) ** 2 - 1.0) ** 2),
@@ -163,6 +165,10 @@ def test_ambiguous_maximizer_detected():
         reservation_R=0.0,
         action_bounds=(-3.0, 3.0),
     )
+
+
+def test_ambiguous_maximizer_detected():
+    model = _bimodal_model()
     with pytest.raises(AmbiguousMaximizerError):
         maximize_hamiltonian(model, 0.0, 0.0, _measure(), 0.0, 0.0)
     # a nonzero slope breaks the tie and the search succeeds
@@ -170,11 +176,58 @@ def test_ambiguous_maximizer_detected():
     assert 0.9 < a_star < 1.3
 
 
+def test_ambiguous_maximizer_detected_on_hot_paths():
+    # the simulation and the contract report run the same tie check as the
+    # scalar call: a zero slope on the bimodal model must raise, not drift
+    # every agent silently toward one of the two maxima
+    model = _bimodal_model()
+    grid = SimGrid(1.0, 5)
+    zero = lambda t, x: 0.0
+    x = np.zeros(4)
+    with pytest.raises(AmbiguousMaximizerError):
+        maximize_hamiltonian(model, 0.0, x, EmpiricalMeasure(x), 0.0, np.zeros(4))
+    with pytest.raises(AmbiguousMaximizerError):
+        simulate_particles(model, zero, zero, 4, grid, SeedSpec(0))
+    c = Contract(Y0=0.0, gamma=zero, aleph=zero)
+    with pytest.raises(AmbiguousMaximizerError):
+        contract_report(c, model, 4, grid, 3, SeedSpec(0))
+    # one element with a tie is enough, even when the others have none
+    with pytest.raises(AmbiguousMaximizerError):
+        maximize_hamiltonian(
+            model, 0.0, x, EmpiricalMeasure(x), 0.0, np.array([0.5, -0.5, 0.0, 1.0])
+        )
+
+
+def test_maximizer_returns_higher_of_two_peaks():
+    # a broad peak of height 1 at a = -4 holds the best probe (probes sit on
+    # multiples of 0.5); the higher, narrow peak of height 1.5 at a = 2.25
+    # falls between probes and only shows as a lower probe-local maximum
+    model = replace(
+        _bimodal_model(),
+        running_cost_L=lambda t, x, m, e, a: np.exp(-np.square((np.asarray(a) + 4.0) / 2.0))
+        + 1.5 * np.exp(-np.square((np.asarray(a) - 2.25) / 0.25)),
+        action_bounds=(-8.0, 8.0),
+    )
+    L = lambda a: model.running_cost_L(0.0, 0.0, None, 0.0, a)
+    probes = np.linspace(-8.0, 8.0, 33)
+    assert probes[np.argmax(L(probes))] == -4.0
+    a_star = maximize_hamiltonian(model, 0.0, 0.0, _measure(), 0.0, 0.0)
+    fine = np.linspace(-8.0, 8.0, 160001)
+    assert abs(a_star - fine[np.argmax(L(fine))]) <= 1e-4 + ARGMAX_TOL
+    assert L(a_star) > 1.49
+    x = np.zeros(3)
+    a_vec = maximize_hamiltonian(model, 0.0, x, EmpiricalMeasure(x), 0.0, np.zeros(3))
+    assert np.array_equal(a_vec, np.full(3, a_star))
+
+
 def test_maximize_needs_finite_bounds():
-    model = quadratic_generic_model()
-    model = replace(model, action_bounds=(-math.inf, math.inf), analytic_maximizer=None)
-    with pytest.raises(ValueError):
-        maximize_hamiltonian(model, 0.0, 0.0, _measure(), 0.0, 0.0)
+    # an empty or one-point box is refused too, on scalar and array calls
+    for bounds in [(-math.inf, math.inf), (1.0, 1.0), (2.0, 1.0)]:
+        model = replace(quadratic_generic_model(), action_bounds=bounds)
+        with pytest.raises(ValueError):
+            maximize_hamiltonian(model, 0.0, 0.0, _measure(), 0.0, 0.0)
+        with pytest.raises(ValueError):
+            maximize_hamiltonian(model, 0.0, np.zeros(2), _measure(), 0.0, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +254,10 @@ def test_reduced_coefficients_array_matches_scalar():
     b_vec, l_vec, h_vec = reduced_coefficients(model, 0.1, xs, m, 0.0, zs)
     for i in range(3):
         b_i, l_i, h_i = reduced_coefficients(model, 0.1, float(xs[i]), m, 0.0, float(zs[i]))
-        assert abs(b_vec[i] - b_i) <= 1e-7
-        assert abs(l_vec[i] - l_i) <= 1e-7
-        assert abs(h_vec[i] - h_i) <= 1e-7
+        # one routine serves both calls, so they agree bit for bit
+        assert b_vec[i] == b_i
+        assert l_vec[i] == l_i
+        assert h_vec[i] == h_i
 
 
 def test_envelope_property_random_tuples():

@@ -190,25 +190,12 @@ def test_deterministic_ode_limit():
     model = multitask_model(MultitaskParams(0.0))
     model = replace(model, vol_sigma=lambda t, x: 0.0)
     grid = SimGrid(1.0, 64)
-    paths, _ = simulate_particles(
-        model, _zero, _zero, 3, grid, SeedSpec(0), actions=lambda t, x: 1.0
-    )
+    forced = replace(model, analytic_maximizer=lambda t, x, m, e, z: 1.0)
+    paths, _ = simulate_particles(forced, _zero, _zero, 3, grid, SeedSpec(0))
     assert np.all(paths.states[:, -1] == 1.0)
     # zero slope with zero volatility is the tolerated 0/0 case
     m = simulate_terminal_measure(model, _zero, _zero, 3, grid, SeedSpec(0))
     assert np.all(m.samples == 0.0)
-
-
-def test_actions_override_changes_paths():
-    model = multitask_model(MultitaskParams(0.0))
-    grid = SimGrid(1.0, 10)
-    default, _ = simulate_particles(model, _one, _zero, 30, grid, SeedSpec(3))
-    forced, _ = simulate_particles(
-        model, _one, _zero, 30, grid, SeedSpec(3), actions=lambda t, x: 0.0
-    )
-    # same draws, drift removed: difference is exactly the drift ramp
-    drift_gap = default.states[:, -1] - forced.states[:, -1]
-    assert np.allclose(drift_gap, 1.0, atol=EXACT)
 
 
 def test_ensemble_mean_replays_linear_recursion():
@@ -242,16 +229,17 @@ def test_blowup_detected():
 
 
 def test_blowup_threshold_override():
+    # alpha = z on the multitask model: slope 100 moves every state by about
+    # 10 in the first step, past the lowered threshold
     model = multitask_model(MultitaskParams(0.0))
     with pytest.raises(SimulationBlowupError):
         simulate_particles(
             model,
-            _zero,
+            lambda t, x: 100.0,
             _zero,
             5,
             SimGrid(1.0, 10),
             SeedSpec(0),
-            actions=lambda t, x: 100.0,
             blowup_threshold=1.0,
         )
 
