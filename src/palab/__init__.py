@@ -23,9 +23,8 @@ from .contracts import (
     evaluate_terminal_payment,
     joint_deviation_scan,
     mkv_contract_payment,
-    multitask_principal_formula,
 )
-from .estimates import MCEstimate, mean_se, variance_se
+from .estimates import MCEstimate, mean_se
 from .measures import (
     BatchedEmpiricalMeasure,
     EmpiricalMeasure,
@@ -114,7 +113,6 @@ __all__ = [
     "mean_se",
     "mkv_contract_payment",
     "multitask_model",
-    "multitask_principal_formula",
     "normal_law",
     "optimize_policy",
     "point_mass",
@@ -124,6 +122,5 @@ __all__ = [
     "simulate_particles",
     "simulate_terminal_measure",
     "slope_over_sigma",
-    "variance_se",
     "wasserstein_p",
 ]

@@ -32,7 +32,7 @@ import numpy as np
 
 from .estimates import MCEstimate, mean_se
 from .measures import BatchedEmpiricalMeasure, EmpiricalMeasure, MeasureFlow
-from .model import ModelSpec, identity_utility, reduced_coefficients, slope_over_sigma
+from .model import ModelSpec, reduced_coefficients, slope_over_sigma
 from .sde_engine import (
     ParticlePaths,
     SeedSpec,
@@ -357,43 +357,3 @@ def joint_deviation_scan(
         "se": gain_se,
         "baseline": mean_se(rewards[:, B]),
     }
-
-
-def multitask_principal_formula(
-    params,
-    R: float,
-    T: float,
-    E_iota: float,
-    n: int,
-    U: Callable = identity_utility,
-    noise_factor: float = 2.0,
-    iota_var: float = 0.0,
-    quad_nodes: int = 95,
-) -> float:
-    """The stated large-n expansion of the principal's inside-utility value.
-
-    Evaluates E[ U( -R + e^{kT} mean(iota) + (1/2)int gamma_hat^2
-    + (noise_factor/n) sum_i int gamma_hat dW^i ) ] by Gauss-Hermite
-    quadrature, treating the argument as Gaussian with mean V_inf and
-    variance e^{2kT} iota_var / n + noise_factor^2 int gamma_hat^2 / n.
-    The default noise_factor of 2 reproduces the expansion as stated;
-    direct simulation of the finite-n system shows the production and
-    contract noise terms cancel instead of adding (see tests), so treat
-    nonzero factors as an upper model of the fluctuation — exact only for
-    linear U, where the noise terms average out either way.
-    """
-    from scipy.special import roots_hermitenorm
-
-    from .mkv_control import analytic_multitask
-
-    am = analytic_multitask(params, R=R, T=T, E_iota=E_iota)
-    var = (
-        noise_factor**2 * am.gamma_sq_integral / n
-        + math.exp(2.0 * params.kappa_bar * T) * iota_var / n
-    )
-    s = math.sqrt(var)
-    if s == 0.0:
-        return float(U(am.V_infinity))
-    nodes, weights = roots_hermitenorm(int(quad_nodes))
-    vals = np.asarray(U(am.V_infinity + s * nodes), dtype=float)
-    return float(np.sum(weights * vals) / math.sqrt(2.0 * math.pi))

@@ -47,21 +47,3 @@ def mean_se(samples: np.ndarray) -> MCEstimate:
     value = float(arr.mean())
     se = float(arr.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
     return MCEstimate(value, se, m)
-
-
-def variance_se(samples: np.ndarray) -> MCEstimate:
-    """Unbiased sample variance with the usual large-sample standard error.
-
-    SE uses the asymptotic formula sqrt((m4 - var^2·(m-3)/(m-1)) / m), which
-    reduces to var·sqrt(2/(m-1)) in the Gaussian case.
-    """
-    arr = np.asarray(samples, dtype=float).ravel()
-    m = arr.size
-    if m < 2:
-        raise ValueError("variance_se needs at least two samples")
-    var = float(arr.var(ddof=1))
-    centered = arr - arr.mean()
-    m4 = float(np.mean(centered**4))
-    inner = m4 - var**2 * (m - 3) / (m - 1)
-    se = float(np.sqrt(max(inner, 0.0) / m))
-    return MCEstimate(var, se, m)

@@ -11,7 +11,9 @@ estimated here by one large particle ensemble standing in for the limiting
 law. Policies are piecewise constant in time and affine in the state
 (PolicyParam); optimize_policy runs a derivative-free search over the
 coefficient vector with common random numbers, so the objective seen by the
-optimizer is a deterministic function of the parameters.
+optimizer is a deterministic function of the parameters. The search is the
+in-house adaptive Nelder-Mead `minimize`, whose arithmetic matches scipy's
+bit for bit, so this module needs numpy only.
 
 The linear-interaction quadratic-cost model has a closed-form solution
 (analytic_multitask): slope gamma_hat(t) = exp(kappa_bar (T - t)) and value
@@ -26,7 +28,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from .estimates import MCEstimate
 from .measures import EmpiricalMeasure, MeasureFlow
@@ -122,25 +123,6 @@ class PolicyParam:
         }
         return replace(self, **fields)
 
-    @classmethod
-    def from_time_function(
-        cls,
-        knots,
-        gamma_of_t: Callable[[float], float],
-        aleph_of_t: Optional[Callable[[float], float]] = None,
-    ) -> "PolicyParam":
-        """State-independent policy sampling the given rate at interval midpoints."""
-        knots = np.asarray(knots, dtype=float)
-        mids = 0.5 * (knots[:-1] + knots[1:])
-        g0 = np.array([float(gamma_of_t(t)) for t in mids])
-        a0 = (
-            np.zeros(len(mids))
-            if aleph_of_t is None
-            else np.array([float(aleph_of_t(t)) for t in mids])
-        )
-        z = np.zeros(len(mids))
-        return cls(knots=knots, gamma_c0=g0, gamma_c1=z, aleph_c0=a0, aleph_c1=z)
-
 
 PolicyLike = Union[PolicyParam, tuple]
 
@@ -223,6 +205,87 @@ def evaluate_limit_objective(
     )
 
 
+class _BudgetSpent(Exception):
+    pass
+
+
+def minimize(fun, x0, box, maxfev, xatol, fatol) -> bool:
+    """Minimize fun from x0 by the adaptive Nelder-Mead simplex search.
+
+    Gao & Han (2012) parameters for N = len(x0): reflection 1, expansion
+    1 + 2/N, contraction 0.75 - 1/(2N), shrink 1 - 1/N. box is None or a
+    (lo, hi) pair of scalars or length-N arrays; x0, the initial simplex and
+    every trial point are clipped to it. fun gets a fresh copy of each point
+    and is called at most maxfev times. Returns True when the simplex
+    shrinks below xatol in x and fatol in value before the budget runs out.
+
+    The arithmetic, the order of evaluations and the tie-breaking of the
+    vertex sort are those of scipy 1.17.1's
+    minimize(method="Nelder-Mead", options={"adaptive": True}), so the
+    sequence of points handed to fun is bit-identical to scipy's.
+    """
+    clip = (lambda x: x) if box is None else (lambda x: np.clip(x, *box))
+    x0 = clip(np.array(x0, dtype=float, ndmin=1))
+    N = len(x0)
+    chi, psi, sigma = 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
+    sim = np.vstack([x0] * (N + 1))
+    k = np.arange(N)
+    sim[k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    if box is not None:
+        sim = clip(np.where(sim > box[1], 2 * box[1] - sim, sim))
+    fsim = np.full(N + 1, np.inf)
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return fun(np.copy(x))
+
+    def order(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    try:
+        for k in range(N + 1):
+            fsim[k] = f(sim[k])
+        # sorted twice, as scipy does: a long simplex can reorder tied values
+        sim, fsim = order(*order(sim, fsim))
+        while calls < maxfev:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                return True
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = clip(2 * xbar - sim[-1])
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = clip((1 + chi) * xbar - chi * sim[-1])
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = clip((1 + psi) * xbar - psi * sim[-1])
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = clip((1 - psi) * xbar + psi * sim[-1])
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    sim[1:] = clip(sim[0] + sigma * (sim[1:] - sim[0]))
+                    for j in range(1, N + 1):
+                        fsim[j] = f(sim[j])
+            sim, fsim = order(sim, fsim)
+    except _BudgetSpent:
+        pass
+    return False
+
+
 @dataclass
 class PolicyOptResult:
     """Outcome of optimize_policy."""
@@ -247,8 +310,10 @@ def optimize_policy(
 ) -> PolicyOptResult:
     """Derivative-free ascent of the limit objective over PolicyParam coefficients.
 
-    Runs Nelder-Mead (adaptive simplex) on the flat coefficient vector of
-    the chosen parts, holding the knots and the Brownian draws fixed: the
+    Runs the in-house adaptive Nelder-Mead (`minimize`, the same arithmetic
+    and evaluation sequence as scipy's method="Nelder-Mead" with
+    adaptive=True) on the flat coefficient vector of the chosen parts,
+    clipped to initial.bounds when set, holding the knots and the Brownian draws fixed: the
     initial states and all increments are generated once from the seed and
     reused for every objective call, so the search sees a smooth
     deterministic surface. The returned policy is the best one actually
@@ -283,19 +348,9 @@ def optimize_policy(
     initial_value = value_of(v0)
     box = None
     if initial.bounds is not None:
-        lo, hi = initial.bounds
-        box = Bounds(np.full(len(v0), float(lo)), np.full(len(v0), float(hi)))
-    res = minimize(
-        lambda v: -value_of(v),
-        v0,
-        method="Nelder-Mead",
-        bounds=box,
-        options={
-            "adaptive": True,
-            "maxfev": int(budget),
-            "xatol": 1e-4,
-            "fatol": 1e-7,
-        },
+        box = (float(initial.bounds[0]), float(initial.bounds[1]))
+    converged = minimize(
+        lambda v: -value_of(v), v0, box, int(budget), xatol=1e-4, fatol=1e-7
     )
     return PolicyOptResult(
         policy=initial.replace_from_vector(best["vec"], parts),
@@ -303,7 +358,7 @@ def optimize_policy(
         se=best["se"],
         initial_value=initial_value,
         n_evaluations=len(trace),
-        converged=bool(res.success),
+        converged=converged,
         trace=trace,
     )
 

@@ -39,7 +39,7 @@ drift expressions written against them broadcast in both modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -96,9 +96,6 @@ class ModelSpec:
     analytic_maximizer: Optional[Callable] = None  # (t, x, m, e, z) -> action
     name: str = "custom"
     params: dict = field(default_factory=dict)
-
-    def with_principal_utility(self, U: Callable) -> "ModelSpec":
-        return replace(self, principal_utility_U=U)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 from .contracts import _g_inverse, contract_y_step
 from .estimates import MCEstimate, mean_se
 from .measures import EmpiricalMeasure, MeasureFlow
-from .mkv_control import PolicyParam, analytic_multitask
+from .mkv_control import analytic_multitask
 from .model import ModelSpec, MultitaskParams, exp_saturating_utility, multitask_model
 from .sde_engine import SeedSpec, SimGrid, _euler_steps, _replication_chunks
 
@@ -51,12 +51,6 @@ class NPlayerPolicy:
     aleph_fn: Callable  # (t, x) -> payment rate
 
     @classmethod
-    def from_loading(cls, z: Callable, aleph: Optional[Callable] = None) -> "NPlayerPolicy":
-        if aleph is None:
-            aleph = lambda t, x: 0.0
-        return cls(z_fn=z, aleph_fn=aleph)
-
-    @classmethod
     def from_gamma(
         cls, gamma: Callable, n: int, aleph: Optional[Callable] = None
     ) -> "NPlayerPolicy":
@@ -64,10 +58,6 @@ class NPlayerPolicy:
         if aleph is None:
             aleph = lambda t, x: 0.0
         return cls(z_fn=lambda t, x: gamma(t, x) / n, aleph_fn=aleph)
-
-    @classmethod
-    def from_policy_param(cls, policy: PolicyParam, n: int) -> "NPlayerPolicy":
-        return cls.from_gamma(policy.gamma_fn, n, aleph=policy.aleph_fn)
 
 
 def estimate_n_player_value(

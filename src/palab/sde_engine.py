@@ -341,13 +341,8 @@ def ito_integral(
     paths: ParticlePaths,
     integrand: Callable,
     against: str = "dX",
-    per: str = "particle",
-):
-    """Left-endpoint Ito sum of integrand(t_k, X_k) against dX, dW or dt.
-
-    per="particle" returns the length-n vector of per-particle sums;
-    per="ensemble-average" returns their mean as a float.
-    """
+) -> np.ndarray:
+    """Per-particle left-endpoint Ito sums of integrand(t_k, X_k) against dX, dW or dt."""
     times = paths.times
     dt = np.diff(times)
     n_steps = paths.n_steps
@@ -364,9 +359,4 @@ def ito_integral(
     else:
         raise ValueError(f"against must be 'dX', 'dW' or 'dt', got {against!r}")
 
-    per_particle = np.sum(vals * d, axis=1)
-    if per == "particle":
-        return per_particle
-    if per == "ensemble-average":
-        return float(np.mean(per_particle))
-    raise ValueError(f"per must be 'particle' or 'ensemble-average', got {per!r}")
+    return np.sum(vals * d, axis=1)

@@ -40,3 +40,16 @@ def gamma_hat(kappa_bar: float, T: float = 1.0):
         return float(np.exp(kappa_bar * (T - t)))
 
     return g
+
+
+def variance_se(samples) -> tuple[float, float]:
+    """Unbiased sample variance and its large-sample standard error.
+
+    The SE is sqrt((m4 - var^2 (m-3)/(m-1)) / m), which reduces to
+    var sqrt(2/(m-1)) for Gaussian samples.
+    """
+    arr = np.asarray(samples, dtype=float).ravel()
+    m = arr.size
+    var = float(arr.var(ddof=1))
+    m4 = float(np.mean((arr - arr.mean()) ** 4))
+    return var, float(np.sqrt(max(m4 - var**2 * (m - 3) / (m - 1), 0.0) / m))

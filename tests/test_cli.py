@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -398,3 +401,16 @@ def test_records_have_null_runtime_and_hash(tmp_path):
     for rec in fit["records"]:
         assert rec["runtime"] is None
         assert rec["config_hash"] == ec.hash
+
+
+def test_import_loads_neither_scipy_nor_process_pool():
+    # scipy is imported inside self-check only, the process pool only when
+    # a command runs with --workers > 1; starting any command pays neither.
+    code = (
+        "import sys, palab.cli; print(' '.join(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

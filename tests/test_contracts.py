@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import conftest
 from palab.contracts import (
     Contract,
     ContractEvaluationError,
@@ -15,7 +14,6 @@ from palab.contracts import (
     evaluate_terminal_payment,
     joint_deviation_scan,
     mkv_contract_payment,
-    multitask_principal_formula,
 )
 from palab.model import (
     MultitaskParams,
@@ -233,7 +231,7 @@ def test_report_utility_conventions():
     rep = contract_report(c, model, 20, SimGrid(1.0, 10), 30, SeedSpec(5))
     # identity utility: inside and outside coincide
     assert rep["principal_inside"].value == rep["principal_outside"].value
-    model_u = model.with_principal_utility(exp_saturating_utility)
+    model_u = replace(model, principal_utility_U=exp_saturating_utility)
     rep_u = contract_report(c, model_u, 20, SimGrid(1.0, 10), 30, SeedSpec(5))
     # Jensen: E[U(v)] <= U(E[v]) for concave U
     assert rep_u["principal_inside"].value <= rep_u["principal_outside"].value + EXACT
@@ -334,30 +332,3 @@ def test_joint_deviation_cell_cap():
     too_many = np.linspace(-3, 3, 150)  # 150^2 > 20000 cells
     with pytest.raises(ValueError):
         joint_deviation_scan(c, model, too_many, n=2, grid=SimGrid(1.0, 5), replications=2, seed=SeedSpec(0))
-
-
-# ---------------------------------------------------------------------------
-# the stated large-n expansion
-# ---------------------------------------------------------------------------
-
-
-def test_multitask_formula_limits():
-    params = MultitaskParams(0.5)
-    R, T, E_iota = 0.0, 1.0, 0.0
-    v_inf = -R + math.exp(0.5) * E_iota + conftest.HALF_GAMMA_SQ_FROZEN[0.5]
-    # linear U: Gauss-Hermite integrates the mean exactly, any n
-    for n in (2, 10, 1000):
-        got = multitask_principal_formula(params, R, T, E_iota, n)
-        assert abs(got - v_inf) <= 1e-10
-    # zero noise factor collapses to U(V_inf)
-    got0 = multitask_principal_formula(
-        params, R, T, E_iota, 10, U=exp_saturating_utility, noise_factor=0.0
-    )
-    assert abs(got0 - exp_saturating_utility(v_inf)) <= 1e-12
-    # concave U: below the limit value, increasing in n, converging to it
-    u10 = multitask_principal_formula(params, R, T, E_iota, 10, U=exp_saturating_utility)
-    u100 = multitask_principal_formula(params, R, T, E_iota, 100, U=exp_saturating_utility)
-    u_big = multitask_principal_formula(params, R, T, E_iota, 100_000, U=exp_saturating_utility)
-    u_lim = exp_saturating_utility(v_inf)
-    assert u10 < u100 < u_big < u_lim
-    assert abs(u_big - u_lim) < 1e-4

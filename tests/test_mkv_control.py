@@ -1,6 +1,7 @@
 """Tests for the limit control problem: closed forms, evaluation, search."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from palab.mkv_control import (
     PolicyParam,
     analytic_multitask,
     evaluate_limit_objective,
+    minimize,
     optimize_policy,
 )
 from palab.model import MultitaskParams, multitask_model, point_mass
@@ -119,13 +121,6 @@ def test_interval_lookup():
     assert p.gamma_fn(0.75, 2.0) == 2.0 + 3.0 * 2.0  # affine in the state
     assert p.gamma_fn(1.0, 0.0) == 2.0  # horizon end stays in the last interval
     assert p.aleph_fn(0.2, 9.9) == 5.0
-
-
-def test_from_time_function_samples_midpoints():
-    p = PolicyParam.from_time_function(np.linspace(0.0, 1.0, 5), lambda t: t * t)
-    mids = np.array([0.125, 0.375, 0.625, 0.875])
-    assert np.allclose(p.gamma_c0, mids**2, atol=1e-15)
-    assert np.all(p.gamma_c1 == 0.0) and np.all(p.aleph_c0 == 0.0)
 
 
 def test_vector_roundtrip_and_parts():
@@ -250,13 +245,15 @@ def test_optimize_keeps_optimum():
     kappa = 0.5
     am = analytic_multitask(MultitaskParams(kappa))
     model = multitask_model(MultitaskParams(kappa, b_bar=10.0))
-    initial = PolicyParam.from_time_function(np.linspace(0.0, 1.0, 5), am.gamma_hat)
+    knots = np.linspace(0.0, 1.0, 5)
+    mids = 0.5 * (knots[:-1] + knots[1:])
+    zeros = np.zeros(4)
+    initial = PolicyParam(knots, am.gamma_hat(mids), zeros, zeros, zeros)
     res = optimize_policy(
         model, initial, N_proxy=4_000, grid=SimGrid(1.0, 50), seed=SeedSpec(8), budget=80,
         parts=("gamma_c0",),
     )
     assert res.value >= res.initial_value
-    mids = 0.5 * (initial.knots[:-1] + initial.knots[1:])
     targets = np.array([am.gamma_hat(t) for t in mids])
     assert np.max(np.abs(res.policy.gamma_c0 - targets)) <= KNOT_TOL
 
@@ -279,3 +276,62 @@ def test_optimize_rejects_bad_input():
         optimize_policy(model, initial, seed=None)
     with pytest.raises(ValueError):
         optimize_policy(model, initial, seed=SeedSpec(0), parts=("nonsense",))
+
+
+# ---------------------------------------------------------------------------
+# the in-house Nelder-Mead against scipy's
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+@pytest.mark.parametrize(
+    "case", ["free", "boxed", "zero-entry", "near-hi", "outside-box", "short-budget"]
+)
+def test_minimize_matches_scipy_neldermead(case, N):
+    # Same points handed to the objective, in the same order, bit for bit,
+    # and the same converged flag, on seeded quadratic-plus-sine objectives.
+    from scipy.optimize import Bounds, OptimizeWarning
+    from scipy.optimize import minimize as scipy_minimize
+
+    for seed in range(3):
+        rng = np.random.default_rng([N, seed])
+        A = rng.normal(size=(N, N))
+        c, w = rng.normal(size=N), rng.normal(size=N)
+
+        def recorded(log):
+            def f(x):
+                log.append(x.copy())
+                value = float(x @ A @ A.T @ x / N - c @ x + 0.3 * math.sin(3.0 * (w @ x)))
+                x[:] = np.nan  # the search must not read a point back from the objective
+                return value
+
+            return f
+
+        x0 = rng.normal(size=N)
+        box = None
+        maxfev = int(rng.integers(50, 400))
+        if case == "boxed":  # per-coordinate bounds
+            box = (-1.0 - rng.random(N), 1.0 + rng.random(N))
+        elif case == "zero-entry":
+            x0[rng.integers(N)] = 0.0
+        elif case == "near-hi":  # 1.05 x0[k] passes hi: reflected into the box
+            box = (-1.5, 1.25)
+            x0 = np.clip(x0, -1.5, 1.25)
+            x0[rng.integers(N)] = 1.25 - 1e-3
+        elif case == "outside-box":  # x0 is clipped first
+            box = (-0.5, 0.5)
+            x0 = 2.0 * x0
+        elif case == "short-budget":
+            maxfev = int(rng.integers(0, N + 1))
+        ours, theirs = [], []
+        converged = minimize(recorded(ours), x0, box, maxfev, xatol=1e-4, fatol=1e-7)
+        bounds = None if box is None else Bounds(*(np.broadcast_to(b, N) for b in box))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OptimizeWarning)
+            res = scipy_minimize(
+                recorded(theirs), x0, method="Nelder-Mead", bounds=bounds,
+                options={"adaptive": True, "maxfev": maxfev, "xatol": 1e-4, "fatol": 1e-7},
+            )
+        assert len(ours) == len(theirs) <= maxfev
+        assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+        assert converged == bool(res.success)

@@ -318,10 +318,3 @@ def test_utilities():
     assert np.all(np.diff(u) > 0)  # increasing
     assert np.all(np.diff(np.diff(u)) < 0)  # concave
     assert np.all(u < 1.0)  # bounded above by 1
-
-
-def test_with_principal_utility():
-    model = multitask_model(MultitaskParams(0.0))
-    model2 = model.with_principal_utility(exp_saturating_utility)
-    assert model2.principal_utility_U is exp_saturating_utility
-    assert model.principal_utility_U is identity_utility

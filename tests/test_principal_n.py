@@ -9,7 +9,7 @@ import pytest
 import conftest
 from palab import sde_engine
 from palab.contracts import Contract, ContractEvaluationError, evaluate_terminal_payment
-from palab.mkv_control import PolicyParam, analytic_multitask
+from palab.mkv_control import analytic_multitask
 from palab.model import (
     MultitaskParams,
     identity_utility,
@@ -43,18 +43,9 @@ def test_policy_wrappers():
     # per-agent loading is gamma/n, so the effective slope n*Z is gamma again
     assert 4 * pol.z_fn(0.5, 0.0) == pytest.approx(2.5, abs=EXACT)
     assert pol.aleph_fn(0.0, 0.0) == 0.0
-    direct = NPlayerPolicy.from_loading(lambda t, x: 0.25)
-    assert direct.z_fn(0.3, 1.0) == 0.25
-    pp = PolicyParam(
-        knots=np.array([0.0, 1.0]),
-        gamma_c0=np.array([3.0]),
-        gamma_c1=np.zeros(1),
-        aleph_c0=np.array([0.7]),
-        aleph_c1=np.zeros(1),
-    )
-    bridged = NPlayerPolicy.from_policy_param(pp, 6)
-    assert 6 * bridged.z_fn(0.2, 0.0) == pytest.approx(3.0, abs=EXACT)
-    assert bridged.aleph_fn(0.2, 0.0) == 0.7
+    with_rate = NPlayerPolicy.from_gamma(gamma, 6, aleph=lambda t, x: 0.7)
+    assert 6 * with_rate.z_fn(1.0, 0.0) == pytest.approx(3.0, abs=EXACT)
+    assert with_rate.aleph_fn(0.2, 0.0) == 0.7
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +136,7 @@ def test_batched_blowup_raises_at_first_breach_in_chunk():
 def test_zero_loading_terminal_level_is_reservation():
     # Z = 0: H = 0 and the martingale term vanishes, so Y_T = R exactly
     model = multitask_model(MultitaskParams(0.5), R=0.4, nu=normal_law())
-    policy = NPlayerPolicy.from_loading(lambda t, x: 0.0)
+    policy = NPlayerPolicy(lambda t, x: 0.0, lambda t, x: 0.0)
     est, details = estimate_n_player_value(
         model, policy, 8, SimGrid(1.0, 10), 6, SeedSpec(1), return_details=True
     )
