@@ -178,8 +178,12 @@ def mkv_contract_payment(
         s^i = Y0 - sum_k H^i_k dt + sum_k (z/sigma)^i_k dX^i_k,
 
     and the payment is g^{-1}(flow, mean_i s^i) — the level average is
-    taken before inverting g, matching the limit construction. Returns the
-    scalar payment, or (payment, levels) with return_levels=True.
+    taken before inverting g, matching the limit construction. This is the
+    contract of the principal-agent problem with McKean-Vlasov dynamics,
+    built from a solution of the limit control problem: on the multitask
+    model with gamma_hat it pays R + (1/2) int gamma_hat^2 in expectation
+    and leaves the principal V_infinity. Returns the scalar payment, or
+    (payment, levels) with return_levels=True.
     """
     _check_floor(contract, model)
     times = paths.times
@@ -247,8 +251,8 @@ def contract_report(
         with np.errstate(over="ignore", invalid="ignore"):
             for step in _euler_steps(model, contract.gamma_l, contract.aleph_l, x, grid, draws):
                 y = contract_y_step(y, dt, step.H, step.zsig, step.x_next - x)
-                lhat_acc = lhat_acc + step.L * dt
-                lp_acc = lp_acc + model.principal_running_cost_LP(step.t, step.e) * dt
+                lhat_acc += step.L * dt
+                lp_acc += model.principal_running_cost_LP(step.t, step.e) * dt
                 x = step.x_next
         for i, r in enumerate(reps):
             flow1 = MeasureFlow.single(grid.horizon_T, EmpiricalMeasure(x[i]))

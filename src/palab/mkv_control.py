@@ -152,11 +152,15 @@ def _limit_objective_from_draws(
     N = len(x0)
     x = x0
     lhat_acc = np.zeros(N)
-    lp_acc = np.zeros(N)
+    # L_P is summed as a scalar while it stays one (it broadcasts to an array
+    # if it ever returns one); each element sees the same additions either way.
+    lp_acc = np.float64(0.0)
     for step in _euler_steps(model, gamma, aleph, x0, grid, draws):
-        lhat_acc = lhat_acc + step.L * dt
+        lhat_acc += step.L * dt
         lp_acc = lp_acc + model.principal_running_cost_LP(step.t, step.e) * dt
         x = step.x_next
+    if np.shape(lp_acc) != (N,):
+        lp_acc = np.full(N, lp_acc)
 
     y_T = model.reservation_R - float(np.mean(lhat_acc))
     flow1 = MeasureFlow.single(grid.horizon_T, EmpiricalMeasure(x))

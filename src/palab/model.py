@@ -251,8 +251,17 @@ def slope_over_sigma(z, sig):
     keeps them finite instead of producing 0/0.
     """
     z = np.asarray(z, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(z == 0.0, 0.0, z / sig)
+    if isinstance(sig, float) and 0.0 < sig < math.inf:
+        # Same bits as the general path: z + 0.0 maps -0.0 to +0.0 and
+        # leaves every other z (NaN included) as it is, and a positive sig
+        # keeps the sign, so a zero z gives +0.0 while a nonzero z that
+        # underflows keeps its signed zero. z / 1.0 is z exactly.
+        out = z + 0.0
+        if sig != 1.0:
+            out /= sig
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(z == 0.0, 0.0, z / sig)
     return float(out) if out.ndim == 0 else out
 
 
@@ -356,16 +365,18 @@ def maximize_hamiltonian(model: ModelSpec, t, x, flow, e, z):
 
 
 def _recommended(model: ModelSpec, t, x, flow, e, zsig):
-    """(alpha, b_hat, L_hat, H) at the slope zsig = z/sigma.
+    """(alpha, b_hat, L_hat) at the slope zsig = z/sigma.
 
     The one place the Hamiltonian maximizer runs for the simulation and
     contract code: alpha comes from maximize_hamiltonian (analytic or
-    numeric), and b_hat, L_hat and H are evaluated at it once.
+    numeric), and b_hat and L_hat are evaluated at it once. H = b_hat·zsig
+    + L_hat is left to the callers that read it, so that the ones that do
+    not (the limit objective, terminal-law simulation) skip its two passes.
     """
     a_star = maximize_hamiltonian(model, t, x, flow, e, zsig)
     b_hat = model.drift_b(t, x, flow, e, a_star)
     L_hat = model.running_cost_L(t, x, flow, e, a_star)
-    return a_star, b_hat, L_hat, b_hat * zsig + L_hat
+    return a_star, b_hat, L_hat
 
 
 def reduced_coefficients(model: ModelSpec, t, x, flow, e, z):
@@ -379,4 +390,5 @@ def reduced_coefficients(model: ModelSpec, t, x, flow, e, z):
     maximizer.
     """
     zsig = slope_over_sigma(z, model.vol_sigma(t, x))
-    return _recommended(model, t, x, flow, e, zsig)[1:]
+    _, b_hat, L_hat = _recommended(model, t, x, flow, e, zsig)
+    return b_hat, L_hat, b_hat * zsig + L_hat

@@ -115,7 +115,7 @@ def estimate_n_player_value(
         with np.errstate(over="ignore", invalid="ignore"):
             for step in _euler_steps(model, gamma, policy.aleph_fn, x, grid, draws):
                 y = contract_y_step(y, dt, step.H, step.zsig, step.x_next - x)
-                lp_acc = lp_acc + model.principal_running_cost_LP(step.t, step.e) * dt
+                lp_acc += model.principal_running_cost_LP(step.t, step.e) * dt
                 x = step.x_next
         for i, r in enumerate(reps):
             flow1 = MeasureFlow.single(grid.horizon_T, EmpiricalMeasure(x[i]))

@@ -16,7 +16,11 @@ It steps an (n,) ensemble or a (batch, n) stack of ensembles, makes one
 maximizer call per step (model._recommended), and applies the one guard:
 sigma must be finite and >= 0 (NumericDomainError), and every state must
 stay finite with |X| <= blowup_threshold (SimulationBlowupError). It yields
-the per-step values; each caller keeps its own accumulators.
+the per-step values; each caller keeps its own accumulators. The reduced
+Hamiltonian H is computed only when a caller reads it (the n-player
+estimator and the contract code do; the limit objective and terminal-law
+simulation do not), and a float sigma of 1.0 skips the sigma * dW product;
+neither changes a result bit.
 
 Randomness is organized around SeedSpec: one counter-based generator per
 (master_seed, spawn key) pair, so any worker can reproduce any stream
@@ -195,16 +199,25 @@ class _Step(NamedTuple):
     """What one Euler step from (t_k, X_k) saw and produced.
 
     X_k itself is not kept: callers that need dX hold their own copy, so a
-    long-lived ensemble never has three state vectors alive at once.
+    long-lived ensemble never has three state vectors alive at once. The
+    reduced Hamiltonian H is not stored either: the property computes
+    b_hat * zsig + L_hat on each read, so only the callers that read it pay
+    for it.
     """
 
     t: float
     e: Any  # payment rate aleph(t_k, X_k)
     zsig: Any  # slope over volatility gamma(t_k, X_k) / sigma(t_k, X_k)
     L: Any  # running cost at the played action
-    H: Any  # reduced Hamiltonian (at the recommended action)
+    b_hat: Any  # drift at the recommended action
+    L_hat: Any  # running cost at the recommended action
     dW: np.ndarray  # Brownian increment sqrt(dt) * draw
     x_next: np.ndarray  # X_{k+1}
+
+    @property
+    def H(self):
+        """Reduced Hamiltonian at the recommended action."""
+        return self.b_hat * self.zsig + self.L_hat
 
 
 def _euler_steps(
@@ -224,6 +237,9 @@ def _euler_steps(
     and sigma at (t_k, X_k), makes one maximizer call for the recommended
     action, moves the state by the played action (the recommendation, or
     play(t, x, a_star) when given), guards the result, and yields a _Step.
+    The guard tests the largest and the smallest state against the
+    threshold, each on its own so that a NaN fails either test; max |X| is
+    computed only for the error.
     """
     times = grid.nodes
     dt = grid.dt
@@ -245,19 +261,25 @@ def _euler_steps(
         if not sig_ok:
             raise NumericDomainError(f"volatility must be finite and >= 0 (t={t}): {sig!r}")
         zsig = slope_over_sigma(z, sig)
-        a, b, L, H = _recommended(model, t, x, m, e, zsig)
+        a, b_hat, L_hat = _recommended(model, t, x, m, e, zsig)
+        b, L = b_hat, L_hat
         if play is not None:
             a = play(t, x, a)
             b = model.drift_b(t, x, m, e, a)
             L = model.running_cost_L(t, x, m, e, a)
         dW = sqdt * draws(k)
-        x_next = x + b * dt + sig * dW
-        worst = np.abs(x_next).max()
-        if not worst <= blowup_threshold:  # also catches NaN
+        x_next = x + b * dt
+        if isinstance(sig, float) and sig == 1.0:
+            x_next += dW  # 1.0 * dW is dW exactly
+        else:
+            x_next += sig * dW
+        # Each comparison fails on a NaN maximum or minimum, so NaN is caught.
+        if not (x_next.max() <= blowup_threshold and x_next.min() >= -blowup_threshold):
+            worst = np.abs(x_next).max()
             raise SimulationBlowupError(
                 k + 1, float(times[k + 1]), float(worst) if math.isfinite(worst) else math.inf
             )
-        yield _Step(t, e, zsig, L, H, dW, x_next)
+        yield _Step(t, e, zsig, L, b_hat, L_hat, dW, x_next)
         x = x_next
 
 

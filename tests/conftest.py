@@ -7,6 +7,13 @@ library code, frozen below). Tests import these via plain `import conftest`
 """
 
 import numpy as np
+from hypothesis import settings
+
+# Property tests draw their examples from a fixed seed (derandomize), so a
+# run is reproducible and the suite's time is bounded; no example database
+# is written.
+settings.register_profile("palab", derandomize=True, max_examples=25, deadline=None, database=None)
+settings.load_profile("palab")
 
 
 def simpson_gamma_sq_integral(kappa_bar: float, T: float = 1.0, nodes: int = 2001) -> float:

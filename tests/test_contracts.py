@@ -15,6 +15,7 @@ from palab.contracts import (
     joint_deviation_scan,
     mkv_contract_payment,
 )
+from palab.mkv_control import analytic_multitask
 from palab.model import (
     MultitaskParams,
     exp_saturating_utility,
@@ -203,6 +204,29 @@ def test_mkv_payment_matches_ensemble_accumulation_for_linear_g():
     xi, _ = evaluate_terminal_payment(c, model, paths, flow)
     payment = mkv_contract_payment(c, model, paths, flow)
     assert abs(xi - payment) <= PATH_TOL
+
+
+def test_mkv_payment_closed_form_on_multitask():
+    # The paper's second result on the multitask model: the limit contract
+    # built from gamma_hat pays E[xi] = R + (1/2) int gamma_hat^2 and leaves
+    # the principal the McKean-Vlasov value V_infinity. Per path the level
+    # is R + (1/2) sum gamma_hat^2 dt + sum gamma_hat dW, so E[xi] is checked
+    # against the SE of the levels; the principal's value mean(X_T) - xi is
+    # checked against the SE of X_T - level. Its gap (about -0.0055, 2.2 SE
+    # on every seed tried) is the O(dt) bias of Euler's 100 steps: the
+    # noise itself nearly cancels, since the mean-field feedback offsets the
+    # slope's.
+    kappa, R, N = 0.5, 0.1, 20_000
+    am = analytic_multitask(MultitaskParams(kappa), R=R)
+    model = multitask_model(MultitaskParams(kappa), R=R)
+    c = Contract(Y0=R, gamma=am.gamma_hat, aleph=_zero)
+    paths, flow = _simulated(c, model, N, 100)
+    xi, levels = mkv_contract_payment(c, model, paths, flow, return_levels=True)
+    se_xi = float(np.std(levels, ddof=1)) / math.sqrt(N)
+    assert abs(xi - am.xi_mean) <= 3.0 * se_xi
+    x_T = paths.states[:, -1]
+    se_v = float(np.std(x_T - levels, ddof=1)) / math.sqrt(N)
+    assert abs(float(np.mean(x_T)) - xi - am.V_infinity) <= 3.0 * se_v
 
 
 # ---------------------------------------------------------------------------

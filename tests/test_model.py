@@ -3,8 +3,11 @@
 import math
 from dataclasses import replace
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 from palab.contracts import Contract, contract_report
 from palab.measures import EmpiricalMeasure
@@ -104,6 +107,40 @@ def test_slope_over_sigma():
     # array slope against zero volatility: zero entries stay finite
     out2 = slope_over_sigma(np.array([0.0, 1.0]), 0.0)
     assert out2[0] == 0.0 and np.isinf(out2[1])
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, -1e-310, 2.2e-308, math.nan, math.inf, -math.inf, 1e300, -1.0]
+_EDGE_SIGMAS = [1.0, 0.0, 2.0, 3.0, 0.5, 1e300]
+_slopes = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _with_edge_examples(test):
+    # every edge slope against every edge sigma, on top of the drawn examples
+    for sig in _EDGE_SIGMAS + [np.array([0.0, 1.0, 2.5])]:
+        test = example(z=np.array(_EDGE_FLOATS), sig=sig)(test)
+    return test
+
+
+@_with_edge_examples
+@given(
+    z=_slopes | hnp.arrays(np.float64, st.integers(0, 6), elements=_slopes),
+    sig=st.sampled_from(_EDGE_SIGMAS)
+    | st.floats(min_value=1e-300, max_value=1e300)
+    | hnp.arrays(np.float64, 3, elements=st.floats(0.0, 4.0)),
+)
+def test_slope_over_sigma_bits_match_reference(z, sig):
+    # every path returns the bits of the masked division, signed zeros (a
+    # zero slope gives +0.0, a nonzero one that underflows keeps its sign)
+    # and NaN included
+    if isinstance(z, np.ndarray) and isinstance(sig, np.ndarray):
+        z = np.resize(z, 3)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ref = np.where(np.asarray(z) == 0.0, 0.0, np.asarray(z) / sig)
+        out = slope_over_sigma(z, sig)
+    assert type(out) is (float if ref.ndim == 0 else np.ndarray)
+    assert np.array_equal(out, ref, equal_nan=True)
+    num = ~np.isnan(ref)
+    assert np.array_equal(np.signbit(out)[num], np.signbit(ref)[num])
 
 
 # ---------------------------------------------------------------------------

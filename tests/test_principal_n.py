@@ -3,18 +3,26 @@
 import math
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import conftest
 from palab import sde_engine
-from palab.contracts import Contract, ContractEvaluationError, evaluate_terminal_payment
+from palab.contracts import (
+    Contract,
+    ContractEvaluationError,
+    contract_report,
+    evaluate_terminal_payment,
+)
 from palab.mkv_control import analytic_multitask
 from palab.model import (
     MultitaskParams,
     identity_utility,
     multitask_model,
     normal_law,
+    quadratic_generic_model,
 )
 from palab.principal_n import (
     InsufficientDataError,
@@ -101,6 +109,49 @@ def test_chunked_replications_equal_lone_replays(monkeypatch):
         assert details["y_T"][r] == y_path[-1]
         assert details["xi"][r] == xi
         assert details["v"][r] == v
+
+
+@given(
+    model=st.one_of(
+        st.builds(
+            lambda kappa, b_bar: multitask_model(MultitaskParams(kappa, b_bar), R=0.1, nu=normal_law()),
+            st.floats(-1.0, 1.0),
+            st.sampled_from([math.inf, 0.5, 2.0]),
+        ),
+        st.builds(
+            lambda a_base, sigma0: quadratic_generic_model(a_base, sigma0, nu=normal_law()),
+            st.floats(-1.0, 1.0),
+            st.sampled_from([1.0, 0.7, 2.5]) | st.floats(0.1, 4.0),
+        ),
+    ),
+    n=st.integers(1, 6),
+    reps=st.integers(1, 6),
+    key=st.integers(0, 2**16),
+    cap_rows=st.integers(1, 4),
+    slope=st.floats(-1.0, 1.5),
+)
+@settings(max_examples=15)
+def test_results_do_not_depend_on_chunk_cap(model, n, reps, key, cap_rows, slope):
+    # a random small cap on the replication batch (chunks of cap_rows rows)
+    # must give bit for bit what one chunk of every replication gives; this
+    # runs the float-sigma step paths on (batch, n) states
+    grid, seed = SimGrid(1.0, 6), SeedSpec(key)
+    gamma = lambda t, x: slope + 0.3 * np.sin(x)
+    policy = NPlayerPolicy.from_gamma(gamma, n)
+    contract = Contract(Y0=model.reservation_R, gamma=gamma, aleph=lambda t, x: 0.1 * x, truncation_l=1.2)
+
+    def run():
+        est = estimate_n_player_value(model, policy, n, grid, reps, seed, return_details=True)
+        return est, contract_report(contract, model, n, grid, reps, seed)
+
+    (est, details), report = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sde_engine, "_BATCH_ELEMENTS", cap_rows * n)
+        (est_c, details_c), report_c = run()
+    assert est_c == est
+    for name in details:
+        assert np.array_equal(details_c[name], details[name])
+    assert report_c == report
 
 
 def test_nonfinite_payment_raises():

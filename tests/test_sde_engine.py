@@ -244,6 +244,42 @@ def test_blowup_threshold_override():
         )
 
 
+def _held_states(x0):
+    """One Euler step of a model with zero drift and zero volatility from x0.
+
+    X_1 = X_0 exactly, so the guard sees the given states as they are.
+    """
+    model = replace(
+        multitask_model(MultitaskParams(0.0)),
+        drift_b=lambda t, x, m, e, a: 0.0,
+        vol_sigma=lambda t, x: 0.0,
+        initial_law_nu=lambda n, rng: np.array(x0, dtype=float),
+    )
+    paths, _ = simulate_particles(model, _zero, _zero, len(x0), SimGrid(1.0, 1), SeedSpec(0), blowup_threshold=2.0)
+    return paths.states[:, -1]
+
+
+@pytest.mark.parametrize(
+    "x0, worst",
+    [
+        ([0.5, math.nan, -1.0], math.inf),  # one NaN among finite states
+        ([0.5, -4.0, 1.0], 4.0),  # breach on the negative side only
+        ([0.0, math.inf, 1.0], math.inf),  # an infinite state
+    ],
+    ids=["nan", "negative-side", "inf"],
+)
+def test_blowup_guard_edge_cases(x0, worst):
+    with pytest.raises(SimulationBlowupError) as exc:
+        _held_states(x0)
+    assert exc.value.step == 1
+    assert exc.value.worst == worst
+
+
+def test_blowup_guard_admits_states_at_threshold():
+    # |X| equal to the threshold on either side passes
+    assert np.array_equal(_held_states([2.0, -2.0, 0.0]), [2.0, -2.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # Ito sums and CSV
 # ---------------------------------------------------------------------------
