@@ -969,9 +969,7 @@ def _check_consistency(seed: SeedSpec) -> dict:
     am = analytic_multitask(MultitaskParams(0.5))
     grid = SimGrid(1.0, 50)
     policy = NPlayerPolicy.from_gamma(lambda t, x: am.gamma_hat(t), n)
-    _, details = estimate_n_player_value(
-        model, policy, n, grid, 1, seed, n_cap=None, return_details=True
-    )
+    _, details = estimate_n_player_value(model, policy, n, grid, 1, seed, return_details=True)
     contract = Contract(Y0=0.0, gamma=lambda t, x: am.gamma_hat(t), aleph=lambda t, x: 0.0)
     paths, flow = simulate_particles(model, contract.gamma_l, contract.aleph_l, n, grid, seed.child(0))
     xi, y_path = evaluate_terminal_payment(contract, model, paths, flow)

@@ -11,9 +11,11 @@ the ensemble certainty-equivalent process
 
 with z = gamma ^ l along the paths, and xi = g^{-1}(mu, Y_T). The same
 one-step update (contract_y_step below) is used by the stored-path pricer
-evaluate_terminal_payment, by contract_report while it simulates, and by
-the n-player value estimator, so all three agree bit for bit on the same
-draws, not just in distribution.
+evaluate_terminal_payment and by the one simulating pass, _contract_pass,
+which the n-player value estimator, contract_report and the joint-deviation
+scan all read, so they agree bit for bit on the same draws, not just in
+distribution. A non-finite level raises NumericDomainError at the step
+where it appears.
 
 Because X^i_{k+1} - X^i_k = b_hat dt + sigma dW for an agent playing the
 recommended response, the two H terms cancel pathwise and the update
@@ -26,21 +28,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .estimates import MCEstimate, mean_se
 from .measures import BatchedEmpiricalMeasure, EmpiricalMeasure, MeasureFlow
-from .model import ModelSpec, reduced_coefficients, slope_over_sigma
-from .sde_engine import (
-    ParticlePaths,
-    SeedSpec,
-    SimGrid,
-    _euler_steps,
-    _initial_states,
-    _replication_chunks,
-)
+from .model import ModelSpec, NumericDomainError, _recommended, slope_over_sigma
+from .sde_engine import ParticlePaths, SeedSpec, SimGrid, _euler_steps, _replication_chunks
 
 MAX_DEVIATION_CELLS = 20_000
 
@@ -96,10 +91,9 @@ def _check_floor(contract: Contract, model: ModelSpec) -> None:
 def contract_y_step(y, dt: float, H, zsig, dX):
     """One ensemble step of the certainty-equivalent accumulation.
 
-    Shared between evaluate_terminal_payment, contract_report and the
-    n-player value estimator so all produce bit-identical Y paths on the
-    same inputs: per step, take the ensemble mean of H and of z/sigma * dX,
-    then accumulate.
+    Shared between evaluate_terminal_payment and _contract_pass so both
+    produce bit-identical Y paths on the same inputs: per step, take the
+    ensemble mean of H and of z/sigma * dX, then accumulate.
 
     y is one float level for an (n,) ensemble, or a (batch,) array of levels
     for a (batch, n) stack of ensembles. H and z/sigma * dX are averaged
@@ -115,11 +109,6 @@ def contract_y_step(y, dt: float, H, zsig, dX):
     return float(y_next) if np.ndim(y) == 0 else y_next
 
 
-def _grid_dt(times: np.ndarray) -> float:
-    # Matches SimGrid.dt exactly for grids built by SimGrid.nodes.
-    return (float(times[-1]) - float(times[0])) / (len(times) - 1)
-
-
 def _g_inverse(model: ModelSpec, flow, y):
     try:
         out = model.g_inverse(flow, y)
@@ -128,6 +117,20 @@ def _g_inverse(model: ModelSpec, flow, y):
     if not np.all(np.isfinite(out)):
         raise ContractEvaluationError(f"g_inverse returned non-finite payment at y={y!r}")
     return out
+
+
+def _replay_steps(contract: Contract, model: ModelSpec, paths: ParticlePaths, flow: MeasureFlow):
+    """Per step of stored paths: (dt, H, z/sigma, dX), recomputed at each left node."""
+    times = paths.times
+    # Matches SimGrid.dt exactly for grids built by SimGrid.nodes.
+    dt = (float(times[-1]) - float(times[0])) / (len(times) - 1)
+    for k in range(paths.n_steps):
+        t = float(times[k])
+        x = paths.states[:, k]
+        e = contract.aleph_l(t, x)
+        zsig = slope_over_sigma(contract.gamma_l(t, x), model.vol_sigma(t, x))
+        _, b_hat, L_hat = _recommended(model, t, x, flow.at(k), e, zsig)
+        yield dt, b_hat * zsig + L_hat, zsig, paths.states[:, k + 1] - x
 
 
 def evaluate_terminal_payment(
@@ -140,28 +143,15 @@ def evaluate_terminal_payment(
 
     Returns (xi, y_path) with y_path of length steps+1, y_path[0] = Y0 and
     xi = g^{-1}(flow, y_path[-1]). The paths are expected to come from
-    simulate_particles under this contract's truncated fields.
+    simulate_particles under this contract's truncated fields. This replay
+    is independent of the simulating pass, so it can check that pass.
     """
     _check_floor(contract, model)
-    times = paths.times
-    dt = _grid_dt(times)
-    n_steps = paths.n_steps
-    y_path = np.empty(n_steps + 1)
-    y = float(contract.Y0)
-    y_path[0] = y
-    for k in range(n_steps):
-        t = float(times[k])
-        x = paths.states[:, k]
-        m = flow.at(k)
-        e = contract.aleph_l(t, x)
-        z = contract.gamma_l(t, x)
-        sig = model.vol_sigma(t, x)
-        _, _, H = reduced_coefficients(model, t, x, m, e, z)
-        dX = paths.states[:, k + 1] - paths.states[:, k]
-        y = contract_y_step(y, dt, H, slope_over_sigma(z, sig), dX)
-        y_path[k + 1] = y
-    xi = float(_g_inverse(model, flow, y))
-    return xi, y_path
+    y_path = [float(contract.Y0)]
+    for dt, H, zsig, dX in _replay_steps(contract, model, paths, flow):
+        y_path.append(contract_y_step(y_path[-1], dt, H, zsig, dX))
+    xi = float(_g_inverse(model, flow, y_path[-1]))
+    return xi, np.array(y_path)
 
 
 def mkv_contract_payment(
@@ -186,23 +176,59 @@ def mkv_contract_payment(
     (payment, levels) with return_levels=True.
     """
     _check_floor(contract, model)
-    times = paths.times
-    dt = _grid_dt(times)
     levels = np.full(paths.n_particles, float(contract.Y0))
-    for k in range(paths.n_steps):
-        t = float(times[k])
-        x = paths.states[:, k]
-        m = flow.at(k)
-        e = contract.aleph_l(t, x)
-        z = contract.gamma_l(t, x)
-        sig = model.vol_sigma(t, x)
-        _, _, H = reduced_coefficients(model, t, x, m, e, z)
-        dX = paths.states[:, k + 1] - paths.states[:, k]
-        levels = levels - H * dt + slope_over_sigma(z, sig) * dX
+    for dt, H, zsig, dX in _replay_steps(contract, model, paths, flow):
+        levels = levels - H * dt + zsig * dX
     payment = float(_g_inverse(model, flow, float(np.mean(levels))))
     if return_levels:
         return payment, levels
     return payment
+
+
+def _contract_pass(
+    model: ModelSpec,
+    gamma: Callable,
+    aleph: Callable,
+    y0: float,
+    n: int,
+    grid: SimGrid,
+    replications: int,
+    seed: SeedSpec,
+    running_L: bool = False,
+    play: Optional[Callable] = None,
+    copies: int = 1,
+):
+    """Simulate the contracted n-agent system, one replication chunk at a time.
+
+    Replication r reads seed.generator(r) as simulate_particles would; its
+    agents play the recommended response to gamma (or play(t, x, a_star))
+    while Y, started at y0, accumulates through contract_y_step. Yields per
+    chunk (reps, X_T, Y_T, int L dt, int L_P dt), the integrals per agent;
+    int L dt (at the played action) is None unless running_L. With copies > 1
+    each replication runs as that many consecutive rows (_replication_chunks).
+
+    A non-finite level raises NumericDomainError, and a state past the
+    blow-up threshold SimulationBlowupError at the first step where any row
+    of the chunk breaches it; numpy's overflow warnings are silenced in
+    favour of these guards and g^{-1}'s.
+    """
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
+    dt = grid.dt
+    for reps, x, draws in _replication_chunks(model, n, replications, seed, copies):
+        y = np.full(len(x), float(y0))
+        l_acc = np.zeros(x.shape) if running_L else None
+        lp_acc = np.zeros(x.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in _euler_steps(model, gamma, aleph, x, grid, draws, play):
+                y = contract_y_step(y, dt, step.H, step.zsig, step.x_next - x)
+                if not np.isfinite(y).all():
+                    raise NumericDomainError(f"contract level went non-finite at t={step.t:.6g}")
+                if running_L:
+                    l_acc += step.L * dt
+                lp_acc += model.principal_running_cost_LP(step.t, step.e) * dt
+                x = step.x_next
+        yield reps, x, y, l_acc, lp_acc
 
 
 def contract_report(
@@ -215,13 +241,13 @@ def contract_report(
 ) -> dict:
     """Simulate the contracted system and report across-replication stats.
 
-    Replications are stepped together in (batch, n) chunks; each one
-    simulates n agents playing the recommended response to the truncated
-    contract fields and, in the same pass, accumulates the contract level Y,
-    each agent's integral of L_hat dt and of L_P dt. Per replication it
-    records the payment xi = g^{-1}(mu_T, Y_T), the average agent reward
-    mean_i [int L_hat dt + g(mu_T, xi)], and the principal's pre-utility
-    value v = mean_i [Upsilon(X^i_T) - int L_P dt] - g_P(mu_T, xi). Terminal
+    One _contract_pass simulates n agents per replication playing the
+    recommended response to the truncated contract fields, with the
+    contract level Y and each agent's integrals of L_hat dt and of L_P dt.
+    Per replication it records the payment xi = g^{-1}(mu_T, Y_T), the
+    average agent reward mean_i [int L_hat dt + g(mu_T, xi)], and the
+    principal's pre-utility value
+    v = mean_i [Upsilon(X^i_T) - int L_P dt] - g_P(mu_T, xi). Terminal
     maps run once per replication on the one-node flow of its terminal
     measure. Replication r draws from seed.child(r), exactly as
     simulate_particles would, so its payment equals
@@ -231,29 +257,19 @@ def contract_report(
     averages U(v) over replications and "principal_outside" applies U to
     the averaged v (delta-method SE).
 
-    A state past the blow-up threshold in any replication of a chunk raises
-    SimulationBlowupError at the first step where the chunk breaches it.
-    Overflow in the step arithmetic is left to the typed guards (blow-up,
-    g^{-1}) instead of numpy warnings.
+    The pass's guards apply: SimulationBlowupError for a state past the
+    blow-up threshold, NumericDomainError for a non-finite level.
     """
     _check_floor(contract, model)
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
-    dt = grid.dt
     xi_vals = np.empty(replications)
     agent_vals = np.empty(replications)
     v_vals = np.empty(replications)
     u_vals = np.empty(replications)
-    for reps, x, draws in _replication_chunks(model, n, replications, seed):
-        y = np.full(len(reps), float(contract.Y0))
-        lhat_acc = np.zeros(x.shape)
-        lp_acc = np.zeros(x.shape)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for step in _euler_steps(model, contract.gamma_l, contract.aleph_l, x, grid, draws):
-                y = contract_y_step(y, dt, step.H, step.zsig, step.x_next - x)
-                lhat_acc += step.L * dt
-                lp_acc += model.principal_running_cost_LP(step.t, step.e) * dt
-                x = step.x_next
+    passes = _contract_pass(
+        model, contract.gamma_l, contract.aleph_l, contract.Y0, n, grid, replications, seed,
+        running_L=True,
+    )
+    for reps, x, y, lhat_acc, lp_acc in passes:
         for i, r in enumerate(reps):
             flow1 = MeasureFlow.single(grid.horizon_T, EmpiricalMeasure(x[i]))
             xi = float(_g_inverse(model, flow1, float(y[i])))
@@ -307,9 +323,11 @@ def joint_deviation_scan(
 
     Returns {"actions": (B, n), "gain": (B,), "se": (B,), "baseline":
     MCEstimate of the recommended-play reward}. Requires terminal maps that
-    ignore the flow argument or accept batched measures. A deviation that
-    drives any state past the blow-up threshold raises
-    SimulationBlowupError, like every other simulation.
+    ignore the flow argument or accept batched measures. All cells of a
+    replication, and the baseline, run as rows of one _contract_pass on
+    that replication's draws, so a deviation that drives any state past the
+    blow-up threshold raises SimulationBlowupError, like every other
+    simulation.
     """
     _check_floor(contract, model)
     action_grid = np.asarray(action_grid, dtype=float)
@@ -321,33 +339,22 @@ def joint_deviation_scan(
         )
     cells = np.array(list(itertools.product(action_grid, repeat=n)))
     rows = B + 1  # last row: everyone plays the recommendation
-    dt = grid.dt
 
     def play(t, x, a_rec):
         a_play = np.array(np.broadcast_to(a_rec, x.shape))
-        a_play[:B, :] = cells
+        a_play.reshape(-1, rows, n)[:, :B, :] = cells
         return a_play
 
     rewards = np.empty((replications, rows))
-    for r in range(replications):
-        rng = seed.generator(r)
-        x = np.tile(_initial_states(model, n, rng), (rows, 1))
-        y = np.full(rows, float(contract.Y0))
-        run_acc = np.zeros((rows, n))
-        draws = lambda k: rng.standard_normal(n)
-        for step in _euler_steps(model, contract.gamma_l, contract.aleph_l, x, grid, draws, play):
-            run_acc = run_acc + np.broadcast_to(step.L, x.shape) * dt
-            dX = step.x_next - x
-            y = (
-                y
-                - dt * np.mean(np.broadcast_to(step.H, x.shape), axis=1)
-                + np.mean(np.broadcast_to(step.zsig * dX, x.shape), axis=1)
-            )
-            x = step.x_next
+    passes = _contract_pass(
+        model, contract.gamma_l, contract.aleph_l, contract.Y0, n, grid, replications, seed,
+        running_L=True, play=play, copies=rows,
+    )
+    for reps, x, y, l_acc, _ in passes:
         flow1 = MeasureFlow.single(grid.horizon_T, BatchedEmpiricalMeasure(x))
         xi = np.asarray(_g_inverse(model, flow1, y), dtype=float)
         g_term = np.asarray(model.terminal_utility_g(flow1, xi), dtype=float)
-        rewards[r] = np.mean(run_acc, axis=1) + g_term
+        rewards[reps.start : reps.stop] = (np.mean(l_acc, axis=1) + g_term).reshape(-1, rows)
 
     gains = rewards[:, :B] - rewards[:, B:]
     gain_mean = gains.mean(axis=0)

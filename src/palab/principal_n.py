@@ -1,12 +1,11 @@
 """Finite-n principal value estimation and convergence measurement.
 
 estimate_n_player_value simulates the n-agent system under a slope/rate
-policy, builds the terminal payment through the same per-step accumulation
-as the contract evaluator (bit-identical op order on the same draws), and
-averages the principal's realized utility across replications, which are
-stepped together as (batch, n) chunks of ensembles, each row on its own
-stream. gap_sweep
-runs the estimator over a grid of ensemble sizes and clamp levels for the
+policy on the contract pass that contract_report also runs (so the same
+draws give bit-identical payments), and averages the principal's realized
+utility across replications, which are stepped together as (batch, n)
+chunks of ensembles, each row on its own stream. gap_sweep runs the
+estimator over a grid of ensemble sizes and clamp levels for the
 linear-interaction benchmark and reports the gap to the closed-form limit
 value; fit_rate turns (n, gap) rows into a log-log convergence slope.
 
@@ -23,14 +22,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contracts import _g_inverse, contract_y_step
+from .contracts import _contract_pass, _g_inverse
 from .estimates import MCEstimate, mean_se
 from .measures import EmpiricalMeasure, MeasureFlow
 from .mkv_control import analytic_multitask
 from .model import ModelSpec, MultitaskParams, exp_saturating_utility, multitask_model
-from .sde_engine import SeedSpec, SimGrid, _euler_steps, _replication_chunks
-
-DEFAULT_N_CAP = 64
+from .sde_engine import SeedSpec, SimGrid
 
 
 class InsufficientDataError(ValueError):
@@ -67,41 +64,29 @@ def estimate_n_player_value(
     grid: SimGrid,
     replications: int,
     seed: SeedSpec,
-    u_inside: bool = True,
-    n_cap: Optional[int] = DEFAULT_N_CAP,
     return_details: bool = False,
 ):
     """Across-replication estimate of the principal's n-agent value.
 
     Each replication simulates n agents playing the optimal response to the
-    effective slope n * Z(t, x), accumulates the contract level Y with the
-    shared per-step update, pays xi = g^{-1}(mu_T, Y_T), and records
+    effective slope n * Z(t, x), accumulates the contract level Y from R
+    (one contract pass, as in contract_report), pays xi = g^{-1}(mu_T, Y_T),
+    and records
 
         v = mean_i Upsilon(X^i_T) - g_P(mu_T, xi) - mean_i int L_P dt,
 
-    then U(v) (u_inside=True, the default convention) or v itself. Returns
-    the MCEstimate over replications; with return_details=True also a dict
-    of the per-replication v, xi and Y_T arrays.
+    then U(v). Returns the MCEstimate of U(v) over replications; with
+    return_details=True also a dict of the per-replication v, xi and Y_T
+    arrays.
 
     Replications are stepped together in (batch, n) chunks, each row on its
     own stream, so results do not depend on the chunking. A non-finite
-    payment raises ContractEvaluationError, as in contract_report. A state
-    past the blow-up threshold in any replication of a chunk raises
-    SimulationBlowupError whose step and t locate the first step at which
-    the chunk breached it, which need not be the first failing replication.
-
-    n above n_cap (default 64) is rejected to catch accidentally quadratic
-    experiment sizes; pass n_cap=None to lift the guard deliberately (the
-    sweep drivers do).
+    payment raises ContractEvaluationError and a non-finite level
+    NumericDomainError, as in contract_report. A state past the blow-up
+    threshold in any replication of a chunk raises SimulationBlowupError
+    whose step and t locate the first step at which the chunk breached it,
+    which need not be the first failing replication.
     """
-    if n_cap is not None and n > n_cap:
-        raise ValueError(
-            f"n={n} exceeds n_cap={n_cap}; pass n_cap=None to run large ensembles"
-        )
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
-
-    dt = grid.dt
     U = model.principal_utility_U
     gamma = lambda t, x: n * policy.z_fn(t, x)  # effective slope under the n-scaling
 
@@ -109,14 +94,10 @@ def estimate_n_player_value(
     xi_vals = np.empty(replications)
     yT_vals = np.empty(replications)
     out = np.empty(replications)
-    for reps, x, draws in _replication_chunks(model, n, replications, seed):
-        y = np.full(len(reps), float(model.reservation_R))
-        lp_acc = np.zeros(x.shape)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for step in _euler_steps(model, gamma, policy.aleph_fn, x, grid, draws):
-                y = contract_y_step(y, dt, step.H, step.zsig, step.x_next - x)
-                lp_acc += model.principal_running_cost_LP(step.t, step.e) * dt
-                x = step.x_next
+    passes = _contract_pass(
+        model, gamma, policy.aleph_fn, model.reservation_R, n, grid, replications, seed
+    )
+    for reps, x, y, _, lp_acc in passes:
         for i, r in enumerate(reps):
             flow1 = MeasureFlow.single(grid.horizon_T, EmpiricalMeasure(x[i]))
             xi = float(_g_inverse(model, flow1, float(y[i])))
@@ -128,7 +109,7 @@ def estimate_n_player_value(
             v_vals[r] = v
             xi_vals[r] = xi
             yT_vals[r] = y[i]
-            out[r] = float(U(v)) if u_inside else v
+            out[r] = float(U(v))
 
     est = mean_se(out)
     if return_details:
@@ -177,8 +158,6 @@ def gap_sweep(
                 grid,
                 replications,
                 seed.child(i_n),
-                u_inside=True,
-                n_cap=None,
                 return_details=keep_values,
             )
             if keep_values:

@@ -16,11 +16,13 @@ It steps an (n,) ensemble or a (batch, n) stack of ensembles, makes one
 maximizer call per step (model._recommended), and applies the one guard:
 sigma must be finite and >= 0 (NumericDomainError), and every state must
 stay finite with |X| <= blowup_threshold (SimulationBlowupError). It yields
-the per-step values; each caller keeps its own accumulators. The reduced
-Hamiltonian H is computed only when a caller reads it (the n-player
-estimator and the contract code do; the limit objective and terminal-law
-simulation do not), and a float sigma of 1.0 skips the sigma * dW product;
-neither changes a result bit.
+the per-step values to its callers, each with its own accumulators: the
+two path simulators below, the limit objective, and the one contract pass
+(contracts._contract_pass), which serves the n-player estimator,
+contract_report and the deviation scan. The reduced Hamiltonian H is
+computed only when a caller reads it (the contract pass does; the limit
+objective and terminal-law simulation do not), and a float sigma of 1.0
+skips the sigma * dW product; neither changes a result bit.
 
 Randomness is organized around SeedSpec: one counter-based generator per
 (master_seed, spawn key) pair, so any worker can reproduce any stream
@@ -30,7 +32,9 @@ which makes every simulation bit-reproducible regardless of how the
 surrounding experiment is parallelized. Particle i always reads lane i of
 the step draws. Independent replications are stepped together as one
 (batch, n) ensemble (_replication_chunks), each row still reading its own
-replication's stream in that order, so batching changes no result.
+replication's stream in that order, so batching changes no result; the
+deviation scan gives each replication one row per cell, every such row
+reading that replication's stream.
 
 All Ito sums in this package use the left endpoint of each interval.
 """
@@ -167,19 +171,24 @@ def _initial_states(model: ModelSpec, n: int, rng: np.random.Generator) -> np.nd
 
 
 def _replication_chunks(
-    model: ModelSpec, n: int, replications: int, seed: SeedSpec
+    model: ModelSpec, n: int, replications: int, seed: SeedSpec, copies: int = 1
 ) -> Iterator[tuple[range, np.ndarray, Callable[[int], np.ndarray]]]:
     """Independent replications grouped into (batch, n) chunks for _euler_steps.
 
     Yields (reps, x0, draws) per chunk: reps is the range of replication
     indices, x0 stacks their initial states (replication r from
-    seed.generator(r)), and draws(k) refills one reused (batch, n) buffer,
-    row i from the stream of replication reps[i]. Each stream is consumed
-    exactly as a lone simulation consumes it (n initial draws, then one
-    length-n vector per step), so every row matches simulate_particles on
-    seed.child(r) bit for bit.
+    seed.generator(r)), and draws(k) refills one reused buffer, row i from
+    the stream of replication reps[i]. Each stream is consumed exactly as a
+    lone simulation consumes it (n initial draws, then one length-n vector
+    per step), so every row matches simulate_particles on seed.child(r) bit
+    for bit.
+
+    copies > 1 gives each replication that many consecutive rows, all
+    starting from its initial state and reading its normals (the deviation
+    scan runs one row per cell this way); chunks are then sized so that
+    batch * copies * n stays within _BATCH_ELEMENTS.
     """
-    size = max(1, _BATCH_ELEMENTS // n)
+    size = max(1, _BATCH_ELEMENTS // (n * copies))
     for start in range(0, replications, size):
         reps = range(start, min(start + size, replications))
         gens = [seed.generator(r) for r in reps]
@@ -190,9 +199,9 @@ def _replication_chunks(
         def draws(k, rows=rows, buf=buf):
             for g, row in rows:
                 g.standard_normal(out=row)
-            return buf
+            return buf if copies == 1 else np.repeat(buf, copies, axis=0)
 
-        yield reps, x0, draws
+        yield reps, (x0 if copies == 1 else np.repeat(x0, copies, axis=0)), draws
 
 
 class _Step(NamedTuple):

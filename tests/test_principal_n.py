@@ -15,10 +15,12 @@ from palab.contracts import (
     ContractEvaluationError,
     contract_report,
     evaluate_terminal_payment,
+    joint_deviation_scan,
 )
 from palab.mkv_control import analytic_multitask
 from palab.model import (
     MultitaskParams,
+    NumericDomainError,
     identity_utility,
     multitask_model,
     normal_law,
@@ -98,9 +100,7 @@ def test_chunked_replications_equal_lone_replays(monkeypatch):
     assert [len(r) for r, _, _ in chunks] == [3, 3, 1]
     gamma = lambda t, x: 0.8 + 0.3 * np.sin(x)
     policy = NPlayerPolicy.from_gamma(gamma, n)
-    _, details = estimate_n_player_value(
-        model, policy, n, grid, reps, seed, u_inside=False, return_details=True
-    )
+    _, details = estimate_n_player_value(model, policy, n, grid, reps, seed, return_details=True)
     contract = Contract(Y0=model.reservation_R, gamma=gamma, aleph=_zero)
     for r in range(reps):
         paths, flow = simulate_particles(model, gamma, _zero, n, grid, seed.child(r))
@@ -134,7 +134,9 @@ def test_chunked_replications_equal_lone_replays(monkeypatch):
 def test_results_do_not_depend_on_chunk_cap(model, n, reps, key, cap_rows, slope):
     # a random small cap on the replication batch (chunks of cap_rows rows)
     # must give bit for bit what one chunk of every replication gives; this
-    # runs the float-sigma step paths on (batch, n) states
+    # runs the float-sigma step paths on (batch, n) states. The deviation
+    # scan's 2**n + 1 rows per replication exceed any such cap, so it runs
+    # one replication per chunk against all of them in one.
     grid, seed = SimGrid(1.0, 6), SeedSpec(key)
     gamma = lambda t, x: slope + 0.3 * np.sin(x)
     policy = NPlayerPolicy.from_gamma(gamma, n)
@@ -142,16 +144,42 @@ def test_results_do_not_depend_on_chunk_cap(model, n, reps, key, cap_rows, slope
 
     def run():
         est = estimate_n_player_value(model, policy, n, grid, reps, seed, return_details=True)
-        return est, contract_report(contract, model, n, grid, reps, seed)
+        scan = joint_deviation_scan(contract, model, [0.0, 1.0], n, grid, reps, seed)
+        return est, contract_report(contract, model, n, grid, reps, seed), scan
 
-    (est, details), report = run()
+    (est, details), report, scan = run()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sde_engine, "_BATCH_ELEMENTS", cap_rows * n)
-        (est_c, details_c), report_c = run()
+        (est_c, details_c), report_c, scan_c = run()
     assert est_c == est
     for name in details:
         assert np.array_equal(details_c[name], details[name])
     assert report_c == report
+    for name in ("gain", "se"):
+        assert np.array_equal(scan_c[name], scan[name])
+    assert scan_c["baseline"] == scan["baseline"]
+
+
+def test_nonfinite_level_raises():
+    # L = -inf makes H = -inf, so Y jumps to +inf at the first step while
+    # every state stays finite; tanh would turn that level into the finite
+    # payment 1.0, so the pass must stop at the level itself
+    model = replace(
+        multitask_model(MultitaskParams(0.5), nu=normal_law()),
+        running_cost_L=lambda t, x, m, e, a: -math.inf,
+        g_inverse=lambda flow, y: np.tanh(y),
+    )
+    grid, seed = SimGrid(1.0, 5), SeedSpec(0)
+    gamma = lambda t, x: 1.0
+    contract = Contract(Y0=0.0, gamma=gamma, aleph=_zero)
+    runs = [
+        lambda: estimate_n_player_value(model, NPlayerPolicy.from_gamma(gamma, 4), 4, grid, 3, seed),
+        lambda: contract_report(contract, model, 4, grid, 3, seed),
+        lambda: joint_deviation_scan(contract, model, [0.0, 1.0], 2, grid, 3, seed),
+    ]
+    for run in runs:
+        with pytest.raises(NumericDomainError, match="t=0$"):
+            run()
 
 
 def test_nonfinite_payment_raises():
@@ -220,16 +248,10 @@ def test_value_matches_closed_form_linear_utility():
     assert abs(est.value - v_inf) <= 3.0 * est.se + 0.01
 
 
-def test_n_cap_guard():
+def test_replications_guard():
     model = multitask_model(MultitaskParams(0.0))
-    policy = NPlayerPolicy.from_gamma(lambda t, x: 1.0, 100)
-    with pytest.raises(ValueError):
-        estimate_n_player_value(model, policy, 100, SimGrid(1.0, 5), 2, SeedSpec(0))
-    est = estimate_n_player_value(
-        model, policy, 100, SimGrid(1.0, 5), 2, SeedSpec(0), n_cap=None
-    )
-    assert math.isfinite(est.value)
-    with pytest.raises(ValueError):
+    policy = NPlayerPolicy.from_gamma(lambda t, x: 1.0, 4)
+    with pytest.raises(ValueError, match="replications"):
         estimate_n_player_value(model, policy, 4, SimGrid(1.0, 5), 0, SeedSpec(0))
 
 
