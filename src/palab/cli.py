@@ -13,6 +13,14 @@ consumption and CSV for series, plus a human-readable summary where useful.
 Every emitted record carries the hash of the *effective* config (after any
 --seed override), so records with equal hashes are comparable runs.
 
+Each command runs in three phases. It first reads every config field it
+uses through one checked accessor, _field, into a plan of plain picklable
+values, so a bad field fails before any work starts and names itself; pool
+workers take (plan, task index) and never see the raw config. It then
+computes, and finally renders every result file before writing the first:
+a NaN anywhere in a result raises NumericDomainError and leaves no result
+file (+-inf is written as the string "inf" / "-inf").
+
 Determinism contract: all result files are byte-identical across reruns
 with the same effective config, regardless of --workers — every random
 stream is keyed by (master_seed, stable task key), never by the work
@@ -23,7 +31,8 @@ output must be byte-stable).
 Exit codes: 0 success, 2 config error, 3 numeric blowup (a state left the
 guard threshold), 4 self-check failure, 5 numeric-domain error (a
 coefficient, the volatility, the Hamiltonian maximizer or the terminal
-payment map produced a non-finite, negative-volatility or ambiguous value).
+payment map produced a non-finite, negative-volatility or ambiguous value,
+or a result value is NaN).
 """
 
 from __future__ import annotations
@@ -94,7 +103,9 @@ EXIT_BLOWUP = 3
 EXIT_CHECK_FAILED = 4
 EXIT_NUMERIC = 5
 
-_MISSING = object()
+_MISSING = object()  # an absent field, and the default of a required one
+
+_POLICY_PARTS = ("gamma", "aleph", "gamma_c0", "gamma_c1", "aleph_c0", "aleph_c1")
 
 
 class ConfigError(Exception):
@@ -115,7 +126,15 @@ def _walk(cfg: dict, path: str):
     return cur
 
 
+_LIST_ITEMS = {"int": "integers", "number": "numbers", "str": "strings"}
+
+
 def _coerce(path: str, val, kind: str):
+    if kind.endswith("-list"):
+        item = kind[: -len("-list")]
+        if not isinstance(val, list) or not val:
+            raise ConfigError(f"{path}: expected a non-empty list of {_LIST_ITEMS[item]}")
+        return [_coerce(f"{path}[{i}]", v, item) for i, v in enumerate(val)]
     if kind == "int":
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigError(f"{path}: expected an integer, got {val!r}")
@@ -146,33 +165,32 @@ def _coerce(path: str, val, kind: str):
         if not isinstance(val, dict):
             raise ConfigError(f"{path}: expected an object, got {val!r}")
         return val
-    if kind == "int-list":
-        if not isinstance(val, list) or not val:
-            raise ConfigError(f"{path}: expected a non-empty list of integers")
-        return [_coerce(f"{path}[{i}]", v, "int") for i, v in enumerate(val)]
-    if kind == "number-list":
-        if not isinstance(val, list) or not val:
-            raise ConfigError(f"{path}: expected a non-empty list of numbers")
-        return [_coerce(f"{path}[{i}]", v, "number") for i, v in enumerate(val)]
-    if kind == "str-list":
-        if not isinstance(val, list) or not val:
-            raise ConfigError(f"{path}: expected a non-empty list of strings")
-        return [_coerce(f"{path}[{i}]", v, "str") for i, v in enumerate(val)]
     raise AssertionError(f"unknown kind {kind!r}")
 
 
-def _require(cfg: dict, path: str, kind: str):
-    val = _walk(cfg, path)
-    if val is _MISSING:
-        raise ConfigError(f"{path}: required field is missing")
-    return _coerce(path, val, kind)
+def _field(cfg: dict, path: str, kind: str, default=_MISSING, *, ge=None, gt=None, choices=None):
+    """The checked value of the config field at a dotted path.
 
-
-def _optional(cfg: dict, path: str, kind: str, default):
+    An absent (or null) field takes the default; without one it is an error.
+    The value must be of kind ("int", "number", "str", "bool", "dict", or a
+    non-empty "int-list", "number-list", "str-list"), and ge, gt and choices
+    bound the value or, for a list, each entry. Every failure is a
+    ConfigError whose message starts with the path.
+    """
     val = _walk(cfg, path)
-    if val is _MISSING or val is None:
+    if val is _MISSING or (val is None and default is not _MISSING):
+        if default is _MISSING:
+            raise ConfigError(f"{path}: required field is missing")
         return default
-    return _coerce(path, val, kind)
+    val = _coerce(path, val, kind)
+    for v in val if isinstance(val, list) else [val]:
+        if ge is not None and not v >= ge:
+            raise ConfigError(f"{path}: must be >= {ge}, got {v!r}")
+        if gt is not None and not v > gt:
+            raise ConfigError(f"{path}: must be > {gt}, got {v!r}")
+        if choices is not None and v not in choices:
+            raise ConfigError(f"{path}: expected one of {', '.join(map(repr, choices))}; got {v!r}")
+    return val
 
 
 def config_hash(cfg: dict) -> str:
@@ -183,28 +201,17 @@ def config_hash(cfg: dict) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment config plus its canonical hash.
+    """The fields every command needs, validated, plus the canonical hash.
 
     `raw` is the effective config (after any --seed override) and is the
-    object the hash covers; the block attributes are views into it.
+    object the hash covers; each command validates the rest of it.
     """
 
     experiment: str
-    model: dict
-    grid: dict
-    mc: dict
-    policy: dict
-    output: dict
+    master_seed: int
+    steps: int
     raw: dict
     hash: str
-
-    @property
-    def master_seed(self) -> int:
-        return int(self.mc["master_seed"])
-
-    @property
-    def steps(self) -> int:
-        return int(self.grid["steps"])
 
 
 def parse_config(raw, seed_override: Optional[int] = None) -> ExperimentConfig:
@@ -220,26 +227,14 @@ def parse_config(raw, seed_override: Optional[int] = None) -> ExperimentConfig:
     if seed_override is not None:
         eff.setdefault("mc", {})["master_seed"] = int(seed_override)
 
-    experiment = _require(eff, "experiment", "str")
-    _require(eff, "model", "dict")
-    _require(eff, "model.name", "str")
-    steps = _require(eff, "grid.steps", "int")
-    if steps < 1:
-        raise ConfigError(f"grid.steps: must be >= 1, got {steps}")
-    seed = _require(eff, "mc.master_seed", "int")
+    experiment = _field(eff, "experiment", "str")
+    _field(eff, "model", "dict")
+    _field(eff, "model.name", "str")
+    steps = _field(eff, "grid.steps", "int", ge=1)
+    seed = _field(eff, "mc.master_seed", "int")
     if not (0 <= seed < 2**63):
         raise ConfigError(f"mc.master_seed: must be in [0, 2^63), got {seed}")
-
-    return ExperimentConfig(
-        experiment=experiment,
-        model=eff["model"],
-        grid=eff["grid"],
-        mc=eff["mc"],
-        policy=eff.get("policy", {}),
-        output=eff.get("output", {}),
-        raw=eff,
-        hash=config_hash(eff),
-    )
+    return ExperimentConfig(experiment, seed, steps, eff, config_hash(eff))
 
 
 def load_config(path: str) -> dict:
@@ -253,173 +248,124 @@ def load_config(path: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Model construction from a config
+# Plans: validated model and feedback fields, and what they build
 # ---------------------------------------------------------------------------
 
 
-def _parse_model(cfg: dict) -> dict:
-    """Extract and validate the model block into plain (picklable) fields."""
-    name = _require(cfg, "model.name", "str")
-    if name not in ("multitask", "quadratic"):
-        raise ConfigError(f"model.name: unknown model {name!r} (multitask | quadratic)")
-    R = _optional(cfg, "model.R", "number", 0.0)
-    T = _optional(cfg, "model.T", "number", 1.0)
-    if T <= 0:
-        raise ConfigError(f"model.T: must be positive, got {T}")
-    utility = _optional(cfg, "model.utility", "str", "identity")
-    if utility not in ("identity", "exp"):
-        raise ConfigError(f"model.utility: expected 'identity' or 'exp', got {utility!r}")
-    sigma_scale = _optional(cfg, "model.sigma_scale", "number", 1.0)
-    if sigma_scale < 0:
-        raise ConfigError(f"model.sigma_scale: must be >= 0, got {sigma_scale}")
-
-    nu_kind = _optional(cfg, "model.nu.kind", "str", "point")
-    if nu_kind == "point":
-        value = _optional(cfg, "model.nu.value", "number", 0.0)
-        E_iota, iota_var = value, 0.0
-        nu_a, nu_b = value, 0.0
-    elif nu_kind == "normal":
-        mean = _optional(cfg, "model.nu.mean", "number", 0.0)
-        std = _optional(cfg, "model.nu.std", "number", 1.0)
-        if std < 0:
-            raise ConfigError(f"model.nu.std: must be >= 0, got {std}")
-        E_iota, iota_var = mean, std**2
-        nu_a, nu_b = mean, std
-    else:
-        raise ConfigError(f"model.nu.kind: expected 'point' or 'normal', got {nu_kind!r}")
-
-    info = {
+def _model_plan(cfg: dict) -> dict:
+    """The model block, validated into plain (picklable) fields."""
+    name = _field(cfg, "model.name", "str", choices=("multitask", "quadratic"))
+    plan = {
         "name": name,
-        "R": R,
-        "T": T,
-        "utility": utility,
-        "sigma_scale": sigma_scale,
-        "nu_kind": nu_kind,
-        "nu_a": nu_a,
-        "nu_b": nu_b,
-        "E_iota": E_iota,
-        "iota_var": iota_var,
+        "R": _field(cfg, "model.R", "number", 0.0),
+        "T": _field(cfg, "model.T", "number", 1.0, gt=0),
+        "utility": _field(cfg, "model.utility", "str", "identity", choices=("identity", "exp")),
+        "sigma_scale": _field(cfg, "model.sigma_scale", "number", 1.0, ge=0),
+        "nu_kind": _field(cfg, "model.nu.kind", "str", "point", choices=("point", "normal")),
     }
-    if name == "multitask":
-        info["kappa_bar"] = _require(cfg, "model.params.kappa_bar", "number")
-        b_bar = _optional(cfg, "model.params.b_bar", "number", math.inf)
-        if not b_bar > 0:
-            raise ConfigError(f"model.params.b_bar: must be > 0, got {b_bar}")
-        info["b_bar"] = b_bar
+    if plan["nu_kind"] == "point":
+        plan["E_iota"], plan["nu_std"] = _field(cfg, "model.nu.value", "number", 0.0), 0.0
     else:
-        info["a_base"] = _optional(cfg, "model.params.a_base", "number", 0.5)
-        sigma0 = _optional(cfg, "model.params.sigma0", "number", 1.0)
-        if sigma0 <= 0:
-            raise ConfigError(f"model.params.sigma0: must be > 0, got {sigma0}")
-        info["sigma0"] = sigma0
-    return info
+        plan["E_iota"] = _field(cfg, "model.nu.mean", "number", 0.0)
+        plan["nu_std"] = _field(cfg, "model.nu.std", "number", 1.0, ge=0)
+    if name == "multitask":
+        plan["kappa_bar"] = _field(cfg, "model.params.kappa_bar", "number")
+        plan["b_bar"] = _field(cfg, "model.params.b_bar", "number", math.inf, gt=0)
+    else:
+        plan["a_base"] = _field(cfg, "model.params.a_base", "number", 0.5)
+        plan["sigma0"] = _field(cfg, "model.params.sigma0", "number", 1.0, gt=0)
+    return plan
 
 
-def _nu_and_U(info: dict):
-    nu = (
-        point_mass(info["nu_a"])
-        if info["nu_kind"] == "point"
-        else normal_law(info["nu_a"], info["nu_b"])
-    )
-    U = identity_utility if info["utility"] == "identity" else exp_saturating_utility
+def _nu_and_U(plan: dict):
+    if plan["nu_kind"] == "point":
+        nu = point_mass(plan["E_iota"])
+    else:
+        nu = normal_law(plan["E_iota"], plan["nu_std"])
+    U = identity_utility if plan["utility"] == "identity" else exp_saturating_utility
     return nu, U
 
 
-def _model_from_info(info: dict):
-    nu, U = _nu_and_U(info)
-    if info["name"] == "multitask":
-        model = multitask_model(
-            MultitaskParams(info["kappa_bar"], info["b_bar"]),
-            R=info["R"],
-            T=info["T"],
-            nu=nu,
-            U=U,
-        )
+def _build_model(plan: dict):
+    nu, U = _nu_and_U(plan)
+    if plan["name"] == "multitask":
+        params = MultitaskParams(plan["kappa_bar"], plan["b_bar"])
+        model = multitask_model(params, R=plan["R"], T=plan["T"], nu=nu, U=U)
     else:
         model = quadratic_generic_model(
-            a_base=info["a_base"],
-            sigma0=info["sigma0"],
-            R=info["R"],
-            T=info["T"],
-            nu=nu,
-            U=U,
+            a_base=plan["a_base"], sigma0=plan["sigma0"], R=plan["R"], T=plan["T"], nu=nu, U=U
         )
-    s = float(info["sigma_scale"])
+    s = plan["sigma_scale"]
     if s != 1.0:
         base = model.vol_sigma
         model = dataclasses.replace(model, vol_sigma=lambda t, x: s * base(t, x))
     return model
 
 
-def _policy_fields(cfg: dict, info: dict):
-    """(gamma, aleph) feedback fields named by policy.source.
-
-    "analytic" is the closed-form optimal slope of the multitask model,
-    "constant" a flat policy.value, "zero" the null field. The rate field
-    is the constant policy.aleph_value (default 0).
-    """
-    default = "analytic" if info["name"] == "multitask" else "zero"
-    source = _optional(cfg, "policy.source", "str", default)
-    aleph_value = _optional(cfg, "policy.aleph_value", "number", 0.0)
-    aleph = lambda t, x: float(aleph_value)
-    if source == "analytic":
-        if info["name"] != "multitask":
-            raise ConfigError("policy.source: 'analytic' requires the multitask model")
-        am = analytic_multitask(
-            MultitaskParams(info["kappa_bar"]), R=info["R"], T=info["T"], E_iota=info["E_iota"]
-        )
-        return (lambda t, x, _am=am: _am.gamma_hat(t)), aleph
-    if source == "constant":
-        value = _optional(cfg, "policy.value", "number", 1.0)
-        return (lambda t, x: float(value)), aleph
-    if source == "zero":
-        return (lambda t, x: 0.0), aleph
-    raise ConfigError(
-        f"policy.source: expected 'analytic', 'constant' or 'zero', got {source!r}"
+def _analytic(plan: dict):
+    """Closed-form solution of the multitask limit problem of a model plan."""
+    return analytic_multitask(
+        MultitaskParams(plan["kappa_bar"]), R=plan["R"], T=plan["T"], E_iota=plan["E_iota"]
     )
 
 
-def _build_contract(cfg: dict, info: dict) -> Contract:
-    gamma, aleph = _policy_fields(cfg, info)
-    trunc = _optional(cfg, "policy.truncation_l", "number", math.inf)
-    symmetric = _optional(cfg, "policy.symmetric", "bool", False)
-    y0 = _optional(cfg, "policy.Y0", "number", info["R"])
-    return Contract(Y0=y0, gamma=gamma, aleph=aleph, truncation_l=trunc, symmetric=symmetric)
+def _feedback_plan(cfg: dict, model: dict) -> dict:
+    """The (gamma, aleph) feedback fields named by policy.source.
+
+    "analytic" (the multitask default) is the closed-form optimal slope of
+    the multitask model, "constant" a flat policy.value, "zero" (the
+    quadratic default) the null field. The rate field is the constant
+    policy.aleph_value (default 0).
+    """
+    default = "analytic" if model["name"] == "multitask" else "zero"
+    source = _field(cfg, "policy.source", "str", default, choices=("analytic", "constant", "zero"))
+    if source == "analytic" and model["name"] != "multitask":
+        raise ConfigError("policy.source: 'analytic' requires the multitask model")
+    return {
+        "source": source,
+        "value": _field(cfg, "policy.value", "number", 1.0) if source == "constant" else 0.0,
+        "aleph_value": _field(cfg, "policy.aleph_value", "number", 0.0),
+    }
+
+
+def _feedback(model: dict, policy: dict):
+    """(gamma, aleph) callables of a model plan and a feedback plan."""
+    aleph_value = policy["aleph_value"]
+    aleph = lambda t, x: aleph_value
+    if policy["source"] == "analytic":
+        am = _analytic(model)
+        return (lambda t, x: am.gamma_hat(t)), aleph
+    value = policy["value"]
+    return (lambda t, x: value), aleph
 
 
 # ---------------------------------------------------------------------------
-# Result records and file writers
+# Result records and rendering
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResultRecord:
+def _record(ec: ExperimentConfig, metric: str, value, se=None) -> dict:
     """One named scalar result, tagged with its experiment and config hash.
 
-    runtime is always None inside result files (they must be byte-stable
+    runtime is always null inside result files (they must be byte-stable
     across reruns); wall-clock numbers live in run_meta.json.
     """
-
-    experiment: str
-    config_hash: str
-    metric: str
-    value: float
-    se: Optional[float] = None
-    runtime: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "config_hash": self.config_hash,
-            "metric": self.metric,
-            "value": self.value,
-            "se": self.se,
-            "runtime": self.runtime,
-        }
+    return {
+        "experiment": ec.experiment,
+        "config_hash": ec.hash,
+        "metric": metric,
+        "value": value,
+        "se": se,
+        "runtime": None,
+    }
 
 
 def _sanitize(obj):
-    """Recursively turn numpy scalars/arrays into plain JSON-safe values."""
+    """Recursively turn numpy scalars/arrays into plain JSON-safe values.
+
+    +-inf becomes the string "inf" / "-inf" (JSON has no literal for it); a
+    NaN raises NumericDomainError.
+    """
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -431,29 +377,36 @@ def _sanitize(obj):
     if isinstance(obj, np.floating):
         obj = float(obj)
     if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)  # "inf" / "-inf": JSON has no literal for these
+        if math.isnan(obj):
+            raise NumericDomainError("a result value is NaN")
+        return repr(obj)
     return obj
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(_sanitize(obj), indent=2, sort_keys=True))
-        fh.write("\n")
+def _json_text(obj) -> str:
+    return json.dumps(_sanitize(obj), indent=2, sort_keys=True) + "\n"
 
 
 def _fmt_cell(v) -> str:
-    if isinstance(v, np.integer):
-        v = int(v)
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+    v = _sanitize(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
-def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
+def _csv_text(header, rows) -> str:
+    lines = [",".join(header)] + [",".join(_fmt_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write_results(out_dir: str, files: dict) -> None:
+    """Write result files from their rendered text.
+
+    Every file renders before the first is written, so a NaN found while
+    rendering leaves no result file behind.
+    """
+    for name, text in files.items():
+        with open(os.path.join(out_dir, name), "w") as fh:
+            fh.write(text)
+    print(f"wrote {', '.join(files)} to {out_dir}")
 
 
 def _write_run_meta(out_dir: str, command: str, ec: ExperimentConfig, workers: int, elapsed: float) -> None:
@@ -466,7 +419,8 @@ def _write_run_meta(out_dir: str, command: str, ec: ExperimentConfig, workers: i
         "finished_at_unix": time.time(),
         "numpy_version": np.__version__,
     }
-    _write_json(os.path.join(out_dir, "run_meta.json"), meta)
+    with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:
+        fh.write(_json_text(meta))
 
 
 # ---------------------------------------------------------------------------
@@ -474,65 +428,56 @@ def _write_run_meta(out_dir: str, command: str, ec: ExperimentConfig, workers: i
 # ---------------------------------------------------------------------------
 
 
-def _map_ordered(fn: Callable, tasks: list, workers: int) -> list:
-    """Run fn over tasks, preserving order; a pool only when it can help.
+def _map_ordered(fn: Callable, plan, count: int, workers: int) -> list:
+    """[fn(plan, i) for i in range(count)], on a process pool when it can help.
 
-    Every task's random streams are keyed by (master_seed, stable task key)
+    Every task's random streams are keyed by (master_seed, task index)
     alone, so the results are identical for any workers value.
     """
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+    if workers <= 1 or count <= 1:
+        return [fn(plan, i) for i in range(count)]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
+    with ProcessPoolExecutor(max_workers=min(workers, count)) as pool:
+        return list(pool.map(fn, [plan] * count, range(count)))
 
 
-def _convergence_worker(task: dict) -> list:
-    """One ensemble size of the gap sweep (all clamp levels, paired draws)."""
-    cfg = task["cfg"]
-    info = _parse_model(cfg)
-    nu, U = _nu_and_U(info)
-    grid = SimGrid(info["T"], _require(cfg, "grid.steps", "int"))
-    seed = SeedSpec(_require(cfg, "mc.master_seed", "int")).child(task["i_n"])
+def _convergence_worker(plan: dict, i: int) -> list:
+    """Ensemble size n_list[i] of the gap sweep (all clamp levels, paired draws)."""
+    model = plan["model"]
+    nu, U = _nu_and_U(model)
     return gap_sweep(
-        info["kappa_bar"],
-        [int(task["n"])],
-        _require(cfg, "mc.b_bar_list", "number-list"),
-        grid,
-        _require(cfg, "mc.replications", "int"),
-        seed,
-        R=info["R"],
-        T=info["T"],
+        model["kappa_bar"],
+        [plan["n_list"][i]],
+        plan["b_bar_list"],
+        SimGrid(model["T"], plan["steps"]),
+        plan["replications"],
+        SeedSpec(plan["seed"]).child(i),
+        R=model["R"],
+        T=model["T"],
         nu=nu,
-        E_iota=info["E_iota"],
+        E_iota=model["E_iota"],
         U=U,
     )
 
 
-def _chaos_worker(task: dict) -> list:
-    """One seed of the chaos sweep: proxy law plus every finite-n distance."""
-    cfg = task["cfg"]
-    r = int(task["r"])
-    info = _parse_model(cfg)
-    model = _model_from_info(info)
-    gamma, aleph = _policy_fields(cfg, info)
-    grid = SimGrid(info["T"], _require(cfg, "grid.steps", "int"))
-    seed = SeedSpec(_require(cfg, "mc.master_seed", "int"))
-    n_proxy = _require(cfg, "mc.N_proxy", "int")
-    proxy = simulate_terminal_measure(model, gamma, aleph, n_proxy, grid, seed.child(1, 0, r))
+def _chaos_worker(plan: dict, r: int) -> list:
+    """Seed r of the chaos sweep: proxy law plus every finite-n distance."""
+    model = _build_model(plan["model"])
+    gamma, aleph = _feedback(plan["model"], plan["policy"])
+    grid = SimGrid(plan["model"]["T"], plan["steps"])
+    seed = SeedSpec(plan["seed"])
+    proxy = simulate_terminal_measure(model, gamma, aleph, plan["N_proxy"], grid, seed.child(1, 0, r))
     out = []
-    for i_n, n in enumerate(_require(cfg, "mc.n_list", "int-list")):
-        m_n = simulate_terminal_measure(model, gamma, aleph, int(n), grid, seed.child(0, i_n, r))
+    for i_n, n in enumerate(plan["n_list"]):
+        m_n = simulate_terminal_measure(model, gamma, aleph, n, grid, seed.child(0, i_n, r))
         out.append(float(wasserstein_p(m_n, proxy, 1.0)))
     return out
 
 
-def _self_check_worker(task: dict) -> dict:
-    name = task["name"]
-    fn = dict(_SELF_CHECKS)[name]
-    seed = SeedSpec(int(task["master_seed"])).child(int(task["idx"]))
-    result = fn(seed)
+def _self_check_worker(master_seed: int, i: int) -> dict:
+    name, fn = _SELF_CHECKS[i]
+    result = fn(SeedSpec(master_seed).child(i))
     result["name"] = name
     return _sanitize(result)
 
@@ -543,43 +488,43 @@ def _self_check_worker(task: dict) -> dict:
 
 
 def cmd_multitask_convergence(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
-    if ec.model.get("name") != "multitask":
-        raise ConfigError("model.name: multitask-convergence requires the multitask model")
     cfg = ec.raw
-    info = _parse_model(cfg)
-    n_list = _require(cfg, "mc.n_list", "int-list")
-    if any(n < 1 for n in n_list):
-        raise ConfigError("mc.n_list: all entries must be >= 1")
-    b_bar_list = _require(cfg, "mc.b_bar_list", "number-list")
-    if any(not b > 0 for b in b_bar_list):
-        raise ConfigError("mc.b_bar_list: all entries must be > 0")
-    replications = _require(cfg, "mc.replications", "int")
-    if replications < 2:
-        raise ConfigError("mc.replications: need >= 2 for a standard error")
+    model = _model_plan(cfg)
+    if model["name"] != "multitask":
+        raise ConfigError("model.name: multitask-convergence requires the multitask model")
+    # The sweep builds its own unit-volatility models, one per mc.b_bar_list
+    # entry, so a scale would be silently ignored (model.params.b_bar is).
+    if model["sigma_scale"] != 1.0:
+        raise ConfigError(
+            f"model.sigma_scale: multitask-convergence runs at scale 1, got {model['sigma_scale']!r}"
+        )
+    plan = {
+        "model": model,
+        "steps": ec.steps,
+        "seed": ec.master_seed,
+        "n_list": _field(cfg, "mc.n_list", "int-list", ge=1),
+        "b_bar_list": _field(cfg, "mc.b_bar_list", "number-list", gt=0),
+        "replications": _field(cfg, "mc.replications", "int", ge=2),
+    }
+    n_list, b_bar_list = plan["n_list"], plan["b_bar_list"]
 
-    tasks = [{"cfg": cfg, "i_n": i, "n": int(n)} for i, n in enumerate(n_list)]
-    cells = [row for rows in _map_ordered(_convergence_worker, tasks, workers) for row in rows]
-
+    cells = [
+        row
+        for rows in _map_ordered(_convergence_worker, plan, len(n_list), workers)
+        for row in rows
+    ]
     v_limit = cells[0]["v_limit"]
-    _write_csv(
-        os.path.join(out_dir, "gaps.csv"),
-        ["n", "b_bar", "v_n", "se", "v_limit", "gap", "config_hash"],
-        [
-            [c["n"], c["b_bar"], c["v_n"], c["se"], c["v_limit"], c["gap"], ec.hash]
-            for c in cells
-        ],
-    )
 
     # Rate fit per clamp level (gap vs n), and the single-constant bound
     # gap <= C * (n^{-1/2} + 1/b_bar) with C calibrated on the smallest n.
     fits = {}
     for b in b_bar_list:
-        group = [c for c in cells if c["b_bar"] == float(b)]
+        group = [c for c in cells if c["b_bar"] == b]
         try:
             fit = fit_rate([c["n"] for c in group], [c["gap"] for c in group])
-            fits[repr(float(b))] = dataclasses.asdict(fit)
+            fits[repr(b)] = dataclasses.asdict(fit)
         except InsufficientDataError as exc:
-            fits[repr(float(b))] = {"error": str(exc)}
+            fits[repr(b)] = {"error": str(exc)}
 
     n0 = min(n_list)
     calib = [c for c in cells if c["n"] == n0]
@@ -592,36 +537,15 @@ def cmd_multitask_convergence(ec: ExperimentConfig, out_dir: str, workers: int) 
         bound_ok &= ok
         bound_rows.append({"n": c["n"], "b_bar": c["b_bar"], "bound": limit, "ok": ok})
 
-    records = [
-        ResultRecord(ec.experiment, ec.hash, f"gap[n={c['n']},b_bar={c['b_bar']!r}]", c["gap"], c["se"]).to_dict()
-        for c in cells
-    ]
-    records.append(ResultRecord(ec.experiment, ec.hash, "v_limit", v_limit, 0.0).to_dict())
-    _write_json(
-        os.path.join(out_dir, "fit.json"),
-        {
-            "experiment": ec.experiment,
-            "config_hash": ec.hash,
-            "records": records,
-            "rate_fits_by_b_bar": fits,
-            "bound": {
-                "constant_C": C,
-                "calibrated_at_n": n0,
-                "form": "gap <= C * (n^-0.5 + 1/b_bar) + 3*se",
-                "satisfied": bool(bound_ok),
-                "cells": bound_rows,
-            },
-        },
-    )
+    records = [_record(ec, f"gap[n={c['n']},b_bar={c['b_bar']!r}]", c["gap"], c["se"]) for c in cells]
+    records.append(_record(ec, "v_limit", v_limit, 0.0))
 
-    am = analytic_multitask(
-        MultitaskParams(info["kappa_bar"]), R=info["R"], T=info["T"], E_iota=info["E_iota"]
-    )
+    am = _analytic(model)
     lines = [
         f"multitask-convergence  experiment={ec.experiment}  config={ec.hash}",
         (
-            f"kappa_bar={info['kappa_bar']!r}  R={info['R']!r}  T={info['T']!r}  "
-            f"E[iota]={info['E_iota']!r}  utility={info['utility']}"
+            f"kappa_bar={model['kappa_bar']!r}  R={model['R']!r}  T={model['T']!r}  "
+            f"E[iota]={model['E_iota']!r}  utility={model['utility']}"
         ),
         (
             f"limit value U(V) = {v_limit!r}  with V = -R + e^(kappa_bar*T)*E[iota]"
@@ -646,10 +570,27 @@ def cmd_multitask_convergence(ec: ExperimentConfig, out_dir: str, workers: int) 
                 f"r^2={fit['r_squared']:.4f} (reference -0.5)"
             )
     lines.append(f"verdict: gaps within bound (3*se slack): {'yes' if bound_ok else 'NO'}")
-    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
-    print(f"wrote gaps.csv, fit.json, summary.txt to {out_dir}")
+    _write_results(out_dir, {
+        "gaps.csv": _csv_text(
+            ["n", "b_bar", "v_n", "se", "v_limit", "gap", "config_hash"],
+            [[c["n"], c["b_bar"], c["v_n"], c["se"], c["v_limit"], c["gap"], ec.hash] for c in cells],
+        ),
+        "fit.json": _json_text({
+            "experiment": ec.experiment,
+            "config_hash": ec.hash,
+            "records": records,
+            "rate_fits_by_b_bar": fits,
+            "bound": {
+                "constant_C": C,
+                "calibrated_at_n": n0,
+                "form": "gap <= C * (n^-0.5 + 1/b_bar) + 3*se",
+                "satisfied": bool(bound_ok),
+                "cells": bound_rows,
+            },
+        }),
+        "summary.txt": "\n".join(lines) + "\n",
+    })
     return EXIT_OK
 
 
@@ -664,19 +605,15 @@ def _deviation_config(cfg: dict, replications: int):
     Everything is validated, and the cell count checked against the scan's
     cap, before the action grid is allocated.
     """
-    if _optional(cfg, "mc.deviation", "dict", None) is None:
+    if _field(cfg, "mc.deviation", "dict", None) is None:
         return None
-    d_n = _optional(cfg, "mc.deviation.n", "int", 2)
-    d_reps = _optional(cfg, "mc.deviation.replications", "int", replications)
-    lo = _optional(cfg, "mc.deviation.min", "number", -3.0)
-    hi = _optional(cfg, "mc.deviation.max", "number", 3.0)
-    step = _optional(cfg, "mc.deviation.step", "number", 0.25)
+    d_n = _field(cfg, "mc.deviation.n", "int", 2, ge=1)
+    d_reps = _field(cfg, "mc.deviation.replications", "int", replications, ge=2)
+    lo = _field(cfg, "mc.deviation.min", "number", -3.0)
+    hi = _field(cfg, "mc.deviation.max", "number", 3.0)
+    step = _field(cfg, "mc.deviation.step", "number", 0.25)
     if not 0 < step < math.inf or hi <= lo:
         raise ConfigError("mc.deviation: need a finite step > 0 and max > min")
-    if d_n < 1:
-        raise ConfigError(f"mc.deviation.n: must be >= 1, got {d_n}")
-    if d_reps < 2:
-        raise ConfigError("mc.deviation.replications: need >= 2 for a standard error")
     # The exponent is capped at 64: any grid of >= 2 actions is over the cap
     # by then, and a one-action grid has one cell whatever the exponent.
     spans = (hi - lo) / step
@@ -691,25 +628,27 @@ def _deviation_config(cfg: dict, replications: int):
 
 def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
     cfg = ec.raw
-    info = _parse_model(cfg)
-    model = _model_from_info(info)
-    contract = _build_contract(cfg, info)
-    n = _require(cfg, "mc.n", "int")
-    if n < 1:
-        raise ConfigError("mc.n: must be >= 1")
-    replications = _require(cfg, "mc.replications", "int")
-    if replications < 2:
-        raise ConfigError("mc.replications: need >= 2 for a standard error")
+    plan = _model_plan(cfg)
+    policy = _feedback_plan(cfg, plan)
+    trunc = _field(cfg, "policy.truncation_l", "number", math.inf, gt=-math.inf)
+    symmetric = _field(cfg, "policy.symmetric", "bool", False)
+    y0 = _field(cfg, "policy.Y0", "number", plan["R"], ge=plan["R"])
+    n = _field(cfg, "mc.n", "int", ge=1)
+    replications = _field(cfg, "mc.replications", "int", ge=2)
     deviation = _deviation_config(cfg, replications)
-    grid = SimGrid(info["T"], ec.steps)
+    dump_paths = _field(cfg, "output.dump_paths", "bool", False)
+
+    model = _build_model(plan)
+    gamma, aleph = _feedback(plan, policy)
+    contract = Contract(Y0=y0, gamma=gamma, aleph=aleph, truncation_l=trunc, symmetric=symmetric)
+    grid = SimGrid(plan["T"], ec.steps)
     seed = SeedSpec(ec.master_seed)
 
     report = contract_report(contract, model, n, grid, replications, seed.child(0))
     records = [
-        ResultRecord(ec.experiment, ec.hash, key, report[key].value, report[key].se).to_dict()
+        _record(ec, key, report[key].value, report[key].se)
         for key in ("xi", "agent_reward", "principal_inside", "principal_outside")
     ]
-
     payload = {
         "experiment": ec.experiment,
         "config_hash": ec.hash,
@@ -718,18 +657,14 @@ def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
         "records": records,
         "per_replication": report["per_replication"],
     }
-
-    source = _optional(cfg, "policy.source", "str", "analytic" if info["name"] == "multitask" else "zero")
-    if info["name"] == "multitask" and source == "analytic":
-        am = analytic_multitask(
-            MultitaskParams(info["kappa_bar"]), R=info["R"], T=info["T"], E_iota=info["E_iota"]
-        )
+    if policy["source"] == "analytic":
         payload["analytic_reference"] = {
-            "xi_mean": am.xi_mean,
-            "agent_reward": info["R"],
+            "xi_mean": _analytic(plan).xi_mean,
+            "agent_reward": plan["R"],
             "note": "untruncated closed form; truncation or clamping shifts these",
         }
 
+    files = {}
     if deviation is not None:
         d_n, d_reps, action_grid = deviation
         scan = joint_deviation_scan(contract, model, action_grid, d_n, grid, d_reps, seed.child(1))
@@ -740,8 +675,7 @@ def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
                 np.where(scan["gain"] > 0, np.inf, 0.0),
             )
         no_improvement = bool(np.all(scan["gain"] <= 3.0 * scan["se"] + 1e-15))
-        _write_csv(
-            os.path.join(out_dir, "pareto.csv"),
+        files["pareto.csv"] = _csv_text(
             [f"a_{i}" for i in range(d_n)] + ["gain", "se", "config_hash"],
             [
                 list(scan["actions"][j]) + [float(scan["gain"][j]), float(scan["se"][j]), ec.hash]
@@ -759,19 +693,17 @@ def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
             "baseline_reward": scan["baseline"].value,
             "baseline_se": scan["baseline"].se,
         }
-        records.append(
-            ResultRecord(ec.experiment, ec.hash, "pareto_max_gain", float(scan["gain"][best]), float(scan["se"][best])).to_dict()
-        )
-        records.append(
-            ResultRecord(ec.experiment, ec.hash, "pareto_baseline", scan["baseline"].value, scan["baseline"].se).to_dict()
-        )
+        records.append(_record(ec, "pareto_max_gain", float(scan["gain"][best]), float(scan["se"][best])))
+        records.append(_record(ec, "pareto_baseline", scan["baseline"].value, scan["baseline"].se))
 
-    if _optional(cfg, "output.dump_paths", "bool", False):
+    paths = None
+    if dump_paths:
         paths, _ = simulate_particles(model, contract.gamma_l, contract.aleph_l, n, grid, seed.child(2))
-        save_paths_csv(paths, os.path.join(out_dir, "paths.csv"))
 
-    _write_json(os.path.join(out_dir, "contract_summary.json"), payload)
-    print(f"wrote contract_summary.json to {out_dir}")
+    files["contract_summary.json"] = _json_text(payload)
+    _write_results(out_dir, files)
+    if paths is not None:  # the path dump holds only guarded, finite states
+        save_paths_csv(paths, os.path.join(out_dir, "paths.csv"))
     return EXIT_OK
 
 
@@ -781,16 +713,12 @@ def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
 
 
 def _knots_from_config(cfg: dict, T: float) -> np.ndarray:
-    val = _walk(cfg, "policy.knots")
-    if val is _MISSING:
-        raise ConfigError("policy.knots: required field is missing")
-    if isinstance(val, list):
-        knots = np.asarray(_coerce("policy.knots", val, "number-list"), dtype=float)
+    if isinstance(_walk(cfg, "policy.knots"), list):
+        knots = np.asarray(_field(cfg, "policy.knots", "number-list"), dtype=float)
+        if np.any(np.diff(knots) <= 0):
+            raise ConfigError(f"policy.knots: must be strictly increasing, got {knots.tolist()!r}")
     else:
-        k = _coerce("policy.knots", val, "int")
-        if k < 1:
-            raise ConfigError(f"policy.knots: need >= 1 interval, got {k}")
-        knots = np.linspace(0.0, T, k + 1)
+        knots = np.linspace(0.0, T, _field(cfg, "policy.knots", "int", ge=1) + 1)
     if abs(knots[0]) > 1e-12 or abs(knots[-1] - T) > 1e-9:
         raise ConfigError("policy.knots: must span [0, T]")
     return knots
@@ -798,56 +726,45 @@ def _knots_from_config(cfg: dict, T: float) -> np.ndarray:
 
 def cmd_policy_opt(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
     cfg = ec.raw
-    info = _parse_model(cfg)
-    model = _model_from_info(info)
-    grid = SimGrid(info["T"], ec.steps)
-    knots = _knots_from_config(cfg, info["T"])
+    plan = _model_plan(cfg)
+    knots = _knots_from_config(cfg, plan["T"])
+    init_gamma = _field(cfg, "policy.init_gamma", "number", 0.5)
+    bounds = _field(cfg, "policy.bounds", "number-list", None)
+    if bounds is not None and (len(bounds) != 2 or not bounds[0] < bounds[1]):
+        raise ConfigError(f"policy.bounds: expected [lo, hi] with lo < hi, got {bounds!r}")
+    parts = tuple(_field(cfg, "policy.parts", "str-list", ["gamma"], choices=_POLICY_PARTS))
+    budget = _field(cfg, "policy.budget", "int", 400, ge=1)
+    N_proxy = _field(cfg, "mc.N_proxy", "int", 20_000, ge=2)
+
+    model = _build_model(plan)
     m = len(knots) - 1
-
-    init_gamma = _optional(cfg, "policy.init_gamma", "number", 0.5)
-    bounds_list = _optional(cfg, "policy.bounds", "number-list", None)
-    bounds = None
-    if bounds_list is not None:
-        if len(bounds_list) != 2:
-            raise ConfigError("policy.bounds: expected [lo, hi]")
-        bounds = (float(bounds_list[0]), float(bounds_list[1]))
-    parts = tuple(_optional(cfg, "policy.parts", "str-list", ["gamma"]))
-    budget = _optional(cfg, "policy.budget", "int", 400)
-    if budget < 1:
-        raise ConfigError("policy.budget: must be >= 1")
-    N_proxy = _optional(cfg, "mc.N_proxy", "int", 20_000)
-
     zeros = np.zeros(m)
     initial = PolicyParam(
         knots=knots,
-        gamma_c0=np.full(m, float(init_gamma)),
+        gamma_c0=np.full(m, init_gamma),
         gamma_c1=zeros,
         aleph_c0=zeros,
         aleph_c1=zeros,
-        bounds=bounds,
+        bounds=None if bounds is None else tuple(bounds),
     )
-    try:
-        result = optimize_policy(
-            model,
-            initial,
-            N_proxy=N_proxy,
-            grid=grid,
-            seed=SeedSpec(ec.master_seed).child(0),
-            budget=budget,
-            parts=parts,
-        )
-    except ValueError as exc:  # unknown part names etc. are config mistakes
-        raise ConfigError(f"policy.parts: {exc}") from None
+    result = optimize_policy(
+        model,
+        initial,
+        N_proxy=N_proxy,
+        grid=SimGrid(plan["T"], ec.steps),
+        seed=SeedSpec(ec.master_seed).child(0),
+        budget=budget,
+        parts=parts,
+    )
 
     best = result.policy
-    records = [
-        ResultRecord(ec.experiment, ec.hash, "best_value", result.value, result.se).to_dict(),
-        ResultRecord(ec.experiment, ec.hash, "initial_value", result.initial_value, None).to_dict(),
-    ]
     payload = {
         "experiment": ec.experiment,
         "config_hash": ec.hash,
-        "records": records,
+        "records": [
+            _record(ec, "best_value", result.value, result.se),
+            _record(ec, "initial_value", result.initial_value),
+        ],
         "converged": result.converged,
         "n_evaluations": result.n_evaluations,
         "policy": {
@@ -858,10 +775,8 @@ def cmd_policy_opt(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
             "aleph_c1": best.aleph_c1,
         },
     }
-    if info["name"] == "multitask":
-        am = analytic_multitask(
-            MultitaskParams(info["kappa_bar"]), R=info["R"], T=info["T"], E_iota=info["E_iota"]
-        )
+    if plan["name"] == "multitask":
+        am = _analytic(plan)
         mids = 0.5 * (knots[:-1] + knots[1:])
         gh = np.array([am.gamma_hat(t) for t in mids])
         payload["analytic"] = {
@@ -871,13 +786,13 @@ def cmd_policy_opt(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
             "value_closed_form": float(model.principal_utility_U(am.V_infinity)),
             "value_error": float(abs(result.value - model.principal_utility_U(am.V_infinity))),
         }
-    _write_json(os.path.join(out_dir, "policy_best.json"), payload)
-    _write_csv(
-        os.path.join(out_dir, "trace.csv"),
-        ["evaluation", "value", "config_hash"],
-        [[i, v, ec.hash] for i, v in enumerate(result.trace)],
-    )
-    print(f"wrote policy_best.json, trace.csv to {out_dir}")
+    _write_results(out_dir, {
+        "policy_best.json": _json_text(payload),
+        "trace.csv": _csv_text(
+            ["evaluation", "value", "config_hash"],
+            [[i, v, ec.hash] for i, v in enumerate(result.trace)],
+        ),
+    })
     return EXIT_OK
 
 
@@ -888,52 +803,49 @@ def cmd_policy_opt(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
 
 def cmd_chaos(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
     cfg = ec.raw
-    n_list = _require(cfg, "mc.n_list", "int-list")
-    if any(n < 1 for n in n_list):
-        raise ConfigError("mc.n_list: all entries must be >= 1")
-    n_proxy = _require(cfg, "mc.N_proxy", "int")
-    if n_proxy < 2:
-        raise ConfigError("mc.N_proxy: must be >= 2")
-    replications = _optional(cfg, "mc.replications", "int", 20)
-    if replications < 1:
-        raise ConfigError("mc.replications: must be >= 1")
-    _parse_model(cfg)  # fail fast on model-block errors before spawning work
+    model = _model_plan(cfg)
+    plan = {
+        "model": model,
+        "policy": _feedback_plan(cfg, model),
+        "steps": ec.steps,
+        "seed": ec.master_seed,
+        "n_list": _field(cfg, "mc.n_list", "int-list", ge=1),
+        "N_proxy": _field(cfg, "mc.N_proxy", "int", ge=2),
+    }
+    replications = _field(cfg, "mc.replications", "int", 20, ge=1)
+    n_list = plan["n_list"]
 
-    tasks = [{"cfg": cfg, "r": r} for r in range(replications)]
-    w = np.array(_map_ordered(_chaos_worker, tasks, workers))  # (reps, len(n_list))
+    w = np.array(_map_ordered(_chaos_worker, plan, replications, workers))  # (reps, len(n_list))
     medians = np.median(w, axis=0)
     means = w.mean(axis=0)
     se_means = w.std(axis=0, ddof=1) / math.sqrt(replications) if replications > 1 else np.zeros(len(n_list))
 
-    _write_csv(
-        os.path.join(out_dir, "chaos.csv"),
-        ["n", "median_w1", "mean_w1", "se_mean", "config_hash"],
-        [
-            [int(n), float(medians[i]), float(means[i]), float(se_means[i]), ec.hash]
-            for i, n in enumerate(n_list)
-        ],
-    )
     try:
         fit = dataclasses.asdict(fit_rate(n_list, medians))
     except InsufficientDataError as exc:
         fit = {"error": str(exc)}
     records = [
-        ResultRecord(ec.experiment, ec.hash, f"median_w1[n={int(n)}]", float(medians[i]), float(se_means[i])).to_dict()
+        _record(ec, f"median_w1[n={n}]", float(medians[i]), float(se_means[i]))
         for i, n in enumerate(n_list)
     ]
-    _write_json(
-        os.path.join(out_dir, "chaos_fit.json"),
-        {
+    _write_results(out_dir, {
+        "chaos.csv": _csv_text(
+            ["n", "median_w1", "mean_w1", "se_mean", "config_hash"],
+            [
+                [n, float(medians[i]), float(means[i]), float(se_means[i]), ec.hash]
+                for i, n in enumerate(n_list)
+            ],
+        ),
+        "chaos_fit.json": _json_text({
             "experiment": ec.experiment,
             "config_hash": ec.hash,
             "records": records,
             "replications": replications,
-            "N_proxy": n_proxy,
+            "N_proxy": plan["N_proxy"],
             "rate_fit": fit,
             "reference_slope": -0.5,
-        },
-    )
-    print(f"wrote chaos.csv, chaos_fit.json to {out_dir}")
+        }),
+    })
     return EXIT_OK
 
 
@@ -1122,29 +1034,22 @@ _SELF_CHECKS: list = [
 
 
 def cmd_self_check(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
-    tasks = [
-        {"name": name, "idx": i, "master_seed": ec.master_seed}
-        for i, (name, _) in enumerate(_SELF_CHECKS)
-    ]
-    results = _map_ordered(_self_check_worker, tasks, workers)
+    results = _map_ordered(_self_check_worker, ec.master_seed, len(_SELF_CHECKS), workers)
     all_passed = all(r["passed"] for r in results)
     records = [
-        ResultRecord(ec.experiment, ec.hash, f"self_check.{r['name']}", 1.0 if r["passed"] else 0.0, 0.0).to_dict()
-        for r in results
+        _record(ec, f"self_check.{r['name']}", 1.0 if r["passed"] else 0.0, 0.0) for r in results
     ]
-    _write_json(
-        os.path.join(out_dir, "self_check.json"),
-        {
+    for r in results:
+        print(f"{'PASS' if r['passed'] else 'FAIL'}  {r['name']}")
+    _write_results(out_dir, {
+        "self_check.json": _json_text({
             "experiment": ec.experiment,
             "config_hash": ec.hash,
             "all_passed": all_passed,
             "checks": results,
             "records": records,
-        },
-    )
-    for r in results:
-        print(f"{'PASS' if r['passed'] else 'FAIL'}  {r['name']}")
-    print(f"wrote self_check.json to {out_dir}")
+        }),
+    })
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
@@ -1180,7 +1085,7 @@ def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         ec = parse_config(load_config(args.config), seed_override=args.seed)
-        out_dir = args.out or _optional(ec.raw, "output.directory", "str", None)
+        out_dir = args.out or _field(ec.raw, "output.directory", "str", None)
         if out_dir is None:
             raise ConfigError("output.directory: required (or pass --out)")
         os.makedirs(out_dir, exist_ok=True)

@@ -14,8 +14,8 @@ one-step update (contract_y_step below) is used by the stored-path pricer
 evaluate_terminal_payment and by the one simulating pass, _contract_pass,
 which the n-player value estimator, contract_report and the joint-deviation
 scan all read, so they agree bit for bit on the same draws, not just in
-distribution. A non-finite level raises NumericDomainError at the step
-where it appears.
+distribution. In the pass and in both stored-path replays, a non-finite
+level raises NumericDomainError at the step where it appears.
 
 Because X^i_{k+1} - X^i_k = b_hat dt + sigma dW for an agent playing the
 recommended response, the two H terms cancel pathwise and the update
@@ -119,8 +119,13 @@ def _g_inverse(model: ModelSpec, flow, y):
     return out
 
 
+def _check_level(y, t: float) -> None:
+    if not np.isfinite(y).all():
+        raise NumericDomainError(f"contract level went non-finite at t={t:.6g}")
+
+
 def _replay_steps(contract: Contract, model: ModelSpec, paths: ParticlePaths, flow: MeasureFlow):
-    """Per step of stored paths: (dt, H, z/sigma, dX), recomputed at each left node."""
+    """Per step of stored paths: (t, dt, H, z/sigma, dX), recomputed at each left node."""
     times = paths.times
     # Matches SimGrid.dt exactly for grids built by SimGrid.nodes.
     dt = (float(times[-1]) - float(times[0])) / (len(times) - 1)
@@ -130,7 +135,7 @@ def _replay_steps(contract: Contract, model: ModelSpec, paths: ParticlePaths, fl
         e = contract.aleph_l(t, x)
         zsig = slope_over_sigma(contract.gamma_l(t, x), model.vol_sigma(t, x))
         _, b_hat, L_hat = _recommended(model, t, x, flow.at(k), e, zsig)
-        yield dt, b_hat * zsig + L_hat, zsig, paths.states[:, k + 1] - x
+        yield t, dt, b_hat * zsig + L_hat, zsig, paths.states[:, k + 1] - x
 
 
 def evaluate_terminal_payment(
@@ -144,12 +149,14 @@ def evaluate_terminal_payment(
     Returns (xi, y_path) with y_path of length steps+1, y_path[0] = Y0 and
     xi = g^{-1}(flow, y_path[-1]). The paths are expected to come from
     simulate_particles under this contract's truncated fields. This replay
-    is independent of the simulating pass, so it can check that pass.
+    is independent of the simulating pass, so it can check that pass; like
+    the pass, it raises NumericDomainError at the first non-finite level.
     """
     _check_floor(contract, model)
     y_path = [float(contract.Y0)]
-    for dt, H, zsig, dX in _replay_steps(contract, model, paths, flow):
+    for t, dt, H, zsig, dX in _replay_steps(contract, model, paths, flow):
         y_path.append(contract_y_step(y_path[-1], dt, H, zsig, dX))
+        _check_level(y_path[-1], t)
     xi = float(_g_inverse(model, flow, y_path[-1]))
     return xi, np.array(y_path)
 
@@ -173,12 +180,14 @@ def mkv_contract_payment(
     built from a solution of the limit control problem: on the multitask
     model with gamma_hat it pays R + (1/2) int gamma_hat^2 in expectation
     and leaves the principal V_infinity. Returns the scalar payment, or
-    (payment, levels) with return_levels=True.
+    (payment, levels) with return_levels=True. A non-finite level raises
+    NumericDomainError at the step where it appears.
     """
     _check_floor(contract, model)
     levels = np.full(paths.n_particles, float(contract.Y0))
-    for dt, H, zsig, dX in _replay_steps(contract, model, paths, flow):
+    for t, dt, H, zsig, dX in _replay_steps(contract, model, paths, flow):
         levels = levels - H * dt + zsig * dX
+        _check_level(levels, t)
     payment = float(_g_inverse(model, flow, float(np.mean(levels))))
     if return_levels:
         return payment, levels
@@ -222,8 +231,7 @@ def _contract_pass(
         with np.errstate(over="ignore", invalid="ignore"):
             for step in _euler_steps(model, gamma, aleph, x, grid, draws, play):
                 y = contract_y_step(y, dt, step.H, step.zsig, step.x_next - x)
-                if not np.isfinite(y).all():
-                    raise NumericDomainError(f"contract level went non-finite at t={step.t:.6g}")
+                _check_level(y, step.t)
                 if running_L:
                     l_acc += step.L * dt
                 lp_acc += model.principal_running_cost_LP(step.t, step.e) * dt

@@ -1,7 +1,9 @@
 """End-to-end tests of the palab command line: configs, outputs, determinism."""
 
 import csv
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +13,9 @@ import numpy as np
 import pytest
 
 import palab.cli as cli
+from palab.contracts import Contract, contract_report
+from palab.model import MultitaskParams, multitask_model, normal_law
+from palab.sde_engine import SeedSpec, SimGrid
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
@@ -169,12 +174,29 @@ def test_convergence_rerun_is_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_convergence_workers_do_not_change_results(tmp_path):
-    cfg_path = _write_config(tmp_path, _conv_config())
+def _chaos_config():
+    return {
+        "experiment": "chaos-smoke",
+        "model": {"name": "multitask", "params": {"kappa_bar": 0.5, "b_bar": 10.0}},
+        "grid": {"steps": 10},
+        "mc": {"master_seed": 3, "n_list": [50, 100], "N_proxy": 400, "replications": 4},
+    }
+
+
+@pytest.mark.parametrize(
+    "command, cfg, files",
+    [
+        ("multitask-convergence", _conv_config(), ("gaps.csv", "fit.json", "summary.txt")),
+        ("chaos", _chaos_config(), ("chaos.csv", "chaos_fit.json")),
+    ],
+    ids=["multitask-convergence", "chaos"],
+)
+def test_workers_do_not_change_results(tmp_path, command, cfg, files):
+    cfg_path = _write_config(tmp_path, cfg)
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    assert cli.main(["multitask-convergence", "--config", cfg_path, "--out", str(out1), "--workers", "1"]) == 0
-    assert cli.main(["multitask-convergence", "--config", cfg_path, "--out", str(out2), "--workers", "3"]) == 0
-    for name in ("gaps.csv", "fit.json", "summary.txt"):
+    assert cli.main([command, "--config", cfg_path, "--out", str(out1), "--workers", "1"]) == 0
+    assert cli.main([command, "--config", cfg_path, "--out", str(out2), "--workers", "3"]) == 0
+    for name in files:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -243,6 +265,47 @@ def test_contract_eval_outputs(tmp_path):
     assert set(pareto[0]) == {"a_0", "a_1", "gain", "se", "config_hash"}
     assert (out / "paths.csv").exists()
     assert (out / "run_meta.json").exists()
+
+
+def test_contract_eval_options_reach_contract_report(tmp_path):
+    # the symmetric truncation (-1.5 clips to -1.2), the volatility scale and
+    # Y0 reach the simulation exactly as a direct library call passes them;
+    # neither built-in model reads the rate field, so aleph_value is only
+    # parsed here
+    cfg = {
+        "experiment": "ce-options",
+        "model": {
+            "name": "multitask",
+            "params": {"kappa_bar": 0.5, "b_bar": 10.0},
+            "sigma_scale": 1.5,
+            "nu": {"kind": "normal", "mean": 0.2, "std": 0.5},
+        },
+        "grid": {"steps": 10},
+        "policy": {
+            "source": "constant",
+            "value": -1.5,
+            "truncation_l": 1.2,
+            "symmetric": True,
+            "aleph_value": 0.3,
+            "Y0": 0.1,
+        },
+        "mc": {"master_seed": 9, "n": 8, "replications": 4},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["contract-eval", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "contract_summary.json").read_text())
+
+    base = multitask_model(MultitaskParams(0.5, 10.0), nu=normal_law(0.2, 0.5))
+    model = dataclasses.replace(base, vol_sigma=lambda t, x: 1.5 * base.vol_sigma(t, x))
+    contract = Contract(
+        Y0=0.1,
+        gamma=lambda t, x: -1.5,
+        aleph=lambda t, x: 0.3,
+        truncation_l=1.2,
+        symmetric=True,
+    )
+    report = contract_report(contract, model, 8, SimGrid(1.0, 10), 4, SeedSpec(9).child(0))
+    assert summary["per_replication"] == report["per_replication"]
 
 
 def test_contract_eval_blowup_exit(tmp_path):
@@ -320,6 +383,28 @@ def test_contract_eval_numeric_error_exit(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_contract_eval_nan_result_writes_nothing(tmp_path, capsys, monkeypatch):
+    # a NaN in a result is a numeric error, raised while the result files are
+    # rendered and so before the first of them (or the path dump) is written
+    real = cli.contract_report
+
+    def nan_xi(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report["xi"] = dataclasses.replace(report["xi"], value=math.nan)
+        return report
+
+    monkeypatch.setattr(cli, "contract_report", nan_xi)
+    cfg = {**_contract_config(deviation={"n": 1, "min": 0.0, "max": 1.0, "step": 1.0}),
+           "output": {"dump_paths": True}}
+    out = tmp_path / "out"
+    code = cli.main(["contract-eval", "--config", _write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: NumericDomainError")
+    assert len(err.strip().splitlines()) == 1
+    assert os.listdir(out) == []
+
+
 # ---------------------------------------------------------------------------
 # policy-opt
 # ---------------------------------------------------------------------------
@@ -361,18 +446,57 @@ def test_policy_opt_knots_must_span_horizon(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+def _policy_opt_config(**policy):
+    return {
+        "experiment": "po-guard",
+        "model": {"name": "multitask", "params": {"kappa_bar": 0.0}},
+        "grid": {"steps": 5},
+        "policy": {"knots": 2, "budget": 5, **policy},
+        "mc": {"master_seed": 11, "N_proxy": 50},
+    }
+
+
+# Each of these fields is checked before any work starts: the library would
+# otherwise fail mid-run on it, report an se of 0 from one particle, or treat
+# a truncation level of -inf as no truncation.
+@pytest.mark.parametrize(
+    "command, cfg, field",
+    [
+        ("policy-opt", _policy_opt_config(bounds=[2.0, 1.0]), "policy.bounds"),
+        ("policy-opt", _policy_opt_config(knots=[0.0, 0.7, 0.3, 1.0]), "policy.knots"),
+        ("policy-opt", {**_policy_opt_config(), "mc": {"master_seed": 11, "N_proxy": 0}}, "mc.N_proxy"),
+        ("policy-opt", {**_policy_opt_config(), "mc": {"master_seed": 11, "N_proxy": 1}}, "mc.N_proxy"),
+        ("multitask-convergence", _conv_config(**{"model.sigma_scale": 3.0}), "model.sigma_scale"),
+        ("contract-eval", {**_contract_config(), "policy": {"Y0": -1.0}}, "policy.Y0"),
+        ("contract-eval", {**_contract_config(), "policy": {"truncation_l": "-inf"}}, "policy.truncation_l"),
+    ],
+    ids=[
+        "bounds-reversed",
+        "knots-unordered",
+        "n-proxy-zero",
+        "n-proxy-one",
+        "convergence-sigma-scale",
+        "contract-y0-below-reservation",
+        "contract-truncation-minus-inf",
+    ],
+)
+def test_config_error_names_field(tmp_path, capsys, command, cfg, field):
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", _write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}")
+    assert len(err.strip().splitlines()) == 1
+    assert os.listdir(out) == []
+
+
 # ---------------------------------------------------------------------------
 # chaos
 # ---------------------------------------------------------------------------
 
 
 def test_chaos_outputs(tmp_path):
-    cfg = {
-        "experiment": "chaos-smoke",
-        "model": {"name": "multitask", "params": {"kappa_bar": 0.5, "b_bar": 10.0}},
-        "grid": {"steps": 10},
-        "mc": {"master_seed": 3, "n_list": [50, 100], "N_proxy": 400, "replications": 4},
-    }
+    cfg = _chaos_config()
     out = tmp_path / "out"
     code = cli.main(["chaos", "--config", _write_config(tmp_path, cfg), "--out", str(out)])
     assert code == cli.EXIT_OK

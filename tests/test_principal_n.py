@@ -16,6 +16,7 @@ from palab.contracts import (
     contract_report,
     evaluate_terminal_payment,
     joint_deviation_scan,
+    mkv_contract_payment,
 )
 from palab.mkv_control import analytic_multitask
 from palab.model import (
@@ -163,7 +164,8 @@ def test_results_do_not_depend_on_chunk_cap(model, n, reps, key, cap_rows, slope
 def test_nonfinite_level_raises():
     # L = -inf makes H = -inf, so Y jumps to +inf at the first step while
     # every state stays finite; tanh would turn that level into the finite
-    # payment 1.0, so the pass must stop at the level itself
+    # payment 1.0, so the pass and the stored-path replays must stop at the
+    # level itself
     model = replace(
         multitask_model(MultitaskParams(0.5), nu=normal_law()),
         running_cost_L=lambda t, x, m, e, a: -math.inf,
@@ -172,10 +174,13 @@ def test_nonfinite_level_raises():
     grid, seed = SimGrid(1.0, 5), SeedSpec(0)
     gamma = lambda t, x: 1.0
     contract = Contract(Y0=0.0, gamma=gamma, aleph=_zero)
+    paths, flow = simulate_particles(model, gamma, _zero, 4, grid, seed)
     runs = [
         lambda: estimate_n_player_value(model, NPlayerPolicy.from_gamma(gamma, 4), 4, grid, 3, seed),
         lambda: contract_report(contract, model, 4, grid, 3, seed),
         lambda: joint_deviation_scan(contract, model, [0.0, 1.0], 2, grid, 3, seed),
+        lambda: evaluate_terminal_payment(contract, model, paths, flow),
+        lambda: mkv_contract_payment(contract, model, paths, flow),
     ]
     for run in runs:
         with pytest.raises(NumericDomainError, match="t=0$"):
