@@ -8,7 +8,7 @@ mean-field limit, and measures the convergence rates between the two.
 Layout
 ------
 model        model coefficients, built-in benchmarks, action optimization
-measures     empirical measures, measure flows, 1-d Wasserstein distance
+measures     empirical measures and stacks of them, 1-d Wasserstein distance
 sde_engine   the one Euler stepper, particle paths, hierarchical seeding
 contracts    terminal-payment contracts and reward accounting
 mkv_control  limit control problem, policy search, closed-form benchmarks
@@ -25,12 +25,7 @@ from .contracts import (
     mkv_contract_payment,
 )
 from .estimates import MCEstimate, mean_se
-from .measures import (
-    BatchedEmpiricalMeasure,
-    EmpiricalMeasure,
-    MeasureFlow,
-    wasserstein_p,
-)
+from .measures import EmpiricalMeasure, wasserstein_p
 from .mkv_control import (
     MultitaskAnalytic,
     PolicyOptResult,
@@ -78,13 +73,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousMaximizerError",
-    "BatchedEmpiricalMeasure",
     "Contract",
     "ContractEvaluationError",
     "EmpiricalMeasure",
     "InsufficientDataError",
     "MCEstimate",
-    "MeasureFlow",
     "ModelSpec",
     "MultitaskAnalytic",
     "MultitaskParams",

@@ -263,6 +263,8 @@ def _model_plan(cfg: dict) -> dict:
         "sigma_scale": _field(cfg, "model.sigma_scale", "number", 1.0, ge=0),
         "nu_kind": _field(cfg, "model.nu.kind", "str", "point", choices=("point", "normal")),
     }
+    if plan["T"] == math.inf:
+        raise ConfigError("model.T: must be finite, got inf")
     if plan["nu_kind"] == "point":
         plan["E_iota"], plan["nu_std"] = _field(cfg, "model.nu.value", "number", 0.0), 0.0
     else:
@@ -698,7 +700,7 @@ def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
 
     paths = None
     if dump_paths:
-        paths, _ = simulate_particles(model, contract.gamma_l, contract.aleph_l, n, grid, seed.child(2))
+        paths = simulate_particles(model, contract.gamma_l, contract.aleph_l, n, grid, seed.child(2))
 
     files["contract_summary.json"] = _json_text(payload)
     _write_results(out_dir, files)
@@ -883,8 +885,8 @@ def _check_consistency(seed: SeedSpec) -> dict:
     policy = NPlayerPolicy.from_gamma(lambda t, x: am.gamma_hat(t), n)
     _, details = estimate_n_player_value(model, policy, n, grid, 1, seed, return_details=True)
     contract = Contract(Y0=0.0, gamma=lambda t, x: am.gamma_hat(t), aleph=lambda t, x: 0.0)
-    paths, flow = simulate_particles(model, contract.gamma_l, contract.aleph_l, n, grid, seed.child(0))
-    xi, y_path = evaluate_terminal_payment(contract, model, paths, flow)
+    paths = simulate_particles(model, contract.gamma_l, contract.aleph_l, n, grid, seed.child(0))
+    xi, y_path = evaluate_terminal_payment(contract, model, paths)
     dy = abs(float(details["y_T"][0]) - float(y_path[-1]))
     dxi = abs(float(details["xi"][0]) - xi)
     return {
@@ -898,7 +900,7 @@ def _check_ito(seed: SeedSpec) -> dict:
     """Path integrals: dX telescopes, dt sums to T, dW matches increments."""
     model = multitask_model(MultitaskParams(0.2, 5.0))
     grid = SimGrid(1.0, 16)
-    paths, _ = simulate_particles(model, lambda t, x: 1.0, lambda t, x: 0.0, 8, grid, seed)
+    paths = simulate_particles(model, lambda t, x: 1.0, lambda t, x: 0.0, 8, grid, seed)
     one = lambda t, x: np.ones_like(x)
     d1 = np.max(np.abs(ito_integral(paths, one, "dX") - (paths.states[:, -1] - paths.states[:, 0])))
     d2 = np.max(np.abs(ito_integral(paths, one, "dt") - grid.horizon_T))

@@ -9,7 +9,8 @@ the ensemble certainty-equivalent process
     Y_{k+1} = Y_k  -  dt * mean_i H(t_k, X^i_k, mu_k, e^i_k, z^i_k)
                    +  mean_i [ z^i_k / sigma(t_k, X^i_k) * (X^i_{k+1} - X^i_k) ],
 
-with z = gamma ^ l along the paths, and xi = g^{-1}(mu, Y_T). The same
+with z = gamma ^ l along the paths, and xi = g^{-1}(mu_T, Y_T), where every
+terminal map receives the terminal EmpiricalMeasure mu_T. The same
 one-step update (contract_y_step below) is used by the stored-path pricer
 evaluate_terminal_payment and by the one simulating pass, _contract_pass,
 which the n-player value estimator, contract_report and the joint-deviation
@@ -33,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .estimates import MCEstimate, mean_se
-from .measures import BatchedEmpiricalMeasure, EmpiricalMeasure, MeasureFlow
+from .measures import EmpiricalMeasure
 from .model import ModelSpec, NumericDomainError, _recommended, slope_over_sigma
 from .sde_engine import ParticlePaths, SeedSpec, SimGrid, _euler_steps, _replication_chunks
 
@@ -61,7 +62,7 @@ class Contract:
     symmetric: bool = False
 
     def __post_init__(self):
-        if math.isnan(self.truncation_l):
+        if not self.truncation_l > -math.inf:  # NaN fails this test too
             raise ValueError("truncation_l must be a number or +inf")
 
     def _truncate(self, v):
@@ -109,9 +110,9 @@ def contract_y_step(y, dt: float, H, zsig, dX):
     return float(y_next) if np.ndim(y) == 0 else y_next
 
 
-def _g_inverse(model: ModelSpec, flow, y):
+def _g_inverse(model: ModelSpec, m: EmpiricalMeasure, y):
     try:
-        out = model.g_inverse(flow, y)
+        out = model.g_inverse(m, y)
     except Exception as exc:  # noqa: BLE001 - user-supplied map
         raise ContractEvaluationError(f"g_inverse failed at y={y!r}: {exc}") from exc
     if not np.all(np.isfinite(out)):
@@ -124,7 +125,7 @@ def _check_level(y, t: float) -> None:
         raise NumericDomainError(f"contract level went non-finite at t={t:.6g}")
 
 
-def _replay_steps(contract: Contract, model: ModelSpec, paths: ParticlePaths, flow: MeasureFlow):
+def _replay_steps(contract: Contract, model: ModelSpec, paths: ParticlePaths):
     """Per step of stored paths: (t, dt, H, z/sigma, dX), recomputed at each left node."""
     times = paths.times
     # Matches SimGrid.dt exactly for grids built by SimGrid.nodes.
@@ -134,7 +135,7 @@ def _replay_steps(contract: Contract, model: ModelSpec, paths: ParticlePaths, fl
         x = paths.states[:, k]
         e = contract.aleph_l(t, x)
         zsig = slope_over_sigma(contract.gamma_l(t, x), model.vol_sigma(t, x))
-        _, b_hat, L_hat = _recommended(model, t, x, flow.at(k), e, zsig)
+        _, b_hat, L_hat = _recommended(model, t, x, EmpiricalMeasure(x), e, zsig)
         yield t, dt, b_hat * zsig + L_hat, zsig, paths.states[:, k + 1] - x
 
 
@@ -142,22 +143,22 @@ def evaluate_terminal_payment(
     contract: Contract,
     model: ModelSpec,
     paths: ParticlePaths,
-    flow: MeasureFlow,
 ) -> tuple[float, np.ndarray]:
     """Terminal payment xi and the ensemble Y path along simulated paths.
 
     Returns (xi, y_path) with y_path of length steps+1, y_path[0] = Y0 and
-    xi = g^{-1}(flow, y_path[-1]). The paths are expected to come from
-    simulate_particles under this contract's truncated fields. This replay
-    is independent of the simulating pass, so it can check that pass; like
-    the pass, it raises NumericDomainError at the first non-finite level.
+    xi = g^{-1}(mu_T, y_path[-1]) for the terminal measure mu_T. The paths
+    are expected to come from simulate_particles under this contract's
+    truncated fields. This replay is independent of the simulating pass, so
+    it can check that pass; like the pass, it raises NumericDomainError at
+    the first non-finite level.
     """
     _check_floor(contract, model)
     y_path = [float(contract.Y0)]
-    for t, dt, H, zsig, dX in _replay_steps(contract, model, paths, flow):
+    for t, dt, H, zsig, dX in _replay_steps(contract, model, paths):
         y_path.append(contract_y_step(y_path[-1], dt, H, zsig, dX))
         _check_level(y_path[-1], t)
-    xi = float(_g_inverse(model, flow, y_path[-1]))
+    xi = float(_g_inverse(model, EmpiricalMeasure(paths.states[:, -1]), y_path[-1]))
     return xi, np.array(y_path)
 
 
@@ -165,7 +166,6 @@ def mkv_contract_payment(
     contract: Contract,
     model: ModelSpec,
     paths: ParticlePaths,
-    flow: MeasureFlow,
     return_levels: bool = False,
 ):
     """Limit-regime payment: per-path levels, averaged, then inverted.
@@ -174,7 +174,7 @@ def mkv_contract_payment(
 
         s^i = Y0 - sum_k H^i_k dt + sum_k (z/sigma)^i_k dX^i_k,
 
-    and the payment is g^{-1}(flow, mean_i s^i) — the level average is
+    and the payment is g^{-1}(mu_T, mean_i s^i) — the level average is
     taken before inverting g, matching the limit construction. This is the
     contract of the principal-agent problem with McKean-Vlasov dynamics,
     built from a solution of the limit control problem: on the multitask
@@ -185,10 +185,11 @@ def mkv_contract_payment(
     """
     _check_floor(contract, model)
     levels = np.full(paths.n_particles, float(contract.Y0))
-    for t, dt, H, zsig, dX in _replay_steps(contract, model, paths, flow):
+    for t, dt, H, zsig, dX in _replay_steps(contract, model, paths):
         levels = levels - H * dt + zsig * dX
         _check_level(levels, t)
-    payment = float(_g_inverse(model, flow, float(np.mean(levels))))
+    terminal = EmpiricalMeasure(paths.states[:, -1])
+    payment = float(_g_inverse(model, terminal, float(np.mean(levels))))
     if return_levels:
         return payment, levels
     return payment
@@ -256,14 +257,13 @@ def contract_report(
     average agent reward mean_i [int L_hat dt + g(mu_T, xi)], and the
     principal's pre-utility value
     v = mean_i [Upsilon(X^i_T) - int L_P dt] - g_P(mu_T, xi). Terminal
-    maps run once per replication on the one-node flow of its terminal
-    measure. Replication r draws from seed.child(r), exactly as
-    simulate_particles would, so its payment equals
-    evaluate_terminal_payment on those stored paths. The report gives
-    across-replication estimates of E[xi] and the agent reward, plus the
-    principal's value under both utility conventions: "principal_inside"
-    averages U(v) over replications and "principal_outside" applies U to
-    the averaged v (delta-method SE).
+    maps run once per replication on its terminal measure. Replication r
+    draws from seed.child(r), exactly as simulate_particles would, so its
+    payment equals evaluate_terminal_payment on those stored paths. The
+    report gives across-replication estimates of E[xi] and the agent
+    reward, plus the principal's value under both utility conventions:
+    "principal_inside" averages U(v) over replications and
+    "principal_outside" applies U to the averaged v (delta-method SE).
 
     The pass's guards apply: SimulationBlowupError for a state past the
     blow-up threshold, NumericDomainError for a non-finite level.
@@ -279,13 +279,13 @@ def contract_report(
     )
     for reps, x, y, lhat_acc, lp_acc in passes:
         for i, r in enumerate(reps):
-            flow1 = MeasureFlow.single(grid.horizon_T, EmpiricalMeasure(x[i]))
-            xi = float(_g_inverse(model, flow1, float(y[i])))
+            m = EmpiricalMeasure(x[i])
+            xi = float(_g_inverse(model, m, float(y[i])))
             xi_vals[r] = xi
-            g_term = float(model.terminal_utility_g(flow1, xi))
+            g_term = float(model.terminal_utility_g(m, xi))
             agent_vals[r] = float(np.mean(lhat_acc[i] + g_term))
             v_vals[r] = float(np.mean(model.production_utility_Upsilon(x[i]) - lp_acc[i])) - float(
-                model.principal_terminal_cost_gP(flow1, xi)
+                model.principal_terminal_cost_gP(m, xi)
             )
             u_vals[r] = float(model.principal_utility_U(v_vals[r]))
 
@@ -330,12 +330,12 @@ def joint_deviation_scan(
     the recommendation means no gain should exceed noise.
 
     Returns {"actions": (B, n), "gain": (B,), "se": (B,), "baseline":
-    MCEstimate of the recommended-play reward}. Requires terminal maps that
-    ignore the flow argument or accept batched measures. All cells of a
-    replication, and the baseline, run as rows of one _contract_pass on
-    that replication's draws, so a deviation that drives any state past the
-    blow-up threshold raises SimulationBlowupError, like every other
-    simulation.
+    MCEstimate of the recommended-play reward}. Terminal maps get a chunk's
+    stack of terminal ensembles as one EmpiricalMeasure, so they must ignore
+    it or accept a stacked measure. All cells of a replication, and the
+    baseline, run as rows of one _contract_pass on that replication's
+    draws, so a deviation that drives any state past the blow-up threshold
+    raises SimulationBlowupError, like every other simulation.
     """
     _check_floor(contract, model)
     action_grid = np.asarray(action_grid, dtype=float)
@@ -359,9 +359,9 @@ def joint_deviation_scan(
         running_L=True, play=play, copies=rows,
     )
     for reps, x, y, l_acc, _ in passes:
-        flow1 = MeasureFlow.single(grid.horizon_T, BatchedEmpiricalMeasure(x))
-        xi = np.asarray(_g_inverse(model, flow1, y), dtype=float)
-        g_term = np.asarray(model.terminal_utility_g(flow1, xi), dtype=float)
+        m = EmpiricalMeasure(x)
+        xi = np.asarray(_g_inverse(model, m, y), dtype=float)
+        g_term = np.asarray(model.terminal_utility_g(m, xi), dtype=float)
         rewards[reps.start : reps.stop] = (np.mean(l_acc, axis=1) + g_term).reshape(-1, rows)
 
     gains = rewards[:, :B] - rewards[:, B:]

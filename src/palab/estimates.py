@@ -26,13 +26,6 @@ class MCEstimate:
     se: float
     n_samples: int
 
-    def interval(self, width: float = 3.0) -> tuple[float, float]:
-        """Symmetric ``value ± width·se`` interval (default 3 standard errors)."""
-        return (self.value - width * self.se, self.value + width * self.se)
-
-    def __float__(self) -> float:
-        return float(self.value)
-
 
 def mean_se(samples: np.ndarray) -> MCEstimate:
     """Sample mean with its standard error std/sqrt(m).

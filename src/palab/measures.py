@@ -1,4 +1,4 @@
-"""Sample-based empirical measures on the real line and their time flows.
+"""Sample-based empirical measures on the real line.
 
 The particle systems in this package are one-dimensional, so every measure is
 an unweighted atom cloud (mass 1/n each) and the p-Wasserstein distance between
@@ -6,6 +6,8 @@ two clouds of equal size is computed exactly by sorting — the 1-D optimal
 coupling is the monotone one. Unequal sample counts are compared through
 inverse-CDF interpolation on a common quantile grid.
 
+One EmpiricalMeasure holds one ensemble or a stack of independent ensembles
+stepped together; its statistics reduce over the samples of each ensemble.
 Weighted atoms and measures on path space are out of scope: path-space laws
 are represented implicitly by the path ensembles themselves.
 """
@@ -13,7 +15,6 @@ are represented implicitly by the path ensembles themselves.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -25,24 +26,27 @@ QUANTILE_GRID_SIZE = 10_000
 class EmpiricalMeasure:
     """Uniform empirical measure (1/n)·Σ δ_{x_i} on the real line.
 
-    Immutable after construction. The sorted copy is computed on first use and
-    cached; moments and clamped means are cached per argument so that drift
-    coefficients which only need a summary statistic get it once per time step
-    regardless of how many coefficient evaluations share the measure.
+    samples is one ensemble of shape (n,) or a (batch, n) stack of
+    ensembles, and every statistic is taken over the last axis: a float for
+    one ensemble, a (batch, 1) column for a stack, so drift expressions like
+    ``a + kappa * m.clamped_mean(b)`` broadcast unchanged against the state
+    array. len() is the sample count n of each ensemble.
+
+    Immutable after construction. The sorted copy is computed on first use
+    and cached: one large proxy law is compared with several others.
     """
 
-    __slots__ = ("samples", "_sorted", "_stat_cache")
+    __slots__ = ("samples", "_sorted")
 
     def __init__(self, samples):
         arr = np.asarray(samples, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("EmpiricalMeasure needs a non-empty 1-D sample vector")
+        if arr.ndim not in (1, 2) or arr.size == 0:
+            raise ValueError("EmpiricalMeasure needs a non-empty (n,) or (batch, n) sample array")
         self.samples = arr
         self._sorted = None
-        self._stat_cache: dict = {}
 
     def __len__(self) -> int:
-        return self.samples.size
+        return self.samples.shape[-1]
 
     @property
     def sorted_samples(self) -> np.ndarray:
@@ -50,30 +54,23 @@ class EmpiricalMeasure:
             self._sorted = np.sort(self.samples)
         return self._sorted
 
-    def mean(self) -> float:
-        key = ("mean",)
-        if key not in self._stat_cache:
-            self._stat_cache[key] = float(self.samples.mean())
-        return self._stat_cache[key]
+    @staticmethod
+    def _average(v: np.ndarray):
+        """Mean over the last axis: a float for (n,), a (batch, 1) column for (batch, n)."""
+        return float(v.mean()) if v.ndim == 1 else v.mean(axis=1, keepdims=True)
 
-    def moment(self, p: float) -> float:
+    def mean(self):
+        return self._average(self.samples)
+
+    def moment(self, p: float):
         """Sample mean of |x|^p."""
-        key = ("moment", float(p))
-        if key not in self._stat_cache:
-            self._stat_cache[key] = float(np.mean(np.abs(self.samples) ** p))
-        return self._stat_cache[key]
+        return self._average(np.abs(self.samples) ** p)
 
-    def clamped_mean(self, b_bar: float) -> float:
+    def clamped_mean(self, b_bar: float):
         """Sample mean of (-b_bar) ∨ (b_bar ∧ x); b_bar = inf means no clamp."""
-        key = ("clamped_mean", float(b_bar))
-        if key not in self._stat_cache:
-            if math.isinf(b_bar):
-                self._stat_cache[key] = self.mean()
-            else:
-                self._stat_cache[key] = float(
-                    np.mean(np.clip(self.samples, -b_bar, b_bar))
-                )
-        return self._stat_cache[key]
+        if math.isinf(b_bar):
+            return self.mean()
+        return self._average(np.clip(self.samples, -b_bar, b_bar))
 
     def quantiles(self, levels: np.ndarray) -> np.ndarray:
         """Left-continuous inverse CDF x_(ceil(u·n)) at the given levels."""
@@ -83,85 +80,19 @@ class EmpiricalMeasure:
         return s[idx]
 
 
-class BatchedEmpiricalMeasure:
-    """Row-wise empirical measures over a (batch, n) state matrix.
-
-    Internal plumbing for batched simulations (many independent ensembles
-    stepped together). Summary statistics come back as (batch, 1) columns so
-    drift expressions like ``a + kappa * m.clamped_mean(b)`` broadcast
-    unchanged against (batch, n) state arrays. Not a full EmpiricalMeasure:
-    only the statistics the coefficients use are provided.
-    """
-
-    __slots__ = ("states",)
-
-    def __init__(self, states: np.ndarray):
-        if states.ndim != 2:
-            raise ValueError("BatchedEmpiricalMeasure needs a (batch, n) matrix")
-        self.states = states
-
-    def __len__(self) -> int:
-        """Samples per row (so flows of batched measures validate)."""
-        return self.states.shape[1]
-
-    def mean(self) -> np.ndarray:
-        return self.states.mean(axis=1, keepdims=True)
-
-    def moment(self, p: float) -> np.ndarray:
-        return np.mean(np.abs(self.states) ** p, axis=1, keepdims=True)
-
-    def clamped_mean(self, b_bar: float) -> np.ndarray:
-        if math.isinf(b_bar):
-            return self.mean()
-        return np.mean(np.clip(self.states, -b_bar, b_bar), axis=1, keepdims=True)
-
-
-class MeasureFlow:
-    """One empirical measure per time-grid node, t_0 = 0 … t_steps = T.
-
-    ``times`` and ``measures`` have equal length and all measures share one
-    sample count (the particle count of the generating simulation).
-    """
-
-    __slots__ = ("times", "measures")
-
-    def __init__(self, times, measures: Sequence[EmpiricalMeasure]):
-        times = np.asarray(times, dtype=float)
-        measures = list(measures)
-        if times.ndim != 1 or times.size != len(measures):
-            raise ValueError("MeasureFlow needs one measure per grid node")
-        counts = {len(m) for m in measures}
-        if len(counts) > 1:
-            raise ValueError("all measures in a flow must share one sample count")
-        self.times = times
-        self.measures = measures
-
-    def __len__(self) -> int:
-        return len(self.measures)
-
-    def at(self, k: int) -> EmpiricalMeasure:
-        return self.measures[k]
-
-    @property
-    def terminal(self) -> EmpiricalMeasure:
-        return self.measures[-1]
-
-    @classmethod
-    def single(cls, t: float, measure: EmpiricalMeasure) -> "MeasureFlow":
-        """One-node flow: what the streaming evaluators hand to terminal maps."""
-        return cls(np.array([t]), [measure])
-
-
 def wasserstein_p(a: EmpiricalMeasure, b: EmpiricalMeasure, p: float = 1.0) -> float:
     """p-Wasserstein distance between two 1-D empirical measures.
 
     Equal sample counts use the exact sorted-sample coupling
     ((1/n)·Σ|a_(i) − b_(i)|^p)^(1/p). Unequal counts are compared through the
     inverse CDFs sampled at QUANTILE_GRID_SIZE midpoint levels, which is the
-    same formula applied to the interpolated clouds.
+    same formula applied to the interpolated clouds. Both measures must hold
+    one ensemble each; a stack raises ValueError.
     """
     if p < 1:
         raise ValueError(f"wasserstein_p needs p >= 1, got {p}")
+    if a.samples.ndim != 1 or b.samples.ndim != 1:
+        raise ValueError("wasserstein_p compares single ensembles, not (batch, n) stacks")
     if len(a) == len(b):
         xa, xb = a.sorted_samples, b.sorted_samples
     else:

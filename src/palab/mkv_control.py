@@ -30,9 +30,9 @@ from typing import Callable, Iterable, Optional, Union
 import numpy as np
 
 from .estimates import MCEstimate
-from .measures import EmpiricalMeasure, MeasureFlow
+from .measures import EmpiricalMeasure
 from .model import ModelSpec, MultitaskParams
-from .sde_engine import DEFAULT_N_PROXY, SeedSpec, SimGrid, _as_generator, _euler_steps
+from .sde_engine import DEFAULT_N_PROXY, SeedSpec, SimGrid, _as_generator, _euler_steps, _initial_states
 
 _COEFF_FIELDS = ("gamma_c0", "gamma_c1", "aleph_c0", "aleph_c1")
 
@@ -163,12 +163,10 @@ def _limit_objective_from_draws(
         lp_acc = np.full(N, lp_acc)
 
     y_T = model.reservation_R - float(np.mean(lhat_acc))
-    flow1 = MeasureFlow.single(grid.horizon_T, EmpiricalMeasure(x))
+    m = EmpiricalMeasure(x)
 
     def ghat_p(y: float) -> float:
-        return float(
-            model.principal_terminal_cost_gP(flow1, model.g_inverse(flow1, y))
-        )
+        return float(model.principal_terminal_cost_gP(m, model.g_inverse(m, y)))
 
     ups = np.asarray(model.production_utility_Upsilon(x), dtype=float)
     value = float(np.mean(ups)) - ghat_p(y_T) - float(np.mean(lp_acc))
@@ -203,7 +201,7 @@ def evaluate_limit_objective(
         raise ValueError("seed is required (pass a SeedSpec)")
     gamma, aleph = _policy_fns(policy)
     rng = _as_generator(seed)
-    x0 = np.asarray(model.initial_law_nu(N_proxy, rng), dtype=float)
+    x0 = _initial_states(model, N_proxy, rng)
     return _limit_objective_from_draws(
         model, gamma, aleph, grid, x0, lambda k: rng.standard_normal(N_proxy)
     )
@@ -330,7 +328,7 @@ def optimize_policy(
         grid = SimGrid(model.horizon_T, 100)
     parts = tuple(parts)
     rng = _as_generator(seed)
-    x0 = np.asarray(model.initial_law_nu(N_proxy, rng), dtype=float)
+    x0 = _initial_states(model, N_proxy, rng)
     dW_cache = np.empty((grid.steps, N_proxy))
     for k in range(grid.steps):
         dW_cache[k] = rng.standard_normal(N_proxy)

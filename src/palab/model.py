@@ -30,16 +30,17 @@ picked silently.
 
 Coefficient functions must accept numpy arrays for the state/action/payment
 arguments and broadcast (the simulation engine calls them once per time step
-on whole particle ensembles). The measure argument ``m`` provides
-``mean()``, ``moment(p)`` and ``clamped_mean(b_bar)``; these return scalars
-for a single ensemble and (batch, 1) columns for batched ensembles, so
-drift expressions written against them broadcast in both modes.
+on whole particle ensembles). The measure argument ``m`` is an
+EmpiricalMeasure, whose ``mean()``, ``moment(p)`` and ``clamped_mean(b_bar)``
+return floats for a single ensemble and (batch, 1) columns for a stack of
+ensembles, so drift expressions written against them broadcast in both
+modes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,28 +75,25 @@ class ModelSpec:
     module docstring for the calling conventions of the coefficient fields.
 
     Terminal maps (terminal_utility_g, g_inverse, principal_terminal_cost_gP)
-    receive a MeasureFlow (possibly a one-node flow from a streaming
-    evaluator) as their measure argument; running coefficients receive the
-    current-time empirical measure.
+    receive the terminal EmpiricalMeasure as their measure argument (a
+    stack of ensembles only in the joint-deviation scan); running
+    coefficients receive the current-time one.
     """
 
     drift_b: Callable  # (t, x, m, e, a) -> drift
     vol_sigma: Callable  # (t, x) -> volatility, strictly positive
     running_cost_L: Callable  # (t, x, m, e, a) -> running reward rate (cost is negative)
-    terminal_utility_g: Callable  # (flow, e) -> utility level
-    g_inverse: Callable  # (flow, y) -> payment, inverse of g in e
+    terminal_utility_g: Callable  # (m, e) -> utility level
+    g_inverse: Callable  # (m, y) -> payment, inverse of g in e
     principal_running_cost_LP: Callable  # (t, e) -> cost rate
-    principal_terminal_cost_gP: Callable  # (flow, e) -> cost
+    principal_terminal_cost_gP: Callable  # (m, e) -> cost
     production_utility_Upsilon: Callable  # (x) -> payoff
     principal_utility_U: Callable  # (v) -> utility, non-decreasing concave
     initial_law_nu: Callable  # (n, rng) -> length-n sample vector
     horizon_T: float
     reservation_R: float
     action_bounds: tuple[float, float] = (-64.0, 64.0)
-    payment_bounds: tuple[float, float] = (-64.0, 64.0)
     analytic_maximizer: Optional[Callable] = None  # (t, x, m, e, z) -> action
-    name: str = "custom"
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -183,10 +181,10 @@ def multitask_model(
         drift_b=drift,
         vol_sigma=lambda t, x: 1.0,
         running_cost_L=cost,
-        terminal_utility_g=lambda flow, e: e,
-        g_inverse=lambda flow, y: y,
+        terminal_utility_g=lambda m, e: e,
+        g_inverse=lambda m, y: y,
         principal_running_cost_LP=lambda t, e: 0.0,
-        principal_terminal_cost_gP=lambda flow, e: e,
+        principal_terminal_cost_gP=lambda m, e: e,
         production_utility_Upsilon=lambda x: x,
         principal_utility_U=U,
         initial_law_nu=nu,
@@ -194,8 +192,6 @@ def multitask_model(
         reservation_R=float(R),
         action_bounds=(-64.0, 64.0),
         analytic_maximizer=lambda t, x, m, e, z: z,
-        name="multitask",
-        params={"kappa_bar": kappa, "b_bar": b_bar},
     )
 
 
@@ -222,10 +218,10 @@ def quadratic_generic_model(
         drift_b=lambda t, x, m, e, a: np.asarray(a, dtype=float) + 0.0,
         vol_sigma=lambda t, x: float(sigma0),
         running_cost_L=lambda t, x, m, e, a: -0.5 * np.square(a - a_base),
-        terminal_utility_g=lambda flow, e: e,
-        g_inverse=lambda flow, y: y,
+        terminal_utility_g=lambda m, e: e,
+        g_inverse=lambda m, y: y,
         principal_running_cost_LP=lambda t, e: 0.0,
-        principal_terminal_cost_gP=lambda flow, e: e,
+        principal_terminal_cost_gP=lambda m, e: e,
         production_utility_Upsilon=lambda x: x,
         principal_utility_U=U,
         initial_law_nu=nu,
@@ -233,8 +229,6 @@ def quadratic_generic_model(
         reservation_R=float(R),
         action_bounds=(-8.0, 8.0),
         analytic_maximizer=None,
-        name="quadratic-generic",
-        params={"a_base": float(a_base), "sigma0": float(sigma0)},
     )
 
 
@@ -265,14 +259,14 @@ def slope_over_sigma(z, sig):
     return float(out) if out.ndim == 0 else out
 
 
-def hamiltonian_h(model: ModelSpec, t, x, flow, e, z, a):
+def hamiltonian_h(model: ModelSpec, t, x, m, e, z, a):
     """h(t,x,m,e,z,a) = b(t,x,m,e,a)·z/sigma(t,x) + L(t,x,m,e,a).
 
     Raises NumericDomainError if any coefficient evaluates non-finite.
     """
     sig = model.vol_sigma(t, x)
-    b = model.drift_b(t, x, flow, e, a)
-    L = model.running_cost_L(t, x, flow, e, a)
+    b = model.drift_b(t, x, m, e, a)
+    L = model.running_cost_L(t, x, m, e, a)
     val = b * slope_over_sigma(z, sig) + L
     if not np.all(np.isfinite(val)):
         raise NumericDomainError(
@@ -281,7 +275,7 @@ def hamiltonian_h(model: ModelSpec, t, x, flow, e, z, a):
     return val
 
 
-def maximize_hamiltonian(model: ModelSpec, t, x, flow, e, z):
+def maximize_hamiltonian(model: ModelSpec, t, x, m, e, z):
     """Maximizer of a -> b(t,x,m,e,a)·z + L(t,x,m,e,a) over action_bounds.
 
     When the model carries an analytic_maximizer it is returned directly.
@@ -301,14 +295,14 @@ def maximize_hamiltonian(model: ModelSpec, t, x, flow, e, z):
     z/sigma(t, x) here (that is what reduced_coefficients does).
     """
     if model.analytic_maximizer is not None:
-        return model.analytic_maximizer(t, x, flow, e, z)
+        return model.analytic_maximizer(t, x, m, e, z)
     lo, hi = model.action_bounds
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"numeric maximization needs finite action_bounds lo < hi, got {lo, hi}")
     x = np.asarray(x, dtype=float)
 
     def objective(a):
-        return model.drift_b(t, x, flow, e, a) * z + model.running_cost_L(t, x, flow, e, a)
+        return model.drift_b(t, x, m, e, a) * z + model.running_cost_L(t, x, m, e, a)
 
     grid = np.linspace(lo, hi, DEFAULT_PROBES)
     vals = np.stack([np.broadcast_to(objective(a), x.shape) for a in grid])
@@ -364,7 +358,7 @@ def maximize_hamiltonian(model: ModelSpec, t, x, flow, e, z):
     return float(a_star) if a_star.ndim == 0 else a_star
 
 
-def _recommended(model: ModelSpec, t, x, flow, e, zsig):
+def _recommended(model: ModelSpec, t, x, m, e, zsig):
     """(alpha, b_hat, L_hat) at the slope zsig = z/sigma.
 
     The one place the Hamiltonian maximizer runs for the simulation and
@@ -373,13 +367,13 @@ def _recommended(model: ModelSpec, t, x, flow, e, zsig):
     + L_hat is left to the callers that read it, so that the ones that do
     not (the limit objective, terminal-law simulation) skip its two passes.
     """
-    a_star = maximize_hamiltonian(model, t, x, flow, e, zsig)
-    b_hat = model.drift_b(t, x, flow, e, a_star)
-    L_hat = model.running_cost_L(t, x, flow, e, a_star)
+    a_star = maximize_hamiltonian(model, t, x, m, e, zsig)
+    b_hat = model.drift_b(t, x, m, e, a_star)
+    L_hat = model.running_cost_L(t, x, m, e, a_star)
     return a_star, b_hat, L_hat
 
 
-def reduced_coefficients(model: ModelSpec, t, x, flow, e, z):
+def reduced_coefficients(model: ModelSpec, t, x, m, e, z):
     """(b_hat, L_hat, H) with the maximizer evaluated at slope z/sigma.
 
     b_hat = b(·, alpha), L_hat = L(·, alpha) with alpha the maximizer at
@@ -390,5 +384,5 @@ def reduced_coefficients(model: ModelSpec, t, x, flow, e, z):
     maximizer.
     """
     zsig = slope_over_sigma(z, model.vol_sigma(t, x))
-    _, b_hat, L_hat = _recommended(model, t, x, flow, e, zsig)
+    _, b_hat, L_hat = _recommended(model, t, x, m, e, zsig)
     return b_hat, L_hat, b_hat * zsig + L_hat

@@ -24,7 +24,7 @@ import numpy as np
 
 from .contracts import _contract_pass, _g_inverse
 from .estimates import MCEstimate, mean_se
-from .measures import EmpiricalMeasure, MeasureFlow
+from .measures import EmpiricalMeasure
 from .mkv_control import analytic_multitask
 from .model import ModelSpec, MultitaskParams, exp_saturating_utility, multitask_model
 from .sde_engine import SeedSpec, SimGrid
@@ -99,11 +99,11 @@ def estimate_n_player_value(
     )
     for reps, x, y, _, lp_acc in passes:
         for i, r in enumerate(reps):
-            flow1 = MeasureFlow.single(grid.horizon_T, EmpiricalMeasure(x[i]))
-            xi = float(_g_inverse(model, flow1, float(y[i])))
+            m = EmpiricalMeasure(x[i])
+            xi = float(_g_inverse(model, m, float(y[i])))
             v = (
                 float(np.mean(model.production_utility_Upsilon(x[i])))
-                - float(model.principal_terminal_cost_gP(flow1, xi))
+                - float(model.principal_terminal_cost_gP(m, xi))
                 - float(np.mean(lp_acc[i]))
             )
             v_vals[r] = v

@@ -12,7 +12,9 @@ scheme is explicit Euler with the measure updated simultaneously with the
 states: the coefficients at step k see the measure of the step-k states.
 
 Every step loop in the package runs on one private stepper, _euler_steps.
-It steps an (n,) ensemble or a (batch, n) stack of ensembles, makes one
+It steps an (n,) ensemble or a (batch, n) stack of ensembles, hands the
+coefficients one EmpiricalMeasure of that state (whose statistics are
+floats for an ensemble and (batch, 1) columns for a stack), makes one
 maximizer call per step (model._recommended), and applies the one guard:
 sigma must be finite and >= 0 (NumericDomainError), and every state must
 stay finite with |X| <= blowup_threshold (SimulationBlowupError). It yields
@@ -47,7 +49,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .measures import BatchedEmpiricalMeasure, EmpiricalMeasure, MeasureFlow
+from .measures import EmpiricalMeasure
 from .model import ModelSpec, NumericDomainError, _recommended, slope_over_sigma
 
 DEFAULT_N_PROXY = 100_000
@@ -81,8 +83,8 @@ class SimGrid:
     steps: int
 
     def __post_init__(self):
-        if not (self.horizon_T > 0):
-            raise ValueError(f"horizon_T must be positive, got {self.horizon_T}")
+        if not (0 < self.horizon_T < math.inf):
+            raise ValueError(f"horizon_T must be positive and finite, got {self.horizon_T}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
@@ -155,9 +157,6 @@ class ParticlePaths:
     @property
     def n_steps(self) -> int:
         return self.states.shape[1] - 1
-
-    def terminal_measure(self) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.states[:, -1])
 
 
 def _initial_states(model: ModelSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -253,10 +252,9 @@ def _euler_steps(
     times = grid.nodes
     dt = grid.dt
     sqdt = math.sqrt(dt)
-    measure = EmpiricalMeasure if x.ndim == 1 else BatchedEmpiricalMeasure
     for k in range(grid.steps):
         t = float(times[k])
-        m = measure(x)
+        m = EmpiricalMeasure(x)
         e = aleph(t, x)
         z = gamma(t, x)
         sig = model.vol_sigma(t, x)
@@ -300,15 +298,14 @@ def simulate_particles(
     grid: SimGrid,
     seed: SeedLike,
     blowup_threshold: float = BLOWUP_THRESHOLD,
-) -> tuple[ParticlePaths, MeasureFlow]:
+) -> ParticlePaths:
     """Simulate the n-agent system under feedback fields gamma and aleph.
 
     gamma(t, x) is the payment slope and aleph(t, x) the payment-rate field;
     both must broadcast over the length-n state vector. Each agent plays the
     Hamiltonian-optimal response to slope gamma/sigma.
 
-    Returns the materialized paths together with the flow of empirical
-    measures at every grid node. Raises SimulationBlowupError if a state
+    Returns the materialized paths. Raises SimulationBlowupError if a state
     leaves [-blowup_threshold, blowup_threshold] or goes non-finite.
     """
     rng = _as_generator(seed)
@@ -323,12 +320,7 @@ def simulate_particles(
         states[:, k + 1] = step.x_next
         incs[:, k] = step.dW
 
-    times = grid.nodes
-    paths = ParticlePaths(times=times, states=states, increments=incs)
-    flow = MeasureFlow(
-        times, [EmpiricalMeasure(states[:, k]) for k in range(grid.steps + 1)]
-    )
-    return paths, flow
+    return ParticlePaths(times=grid.nodes, states=states, increments=incs)
 
 
 def simulate_terminal_measure(

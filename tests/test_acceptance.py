@@ -239,14 +239,14 @@ def test_hamiltonian_envelope_zero_violations():
         for _ in range(500):  # 2 models x 500 = 10^3 tuples
             t = float(rng.uniform(0, 1))
             x = float(rng.uniform(-2, 2))
-            flow = EmpiricalMeasure(rng.standard_normal(8))
+            m = EmpiricalMeasure(rng.standard_normal(8))
             z = float(rng.uniform(-4, 4))
-            _, _, big_h = reduced_coefficients(model, t, x, flow, 0.0, z)
-            h_vals = hamiltonian_h(model, t, x, flow, 0.0, z, probes)
+            _, _, big_h = reduced_coefficients(model, t, x, m, 0.0, z)
+            h_vals = hamiltonian_h(model, t, x, m, 0.0, z, probes)
             assert np.all(h_vals <= big_h + 1e-10), (t, x, z)
             zsig = slope_over_sigma(z, model.vol_sigma(t, x))
-            a_hat = maximize_hamiltonian(model, t, x, flow, 0.0, zsig)
-            h_at_max = hamiltonian_h(model, t, x, flow, 0.0, z, a_hat)
+            a_hat = maximize_hamiltonian(model, t, x, m, 0.0, zsig)
+            h_at_max = hamiltonian_h(model, t, x, m, 0.0, z, a_hat)
             assert abs(big_h - h_at_max) <= 1e-8, (t, x, z, a_hat)
     _report("Hamiltonian envelope, zero violations", True)
 

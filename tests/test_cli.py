@@ -457,8 +457,9 @@ def _policy_opt_config(**policy):
 
 
 # Each of these fields is checked before any work starts: the library would
-# otherwise fail mid-run on it, report an se of 0 from one particle, or treat
-# a truncation level of -inf as no truncation.
+# otherwise fail mid-run on it, report an se of 0 from one particle, treat
+# a truncation level of -inf as no truncation, or report an infinite horizon
+# as a blow-up at its first step.
 @pytest.mark.parametrize(
     "command, cfg, field",
     [
@@ -469,6 +470,11 @@ def _policy_opt_config(**policy):
         ("multitask-convergence", _conv_config(**{"model.sigma_scale": 3.0}), "model.sigma_scale"),
         ("contract-eval", {**_contract_config(), "policy": {"Y0": -1.0}}, "policy.Y0"),
         ("contract-eval", {**_contract_config(), "policy": {"truncation_l": "-inf"}}, "policy.truncation_l"),
+        (
+            "contract-eval",
+            {**_contract_config(), "model": {"name": "multitask", "T": "inf", "params": {"kappa_bar": 0.0}}},
+            "model.T",
+        ),
     ],
     ids=[
         "bounds-reversed",
@@ -478,6 +484,7 @@ def _policy_opt_config(**policy):
         "convergence-sigma-scale",
         "contract-y0-below-reservation",
         "contract-truncation-minus-inf",
+        "contract-horizon-inf",
     ],
 )
 def test_config_error_names_field(tmp_path, capsys, command, cfg, field):

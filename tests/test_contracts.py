@@ -40,10 +40,10 @@ def _gamma_hat(kappa):
 
 def _simulated(contract, model, n, steps, key=0):
     grid = SimGrid(1.0, steps)
-    paths, flow = simulate_particles(
+    paths = simulate_particles(
         model, contract.gamma_l, contract.aleph_l, n, grid, SeedSpec(42).child(key)
     )
-    return paths, flow
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -64,16 +64,17 @@ def test_truncation_fields():
     assert np.all((-1.0 - EXACT <= gs) & (gs <= 1.0 + EXACT))
     free = Contract(Y0=0.0, gamma=lambda t, x: 2.0 * x, aleph=_zero)
     assert np.array_equal(free.gamma_l(0.0, x), 2.0 * x)
-    with pytest.raises(ValueError):
-        Contract(Y0=0.0, gamma=_zero, aleph=_zero, truncation_l=math.nan)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            Contract(Y0=0.0, gamma=_zero, aleph=_zero, truncation_l=bad)
 
 
 def test_floor_check():
     model = multitask_model(MultitaskParams(0.0), R=1.0)
     c = Contract(Y0=0.5, gamma=_zero, aleph=_zero)
-    paths, flow = _simulated(Contract(Y0=1.0, gamma=_zero, aleph=_zero), model, 4, 5)
+    paths = _simulated(Contract(Y0=1.0, gamma=_zero, aleph=_zero), model, 4, 5)
     with pytest.raises(ValueError):
-        evaluate_terminal_payment(c, model, paths, flow)
+        evaluate_terminal_payment(c, model, paths)
     with pytest.raises(ValueError):
         contract_report(c, model, 4, SimGrid(1.0, 5), 2, SeedSpec(0))
 
@@ -89,8 +90,8 @@ def test_zero_slope_pays_exactly_y0():
     model = multitask_model(MultitaskParams(0.5), nu=normal_law())
     c = Contract(Y0=0.25, gamma=_zero, aleph=_zero)
     model = replace(model, reservation_R=0.0)
-    paths, flow = _simulated(c, model, 30, 20)
-    xi, y_path = evaluate_terminal_payment(c, model, paths, flow)
+    paths = _simulated(c, model, 30, 20)
+    xi, y_path = evaluate_terminal_payment(c, model, paths)
     assert xi == 0.25
     assert np.all(y_path == 0.25)
 
@@ -102,8 +103,8 @@ def test_constant_slope_pathwise_identity():
     cval = 0.8
     model = multitask_model(MultitaskParams(0.0), nu=normal_law())
     c = Contract(Y0=0.1, gamma=lambda t, x: cval, aleph=_zero)
-    paths, flow = _simulated(c, model, 25, 32)
-    xi, y_path = evaluate_terminal_payment(c, model, paths, flow)
+    paths = _simulated(c, model, 25, 32)
+    xi, y_path = evaluate_terminal_payment(c, model, paths)
     expected = 0.1 + 0.5 * cval * cval + cval * float(np.mean(paths.increments.sum(axis=1)))
     assert abs(xi - expected) <= PATH_TOL
     assert xi == y_path[-1]  # identity g
@@ -118,10 +119,10 @@ def test_expected_payment_identity():
     grid = SimGrid(1.0, steps)
     xis = []
     for r in range(reps):
-        paths, flow = simulate_particles(
+        paths = simulate_particles(
             model, c.gamma_l, c.aleph_l, n, grid, SeedSpec(7).child(r)
         )
-        xi, _ = evaluate_terminal_payment(c, model, paths, flow)
+        xi, _ = evaluate_terminal_payment(c, model, paths)
         xis.append(xi)
     xis = np.asarray(xis)
     dt = grid.dt
@@ -136,9 +137,9 @@ def test_recommended_controls_follow_truncated_slope():
     kappa = 0.5
     model = multitask_model(MultitaskParams(kappa))
     c = Contract(Y0=0.0, gamma=_gamma_hat(kappa), aleph=_zero, truncation_l=1.2)
-    paths, _ = _simulated(c, model, 10, 8)
+    paths = _simulated(c, model, 10, 8)
     forced_play = lambda t, x, m, e, z: min(_gamma_hat(kappa)(t, x), 1.2)
-    forced, _ = simulate_particles(
+    forced = simulate_particles(
         replace(model, analytic_maximizer=forced_play),
         c.gamma_l,
         c.aleph_l,
@@ -148,24 +149,24 @@ def test_recommended_controls_follow_truncated_slope():
     )
     assert np.array_equal(paths.states, forced.states)
     # the truncation binds early on, so this is not the untruncated response
-    free, _ = _simulated(replace(c, truncation_l=math.inf), model, 10, 8)
+    free = _simulated(replace(c, truncation_l=math.inf), model, 10, 8)
     assert not np.array_equal(paths.states, free.states)
 
 
 def test_g_inverse_failure_is_wrapped():
     model = multitask_model(MultitaskParams(0.0))
 
-    def bad_inverse(flow, y):
+    def bad_inverse(m, y):
         raise ArithmeticError("no inverse here")
 
     broken = replace(model, g_inverse=bad_inverse)
     c = Contract(Y0=0.0, gamma=_zero, aleph=_zero)
-    paths, flow = _simulated(c, model, 4, 5)
+    paths = _simulated(c, model, 4, 5)
     with pytest.raises(ContractEvaluationError):
-        evaluate_terminal_payment(c, broken, paths, flow)
-    nonfinite = replace(model, g_inverse=lambda flow, y: math.inf)
+        evaluate_terminal_payment(c, broken, paths)
+    nonfinite = replace(model, g_inverse=lambda m, y: math.inf)
     with pytest.raises(ContractEvaluationError):
-        evaluate_terminal_payment(c, nonfinite, paths, flow)
+        evaluate_terminal_payment(c, nonfinite, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +177,8 @@ def test_g_inverse_failure_is_wrapped():
 def test_mkv_payment_zero_slope_levels():
     model = multitask_model(MultitaskParams(0.5), nu=normal_law())
     c = Contract(Y0=0.4, gamma=_zero, aleph=_zero)
-    paths, flow = _simulated(c, model, 20, 10)
-    payment, levels = mkv_contract_payment(c, model, paths, flow, return_levels=True)
+    paths = _simulated(c, model, 20, 10)
+    payment, levels = mkv_contract_payment(c, model, paths, return_levels=True)
     assert np.all(levels == 0.4)  # per-path levels never move
     assert abs(payment - 0.4) <= EXACT  # averaging them rounds in the last ulp
 
@@ -186,10 +187,10 @@ def test_mkv_payment_averages_levels_before_inverting():
     # distinguishable only through a nonlinear g^{-1}: the payment must be
     # g^{-1}(mean(levels)), not mean(g^{-1}(levels))
     model = multitask_model(MultitaskParams(0.0), nu=normal_law())
-    cubed = replace(model, g_inverse=lambda flow, y: y**3)
+    cubed = replace(model, g_inverse=lambda m, y: y**3)
     c = Contract(Y0=0.0, gamma=lambda t, x: 1.0, aleph=_zero)
-    paths, flow = _simulated(c, model, 30, 12)
-    payment, levels = mkv_contract_payment(c, cubed, paths, flow, return_levels=True)
+    paths = _simulated(c, model, 30, 12)
+    payment, levels = mkv_contract_payment(c, cubed, paths, return_levels=True)
     assert payment == float(np.mean(levels)) ** 3
     assert abs(payment - np.mean(levels**3)) > 1e-6  # really a different number
 
@@ -200,9 +201,9 @@ def test_mkv_payment_matches_ensemble_accumulation_for_linear_g():
     kappa = 0.5
     model = multitask_model(MultitaskParams(kappa, b_bar=10.0), nu=normal_law())
     c = Contract(Y0=0.0, gamma=_gamma_hat(kappa), aleph=_zero)
-    paths, flow = _simulated(c, model, 40, 25)
-    xi, _ = evaluate_terminal_payment(c, model, paths, flow)
-    payment = mkv_contract_payment(c, model, paths, flow)
+    paths = _simulated(c, model, 40, 25)
+    xi, _ = evaluate_terminal_payment(c, model, paths)
+    payment = mkv_contract_payment(c, model, paths)
     assert abs(xi - payment) <= PATH_TOL
 
 
@@ -220,8 +221,8 @@ def test_mkv_payment_closed_form_on_multitask():
     am = analytic_multitask(MultitaskParams(kappa), R=R)
     model = multitask_model(MultitaskParams(kappa), R=R)
     c = Contract(Y0=R, gamma=am.gamma_hat, aleph=_zero)
-    paths, flow = _simulated(c, model, N, 100)
-    xi, levels = mkv_contract_payment(c, model, paths, flow, return_levels=True)
+    paths = _simulated(c, model, N, 100)
+    xi, levels = mkv_contract_payment(c, model, paths, return_levels=True)
     se_xi = float(np.std(levels, ddof=1)) / math.sqrt(N)
     assert abs(xi - am.xi_mean) <= 3.0 * se_xi
     x_T = paths.states[:, -1]
@@ -320,8 +321,8 @@ def test_report_payment_equals_replay_pipeline(model_name, monkeypatch):
         assert [len(r) for r, _, _ in chunks] == [2, 2, 1]
     rep = contract_report(c, model, n, grid, reps, seed)
     for r in range(reps):
-        paths, flow = simulate_particles(model, c.gamma_l, c.aleph_l, n, grid, seed.child(r))
-        xi, _ = evaluate_terminal_payment(c, model, paths, flow)
+        paths = simulate_particles(model, c.gamma_l, c.aleph_l, n, grid, seed.child(r))
+        xi, _ = evaluate_terminal_payment(c, model, paths)
         assert rep["per_replication"]["xi"][r] == xi
         v = float(np.mean(model.production_utility_Upsilon(paths.states[:, -1]))) - xi
         assert rep["per_replication"]["principal_value"][r] == v

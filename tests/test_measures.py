@@ -1,4 +1,4 @@
-"""Tests for the empirical-measure layer: statistics, distances, flows."""
+"""Tests for the empirical-measure layer: statistics, stacks, distances."""
 
 import itertools
 
@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from palab.measures import (
-    BatchedEmpiricalMeasure,
-    EmpiricalMeasure,
-    MeasureFlow,
-    wasserstein_p,
-)
+from palab.measures import EmpiricalMeasure, wasserstein_p
 
 EXACT = 1e-12
 N_PROPERTY_TRIALS = 200
@@ -36,11 +31,13 @@ def test_clamped_mean_examples():
     assert EmpiricalMeasure([10.0, 20.0]).clamped_mean(0.5) == 0.5
 
 
-def test_empty_or_2d_rejected():
+def test_empty_or_3d_rejected():
     with pytest.raises(ValueError):
         EmpiricalMeasure([])
     with pytest.raises(ValueError):
-        EmpiricalMeasure(np.zeros((3, 2)))
+        EmpiricalMeasure(np.zeros((3, 0)))
+    with pytest.raises(ValueError):
+        EmpiricalMeasure(np.zeros((3, 2, 2)))
 
 
 def test_wasserstein_two_atoms():
@@ -133,41 +130,30 @@ def test_wasserstein_p_below_one_rejected():
         wasserstein_p(a, a, 0.5)
 
 
-def test_flow_validation():
-    times = np.array([0.0, 0.5, 1.0])
-    ms = [EmpiricalMeasure(np.arange(1, 5, dtype=float)) for _ in range(3)]
-    flow = MeasureFlow(times, ms)
-    assert len(flow) == 3
-    assert flow.terminal is ms[-1]
-    assert flow.at(1) is ms[1]
+def test_wasserstein_rejects_stacked_measure():
+    a = EmpiricalMeasure([0.0, 1.0])
+    stack = EmpiricalMeasure([[0.0, 1.0], [2.0, 3.0]])
     with pytest.raises(ValueError):
-        MeasureFlow(times, ms[:2])  # length mismatch
+        wasserstein_p(a, stack)
     with pytest.raises(ValueError):
-        MeasureFlow(
-            np.array([0.0, 1.0]),
-            [EmpiricalMeasure([1.0, 2.0]), EmpiricalMeasure([1.0, 2.0, 3.0])],
-        )
-
-
-def test_flow_single():
-    m = EmpiricalMeasure([1.0, 2.0])
-    flow = MeasureFlow.single(1.0, m)
-    assert len(flow) == 1 and flow.terminal is m
+        wasserstein_p(stack, a)
 
 
 def test_batched_measure_matches_rowwise():
+    # A (batch, n) stack gives each row's lone statistic bit for bit, as a
+    # (batch, 1) column.
     rng = np.random.default_rng(11)
     states = rng.standard_normal((5, 64))
-    bm = BatchedEmpiricalMeasure(states)
+    bm = EmpiricalMeasure(states)
     assert len(bm) == 64
-    for stat, args in [("mean", ()), ("moment", (2.0,)), ("clamped_mean", (0.7,))]:
+    stats = [("mean", ()), ("moment", (2.0,)), ("clamped_mean", (0.7,)), ("clamped_mean", (np.inf,))]
+    for stat, args in stats:
         col = getattr(bm, stat)(*args)
         assert col.shape == (5, 1)
         for i in range(5):
-            row = EmpiricalMeasure(states[i])
-            assert abs(col[i, 0] - getattr(row, stat)(*args)) <= EXACT
-    with pytest.raises(ValueError):
-        BatchedEmpiricalMeasure(np.zeros(3))
+            lone = getattr(EmpiricalMeasure(states[i]), stat)(*args)
+            assert isinstance(lone, float)
+            assert col[i, 0] == lone
 
 
 def test_quantiles_left_continuous():

@@ -191,10 +191,10 @@ def _bimodal_model():
         drift_b=lambda t, x, m, e, a: np.asarray(a, dtype=float),
         vol_sigma=lambda t, x: 1.0,
         running_cost_L=lambda t, x, m, e, a: -((np.asarray(a) ** 2 - 1.0) ** 2),
-        terminal_utility_g=lambda flow, e: e,
-        g_inverse=lambda flow, y: y,
+        terminal_utility_g=lambda m, e: e,
+        g_inverse=lambda m, y: y,
         principal_running_cost_LP=lambda t, e: 0.0,
-        principal_terminal_cost_gP=lambda flow, e: e,
+        principal_terminal_cost_gP=lambda m, e: e,
         production_utility_Upsilon=lambda x: x,
         principal_utility_U=identity_utility,
         initial_law_nu=point_mass(0.0),

@@ -80,10 +80,10 @@ def test_matches_contract_pipeline_stepwise():
     )
     contract = Contract(Y0=model.reservation_R, gamma=am.gamma_hat, aleph=_zero)
     for r in range(reps):
-        paths, flow = simulate_particles(
+        paths = simulate_particles(
             model, contract.gamma_l, contract.aleph_l, n, grid, seed.child(r)
         )
-        xi, y_path = evaluate_terminal_payment(contract, model, paths, flow)
+        xi, y_path = evaluate_terminal_payment(contract, model, paths)
         assert abs(y_path[-1] - details["y_T"][r]) <= EXACT
         assert abs(xi - details["xi"][r]) <= EXACT
 
@@ -104,8 +104,8 @@ def test_chunked_replications_equal_lone_replays(monkeypatch):
     _, details = estimate_n_player_value(model, policy, n, grid, reps, seed, return_details=True)
     contract = Contract(Y0=model.reservation_R, gamma=gamma, aleph=_zero)
     for r in range(reps):
-        paths, flow = simulate_particles(model, gamma, _zero, n, grid, seed.child(r))
-        xi, y_path = evaluate_terminal_payment(contract, model, paths, flow)
+        paths = simulate_particles(model, gamma, _zero, n, grid, seed.child(r))
+        xi, y_path = evaluate_terminal_payment(contract, model, paths)
         v = float(np.mean(model.production_utility_Upsilon(paths.states[:, -1]))) - xi
         assert details["y_T"][r] == y_path[-1]
         assert details["xi"][r] == xi
@@ -169,18 +169,18 @@ def test_nonfinite_level_raises():
     model = replace(
         multitask_model(MultitaskParams(0.5), nu=normal_law()),
         running_cost_L=lambda t, x, m, e, a: -math.inf,
-        g_inverse=lambda flow, y: np.tanh(y),
+        g_inverse=lambda m, y: np.tanh(y),
     )
     grid, seed = SimGrid(1.0, 5), SeedSpec(0)
     gamma = lambda t, x: 1.0
     contract = Contract(Y0=0.0, gamma=gamma, aleph=_zero)
-    paths, flow = simulate_particles(model, gamma, _zero, 4, grid, seed)
+    paths = simulate_particles(model, gamma, _zero, 4, grid, seed)
     runs = [
         lambda: estimate_n_player_value(model, NPlayerPolicy.from_gamma(gamma, 4), 4, grid, 3, seed),
         lambda: contract_report(contract, model, 4, grid, 3, seed),
         lambda: joint_deviation_scan(contract, model, [0.0, 1.0], 2, grid, 3, seed),
-        lambda: evaluate_terminal_payment(contract, model, paths, flow),
-        lambda: mkv_contract_payment(contract, model, paths, flow),
+        lambda: evaluate_terminal_payment(contract, model, paths),
+        lambda: mkv_contract_payment(contract, model, paths),
     ]
     for run in runs:
         with pytest.raises(NumericDomainError, match="t=0$"):
@@ -189,7 +189,7 @@ def test_nonfinite_level_raises():
 
 def test_nonfinite_payment_raises():
     # the estimator pays through the same checked g^{-1} as contract_report
-    model = replace(multitask_model(MultitaskParams(0.5)), g_inverse=lambda flow, y: math.nan)
+    model = replace(multitask_model(MultitaskParams(0.5)), g_inverse=lambda m, y: math.nan)
     policy = NPlayerPolicy.from_gamma(lambda t, x: 1.0, 4)
     with pytest.raises(ContractEvaluationError):
         estimate_n_player_value(model, policy, 4, SimGrid(1.0, 5), 3, SeedSpec(0))

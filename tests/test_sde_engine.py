@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import conftest
-from palab.mkv_control import evaluate_limit_objective
+from palab.mkv_control import PolicyParam, evaluate_limit_objective, optimize_policy
 from palab.model import (
     MultitaskParams,
     NumericDomainError,
@@ -51,6 +51,8 @@ def test_grid_basics():
         SimGrid(1.0, 0)
     with pytest.raises(ValueError):
         SimGrid(-1.0, 10)
+    with pytest.raises(ValueError):
+        SimGrid(math.inf, 5)
 
 
 def test_seedspec_child_matches_keyed_generator():
@@ -80,17 +82,16 @@ def test_seedspec_distinct_keys_distinct_streams():
 def test_simulation_bitwise_deterministic():
     model = multitask_model(MultitaskParams(0.5), nu=normal_law())
     grid = SimGrid(1.0, 25)
-    p1, f1 = simulate_particles(model, _one, _zero, 50, grid, SeedSpec(9).child(0))
-    p2, f2 = simulate_particles(model, _one, _zero, 50, grid, SeedSpec(9).child(0))
+    p1 = simulate_particles(model, _one, _zero, 50, grid, SeedSpec(9).child(0))
+    p2 = simulate_particles(model, _one, _zero, 50, grid, SeedSpec(9).child(0))
     assert p1.states.tobytes() == p2.states.tobytes()
     assert p1.increments.tobytes() == p2.increments.tobytes()
-    p3, _ = simulate_particles(model, _one, _zero, 50, grid, SeedSpec(9).child(1))
+    p3 = simulate_particles(model, _one, _zero, 50, grid, SeedSpec(9).child(1))
     assert p1.states.tobytes() != p3.states.tobytes()
-    # shapes and flow bookkeeping
+    # shapes and grid bookkeeping
     assert p1.states.shape == (50, 26)
     assert p1.n_particles == 50 and p1.n_steps == 25
-    assert len(f1) == 26
-    assert np.array_equal(f1.terminal.samples, p1.states[:, -1])
+    assert np.array_equal(p1.times, grid.nodes)
 
 
 class _PermutedDraws(np.random.Generator):
@@ -118,16 +119,16 @@ def test_exchangeability_under_relabeling():
     grid = SimGrid(1.0, 20)
     g_plain = np.random.Generator(np.random.Philox(314))
     g_perm = _PermutedDraws(np.random.Philox(314), p)
-    paths1, _ = simulate_particles(model, _one, _zero, n, grid, g_plain)
-    paths2, _ = simulate_particles(model, _one, _zero, n, grid, g_perm)
+    paths1 = simulate_particles(model, _one, _zero, n, grid, g_plain)
+    paths2 = simulate_particles(model, _one, _zero, n, grid, g_perm)
     assert np.array_equal(paths2.states, paths1.states[p, :])
     # with interaction the ensemble mean re-sums in a different order, so
     # agreement is to rounding, not bitwise
     model_i = multitask_model(MultitaskParams(0.5), nu=normal_law())
-    paths3, _ = simulate_particles(
+    paths3 = simulate_particles(
         model_i, _one, _zero, n, grid, np.random.Generator(np.random.Philox(314))
     )
-    paths4, _ = simulate_particles(
+    paths4 = simulate_particles(
         model_i, _one, _zero, n, grid, _PermutedDraws(np.random.Philox(314), p)
     )
     assert np.allclose(paths4.states, paths3.states[p, :], atol=1e-10)
@@ -136,16 +137,26 @@ def test_exchangeability_under_relabeling():
 def test_terminal_measure_matches_full_paths():
     model = multitask_model(MultitaskParams(0.5), nu=normal_law())
     grid = SimGrid(1.0, 30)
-    paths, _ = simulate_particles(model, _one, _zero, 40, grid, SeedSpec(4).child(2))
+    paths = simulate_particles(model, _one, _zero, 40, grid, SeedSpec(4).child(2))
     m = simulate_terminal_measure(model, _one, _zero, 40, grid, SeedSpec(4).child(2))
     assert np.array_equal(m.samples, paths.states[:, -1])
 
 
 def test_initial_law_shape_checked():
+    # Every entry point draws its initial states through the one check, the
+    # limit objective and the policy search included.
     model = multitask_model(MultitaskParams(0.0))
     bad = replace(model, initial_law_nu=lambda n, rng: np.zeros((n, 1)))
-    with pytest.raises(ValueError):
-        simulate_particles(bad, _zero, _zero, 5, SimGrid(1.0, 2), SeedSpec(0))
+    grid = SimGrid(1.0, 2)
+    policy = PolicyParam([0.0, 1.0], [1.0], [0.0], [0.0], [0.0])
+    runs = [
+        lambda: simulate_particles(bad, _zero, _zero, 5, grid, SeedSpec(0)),
+        lambda: evaluate_limit_objective(bad, (_zero, _zero), 5, grid, SeedSpec(0)),
+        lambda: optimize_policy(bad, policy, 5, grid, SeedSpec(0), budget=2),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="initial law returned shape"):
+            run()
 
 
 def test_negative_volatility_rejected():
@@ -191,7 +202,7 @@ def test_deterministic_ode_limit():
     model = replace(model, vol_sigma=lambda t, x: 0.0)
     grid = SimGrid(1.0, 64)
     forced = replace(model, analytic_maximizer=lambda t, x, m, e, z: 1.0)
-    paths, _ = simulate_particles(forced, _zero, _zero, 3, grid, SeedSpec(0))
+    paths = simulate_particles(forced, _zero, _zero, 3, grid, SeedSpec(0))
     assert np.all(paths.states[:, -1] == 1.0)
     # zero slope with zero volatility is the tolerated 0/0 case
     m = simulate_terminal_measure(model, _zero, _zero, 3, grid, SeedSpec(0))
@@ -206,7 +217,7 @@ def test_ensemble_mean_replays_linear_recursion():
     model = multitask_model(MultitaskParams(kappa, b_bar=10.0))
     grid = SimGrid(1.0, 40)
     gamma = lambda t, x: math.exp(kappa * (1.0 - t))
-    paths, _ = simulate_particles(model, gamma, _zero, 500, grid, SeedSpec(21))
+    paths = simulate_particles(model, gamma, _zero, 500, grid, SeedSpec(21))
     xbar = float(np.mean(paths.states[:, 0]))
     dt = grid.dt
     for k in range(grid.steps):
@@ -255,7 +266,7 @@ def _held_states(x0):
         vol_sigma=lambda t, x: 0.0,
         initial_law_nu=lambda n, rng: np.array(x0, dtype=float),
     )
-    paths, _ = simulate_particles(model, _zero, _zero, len(x0), SimGrid(1.0, 1), SeedSpec(0), blowup_threshold=2.0)
+    paths = simulate_particles(model, _zero, _zero, len(x0), SimGrid(1.0, 1), SeedSpec(0), blowup_threshold=2.0)
     return paths.states[:, -1]
 
 
@@ -288,7 +299,7 @@ def test_blowup_guard_admits_states_at_threshold():
 def test_ito_integral_identities():
     model = multitask_model(MultitaskParams(0.5), nu=normal_law())
     grid = SimGrid(1.0, 16)
-    paths, _ = simulate_particles(model, _one, _zero, 12, grid, SeedSpec(13))
+    paths = simulate_particles(model, _one, _zero, 12, grid, SeedSpec(13))
     one = lambda t, x: np.ones_like(x)
     # integral of 1 dX telescopes
     got = ito_integral(paths, one, against="dX")
@@ -317,7 +328,7 @@ def test_ito_integral_left_endpoint():
 def test_paths_csv(tmp_path):
     model = multitask_model(MultitaskParams(0.0), nu=normal_law())
     grid = SimGrid(1.0, 3)
-    paths, _ = simulate_particles(model, _zero, _zero, 4, grid, SeedSpec(2))
+    paths = simulate_particles(model, _zero, _zero, 4, grid, SeedSpec(2))
     out = tmp_path / "paths.csv"
     save_paths_csv(paths, str(out))
     lines = out.read_text().strip().split("\n")
