@@ -63,7 +63,6 @@ from .sde_engine import (
     SeedSpec,
     SimGrid,
     SimulationBlowupError,
-    ito_integral,
     save_paths_csv,
     simulate_particles,
     simulate_terminal_measure,
@@ -100,7 +99,6 @@ __all__ = [
     "gap_sweep",
     "hamiltonian_h",
     "identity_utility",
-    "ito_integral",
     "joint_deviation_scan",
     "maximize_hamiltonian",
     "mean_se",

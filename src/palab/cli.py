@@ -91,7 +91,6 @@ from .sde_engine import (
     SeedSpec,
     SimGrid,
     SimulationBlowupError,
-    ito_integral,
     save_paths_csv,
     simulate_particles,
     simulate_terminal_measure,
@@ -292,10 +291,10 @@ def _build_model(plan: dict):
     nu, U = _nu_and_U(plan)
     if plan["name"] == "multitask":
         params = MultitaskParams(plan["kappa_bar"], plan["b_bar"])
-        model = multitask_model(params, R=plan["R"], T=plan["T"], nu=nu, U=U)
+        model = multitask_model(params, R=plan["R"], nu=nu, U=U)
     else:
         model = quadratic_generic_model(
-            a_base=plan["a_base"], sigma0=plan["sigma0"], R=plan["R"], T=plan["T"], nu=nu, U=U
+            a_base=plan["a_base"], sigma0=plan["sigma0"], R=plan["R"], nu=nu, U=U
         )
     s = plan["sigma_scale"]
     if s != 1.0:
@@ -433,8 +432,8 @@ def _write_run_meta(out_dir: str, command: str, ec: ExperimentConfig, workers: i
 def _map_ordered(fn: Callable, plan, count: int, workers: int) -> list:
     """[fn(plan, i) for i in range(count)], on a process pool when it can help.
 
-    Every task's random streams are keyed by (master_seed, task index)
-    alone, so the results are identical for any workers value.
+    Every task's random streams are keyed by master_seed and a stable key
+    of the task alone, so the results are identical for any workers value.
     """
     if workers <= 1 or count <= 1:
         return [fn(plan, i) for i in range(count)]
@@ -478,8 +477,8 @@ def _chaos_worker(plan: dict, r: int) -> list:
 
 
 def _self_check_worker(master_seed: int, i: int) -> dict:
-    name, fn = _SELF_CHECKS[i]
-    result = fn(SeedSpec(master_seed).child(i))
+    name, key, fn = _SELF_CHECKS[i]
+    result = fn(SeedSpec(master_seed).child(key))
     result["name"] = name
     return _sanitize(result)
 
@@ -855,8 +854,8 @@ def cmd_chaos(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
 # self-check battery
 # ---------------------------------------------------------------------------
 # Each check is deterministic given the master seed; streams are keyed by
-# the check's registry index, never by the worker partition, so the output
-# file is byte-identical for any --workers value.
+# the check's own stream key in _SELF_CHECKS, never by the worker partition,
+# so the output file is byte-identical for any --workers value.
 
 
 def _check_limit_oracle(seed: SeedSpec) -> dict:
@@ -894,19 +893,6 @@ def _check_consistency(seed: SeedSpec) -> dict:
         "observed": {"y_T_diff": dy, "xi_diff": dxi},
         "tolerance": 1e-12,
     }
-
-
-def _check_ito(seed: SeedSpec) -> dict:
-    """Path integrals: dX telescopes, dt sums to T, dW matches increments."""
-    model = multitask_model(MultitaskParams(0.2, 5.0))
-    grid = SimGrid(1.0, 16)
-    paths = simulate_particles(model, lambda t, x: 1.0, lambda t, x: 0.0, 8, grid, seed)
-    one = lambda t, x: np.ones_like(x)
-    d1 = np.max(np.abs(ito_integral(paths, one, "dX") - (paths.states[:, -1] - paths.states[:, 0])))
-    d2 = np.max(np.abs(ito_integral(paths, one, "dt") - grid.horizon_T))
-    d3 = np.max(np.abs(ito_integral(paths, one, "dW") - paths.increments.sum(axis=1)))
-    worst = float(max(d1, d2, d3))
-    return {"passed": worst <= 1e-12, "observed": worst, "tolerance": 1e-12}
 
 
 def _check_envelope(seed: SeedSpec) -> dict:
@@ -968,13 +954,13 @@ def _check_terminal_variance(seed: SeedSpec) -> dict:
 
 
 def _check_quadrature(seed: SeedSpec) -> dict:
-    """Closed-form squared-slope integral matches adaptive quadrature."""
-    from scipy.integrate import quad
-
+    """Closed-form squared-slope integral matches 30-point Gauss-Legendre quadrature."""
+    nodes, weights = np.polynomial.legendre.leggauss(30)
+    t = 0.5 * (nodes + 1.0)  # [-1, 1] mapped onto [0, 1]
     worst = 0.0
     for kappa in (-1.0, -0.5, 0.0, 0.5, 1.0):
         am = analytic_multitask(MultitaskParams(kappa))
-        target = quad(lambda t: math.exp(2.0 * kappa * (1.0 - t)), 0.0, 1.0)[0]
+        target = 0.5 * float(weights @ np.exp(2.0 * kappa * (1.0 - t)))
         worst = max(worst, abs(am.gamma_sq_integral - target))
     return {"passed": worst <= 1e-8, "observed": worst, "tolerance": 1e-8}
 
@@ -1022,16 +1008,17 @@ def _check_seed_streams(seed: SeedSpec) -> dict:
     }
 
 
+# (name, stream key, check). A key is never reused or renumbered, so
+# deleting a check re-seeds none of the others.
 _SELF_CHECKS: list = [
-    ("limit-objective-oracle", _check_limit_oracle),
-    ("nplayer-contract-consistency", _check_consistency),
-    ("ito-integral-exactness", _check_ito),
-    ("hamiltonian-envelope", _check_envelope),
-    ("wasserstein-metric", _check_wasserstein),
-    ("terminal-variance", _check_terminal_variance),
-    ("closed-form-quadrature", _check_quadrature),
-    ("rate-fit-exactness", _check_rate_fit),
-    ("seed-stream-stability", _check_seed_streams),
+    ("limit-objective-oracle", 0, _check_limit_oracle),
+    ("nplayer-contract-consistency", 1, _check_consistency),
+    ("hamiltonian-envelope", 3, _check_envelope),
+    ("wasserstein-metric", 4, _check_wasserstein),
+    ("terminal-variance", 5, _check_terminal_variance),
+    ("closed-form-quadrature", 6, _check_quadrature),
+    ("rate-fit-exactness", 7, _check_rate_fit),
+    ("seed-stream-stability", 8, _check_seed_streams),
 ]
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .estimates import MCEstimate
 from .measures import EmpiricalMeasure
 from .model import ModelSpec, MultitaskParams
-from .sde_engine import DEFAULT_N_PROXY, SeedSpec, SimGrid, _as_generator, _euler_steps, _initial_states
+from .sde_engine import SeedSpec, SimGrid, _as_generator, _euler_steps, _initial_states
 
 _COEFF_FIELDS = ("gamma_c0", "gamma_c1", "aleph_c0", "aleph_c1")
 
@@ -184,9 +184,9 @@ def _limit_objective_from_draws(
 def evaluate_limit_objective(
     model: ModelSpec,
     policy: PolicyLike,
-    N_proxy: int = DEFAULT_N_PROXY,
-    grid: Optional[SimGrid] = None,
-    seed: Optional[SeedSpec] = None,
+    N_proxy: int,
+    grid: SimGrid,
+    seed: SeedSpec,
 ) -> MCEstimate:
     """Monte Carlo estimate of the limit objective under the given policy.
 
@@ -195,10 +195,6 @@ def evaluate_limit_objective(
     seed): the same seed always yields the same draws, so policies compared
     under one seed are compared with common random numbers.
     """
-    if grid is None:
-        grid = SimGrid(model.horizon_T, 100)
-    if seed is None:
-        raise ValueError("seed is required (pass a SeedSpec)")
     gamma, aleph = _policy_fns(policy)
     rng = _as_generator(seed)
     x0 = _initial_states(model, N_proxy, rng)
@@ -304,9 +300,9 @@ class PolicyOptResult:
 def optimize_policy(
     model: ModelSpec,
     initial: PolicyParam,
-    N_proxy: int = 20_000,
-    grid: Optional[SimGrid] = None,
-    seed: Optional[SeedSpec] = None,
+    N_proxy: int,
+    grid: SimGrid,
+    seed: SeedSpec,
     budget: int = 400,
     parts: Iterable[str] = ("gamma",),
 ) -> PolicyOptResult:
@@ -322,10 +318,6 @@ def optimize_policy(
     evaluated (never worse than the initial policy on these draws), with
     converged=False when the evaluation budget ran out first.
     """
-    if seed is None:
-        raise ValueError("seed is required (pass a SeedSpec)")
-    if grid is None:
-        grid = SimGrid(model.horizon_T, 100)
     parts = tuple(parts)
     rng = _as_generator(seed)
     x0 = _initial_states(model, N_proxy, rng)

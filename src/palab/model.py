@@ -90,7 +90,6 @@ class ModelSpec:
     production_utility_Upsilon: Callable  # (x) -> payoff
     principal_utility_U: Callable  # (v) -> utility, non-decreasing concave
     initial_law_nu: Callable  # (n, rng) -> length-n sample vector
-    horizon_T: float
     reservation_R: float
     action_bounds: tuple[float, float] = (-64.0, 64.0)
     analytic_maximizer: Optional[Callable] = None  # (t, x, m, e, z) -> action
@@ -156,7 +155,6 @@ def exp_saturating_utility(v):
 def multitask_model(
     params: MultitaskParams,
     R: float = 0.0,
-    T: float = 1.0,
     nu: Callable | None = None,
     U: Callable = identity_utility,
 ) -> ModelSpec:
@@ -188,7 +186,6 @@ def multitask_model(
         production_utility_Upsilon=lambda x: x,
         principal_utility_U=U,
         initial_law_nu=nu,
-        horizon_T=float(T),
         reservation_R=float(R),
         action_bounds=(-64.0, 64.0),
         analytic_maximizer=lambda t, x, m, e, z: z,
@@ -199,7 +196,6 @@ def quadratic_generic_model(
     a_base: float = 0.5,
     sigma0: float = 1.0,
     R: float = 0.0,
-    T: float = 1.0,
     nu: Callable | None = None,
     U: Callable = identity_utility,
 ) -> ModelSpec:
@@ -225,7 +221,6 @@ def quadratic_generic_model(
         production_utility_Upsilon=lambda x: x,
         principal_utility_U=U,
         initial_law_nu=nu,
-        horizon_T=float(T),
         reservation_R=float(R),
         action_bounds=(-8.0, 8.0),
         analytic_maximizer=None,

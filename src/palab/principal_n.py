@@ -150,7 +150,7 @@ def gap_sweep(
     for i_n, n in enumerate(n_values):
         policy = NPlayerPolicy.from_gamma(am.gamma_hat, int(n))
         for b_bar in b_bar_values:
-            model = multitask_model(params_by_b[float(b_bar)], R=R, T=T, nu=nu, U=U)
+            model = multitask_model(params_by_b[float(b_bar)], R=R, nu=nu, U=U)
             est = estimate_n_player_value(
                 model,
                 policy,

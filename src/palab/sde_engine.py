@@ -44,6 +44,7 @@ All Ito sums in this package use the left endpoint of each interval.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Union
 
@@ -52,7 +53,6 @@ import numpy as np
 from .measures import EmpiricalMeasure
 from .model import ModelSpec, NumericDomainError, _recommended, slope_over_sigma
 
-DEFAULT_N_PROXY = 100_000
 BLOWUP_THRESHOLD = 1e8
 # Replications stepped together are capped at this many state elements, so
 # each (batch, n) array of a chunk stays within 128 KiB (a replication whose
@@ -85,6 +85,10 @@ class SimGrid:
     def __post_init__(self):
         if not (0 < self.horizon_T < math.inf):
             raise ValueError(f"horizon_T must be positive and finite, got {self.horizon_T}")
+        try:
+            operator.index(self.steps)
+        except TypeError:
+            raise ValueError(f"steps must be an integer, got {self.steps!r}") from None
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
@@ -358,28 +362,3 @@ def save_paths_csv(paths: ParticlePaths, path: str) -> None:
             col = paths.states[:, k]
             for i in range(paths.n_particles):
                 fh.write(f"{float(t)!r},{i},{float(col[i])!r}\n")
-
-
-def ito_integral(
-    paths: ParticlePaths,
-    integrand: Callable,
-    against: str = "dX",
-) -> np.ndarray:
-    """Per-particle left-endpoint Ito sums of integrand(t_k, X_k) against dX, dW or dt."""
-    times = paths.times
-    dt = np.diff(times)
-    n_steps = paths.n_steps
-    vals = np.empty((paths.n_particles, n_steps))
-    for k in range(n_steps):
-        vals[:, k] = integrand(float(times[k]), paths.states[:, k])
-
-    if against == "dX":
-        d = np.diff(paths.states, axis=1)
-    elif against == "dW":
-        d = paths.increments
-    elif against == "dt":
-        d = np.broadcast_to(dt, (paths.n_particles, n_steps))
-    else:
-        raise ValueError(f"against must be 'dX', 'dW' or 'dt', got {against!r}")
-
-    return np.sum(vals * d, axis=1)

@@ -534,14 +534,37 @@ def test_records_have_null_runtime_and_hash(tmp_path):
         assert rec["config_hash"] == ec.hash
 
 
+def _run_python(code):
+    """Run code in a fresh interpreter that imports palab from this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
 def test_import_loads_neither_scipy_nor_process_pool():
-    # scipy is imported inside self-check only, the process pool only when
-    # a command runs with --workers > 1; starting any command pays neither.
+    # No palab module imports scipy, and the process pool is imported only
+    # when a command runs with --workers > 1; starting any command pays neither.
     code = (
         "import sys, palab.cli; print(' '.join(m for m in sys.modules "
         "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = _run_python(code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.split() == []
+
+
+def test_self_check_runs_without_scipy(tmp_path):
+    # A None entry in sys.modules makes every scipy import raise, as on an
+    # install with numpy alone.
+    cfg = _write_config(tmp_path, {
+        "experiment": "no-scipy",
+        "model": {"name": "multitask", "params": {"kappa_bar": 0.5}},
+        "grid": {"steps": 10},
+        "mc": {"master_seed": 123},
+    })
+    argv = ["self-check", "--config", cfg, "--out", str(tmp_path / "out")]
+    out = _run_python(f"import sys; sys.modules['scipy'] = None; import palab.cli; sys.exit(palab.cli.main({argv!r}))")
+    assert out.returncode == 0, out.stderr
+    assert "Traceback" not in out.stderr
+    verdicts = [line for line in out.stdout.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert verdicts == [f"PASS  {name}" for name, _, _ in cli._SELF_CHECKS]

@@ -158,12 +158,6 @@ def test_vector_roundtrip_and_parts():
 # ---------------------------------------------------------------------------
 
 
-def test_limit_objective_requires_seed():
-    model = multitask_model(MultitaskParams(0.0))
-    with pytest.raises(ValueError):
-        evaluate_limit_objective(model, (_zero, _zero), N_proxy=100)
-
-
 def test_limit_objective_is_seed_deterministic():
     model = multitask_model(MultitaskParams(0.5, b_bar=10.0))
     am = analytic_multitask(MultitaskParams(0.5))
@@ -273,9 +267,7 @@ def test_optimize_rejects_bad_input():
     model = multitask_model(MultitaskParams(0.0))
     initial = _flat_policy()
     with pytest.raises(ValueError):
-        optimize_policy(model, initial, seed=None)
-    with pytest.raises(ValueError):
-        optimize_policy(model, initial, seed=SeedSpec(0), parts=("nonsense",))
+        optimize_policy(model, initial, 100, SimGrid(1.0, 5), SeedSpec(0), parts=("nonsense",))
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,6 @@ def _bimodal_model():
         production_utility_Upsilon=lambda x: x,
         principal_utility_U=identity_utility,
         initial_law_nu=point_mass(0.0),
-        horizon_T=1.0,
         reservation_R=0.0,
         action_bounds=(-3.0, 3.0),
     )

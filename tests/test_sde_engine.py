@@ -17,18 +17,13 @@ from palab.model import (
 )
 from palab.principal_n import NPlayerPolicy, estimate_n_player_value
 from palab.sde_engine import (
-    ParticlePaths,
     SeedSpec,
     SimGrid,
     SimulationBlowupError,
-    ito_integral,
     save_paths_csv,
     simulate_particles,
     simulate_terminal_measure,
 )
-
-EXACT = 1e-12
-
 
 def _zero(t, x):
     return 0.0
@@ -53,6 +48,9 @@ def test_grid_basics():
         SimGrid(-1.0, 10)
     with pytest.raises(ValueError):
         SimGrid(math.inf, 5)
+    with pytest.raises(ValueError):
+        SimGrid(1.0, 2.5)
+    assert np.array_equal(SimGrid(1.0, np.int64(4)).nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 def test_seedspec_child_matches_keyed_generator():
@@ -292,37 +290,8 @@ def test_blowup_guard_admits_states_at_threshold():
 
 
 # ---------------------------------------------------------------------------
-# Ito sums and CSV
+# CSV
 # ---------------------------------------------------------------------------
-
-
-def test_ito_integral_identities():
-    model = multitask_model(MultitaskParams(0.5), nu=normal_law())
-    grid = SimGrid(1.0, 16)
-    paths = simulate_particles(model, _one, _zero, 12, grid, SeedSpec(13))
-    one = lambda t, x: np.ones_like(x)
-    # integral of 1 dX telescopes
-    got = ito_integral(paths, one, against="dX")
-    want = paths.states[:, -1] - paths.states[:, 0]
-    assert np.allclose(got, want, atol=EXACT)
-    # integral of 1 dt is the horizon
-    assert np.allclose(ito_integral(paths, one, against="dt"), 1.0, atol=EXACT)
-    # integral of 1 dW sums the stored increments
-    assert np.allclose(
-        ito_integral(paths, one, against="dW"), paths.increments.sum(axis=1), atol=EXACT
-    )
-    with pytest.raises(ValueError):
-        ito_integral(paths, one, against="dZ")
-
-
-def test_ito_integral_left_endpoint():
-    # hand-checkable two-step path: integrand x against dX uses the left state
-    times = np.array([0.0, 0.5, 1.0])
-    states = np.array([[1.0, 2.0, 4.0]])
-    incs = np.zeros((1, 2))
-    paths = ParticlePaths(times=times, states=states, increments=incs)
-    got = ito_integral(paths, lambda t, x: x, against="dX")
-    assert np.allclose(got, [1.0 * 1.0 + 2.0 * 2.0], atol=EXACT)
 
 
 def test_paths_csv(tmp_path):
