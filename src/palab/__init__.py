@@ -52,7 +52,6 @@ from .model import (
 )
 from .principal_n import (
     InsufficientDataError,
-    NPlayerPolicy,
     RateFit,
     estimate_n_player_value,
     fit_rate,
@@ -80,7 +79,6 @@ __all__ = [
     "ModelSpec",
     "MultitaskAnalytic",
     "MultitaskParams",
-    "NPlayerPolicy",
     "NumericDomainError",
     "ParticlePaths",
     "PolicyOptResult",

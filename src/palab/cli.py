@@ -82,7 +82,6 @@ from .model import (
 )
 from .principal_n import (
     InsufficientDataError,
-    NPlayerPolicy,
     estimate_n_player_value,
     fit_rate,
     gap_sweep,
@@ -615,16 +614,20 @@ def _deviation_config(cfg: dict, replications: int):
     step = _field(cfg, "mc.deviation.step", "number", 0.25)
     if not 0 < step < math.inf or hi <= lo:
         raise ConfigError("mc.deviation: need a finite step > 0 and max > min")
-    # The exponent is capped at 64: any grid of >= 2 actions is over the cap
-    # by then, and a one-action grid has one cell whatever the exponent.
-    spans = (hi - lo) / step
-    actions = round(spans) + 1 if spans < MAX_DEVIATION_CELLS else math.inf
+    # np.arange(lo, stop, step) has ceil((stop - lo) / step) entries, so the
+    # actions are counted from the same doubles; a count past the cap (or
+    # inf) is not taken. The exponent is capped at 64: any grid of >= 2
+    # actions is over the cap by then, and a one-action grid has one cell
+    # whatever the exponent.
+    stop = hi + step / 2
+    span = (stop - lo) / step
+    actions = math.ceil(span) if span < MAX_DEVIATION_CELLS else math.inf
     if actions ** min(d_n, 64) > MAX_DEVIATION_CELLS:
         raise ConfigError(
             f"mc.deviation: ({actions} actions)^(n={d_n}) cells exceed the "
             f"{MAX_DEVIATION_CELLS} cap; raise mc.deviation.step or lower mc.deviation.n"
         )
-    return d_n, d_reps, np.arange(lo, hi + step / 2, step)
+    return d_n, d_reps, np.arange(lo, stop, step)
 
 
 def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
@@ -877,13 +880,12 @@ def _check_limit_oracle(seed: SeedSpec) -> dict:
 
 def _check_consistency(seed: SeedSpec) -> dict:
     """n-player estimator and contract evaluator agree to 1e-12 on shared draws."""
-    n = 16  # power of two so gamma/n * n round-trips exactly
+    n = 16  # self_check.json records the check at this size
     model = multitask_model(MultitaskParams(0.5, 10.0))
     am = analytic_multitask(MultitaskParams(0.5))
     grid = SimGrid(1.0, 50)
-    policy = NPlayerPolicy.from_gamma(lambda t, x: am.gamma_hat(t), n)
-    _, details = estimate_n_player_value(model, policy, n, grid, 1, seed, return_details=True)
     contract = Contract(Y0=0.0, gamma=lambda t, x: am.gamma_hat(t), aleph=lambda t, x: 0.0)
+    _, details = estimate_n_player_value(model, contract.gamma, contract.aleph, n, grid, 1, seed)
     paths = simulate_particles(model, contract.gamma_l, contract.aleph_l, n, grid, seed.child(0))
     xi, y_path = evaluate_terminal_payment(contract, model, paths)
     dy = abs(float(details["y_T"][0]) - float(y_path[-1]))

@@ -13,10 +13,12 @@ with z = gamma ^ l along the paths, and xi = g^{-1}(mu_T, Y_T), where every
 terminal map receives the terminal EmpiricalMeasure mu_T. The same
 one-step update (contract_y_step below) is used by the stored-path pricer
 evaluate_terminal_payment and by the one simulating pass, _contract_pass,
-which the n-player value estimator, contract_report and the joint-deviation
-scan all read, so they agree bit for bit on the same draws, not just in
-distribution. In the pass and in both stored-path replays, a non-finite
-level raises NumericDomainError at the step where it appears.
+so they agree bit for bit on the same draws, not just in distribution.
+The pass also prices what it simulates, once per chunk of replications on
+the stacked terminal measure with (batch, 1) levels, and the n-player value
+estimator, contract_report and the joint-deviation scan all read its
+per-replication arrays. In the pass and in both stored-path replays, a
+non-finite level raises NumericDomainError at the step where it appears.
 
 Because X^i_{k+1} - X^i_k = b_hat dt + sigma dW for an agent playing the
 recommended response, the two H terms cancel pathwise and the update
@@ -111,12 +113,15 @@ def contract_y_step(y, dt: float, H, zsig, dX):
 
 
 def _g_inverse(model: ModelSpec, m: EmpiricalMeasure, y):
+    # A (batch, 1) column of levels is named by its range, so the message
+    # stays on one line.
+    at = f"y={y!r}" if np.ndim(y) == 0 else f"y in [{float(np.min(y))!r}, {float(np.max(y))!r}]"
     try:
         out = model.g_inverse(m, y)
     except Exception as exc:  # noqa: BLE001 - user-supplied map
-        raise ContractEvaluationError(f"g_inverse failed at y={y!r}: {exc}") from exc
+        raise ContractEvaluationError(f"g_inverse failed at {at}: {exc}") from exc
     if not np.all(np.isfinite(out)):
-        raise ContractEvaluationError(f"g_inverse returned non-finite payment at y={y!r}")
+        raise ContractEvaluationError(f"g_inverse returned non-finite payment at {at}")
     return out
 
 
@@ -195,6 +200,35 @@ def mkv_contract_payment(
     return payment
 
 
+def _price(model: ModelSpec, x: np.ndarray, y: np.ndarray, l_acc, lp_acc) -> dict:
+    """Price a chunk of terminal ensembles x, shape (batch, n), at levels y, shape (batch,).
+
+    The one place the contract pass calls g^{-1}, g, g_P, Upsilon and U:
+    each once, on the stacked terminal measure, with levels, payments and
+    values as (batch, 1) columns. l_acc holds each agent's int L dt (None
+    to skip the agent reward) and lp_acc int L_P dt, a scalar or an array
+    that broadcasts against x. Returns (batch, 1) columns y_T, xi, v, u and
+    agent, as documented on _contract_pass.
+    """
+    m = EmpiricalMeasure(x)
+    level = y[:, None]
+
+    def column(v):
+        return np.broadcast_to(np.asarray(v, dtype=float), level.shape)
+
+    def average(v):
+        return np.mean(np.broadcast_to(v, x.shape), axis=1, keepdims=True)
+
+    xi = column(_g_inverse(model, m, level))
+    v = average(model.production_utility_Upsilon(x) - lp_acc) - column(
+        model.principal_terminal_cost_gP(m, xi)
+    )
+    priced = {"y_T": level, "xi": xi, "v": v, "u": column(model.principal_utility_U(v))}
+    if l_acc is not None:
+        priced["agent"] = average(l_acc + column(model.terminal_utility_g(m, xi)))
+    return priced
+
+
 def _contract_pass(
     model: ModelSpec,
     gamma: Callable,
@@ -207,15 +241,25 @@ def _contract_pass(
     running_L: bool = False,
     play: Optional[Callable] = None,
     copies: int = 1,
-):
-    """Simulate the contracted n-agent system, one replication chunk at a time.
+) -> dict:
+    """Simulate the contracted n-agent system and price every replication.
 
     Replication r reads seed.generator(r) as simulate_particles would; its
     agents play the recommended response to gamma (or play(t, x, a_star))
-    while Y, started at y0, accumulates through contract_y_step. Yields per
-    chunk (reps, X_T, Y_T, int L dt, int L_P dt), the integrals per agent;
-    int L dt (at the played action) is None unless running_L. With copies > 1
-    each replication runs as that many consecutive rows (_replication_chunks).
+    while Y, started at y0, accumulates through contract_y_step. With
+    copies > 1 each replication runs as that many consecutive rows
+    (_replication_chunks).
+
+    Each chunk is priced once, by _price, on its stacked terminal
+    EmpiricalMeasure mu_T with the levels as a (batch, 1) column. Returns a
+    dict of per-row arrays, replications * copies long:
+
+        y_T    terminal level Y_T
+        xi     payment g^{-1}(mu_T, Y_T)
+        v      principal's value mean_i [Upsilon(X^i_T) - int L_P dt] - g_P(mu_T, xi)
+        u      U(v)
+        agent  average agent reward mean_i [int L dt + g(mu_T, xi)], with L at
+               the played action (only with running_L)
 
     A non-finite level raises NumericDomainError, and a state past the
     blow-up threshold SimulationBlowupError at the first step where any row
@@ -225,19 +269,27 @@ def _contract_pass(
     if replications < 1:
         raise ValueError("replications must be >= 1")
     dt = grid.dt
+    out = {}
     for reps, x, draws in _replication_chunks(model, n, replications, seed, copies):
         y = np.full(len(x), float(y0))
         l_acc = np.zeros(x.shape) if running_L else None
-        lp_acc = np.zeros(x.shape)
+        # L_P is summed as a scalar while it stays one (it broadcasts to an
+        # array if it ever returns one); each element sees the same additions.
+        lp_acc = np.float64(0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             for step in _euler_steps(model, gamma, aleph, x, grid, draws, play):
                 y = contract_y_step(y, dt, step.H, step.zsig, step.x_next - x)
                 _check_level(y, step.t)
                 if running_L:
                     l_acc += step.L * dt
-                lp_acc += model.principal_running_cost_LP(step.t, step.e) * dt
+                lp_acc = lp_acc + model.principal_running_cost_LP(step.t, step.e) * dt
                 x = step.x_next
-        yield reps, x, y, l_acc, lp_acc
+
+        priced = _price(model, x, y, l_acc, lp_acc)
+        rows = slice(reps.start * copies, reps.stop * copies)
+        for name, col in priced.items():
+            out.setdefault(name, np.empty(replications * copies))[rows] = col[:, 0]
+    return out
 
 
 def contract_report(
@@ -251,45 +303,26 @@ def contract_report(
     """Simulate the contracted system and report across-replication stats.
 
     One _contract_pass simulates n agents per replication playing the
-    recommended response to the truncated contract fields, with the
-    contract level Y and each agent's integrals of L_hat dt and of L_P dt.
-    Per replication it records the payment xi = g^{-1}(mu_T, Y_T), the
-    average agent reward mean_i [int L_hat dt + g(mu_T, xi)], and the
-    principal's pre-utility value
-    v = mean_i [Upsilon(X^i_T) - int L_P dt] - g_P(mu_T, xi). Terminal
-    maps run once per replication on its terminal measure. Replication r
-    draws from seed.child(r), exactly as simulate_particles would, so its
-    payment equals evaluate_terminal_payment on those stored paths. The
-    report gives across-replication estimates of E[xi] and the agent
-    reward, plus the principal's value under both utility conventions:
-    "principal_inside" averages U(v) over replications and
+    recommended response to the truncated contract fields and prices each
+    replication: the payment xi = g^{-1}(mu_T, Y_T), the average agent
+    reward mean_i [int L_hat dt + g(mu_T, xi)], and the principal's
+    pre-utility value v = mean_i [Upsilon(X^i_T) - int L_P dt] - g_P(mu_T, xi).
+    Replication r draws from seed.child(r), exactly as simulate_particles
+    would, so its payment equals evaluate_terminal_payment on those stored
+    paths. The report gives across-replication estimates of E[xi] and the
+    agent reward, plus the principal's value under both utility
+    conventions: "principal_inside" averages U(v) over replications and
     "principal_outside" applies U to the averaged v (delta-method SE).
 
     The pass's guards apply: SimulationBlowupError for a state past the
     blow-up threshold, NumericDomainError for a non-finite level.
     """
     _check_floor(contract, model)
-    xi_vals = np.empty(replications)
-    agent_vals = np.empty(replications)
-    v_vals = np.empty(replications)
-    u_vals = np.empty(replications)
-    passes = _contract_pass(
+    res = _contract_pass(
         model, contract.gamma_l, contract.aleph_l, contract.Y0, n, grid, replications, seed,
         running_L=True,
     )
-    for reps, x, y, lhat_acc, lp_acc in passes:
-        for i, r in enumerate(reps):
-            m = EmpiricalMeasure(x[i])
-            xi = float(_g_inverse(model, m, float(y[i])))
-            xi_vals[r] = xi
-            g_term = float(model.terminal_utility_g(m, xi))
-            agent_vals[r] = float(np.mean(lhat_acc[i] + g_term))
-            v_vals[r] = float(np.mean(model.production_utility_Upsilon(x[i]) - lp_acc[i])) - float(
-                model.principal_terminal_cost_gP(m, xi)
-            )
-            u_vals[r] = float(model.principal_utility_U(v_vals[r]))
-
-    v_est = mean_se(v_vals)
+    v_est = mean_se(res["v"])
     U = model.principal_utility_U
     h = 1e-6 * max(1.0, abs(v_est.value))
     slope = (float(U(v_est.value + h)) - float(U(v_est.value - h))) / (2.0 * h)
@@ -297,14 +330,14 @@ def contract_report(
         value=float(U(v_est.value)), se=abs(slope) * v_est.se, n_samples=replications
     )
     return {
-        "xi": mean_se(xi_vals),
-        "agent_reward": mean_se(agent_vals),
-        "principal_inside": mean_se(u_vals),
+        "xi": mean_se(res["xi"]),
+        "agent_reward": mean_se(res["agent"]),
+        "principal_inside": mean_se(res["u"]),
         "principal_outside": outside,
         "per_replication": {
-            "xi": xi_vals.tolist(),
-            "agent_reward": agent_vals.tolist(),
-            "principal_value": v_vals.tolist(),
+            "xi": res["xi"].tolist(),
+            "agent_reward": res["agent"].tolist(),
+            "principal_value": res["v"].tolist(),
         },
     }
 
@@ -330,11 +363,10 @@ def joint_deviation_scan(
     the recommendation means no gain should exceed noise.
 
     Returns {"actions": (B, n), "gain": (B,), "se": (B,), "baseline":
-    MCEstimate of the recommended-play reward}. Terminal maps get a chunk's
-    stack of terminal ensembles as one EmpiricalMeasure, so they must ignore
-    it or accept a stacked measure. All cells of a replication, and the
-    baseline, run as rows of one _contract_pass on that replication's
-    draws, so a deviation that drives any state past the blow-up threshold
+    MCEstimate of the recommended-play reward}. All cells of a replication,
+    and the baseline, run as rows of one _contract_pass on that
+    replication's draws, which prices them as every other replication is
+    priced, so a deviation that drives any state past the blow-up threshold
     raises SimulationBlowupError, like every other simulation.
     """
     _check_floor(contract, model)
@@ -353,16 +385,11 @@ def joint_deviation_scan(
         a_play.reshape(-1, rows, n)[:, :B, :] = cells
         return a_play
 
-    rewards = np.empty((replications, rows))
-    passes = _contract_pass(
+    res = _contract_pass(
         model, contract.gamma_l, contract.aleph_l, contract.Y0, n, grid, replications, seed,
         running_L=True, play=play, copies=rows,
     )
-    for reps, x, y, l_acc, _ in passes:
-        m = EmpiricalMeasure(x)
-        xi = np.asarray(_g_inverse(model, m, y), dtype=float)
-        g_term = np.asarray(model.terminal_utility_g(m, xi), dtype=float)
-        rewards[reps.start : reps.stop] = (np.mean(l_acc, axis=1) + g_term).reshape(-1, rows)
+    rewards = res["agent"].reshape(replications, rows)
 
     gains = rewards[:, :B] - rewards[:, B:]
     gain_mean = gains.mean(axis=0)

@@ -75,9 +75,12 @@ class ModelSpec:
     module docstring for the calling conventions of the coefficient fields.
 
     Terminal maps (terminal_utility_g, g_inverse, principal_terminal_cost_gP)
-    receive the terminal EmpiricalMeasure as their measure argument (a
-    stack of ensembles only in the joint-deviation scan); running
-    coefficients receive the current-time one.
+    receive the terminal EmpiricalMeasure as their measure argument; running
+    coefficients receive the current-time one. The contract pass prices a
+    chunk of replications at once: its terminal maps get a stack of
+    ensembles with levels and payments as (batch, 1) columns, Upsilon the
+    (batch, n) terminal states and U a (batch, 1) column, so all of them
+    must broadcast.
     """
 
     drift_b: Callable  # (t, x, m, e, a) -> drift

@@ -1,10 +1,11 @@
 """Finite-n principal value estimation and convergence measurement.
 
-estimate_n_player_value simulates the n-agent system under a slope/rate
-policy on the contract pass that contract_report also runs (so the same
-draws give bit-identical payments), and averages the principal's realized
-utility across replications, which are stepped together as (batch, n)
-chunks of ensembles, each row on its own stream. gap_sweep runs the
+estimate_n_player_value simulates the n-agent system under a slope field
+gamma and a rate field aleph on the contract pass that contract_report also
+runs, and averages the principal's realized utility across replications.
+The pass steps and prices replications together as (batch, n) chunks of
+ensembles, each row on its own stream, so the same draws give the estimator
+and contract_report bit-identical payments and values. gap_sweep runs the
 estimator over a grid of ensemble sizes and clamp levels for the
 linear-interaction benchmark and reports the gap to the closed-form limit
 value; fit_rate turns (n, gap) rows into a log-log convergence slope.
@@ -22,9 +23,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contracts import _contract_pass, _g_inverse
+from .contracts import _contract_pass
 from .estimates import MCEstimate, mean_se
-from .measures import EmpiricalMeasure
 from .mkv_control import analytic_multitask
 from .model import ModelSpec, MultitaskParams, exp_saturating_utility, multitask_model
 from .sde_engine import SeedSpec, SimGrid
@@ -34,50 +34,26 @@ class InsufficientDataError(ValueError):
     """Too few usable points to fit a convergence rate."""
 
 
-@dataclass(frozen=True)
-class NPlayerPolicy:
-    """Symmetric per-agent feedback pair for the n-agent system.
-
-    z_fn is the per-agent martingale loading Z(t, x); the contract slope
-    seen by agent i is n * Z(t, X^i) (the n-scaling identification), so a
-    slope field gamma corresponds to the loading gamma / n. aleph_fn is the
-    payment-rate field, applied as-is.
-    """
-
-    z_fn: Callable  # (t, x) -> per-agent loading Z; slope = n * Z
-    aleph_fn: Callable  # (t, x) -> payment rate
-
-    @classmethod
-    def from_gamma(
-        cls, gamma: Callable, n: int, aleph: Optional[Callable] = None
-    ) -> "NPlayerPolicy":
-        """Policy whose effective slope field is gamma (loading gamma/n)."""
-        if aleph is None:
-            aleph = lambda t, x: 0.0
-        return cls(z_fn=lambda t, x: gamma(t, x) / n, aleph_fn=aleph)
-
-
 def estimate_n_player_value(
     model: ModelSpec,
-    policy: NPlayerPolicy,
+    gamma: Callable,
+    aleph: Callable,
     n: int,
     grid: SimGrid,
     replications: int,
     seed: SeedSpec,
-    return_details: bool = False,
-):
+) -> tuple[MCEstimate, dict]:
     """Across-replication estimate of the principal's n-agent value.
 
     Each replication simulates n agents playing the optimal response to the
-    effective slope n * Z(t, x), accumulates the contract level Y from R
-    (one contract pass, as in contract_report), pays xi = g^{-1}(mu_T, Y_T),
-    and records
+    slope field gamma(t, x) under the payment rate aleph(t, x), accumulates
+    the contract level Y from R (one contract pass, as in contract_report),
+    pays xi = g^{-1}(mu_T, Y_T), and records
 
-        v = mean_i Upsilon(X^i_T) - g_P(mu_T, xi) - mean_i int L_P dt,
+        v = mean_i [Upsilon(X^i_T) - int L_P dt] - g_P(mu_T, xi),
 
-    then U(v). Returns the MCEstimate of U(v) over replications; with
-    return_details=True also a dict of the per-replication v, xi and Y_T
-    arrays.
+    then U(v). Returns (MCEstimate of U(v) over replications, details), with
+    details the pass's per-replication arrays y_T, xi, v and u = U(v).
 
     Replications are stepped together in (batch, n) chunks, each row on its
     own stream, so results do not depend on the chunking. A non-finite
@@ -87,34 +63,8 @@ def estimate_n_player_value(
     whose step and t locate the first step at which the chunk breached it,
     which need not be the first failing replication.
     """
-    U = model.principal_utility_U
-    gamma = lambda t, x: n * policy.z_fn(t, x)  # effective slope under the n-scaling
-
-    v_vals = np.empty(replications)
-    xi_vals = np.empty(replications)
-    yT_vals = np.empty(replications)
-    out = np.empty(replications)
-    passes = _contract_pass(
-        model, gamma, policy.aleph_fn, model.reservation_R, n, grid, replications, seed
-    )
-    for reps, x, y, _, lp_acc in passes:
-        for i, r in enumerate(reps):
-            m = EmpiricalMeasure(x[i])
-            xi = float(_g_inverse(model, m, float(y[i])))
-            v = (
-                float(np.mean(model.production_utility_Upsilon(x[i])))
-                - float(model.principal_terminal_cost_gP(m, xi))
-                - float(np.mean(lp_acc[i]))
-            )
-            v_vals[r] = v
-            xi_vals[r] = xi
-            yT_vals[r] = y[i]
-            out[r] = float(U(v))
-
-    est = mean_se(out)
-    if return_details:
-        return est, {"v": v_vals, "xi": xi_vals, "y_T": yT_vals}
-    return est
+    details = _contract_pass(model, gamma, aleph, model.reservation_R, n, grid, replications, seed)
+    return mean_se(details["u"]), details
 
 
 def gap_sweep(
@@ -129,7 +79,6 @@ def gap_sweep(
     nu: Optional[Callable] = None,
     E_iota: float = 0.0,
     U: Callable = exp_saturating_utility,
-    keep_values: bool = False,
 ) -> list[dict]:
     """Gap to the limit value over a grid of ensemble sizes and clamp levels.
 
@@ -139,42 +88,35 @@ def gap_sweep(
     U(V_inf) - J_n (positive when the finite system falls short of the
     limit). nu must be consistent with E_iota (defaults: point mass at 0).
     Cells sharing n share Brownian draws across clamp levels, so clamp
-    comparisons at fixed n are paired; keep_values=True attaches the
-    per-replication U(v) samples to each row for paired-difference SEs.
+    comparisons at fixed n are paired; each row carries its per-replication
+    U(v) samples as "values" for paired-difference SEs.
     """
     params_by_b = {float(b): MultitaskParams(kappa_bar, float(b)) for b in b_bar_values}
     am = analytic_multitask(MultitaskParams(kappa_bar), R=R, T=T, E_iota=E_iota)
     v_limit = float(U(am.V_infinity))
+    no_rate = lambda t, x: 0.0
 
     rows = []
     for i_n, n in enumerate(n_values):
-        policy = NPlayerPolicy.from_gamma(am.gamma_hat, int(n))
+        n = int(n)
+        # gamma_hat through the per-agent loading gamma_hat / n and back: the
+        # round trip moves the last bit at some n, and the recorded sweep
+        # results keep it until they are re-recorded (ROADMAP item 5).
+        gamma = lambda t, x, n=n: n * (am.gamma_hat(t, x) / n)
         for b_bar in b_bar_values:
             model = multitask_model(params_by_b[float(b_bar)], R=R, nu=nu, U=U)
-            est = estimate_n_player_value(
-                model,
-                policy,
-                int(n),
-                grid,
-                replications,
-                seed.child(i_n),
-                return_details=keep_values,
+            est, details = estimate_n_player_value(
+                model, gamma, no_rate, n, grid, replications, seed.child(i_n)
             )
-            if keep_values:
-                est, details = est
-            row = {
-                "n": int(n),
+            rows.append({
+                "n": n,
                 "b_bar": float(b_bar),
                 "v_n": est.value,
                 "se": est.se,
                 "v_limit": v_limit,
                 "gap": v_limit - est.value,
-            }
-            if keep_values:
-                row["values"] = np.array(
-                    [float(model.principal_utility_U(v)) for v in details["v"]]
-                )
-            rows.append(row)
+                "values": details["u"],
+            })
     return rows
 
 

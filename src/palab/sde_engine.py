@@ -17,7 +17,7 @@ coefficients one EmpiricalMeasure of that state (whose statistics are
 floats for an ensemble and (batch, 1) columns for a stack), makes one
 maximizer call per step (model._recommended), and applies the one guard:
 sigma must be finite and >= 0 (NumericDomainError), and every state must
-stay finite with |X| <= blowup_threshold (SimulationBlowupError). It yields
+stay finite with |X| <= BLOWUP_THRESHOLD (SimulationBlowupError). It yields
 the per-step values to its callers, each with its own accumulators: the
 two path simulators below, the limit objective, and the one contract pass
 (contracts._contract_pass), which serves the n-player estimator,
@@ -240,7 +240,6 @@ def _euler_steps(
     grid: SimGrid,
     draws: Callable[[int], np.ndarray],
     play: Optional[Callable] = None,
-    blowup_threshold: float = BLOWUP_THRESHOLD,
 ) -> Iterator[_Step]:
     """Step the ensemble x (shape (n,) or (batch, n)) across the grid.
 
@@ -249,9 +248,9 @@ def _euler_steps(
     and sigma at (t_k, X_k), makes one maximizer call for the recommended
     action, moves the state by the played action (the recommendation, or
     play(t, x, a_star) when given), guards the result, and yields a _Step.
-    The guard tests the largest and the smallest state against the
-    threshold, each on its own so that a NaN fails either test; max |X| is
-    computed only for the error.
+    The guard tests the largest and the smallest state against
+    BLOWUP_THRESHOLD, read at call time, each on its own so that a NaN fails
+    either test; max |X| is computed only for the error.
     """
     times = grid.nodes
     dt = grid.dt
@@ -285,7 +284,7 @@ def _euler_steps(
         else:
             x_next += sig * dW
         # Each comparison fails on a NaN maximum or minimum, so NaN is caught.
-        if not (x_next.max() <= blowup_threshold and x_next.min() >= -blowup_threshold):
+        if not (x_next.max() <= BLOWUP_THRESHOLD and x_next.min() >= -BLOWUP_THRESHOLD):
             worst = np.abs(x_next).max()
             raise SimulationBlowupError(
                 k + 1, float(times[k + 1]), float(worst) if math.isfinite(worst) else math.inf
@@ -301,7 +300,6 @@ def simulate_particles(
     n: int,
     grid: SimGrid,
     seed: SeedLike,
-    blowup_threshold: float = BLOWUP_THRESHOLD,
 ) -> ParticlePaths:
     """Simulate the n-agent system under feedback fields gamma and aleph.
 
@@ -310,16 +308,14 @@ def simulate_particles(
     Hamiltonian-optimal response to slope gamma/sigma.
 
     Returns the materialized paths. Raises SimulationBlowupError if a state
-    leaves [-blowup_threshold, blowup_threshold] or goes non-finite.
+    leaves [-BLOWUP_THRESHOLD, BLOWUP_THRESHOLD] or goes non-finite.
     """
     rng = _as_generator(seed)
     x = _initial_states(model, n, rng)
     states = np.empty((n, grid.steps + 1))
     incs = np.empty((n, grid.steps))
     states[:, 0] = x
-    steps = _euler_steps(
-        model, gamma, aleph, x, grid, lambda k: rng.standard_normal(n), None, blowup_threshold
-    )
+    steps = _euler_steps(model, gamma, aleph, x, grid, lambda k: rng.standard_normal(n))
     for k, step in enumerate(steps):
         states[:, k + 1] = step.x_next
         incs[:, k] = step.dW
@@ -334,7 +330,6 @@ def simulate_terminal_measure(
     n: int,
     grid: SimGrid,
     seed: SeedLike,
-    blowup_threshold: float = BLOWUP_THRESHOLD,
 ) -> EmpiricalMeasure:
     """Terminal empirical measure only, with O(n) memory.
 
@@ -345,7 +340,7 @@ def simulate_terminal_measure(
     rng = _as_generator(seed)
     x = _initial_states(model, n, rng)
     draws = lambda k: rng.standard_normal(n)
-    for step in _euler_steps(model, gamma, aleph, x, grid, draws, None, blowup_threshold):
+    for step in _euler_steps(model, gamma, aleph, x, grid, draws):
         x = step.x_next
     return EmpiricalMeasure(x)
 

@@ -168,7 +168,6 @@ def test_clamp_difference_monotone_and_inverse_b_bound():
         SeedSpec(11),
         nu=normal_law(0.0, 1.0),
         U=exp_saturating_utility,
-        keep_values=True,
     )
     values = {r["b_bar"]: np.asarray(r["values"]) for r in rows}
     ref = values[reference]

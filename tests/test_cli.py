@@ -350,8 +350,11 @@ def test_contract_eval_deviation_blowup_exit(tmp_path, capsys):
         ({"replications": 0}, "mc.deviation.replications"),
         ({"replications": 1}, "mc.deviation.replications"),
         ({"min": -2.0, "max": 2.0, "step": 1e-9}, "mc.deviation"),
+        # (max - min) / step rounds to 140 spans, but the grid holds 142
+        # actions: 142^2 cells are over the cap, 141^2 would not be
+        ({"n": 2, "min": -1.0, "max": 3.215, "step": 0.03}, "mc.deviation"),
     ],
-    ids=["n-zero", "replications-zero", "replications-one", "too-many-cells"],
+    ids=["n-zero", "replications-zero", "replications-one", "too-many-cells", "cells-counted-as-built"],
 )
 def test_contract_eval_deviation_validated(tmp_path, capsys, deviation, field):
     cfg = _contract_config(deviation=deviation)
@@ -361,7 +364,7 @@ def test_contract_eval_deviation_validated(tmp_path, capsys, deviation, field):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}")
     assert len(err.strip().splitlines()) == 1
-    assert not (out / "contract_summary.json").exists()
+    assert not any(out.glob("*"))
 
 
 def test_contract_eval_numeric_error_exit(tmp_path, capsys):

@@ -1,0 +1,23 @@
+"""Tests for the package's public name list."""
+
+import ast
+import inspect
+
+import palab
+
+
+def test_all_matches_package_imports():
+    # __all__ is exactly what palab/__init__.py imports from its modules,
+    # sorted and without repeats, so a deleted name cannot linger in it
+    tree = ast.parse(inspect.getsource(palab))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert palab.__all__ == sorted(palab.__all__)
+    assert len(set(palab.__all__)) == len(palab.__all__)
+    assert set(palab.__all__) == set(imported)
+    for name in palab.__all__:
+        assert getattr(palab, name) is not None

@@ -22,6 +22,7 @@ from palab.mkv_control import analytic_multitask
 from palab.model import (
     MultitaskParams,
     NumericDomainError,
+    exp_saturating_utility,
     identity_utility,
     multitask_model,
     normal_law,
@@ -29,7 +30,6 @@ from palab.model import (
 )
 from palab.principal_n import (
     InsufficientDataError,
-    NPlayerPolicy,
     estimate_n_player_value,
     fit_rate,
     gap_sweep,
@@ -44,22 +44,6 @@ def _zero(t, x):
 
 
 # ---------------------------------------------------------------------------
-# policy wrappers
-# ---------------------------------------------------------------------------
-
-
-def test_policy_wrappers():
-    gamma = lambda t, x: 2.0 + t
-    pol = NPlayerPolicy.from_gamma(gamma, 4)
-    # per-agent loading is gamma/n, so the effective slope n*Z is gamma again
-    assert 4 * pol.z_fn(0.5, 0.0) == pytest.approx(2.5, abs=EXACT)
-    assert pol.aleph_fn(0.0, 0.0) == 0.0
-    with_rate = NPlayerPolicy.from_gamma(gamma, 6, aleph=lambda t, x: 0.7)
-    assert 6 * with_rate.z_fn(1.0, 0.0) == pytest.approx(3.0, abs=EXACT)
-    assert with_rate.aleph_fn(0.2, 0.0) == 0.7
-
-
-# ---------------------------------------------------------------------------
 # the estimator itself
 # ---------------------------------------------------------------------------
 
@@ -67,18 +51,20 @@ def test_policy_wrappers():
 def test_matches_contract_pipeline_stepwise():
     # The n-agent estimator and the contract evaluator must produce the same
     # terminal level and payment on the same draws: both use the shared
-    # per-step update, the same stream layout, and n a power of two so the
-    # n * (gamma/n) round trip is exact.
+    # per-step update and the same stream layout. With L_P = 0 the estimator
+    # and contract_report also price each replication identically, bit for
+    # bit: the same xi, v and U(v).
     kappa, n, steps, reps = 0.5, 16, 50, 5
     am = analytic_multitask(MultitaskParams(kappa))
-    model = multitask_model(MultitaskParams(kappa, b_bar=10.0), nu=normal_law())
+    model = multitask_model(MultitaskParams(kappa, b_bar=10.0), nu=normal_law(), U=exp_saturating_utility)
     grid = SimGrid(1.0, steps)
     seed = SeedSpec(2718)
-    policy = NPlayerPolicy.from_gamma(am.gamma_hat, n)
-    _, details = estimate_n_player_value(
-        model, policy, n, grid, reps, seed, return_details=True
-    )
+    _, details = estimate_n_player_value(model, am.gamma_hat, _zero, n, grid, reps, seed)
     contract = Contract(Y0=model.reservation_R, gamma=am.gamma_hat, aleph=_zero)
+    report = contract_report(contract, model, n, grid, reps, seed)["per_replication"]
+    assert details["xi"].tolist() == report["xi"]
+    assert details["v"].tolist() == report["principal_value"]
+    assert details["u"].tolist() == [float(model.principal_utility_U(v)) for v in report["principal_value"]]
     for r in range(reps):
         paths = simulate_particles(
             model, contract.gamma_l, contract.aleph_l, n, grid, seed.child(r)
@@ -91,24 +77,31 @@ def test_matches_contract_pipeline_stepwise():
 def test_chunked_replications_equal_lone_replays(monkeypatch):
     # replications are stepped together in (batch, n) chunks; capping the
     # batch so 7 replications run as chunks of 3, 3, 1 must still give every
-    # replication exactly what a lone simulation of its stream gives
-    kappa, n, reps = 0.5, 8, 7  # n a power of two: n * (gamma/n) is exact
-    model = multitask_model(MultitaskParams(kappa, b_bar=1.0), R=0.1, nu=normal_law())
+    # replication of both estimators exactly what a lone simulation of its
+    # stream gives. The payment map reads the measure, so it sees the chunk's
+    # stack: a level handed to it as a (batch,) row instead of a (batch, 1)
+    # column would broadcast to (batch, batch).
+    kappa, n, reps = 0.5, 8, 7
+    model = replace(
+        multitask_model(MultitaskParams(kappa, b_bar=1.0), R=0.1, nu=normal_law()),
+        g_inverse=lambda m, y: y + m.mean(),
+    )
     grid = SimGrid(1.0, 12)
     seed = SeedSpec(404)
     monkeypatch.setattr(sde_engine, "_BATCH_ELEMENTS", 3 * n)
     chunks = sde_engine._replication_chunks(model, n, reps, seed)
     assert [len(r) for r, _, _ in chunks] == [3, 3, 1]
     gamma = lambda t, x: 0.8 + 0.3 * np.sin(x)
-    policy = NPlayerPolicy.from_gamma(gamma, n)
-    _, details = estimate_n_player_value(model, policy, n, grid, reps, seed, return_details=True)
+    _, details = estimate_n_player_value(model, gamma, _zero, n, grid, reps, seed)
     contract = Contract(Y0=model.reservation_R, gamma=gamma, aleph=_zero)
+    report = contract_report(contract, model, n, grid, reps, seed)
     for r in range(reps):
         paths = simulate_particles(model, gamma, _zero, n, grid, seed.child(r))
         xi, y_path = evaluate_terminal_payment(contract, model, paths)
         v = float(np.mean(model.production_utility_Upsilon(paths.states[:, -1]))) - xi
         assert details["y_T"][r] == y_path[-1]
         assert details["xi"][r] == xi
+        assert report["per_replication"]["xi"][r] == xi
         assert details["v"][r] == v
 
 
@@ -140,11 +133,10 @@ def test_results_do_not_depend_on_chunk_cap(model, n, reps, key, cap_rows, slope
     # one replication per chunk against all of them in one.
     grid, seed = SimGrid(1.0, 6), SeedSpec(key)
     gamma = lambda t, x: slope + 0.3 * np.sin(x)
-    policy = NPlayerPolicy.from_gamma(gamma, n)
     contract = Contract(Y0=model.reservation_R, gamma=gamma, aleph=lambda t, x: 0.1 * x, truncation_l=1.2)
 
     def run():
-        est = estimate_n_player_value(model, policy, n, grid, reps, seed, return_details=True)
+        est = estimate_n_player_value(model, gamma, _zero, n, grid, reps, seed)
         scan = joint_deviation_scan(contract, model, [0.0, 1.0], n, grid, reps, seed)
         return est, contract_report(contract, model, n, grid, reps, seed), scan
 
@@ -176,7 +168,7 @@ def test_nonfinite_level_raises():
     contract = Contract(Y0=0.0, gamma=gamma, aleph=_zero)
     paths = simulate_particles(model, gamma, _zero, 4, grid, seed)
     runs = [
-        lambda: estimate_n_player_value(model, NPlayerPolicy.from_gamma(gamma, 4), 4, grid, 3, seed),
+        lambda: estimate_n_player_value(model, gamma, _zero, 4, grid, 3, seed),
         lambda: contract_report(contract, model, 4, grid, 3, seed),
         lambda: joint_deviation_scan(contract, model, [0.0, 1.0], 2, grid, 3, seed),
         lambda: evaluate_terminal_payment(contract, model, paths),
@@ -189,10 +181,11 @@ def test_nonfinite_level_raises():
 
 def test_nonfinite_payment_raises():
     # the estimator pays through the same checked g^{-1} as contract_report
+    # on a chunk's (batch, 1) column of levels, named on one line
     model = replace(multitask_model(MultitaskParams(0.5)), g_inverse=lambda m, y: math.nan)
-    policy = NPlayerPolicy.from_gamma(lambda t, x: 1.0, 4)
-    with pytest.raises(ContractEvaluationError):
-        estimate_n_player_value(model, policy, 4, SimGrid(1.0, 5), 3, SeedSpec(0))
+    with pytest.raises(ContractEvaluationError, match=r"at y in \[") as exc:
+        estimate_n_player_value(model, lambda t, x: 1.0, _zero, 4, SimGrid(1.0, 5), 3, SeedSpec(0))
+    assert len(str(exc.value).splitlines()) == 1
 
 
 def test_batched_blowup_raises_at_first_breach_in_chunk():
@@ -204,9 +197,8 @@ def test_batched_blowup_raises_at_first_breach_in_chunk():
     model = multitask_model(MultitaskParams(1e6), nu=normal_law())
     grid = SimGrid(1.0, 20)
     seed = SeedSpec(0)
-    policy = NPlayerPolicy.from_gamma(lambda t, x: 1.0, 4)
     with pytest.raises(SimulationBlowupError) as exc:
-        estimate_n_player_value(model, policy, 4, grid, 6, seed)
+        estimate_n_player_value(model, lambda t, x: 1.0, _zero, 4, grid, 6, seed)
     lone_steps = []
     for r in range(6):
         with pytest.raises(SimulationBlowupError) as lone:
@@ -220,10 +212,7 @@ def test_batched_blowup_raises_at_first_breach_in_chunk():
 def test_zero_loading_terminal_level_is_reservation():
     # Z = 0: H = 0 and the martingale term vanishes, so Y_T = R exactly
     model = multitask_model(MultitaskParams(0.5), R=0.4, nu=normal_law())
-    policy = NPlayerPolicy(lambda t, x: 0.0, lambda t, x: 0.0)
-    est, details = estimate_n_player_value(
-        model, policy, 8, SimGrid(1.0, 10), 6, SeedSpec(1), return_details=True
-    )
+    est, details = estimate_n_player_value(model, _zero, _zero, 8, SimGrid(1.0, 10), 6, SeedSpec(1))
     assert np.all(details["y_T"] == 0.4)
     assert np.all(details["xi"] == 0.4)
 
@@ -232,9 +221,8 @@ def test_single_agent_flat_slope_is_deterministic():
     # n = 1, kappa = 0, gamma = 1: the noise in production and in the
     # contract level cancels pathwise, leaving v = T/2 on every replication
     model = multitask_model(MultitaskParams(0.0))
-    policy = NPlayerPolicy.from_gamma(lambda t, x: 1.0, 1)
     est, details = estimate_n_player_value(
-        model, policy, 1, SimGrid(1.0, 64), 40, SeedSpec(5), return_details=True
+        model, lambda t, x: 1.0, _zero, 1, SimGrid(1.0, 64), 40, SeedSpec(5)
     )
     assert np.max(np.abs(details["v"] - 0.5)) <= 1e-10
     assert abs(est.value - 0.5) <= 1e-10
@@ -247,17 +235,15 @@ def test_value_matches_closed_form_linear_utility():
     am = analytic_multitask(MultitaskParams(kappa))
     model = multitask_model(MultitaskParams(kappa, b_bar=10.0), U=identity_utility)
     grid = SimGrid(1.0, 250)
-    policy = NPlayerPolicy.from_gamma(am.gamma_hat, 8)
-    est = estimate_n_player_value(model, policy, 8, grid, 300, SeedSpec(31))
+    est, _ = estimate_n_player_value(model, am.gamma_hat, _zero, 8, grid, 300, SeedSpec(31))
     v_inf = conftest.HALF_GAMMA_SQ_FROZEN[kappa]
     assert abs(est.value - v_inf) <= 3.0 * est.se + 0.01
 
 
 def test_replications_guard():
     model = multitask_model(MultitaskParams(0.0))
-    policy = NPlayerPolicy.from_gamma(lambda t, x: 1.0, 4)
     with pytest.raises(ValueError, match="replications"):
-        estimate_n_player_value(model, policy, 4, SimGrid(1.0, 5), 0, SeedSpec(0))
+        estimate_n_player_value(model, lambda t, x: 1.0, _zero, 4, SimGrid(1.0, 5), 0, SeedSpec(0))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +259,6 @@ def test_gap_sweep_rows_and_pairing():
         grid=SimGrid(1.0, 20),
         replications=30,
         seed=SeedSpec(12),
-        keep_values=True,
     )
     assert len(rows) == 4
     assert [(r["n"], r["b_bar"]) for r in rows] == [(4, 4.0), (4, 10.0), (8, 4.0), (8, 10.0)]
@@ -286,7 +271,7 @@ def test_gap_sweep_rows_and_pairing():
     paired_sd = np.std(a - b, ddof=1)
     unpaired_sd = math.sqrt(np.var(a, ddof=1) + np.var(b, ddof=1))
     assert paired_sd < 0.5 * unpaired_sd
-    # without keep_values the arrays are absent
+    # replication r reads the same draws whatever the replication count
     lean = gap_sweep(
         kappa_bar=0.5,
         n_values=[4],
@@ -295,7 +280,7 @@ def test_gap_sweep_rows_and_pairing():
         replications=5,
         seed=SeedSpec(12),
     )
-    assert "values" not in lean[0]
+    assert np.array_equal(lean[0]["values"], rows[1]["values"][:5])
 
 
 def test_gap_vanishes_for_linear_utility():

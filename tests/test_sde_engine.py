@@ -15,7 +15,8 @@ from palab.model import (
     normal_law,
     point_mass,
 )
-from palab.principal_n import NPlayerPolicy, estimate_n_player_value
+from palab import sde_engine
+from palab.principal_n import estimate_n_player_value
 from palab.sde_engine import (
     SeedSpec,
     SimGrid,
@@ -165,7 +166,7 @@ def test_negative_volatility_rejected():
     runs = {
         "simulate_particles": lambda m: simulate_particles(m, _zero, _zero, 5, grid, SeedSpec(0)),
         "estimate_n_player_value": lambda m: estimate_n_player_value(
-            m, NPlayerPolicy(_zero, _zero), 5, grid, 2, SeedSpec(0)
+            m, _zero, _zero, 5, grid, 2, SeedSpec(0)
         ),
         "evaluate_limit_objective": lambda m: evaluate_limit_objective(
             m, (_zero, _zero), N_proxy=5, grid=grid, seed=SeedSpec(0)
@@ -237,26 +238,20 @@ def test_blowup_detected():
     assert exc.value.worst > 1e8 or math.isinf(exc.value.worst)
 
 
-def test_blowup_threshold_override():
+def test_blowup_threshold_override(monkeypatch):
     # alpha = z on the multitask model: slope 100 moves every state by about
     # 10 in the first step, past the lowered threshold
+    monkeypatch.setattr(sde_engine, "BLOWUP_THRESHOLD", 1.0)
     model = multitask_model(MultitaskParams(0.0))
     with pytest.raises(SimulationBlowupError):
-        simulate_particles(
-            model,
-            lambda t, x: 100.0,
-            _zero,
-            5,
-            SimGrid(1.0, 10),
-            SeedSpec(0),
-            blowup_threshold=1.0,
-        )
+        simulate_particles(model, lambda t, x: 100.0, _zero, 5, SimGrid(1.0, 10), SeedSpec(0))
 
 
 def _held_states(x0):
     """One Euler step of a model with zero drift and zero volatility from x0.
 
-    X_1 = X_0 exactly, so the guard sees the given states as they are.
+    X_1 = X_0 exactly, so the guard, at a threshold lowered to 2.0, sees the
+    given states as they are.
     """
     model = replace(
         multitask_model(MultitaskParams(0.0)),
@@ -264,7 +259,9 @@ def _held_states(x0):
         vol_sigma=lambda t, x: 0.0,
         initial_law_nu=lambda n, rng: np.array(x0, dtype=float),
     )
-    paths = simulate_particles(model, _zero, _zero, len(x0), SimGrid(1.0, 1), SeedSpec(0), blowup_threshold=2.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sde_engine, "BLOWUP_THRESHOLD", 2.0)
+        paths = simulate_particles(model, _zero, _zero, len(x0), SimGrid(1.0, 1), SeedSpec(0))
     return paths.states[:, -1]
 
 
