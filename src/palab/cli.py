@@ -277,17 +277,12 @@ def _model_plan(cfg: dict) -> dict:
     return plan
 
 
-def _nu_and_U(plan: dict):
+def _build_model(plan: dict):
     if plan["nu_kind"] == "point":
         nu = point_mass(plan["E_iota"])
     else:
         nu = normal_law(plan["E_iota"], plan["nu_std"])
     U = identity_utility if plan["utility"] == "identity" else exp_saturating_utility
-    return nu, U
-
-
-def _build_model(plan: dict):
-    nu, U = _nu_and_U(plan)
     if plan["name"] == "multitask":
         params = MultitaskParams(plan["kappa_bar"], plan["b_bar"])
         model = multitask_model(params, R=plan["R"], nu=nu, U=U)
@@ -445,19 +440,17 @@ def _map_ordered(fn: Callable, plan, count: int, workers: int) -> list:
 def _convergence_worker(plan: dict, i: int) -> list:
     """Ensemble size n_list[i] of the gap sweep (all clamp levels, paired draws)."""
     model = plan["model"]
-    nu, U = _nu_and_U(model)
+    models = [(b, _build_model({**model, "b_bar": b})) for b in plan["b_bar_list"]]
+    am = _analytic(model)
+    U = models[0][1].principal_utility_U  # every cell has the plan's utility
     return gap_sweep(
-        model["kappa_bar"],
+        models,
+        am.gamma_hat,
+        float(U(am.V_infinity)),
         [plan["n_list"][i]],
-        plan["b_bar_list"],
         SimGrid(model["T"], plan["steps"]),
         plan["replications"],
         SeedSpec(plan["seed"]).child(i),
-        R=model["R"],
-        T=model["T"],
-        nu=nu,
-        E_iota=model["E_iota"],
-        U=U,
     )
 
 
@@ -492,8 +485,8 @@ def cmd_multitask_convergence(ec: ExperimentConfig, out_dir: str, workers: int) 
     model = _model_plan(cfg)
     if model["name"] != "multitask":
         raise ConfigError("model.name: multitask-convergence requires the multitask model")
-    # The sweep builds its own unit-volatility models, one per mc.b_bar_list
-    # entry, so a scale would be silently ignored (model.params.b_bar is).
+    # The gaps are measured against the closed-form limit, which assumes unit
+    # volatility, so a scaled model would be compared with the wrong limit.
     if model["sigma_scale"] != 1.0:
         raise ConfigError(
             f"model.sigma_scale: multitask-convergence runs at scale 1, got {model['sigma_scale']!r}"

@@ -18,7 +18,8 @@ The pass also prices what it simulates, once per chunk of replications on
 the stacked terminal measure with (batch, 1) levels, and the n-player value
 estimator, contract_report and the joint-deviation scan all read its
 per-replication arrays. In the pass and in both stored-path replays, a
-non-finite level raises NumericDomainError at the step where it appears.
+non-finite level or volatility, or a negative one, raises NumericDomainError
+at the step where it appears, and so does a non-finite priced value.
 
 Because X^i_{k+1} - X^i_k = b_hat dt + sigma dW for an agent playing the
 recommended response, the two H terms cancel pathwise and the update
@@ -35,10 +36,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .estimates import MCEstimate, mean_se
+from .estimates import MCEstimate, _central_slope, mean_se
 from .measures import EmpiricalMeasure
 from .model import ModelSpec, NumericDomainError, _recommended, slope_over_sigma
-from .sde_engine import ParticlePaths, SeedSpec, SimGrid, _euler_steps, _replication_chunks
+from .sde_engine import ParticlePaths, SeedSpec, SimGrid, _checked_sigma, _euler_steps, _replication_chunks
 
 MAX_DEVIATION_CELLS = 20_000
 
@@ -139,7 +140,7 @@ def _replay_steps(contract: Contract, model: ModelSpec, paths: ParticlePaths):
         t = float(times[k])
         x = paths.states[:, k]
         e = contract.aleph_l(t, x)
-        zsig = slope_over_sigma(contract.gamma_l(t, x), model.vol_sigma(t, x))
+        zsig = slope_over_sigma(contract.gamma_l(t, x), _checked_sigma(model, t, x))
         _, b_hat, L_hat = _recommended(model, t, x, EmpiricalMeasure(x), e, zsig)
         yield t, dt, b_hat * zsig + L_hat, zsig, paths.states[:, k + 1] - x
 
@@ -208,7 +209,8 @@ def _price(model: ModelSpec, x: np.ndarray, y: np.ndarray, l_acc, lp_acc) -> dic
     values as (batch, 1) columns. l_acc holds each agent's int L dt (None
     to skip the agent reward) and lp_acc int L_P dt, a scalar or an array
     that broadcasts against x. Returns (batch, 1) columns y_T, xi, v, u and
-    agent, as documented on _contract_pass.
+    agent, as documented on _contract_pass; a non-finite entry in any of
+    them raises NumericDomainError naming the column.
     """
     m = EmpiricalMeasure(x)
     level = y[:, None]
@@ -226,6 +228,9 @@ def _price(model: ModelSpec, x: np.ndarray, y: np.ndarray, l_acc, lp_acc) -> dic
     priced = {"y_T": level, "xi": xi, "v": v, "u": column(model.principal_utility_U(v))}
     if l_acc is not None:
         priced["agent"] = average(l_acc + column(model.terminal_utility_g(m, xi)))
+    for name, col in priced.items():
+        if not np.isfinite(col).all():
+            raise NumericDomainError(f"contract pass priced a non-finite {name}")
     return priced
 
 
@@ -324,11 +329,8 @@ def contract_report(
     )
     v_est = mean_se(res["v"])
     U = model.principal_utility_U
-    h = 1e-6 * max(1.0, abs(v_est.value))
-    slope = (float(U(v_est.value + h)) - float(U(v_est.value - h))) / (2.0 * h)
-    outside = MCEstimate(
-        value=float(U(v_est.value)), se=abs(slope) * v_est.se, n_samples=replications
-    )
+    se_outside = abs(_central_slope(U, v_est.value)) * v_est.se
+    outside = MCEstimate(value=float(U(v_est.value)), se=se_outside, n_samples=replications)
     return {
         "xi": mean_se(res["xi"]),
         "agent_reward": mean_se(res["agent"]),

@@ -40,3 +40,9 @@ def mean_se(samples: np.ndarray) -> MCEstimate:
     value = float(arr.mean())
     se = float(arr.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
     return MCEstimate(value, se, m)
+
+
+def _central_slope(f, v: float) -> float:
+    """Central-difference slope of the scalar map f at v, step 1e-6 * max(1, |v|)."""
+    h = 1e-6 * max(1.0, abs(v))
+    return (float(f(v + h)) - float(f(v - h))) / (2.0 * h)

@@ -29,9 +29,9 @@ from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
-from .estimates import MCEstimate
+from .estimates import MCEstimate, _central_slope
 from .measures import EmpiricalMeasure
-from .model import ModelSpec, MultitaskParams
+from .model import ModelSpec, MultitaskParams, NumericDomainError
 from .sde_engine import SeedSpec, SimGrid, _as_generator, _euler_steps, _initial_states
 
 _COEFF_FIELDS = ("gamma_c0", "gamma_c1", "aleph_c0", "aleph_c1")
@@ -146,7 +146,8 @@ def _limit_objective_from_draws(
 
     `draws(k)` must return the length-N standard-normal vector of step k;
     the caller controls whether these come fresh from a generator or from a
-    cached matrix (the optimizer path).
+    cached matrix (the optimizer path). A non-finite value raises
+    NumericDomainError.
     """
     dt = grid.dt
     N = len(x0)
@@ -170,13 +171,13 @@ def _limit_objective_from_draws(
 
     ups = np.asarray(model.production_utility_Upsilon(x), dtype=float)
     value = float(np.mean(ups)) - ghat_p(y_T) - float(np.mean(lp_acc))
+    if not math.isfinite(value):
+        raise NumericDomainError(f"limit objective value is non-finite: {value!r}")
 
     # Linearized SE: propagate the per-particle terms through the scalar
     # slope of y -> g_P(g^{-1}(y)) at Y_T (the measure argument is treated
     # as frozen).
-    h = 1e-6 * max(1.0, abs(y_T))
-    slope = (ghat_p(y_T + h) - ghat_p(y_T - h)) / (2.0 * h)
-    influence = ups - lp_acc + slope * lhat_acc
+    influence = ups - lp_acc + _central_slope(ghat_p, y_T) * lhat_acc
     se = float(np.std(influence, ddof=1) / math.sqrt(N)) if N > 1 else 0.0
     return MCEstimate(value=value, se=se, n_samples=N)
 

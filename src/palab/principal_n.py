@@ -6,9 +6,10 @@ runs, and averages the principal's realized utility across replications.
 The pass steps and prices replications together as (batch, n) chunks of
 ensembles, each row on its own stream, so the same draws give the estimator
 and contract_report bit-identical payments and values. gap_sweep runs the
-estimator over a grid of ensemble sizes and clamp levels for the
-linear-interaction benchmark and reports the gap to the closed-form limit
-value; fit_rate turns (n, gap) rows into a log-log convergence slope.
+estimator over a grid of ensemble sizes and the models it is given, and
+reports each cell's gap to the limit value it is given: no model and no
+closed form is built here. fit_rate turns (n, gap) rows into a log-log
+convergence slope.
 
 Replication r of any sweep cell draws from the generator keyed by that
 cell's n-index and r alone, so cells that differ only in the clamp level
@@ -19,14 +20,13 @@ directly comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .contracts import _contract_pass
 from .estimates import MCEstimate, mean_se
-from .mkv_control import analytic_multitask
-from .model import ModelSpec, MultitaskParams, exp_saturating_utility, multitask_model
+from .model import ModelSpec
 from .sde_engine import SeedSpec, SimGrid
 
 
@@ -57,56 +57,49 @@ def estimate_n_player_value(
 
     Replications are stepped together in (batch, n) chunks, each row on its
     own stream, so results do not depend on the chunking. A non-finite
-    payment raises ContractEvaluationError and a non-finite level
-    NumericDomainError, as in contract_report. A state past the blow-up
-    threshold in any replication of a chunk raises SimulationBlowupError
-    whose step and t locate the first step at which the chunk breached it,
-    which need not be the first failing replication.
+    payment raises ContractEvaluationError, and a non-finite level or
+    priced value NumericDomainError, as in contract_report. A state past
+    the blow-up threshold in any replication of a chunk raises
+    SimulationBlowupError whose step and t locate the first step at which
+    the chunk breached it, which need not be the first failing replication.
     """
     details = _contract_pass(model, gamma, aleph, model.reservation_R, n, grid, replications, seed)
     return mean_se(details["u"]), details
 
 
 def gap_sweep(
-    kappa_bar: float,
+    models: Sequence[tuple[float, ModelSpec]],
+    gamma: Callable,
+    v_limit: float,
     n_values: Sequence[int],
-    b_bar_values: Sequence[float],
     grid: SimGrid,
     replications: int,
     seed: SeedSpec,
-    R: float = 0.0,
-    T: float = 1.0,
-    nu: Optional[Callable] = None,
-    E_iota: float = 0.0,
-    U: Callable = exp_saturating_utility,
 ) -> list[dict]:
-    """Gap to the limit value over a grid of ensemble sizes and clamp levels.
+    """Gap to a limit value over a grid of ensemble sizes and models.
 
-    For every (n, b_bar) cell: build the linear-interaction model with that
-    clamp, offer the closed-form optimal slope gamma_hat as the contract,
+    models is a sequence of (b_bar, model) cells, one per clamp level; a
+    repeated b_bar still gives its own rows. For every n and every cell:
+    offer the slope field gamma(t, x) as the contract (no payment rate),
     estimate the n-agent value (utility inside), and record the signed gap
-    U(V_inf) - J_n (positive when the finite system falls short of the
-    limit). nu must be consistent with E_iota (defaults: point mass at 0).
-    Cells sharing n share Brownian draws across clamp levels, so clamp
+    v_limit - J_n, positive when the finite system falls short of the limit
+    value v_limit of these models on the grid's horizon. Cells sharing n
+    share Brownian draws (seed.child(i_n)) across clamp levels, so clamp
     comparisons at fixed n are paired; each row carries its per-replication
     U(v) samples as "values" for paired-difference SEs.
     """
-    params_by_b = {float(b): MultitaskParams(kappa_bar, float(b)) for b in b_bar_values}
-    am = analytic_multitask(MultitaskParams(kappa_bar), R=R, T=T, E_iota=E_iota)
-    v_limit = float(U(am.V_infinity))
     no_rate = lambda t, x: 0.0
 
     rows = []
     for i_n, n in enumerate(n_values):
         n = int(n)
-        # gamma_hat through the per-agent loading gamma_hat / n and back: the
-        # round trip moves the last bit at some n, and the recorded sweep
-        # results keep it until they are re-recorded (ROADMAP item 5).
-        gamma = lambda t, x, n=n: n * (am.gamma_hat(t, x) / n)
-        for b_bar in b_bar_values:
-            model = multitask_model(params_by_b[float(b_bar)], R=R, nu=nu, U=U)
+        # gamma through the per-agent loading gamma / n and back: the round
+        # trip moves the last bit at some n, and the recorded sweep results
+        # keep it until they are re-recorded (ROADMAP item 5).
+        gamma_n = lambda t, x, n=n: n * (gamma(t, x) / n)
+        for b_bar, model in models:
             est, details = estimate_n_player_value(
-                model, gamma, no_rate, n, grid, replications, seed.child(i_n)
+                model, gamma_n, no_rate, n, grid, replications, seed.child(i_n)
             )
             rows.append({
                 "n": n,
@@ -141,10 +134,9 @@ def fit_rate(n_values: Sequence[float], gaps: Sequence[float]) -> RateFit:
     if ns.shape != gs.shape:
         raise ValueError("n_values and gaps must have the same length")
     mask = gs > 0
-    if int(np.sum(mask)) < 3:
-        raise InsufficientDataError(
-            f"need >= 3 positive gaps to fit a rate, got {int(np.sum(mask))}"
-        )
+    used = int(np.sum(mask))
+    if used < 3:
+        raise InsufficientDataError(f"need >= 3 positive gaps to fit a rate, got {used}")
     lx = np.log(ns[mask])
     ly = np.log(gs[mask])
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -152,9 +144,4 @@ def fit_rate(n_values: Sequence[float], gaps: Sequence[float]) -> RateFit:
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r2,
-        n_used=int(np.sum(mask)),
-    )
+    return RateFit(slope=float(slope), intercept=float(intercept), r_squared=r2, n_used=used)

@@ -16,7 +16,8 @@ It steps an (n,) ensemble or a (batch, n) stack of ensembles, hands the
 coefficients one EmpiricalMeasure of that state (whose statistics are
 floats for an ensemble and (batch, 1) columns for a stack), makes one
 maximizer call per step (model._recommended), and applies the one guard:
-sigma must be finite and >= 0 (NumericDomainError), and every state must
+sigma must be finite and >= 0 (NumericDomainError, from _checked_sigma,
+which the stored-path replays in contracts also call), and every state must
 stay finite with |X| <= BLOWUP_THRESHOLD (SimulationBlowupError). It yields
 the per-step values to its callers, each with its own accumulators: the
 two path simulators below, the limit objective, and the one contract pass
@@ -232,6 +233,22 @@ class _Step(NamedTuple):
         return self.b_hat * self.zsig + self.L_hat
 
 
+def _checked_sigma(model: ModelSpec, t: float, x):
+    """sigma(t, x), raising NumericDomainError unless it is finite and >= 0.
+
+    The theory requires sigma > 0; sigma == 0 is allowed so that ODE-limit
+    diagnostics run. A float sigma is checked without numpy; NaN fails.
+    """
+    sig = model.vol_sigma(t, x)
+    if isinstance(sig, float):
+        sig_ok = 0.0 <= sig < math.inf
+    else:
+        sig_ok = np.all((sig >= 0.0) & (sig < math.inf))
+    if not sig_ok:
+        raise NumericDomainError(f"volatility must be finite and >= 0 (t={t}): {sig!r}")
+    return sig
+
+
 def _euler_steps(
     model: ModelSpec,
     gamma: Callable,
@@ -260,16 +277,7 @@ def _euler_steps(
         m = EmpiricalMeasure(x)
         e = aleph(t, x)
         z = gamma(t, x)
-        sig = model.vol_sigma(t, x)
-        # The theory requires sigma > 0; the engine tolerates sigma == 0 so
-        # that deterministic ODE-limit diagnostics (sigma scaled to zero) run.
-        # A float sigma is checked without numpy calls; NaN fails either way.
-        if isinstance(sig, float):
-            sig_ok = 0.0 <= sig < math.inf
-        else:
-            sig_ok = np.all((sig >= 0.0) & (sig < math.inf))
-        if not sig_ok:
-            raise NumericDomainError(f"volatility must be finite and >= 0 (t={t}): {sig!r}")
+        sig = _checked_sigma(model, t, x)
         zsig = slope_over_sigma(z, sig)
         a, b_hat, L_hat = _recommended(model, t, x, m, e, zsig)
         b, L = b_hat, L_hat

@@ -9,6 +9,9 @@ library code, frozen below). Tests import these via plain `import conftest`
 import numpy as np
 from hypothesis import settings
 
+from palab.mkv_control import analytic_multitask
+from palab.model import MultitaskParams, multitask_model
+
 # Property tests draw their examples from a fixed seed (derandomize), so a
 # run is reproducible and the suite's time is bounded; no example database
 # is written.
@@ -60,3 +63,15 @@ def variance_se(samples) -> tuple[float, float]:
     var = float(arr.var(ddof=1))
     m4 = float(np.mean((arr - arr.mean()) ** 4))
     return var, float(np.sqrt(max(m4 - var**2 * (m - 3) / (m - 1), 0.0) / m))
+
+
+def multitask_sweep(kappa_bar: float, b_bars, grid, U, nu=None):
+    """(models, gamma, v_limit) of a gap_sweep over the multitask model at R = 0.
+
+    One multitask_model per clamp level in b_bars, the closed-form slope
+    gamma_hat and the limit value U(V_infinity), both on the grid's horizon.
+    nu (default: point mass at 0) must have mean 0, the E[iota] of the limit.
+    """
+    models = [(b, multitask_model(MultitaskParams(kappa_bar, b), nu=nu, U=U)) for b in b_bars]
+    am = analytic_multitask(MultitaskParams(kappa_bar), T=grid.horizon_T)
+    return models, am.gamma_hat, float(U(am.V_infinity))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import palab.cli as cli
-from conftest import HALF_GAMMA_SQ_FROZEN, simpson_gamma_sq_integral, variance_se
+from conftest import HALF_GAMMA_SQ_FROZEN, multitask_sweep, simpson_gamma_sq_integral, variance_se
 from palab import (
     Contract,
     MultitaskParams,
@@ -122,16 +122,9 @@ def test_terminal_payment_mean_and_variance_rate():
 def test_gap_positive_nonincreasing_with_sqrt_bound():
     start = time.monotonic()
     n_values = [10, 30, 100, 300, 1000]
-    rows = gap_sweep(
-        0.5,
-        n_values,
-        [10.0],
-        SimGrid(1.0, 100),
-        2000,
-        SeedSpec(7),
-        nu=normal_law(0.0, 1.0),
-        U=exp_saturating_utility,
-    )
+    grid = SimGrid(1.0, 100)
+    cells = multitask_sweep(0.5, [10.0], grid, exp_saturating_utility, nu=normal_law(0.0, 1.0))
+    rows = gap_sweep(*cells, n_values, grid, 2000, SeedSpec(7))
     elapsed = time.monotonic() - start
     gaps = [r["gap"] for r in rows]
     ses = [r["se"] for r in rows]
@@ -159,16 +152,11 @@ def test_gap_positive_nonincreasing_with_sqrt_bound():
 def test_clamp_difference_monotone_and_inverse_b_bound():
     b_bars = [0.5, 1.0, 2.0, 4.0, 8.0]
     reference = 64.0
-    rows = gap_sweep(
-        0.5,
-        [100],
-        b_bars + [reference],
-        SimGrid(1.0, 100),
-        2000,
-        SeedSpec(11),
-        nu=normal_law(0.0, 1.0),
-        U=exp_saturating_utility,
+    grid = SimGrid(1.0, 100)
+    cells = multitask_sweep(
+        0.5, b_bars + [reference], grid, exp_saturating_utility, nu=normal_law(0.0, 1.0)
     )
+    rows = gap_sweep(*cells, [100], grid, 2000, SeedSpec(11))
     values = {r["b_bar"]: np.asarray(r["values"]) for r in rows}
     ref = values[reference]
     m = len(ref)

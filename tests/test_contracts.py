@@ -15,15 +15,17 @@ from palab.contracts import (
     joint_deviation_scan,
     mkv_contract_payment,
 )
-from palab.mkv_control import analytic_multitask
+from palab.mkv_control import analytic_multitask, evaluate_limit_objective
 from palab.model import (
     MultitaskParams,
+    NumericDomainError,
     exp_saturating_utility,
     multitask_model,
     normal_law,
     quadratic_generic_model,
 )
 from palab import sde_engine
+from palab.principal_n import estimate_n_player_value
 from palab.sde_engine import SeedSpec, SimGrid, simulate_particles
 
 EXACT = 1e-12
@@ -32,6 +34,10 @@ PATH_TOL = 1e-10  # pathwise identities reconstructed in a different op order
 
 def _zero(t, x):
     return 0.0
+
+
+def _one(t, x):
+    return 1.0
 
 
 def _gamma_hat(kappa):
@@ -233,6 +239,32 @@ def test_mkv_payment_closed_form_on_multitask():
 # ---------------------------------------------------------------------------
 # rewards and reports
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, bad, quantity, reads_limit",
+    [
+        ("production_utility_Upsilon", lambda x: x + math.inf, "v", True),
+        ("principal_terminal_cost_gP", lambda m, e: e + math.inf, "v", True),
+        ("terminal_utility_g", lambda m, e: e + math.inf, "agent", False),
+        ("principal_utility_U", lambda v: v * math.nan, "u", False),
+    ],
+    ids=["Upsilon", "g_P", "g", "U"],
+)
+def test_non_finite_priced_value_rejected(field, bad, quantity, reads_limit):
+    # a terminal map that returns inf or NaN must not come back as an
+    # estimate of inf or NaN: each pricer names the non-finite quantity
+    model = replace(multitask_model(MultitaskParams(0.5)), **{field: bad})
+    grid = SimGrid(1.0, 5)
+    contract = Contract(0.0, _one, _zero)
+    with pytest.raises(NumericDomainError, match=rf"non-finite {quantity}$"):
+        contract_report(contract, model, 4, grid, 3, SeedSpec(0))
+    if quantity != "agent":  # the estimator prices no agent reward
+        with pytest.raises(NumericDomainError, match=rf"non-finite {quantity}$"):
+            estimate_n_player_value(model, _one, _zero, 4, grid, 3, SeedSpec(0))
+    if reads_limit:  # the limit objective reads Upsilon and g_P, not g or U
+        with pytest.raises(NumericDomainError, match="limit objective value is non-finite"):
+            evaluate_limit_objective(model, (_one, _zero), N_proxy=8, grid=grid, seed=SeedSpec(0))
 
 
 def test_contract_report_agent_breaks_even():

@@ -21,3 +21,18 @@ def test_all_matches_package_imports():
     assert set(palab.__all__) == set(imported)
     for name in palab.__all__:
         assert getattr(palab, name) is not None
+
+
+def test_principal_n_builds_no_model():
+    # the n-agent layer prices the models and the limit value it is given:
+    # it imports neither the limit-problem module nor a built-in model builder
+    import palab.principal_n as principal_n
+
+    builders = {"multitask_model", "quadratic_generic_model"}
+    tree = ast.parse(inspect.getsource(principal_n))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {alias.name for alias in node.names}
+            modules = {node.module or ""} if isinstance(node, ast.ImportFrom) else names
+            assert not any("mkv_control" in m for m in modules), ast.unparse(node)
+            assert not builders & names, ast.unparse(node)

@@ -252,17 +252,15 @@ def test_replications_guard():
 
 
 def test_gap_sweep_rows_and_pairing():
+    grid = SimGrid(1.0, 20)
+    models, gamma, v_limit = conftest.multitask_sweep(0.5, [4.0, 10.0], grid, exp_saturating_utility)
     rows = gap_sweep(
-        kappa_bar=0.5,
-        n_values=[4, 8],
-        b_bar_values=[4.0, 10.0],
-        grid=SimGrid(1.0, 20),
-        replications=30,
-        seed=SeedSpec(12),
+        models, gamma, v_limit, n_values=[4, 8], grid=grid, replications=30, seed=SeedSpec(12)
     )
     assert len(rows) == 4
     assert [(r["n"], r["b_bar"]) for r in rows] == [(4, 4.0), (4, 10.0), (8, 4.0), (8, 10.0)]
     for r in rows:
+        assert r["v_limit"] == v_limit
         assert r["gap"] == r["v_limit"] - r["v_n"]
         assert len(r["values"]) == 30
     # same n, different clamp: simulated on shared draws, so the paired
@@ -273,12 +271,7 @@ def test_gap_sweep_rows_and_pairing():
     assert paired_sd < 0.5 * unpaired_sd
     # replication r reads the same draws whatever the replication count
     lean = gap_sweep(
-        kappa_bar=0.5,
-        n_values=[4],
-        b_bar_values=[10.0],
-        grid=SimGrid(1.0, 20),
-        replications=5,
-        seed=SeedSpec(12),
+        models[1:], gamma, v_limit, n_values=[4], grid=grid, replications=5, seed=SeedSpec(12)
     )
     assert np.array_equal(lean[0]["values"], rows[1]["values"][:5])
 
@@ -286,14 +279,10 @@ def test_gap_sweep_rows_and_pairing():
 def test_gap_vanishes_for_linear_utility():
     # the finite-n shortfall is a Jensen effect: with U = identity the gap
     # is pure discretization noise at every n
+    grid = SimGrid(1.0, 200)
+    models, gamma, v_limit = conftest.multitask_sweep(0.5, [10.0], grid, identity_utility)
     rows = gap_sweep(
-        kappa_bar=0.5,
-        n_values=[4, 16],
-        b_bar_values=[10.0],
-        grid=SimGrid(1.0, 200),
-        replications=200,
-        seed=SeedSpec(77),
-        U=identity_utility,
+        models, gamma, v_limit, n_values=[4, 16], grid=grid, replications=200, seed=SeedSpec(77)
     )
     for r in rows:
         assert abs(r["gap"]) <= 3.0 * r["se"] + 0.01

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import conftest
+from palab.contracts import Contract, evaluate_terminal_payment, mkv_contract_payment
 from palab.mkv_control import PolicyParam, evaluate_limit_objective, optimize_policy
 from palab.model import (
     MultitaskParams,
@@ -159,10 +160,13 @@ def test_initial_law_shape_checked():
 
 
 def test_negative_volatility_rejected():
-    # Every step loop runs on the one stepper, so every entry point applies
-    # the same volatility guard, for float and for array sigma alike.
+    # Every step loop runs on the one stepper, and the stored-path replays
+    # read sigma through its guard, so every entry point applies the same
+    # volatility guard, for float and for array sigma alike.
     model = multitask_model(MultitaskParams(0.0))
     grid = SimGrid(1.0, 2)
+    paths = simulate_particles(model, _zero, _zero, 5, grid, SeedSpec(0))
+    contract = Contract(0.0, _zero, _zero)
     runs = {
         "simulate_particles": lambda m: simulate_particles(m, _zero, _zero, 5, grid, SeedSpec(0)),
         "estimate_n_player_value": lambda m: estimate_n_player_value(
@@ -171,6 +175,9 @@ def test_negative_volatility_rejected():
         "evaluate_limit_objective": lambda m: evaluate_limit_objective(
             m, (_zero, _zero), N_proxy=5, grid=grid, seed=SeedSpec(0)
         ),
+        # the stored-path replays, on paths simulated under the valid model
+        "evaluate_terminal_payment": lambda m: evaluate_terminal_payment(contract, m, paths),
+        "mkv_contract_payment": lambda m: mkv_contract_payment(contract, m, paths),
     }
     for sigma in (lambda t, x: -1.0, lambda t, x: np.full(np.shape(x), np.nan)):
         bad = replace(model, vol_sigma=sigma)
