@@ -275,7 +275,7 @@ def _contract_pass(
         raise ValueError("replications must be >= 1")
     dt = grid.dt
     out = {}
-    for reps, x, draws in _replication_chunks(model, n, replications, seed, copies):
+    for reps, x, draws in _replication_chunks(model, n, grid, replications, seed, copies):
         y = np.full(len(x), float(y0))
         l_acc = np.zeros(x.shape) if running_L else None
         # L_P is summed as a scalar while it stays one (it broadcasts to an

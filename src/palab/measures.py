@@ -34,9 +34,14 @@ class EmpiricalMeasure:
 
     Immutable after construction. The sorted copy is computed on first use
     and cached: one large proxy law is compared with several others.
+
+    The private slot _range holds the (min, max) of all samples when the
+    creator already knows it, else None. The Euler stepper sets it from the
+    extremes its blow-up guard computed, so clamped_mean can skip the clip
+    when no sample lies outside [-b_bar, b_bar]; it is never inferred here.
     """
 
-    __slots__ = ("samples", "_sorted")
+    __slots__ = ("samples", "_sorted", "_range")
 
     def __init__(self, samples):
         arr = np.asarray(samples, dtype=float)
@@ -44,6 +49,7 @@ class EmpiricalMeasure:
             raise ValueError("EmpiricalMeasure needs a non-empty (n,) or (batch, n) sample array")
         self.samples = arr
         self._sorted = None
+        self._range = None
 
     def __len__(self) -> int:
         return self.samples.shape[-1]
@@ -56,8 +62,14 @@ class EmpiricalMeasure:
 
     @staticmethod
     def _average(v: np.ndarray):
-        """Mean over the last axis: a float for (n,), a (batch, 1) column for (batch, n)."""
-        return float(v.mean()) if v.ndim == 1 else v.mean(axis=1, keepdims=True)
+        """Mean over the last axis: a float for (n,), a (batch, 1) column for (batch, n).
+
+        The sum and the division np.mean performs on float64, without its
+        Python wrapper layers, so the bits are np.mean's.
+        """
+        if v.ndim == 1:
+            return float(np.add.reduce(v) / v.shape[0])
+        return np.add.reduce(v, axis=-1, keepdims=True) / v.shape[-1]
 
     def mean(self):
         return self._average(self.samples)
@@ -67,9 +79,15 @@ class EmpiricalMeasure:
         return self._average(np.abs(self.samples) ** p)
 
     def clamped_mean(self, b_bar: float):
-        """Sample mean of (-b_bar) ∨ (b_bar ∧ x); b_bar = inf means no clamp."""
-        if math.isinf(b_bar):
-            return self.mean()
+        """Sample mean of (-b_bar) ∨ (b_bar ∧ x); b_bar = inf means no clamp.
+
+        When _range shows every sample inside [-b_bar, b_bar], the clip
+        would return each sample unchanged (signed zeros included), so the
+        plain mean is taken; a NaN bound or range always clips.
+        """
+        span = self._range
+        if math.isinf(b_bar) or (span is not None and -b_bar <= span[0] and span[1] <= b_bar):
+            return self._average(self.samples)
         return self._average(np.clip(self.samples, -b_bar, b_bar))
 
     def quantiles(self, levels: np.ndarray) -> np.ndarray:

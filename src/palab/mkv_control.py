@@ -23,6 +23,7 @@ with the kappa_bar -> 0 limit T/2 for the last term.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Union
@@ -55,10 +56,17 @@ def _normalize_parts(parts: Iterable[str]) -> tuple[str, ...]:
 class PolicyParam:
     """Piecewise-constant-in-time, affine-in-state policy pair.
 
-    knots are the m+1 interval endpoints (increasing, spanning the horizon);
-    on [knots[j], knots[j+1]) the slope field is gamma_c0[j] + gamma_c1[j]*x
-    and the rate field aleph_c0[j] + aleph_c1[j]*x. bounds, when set, is a
-    (lo, hi) box applied to every coefficient during optimization.
+    knots are the m+1 interval endpoints (finite, strictly increasing,
+    spanning the horizon); on [knots[j], knots[j+1]) the slope field is
+    gamma_c0[j] + gamma_c1[j]*x and the rate field aleph_c0[j] +
+    aleph_c1[j]*x. bounds, when set, is a (lo, hi) box applied to every
+    coefficient during optimization.
+
+    A field whose c1[j] is zero returns the scalar c0[j] on that interval,
+    which broadcasts to the same value c0 + c1 * x has at every finite x;
+    a c0[j] of -0.0 keeps the array, since -0.0 + (+-0.0) takes the sign of
+    the product. The knots are copied into a read-only array, and t is
+    located by bisect on a list of them.
     """
 
     knots: np.ndarray
@@ -69,12 +77,16 @@ class PolicyParam:
     bounds: Optional[tuple] = None
 
     def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
+        knots = np.array(self.knots, dtype=float)
+        knots.flags.writeable = False
         object.__setattr__(self, "knots", knots)
         if knots.ndim != 1 or len(knots) < 2:
             raise ValueError("knots must be a 1-d array of at least two times")
+        if not np.isfinite(knots).all():
+            raise ValueError(f"knots must be finite, got {knots.tolist()!r}")
         if np.any(np.diff(knots) <= 0):
             raise ValueError("knots must be strictly increasing")
+        object.__setattr__(self, "_knot_list", knots.tolist())
         m = len(knots) - 1
         for name in _COEFF_FIELDS:
             arr = np.asarray(getattr(self, name), dtype=float)
@@ -91,16 +103,24 @@ class PolicyParam:
         return len(self.knots) - 1
 
     def _interval(self, t) -> int:
-        j = int(np.searchsorted(self.knots, t, side="right")) - 1
+        # np.searchsorted(knots, t, side="right") - 1, clamped to the
+        # intervals; a NaN t lands past the end either way.
+        j = bisect.bisect_right(self._knot_list, t) - 1
         return min(max(j, 0), self.n_intervals - 1)
+
+    @staticmethod
+    def _affine(c0, c1, x):
+        if c1 == 0.0 and (c0 != 0.0 or math.copysign(1.0, c0) > 0.0):
+            return c0
+        return c0 + c1 * x
 
     def gamma_fn(self, t, x):
         j = self._interval(t)
-        return self.gamma_c0[j] + self.gamma_c1[j] * x
+        return self._affine(self.gamma_c0[j], self.gamma_c1[j], x)
 
     def aleph_fn(self, t, x):
         j = self._interval(t)
-        return self.aleph_c0[j] + self.aleph_c1[j] * x
+        return self._affine(self.aleph_c0[j], self.aleph_c1[j], x)
 
     # -- flat-vector round trip for the optimizer -------------------------
     # parts: any of "gamma_c0", "gamma_c1", "aleph_c0", "aleph_c1", with
@@ -144,10 +164,12 @@ def _limit_objective_from_draws(
 ) -> MCEstimate:
     """Streaming evaluation of the limit objective on given initial draws.
 
-    `draws(k)` must return the length-N standard-normal vector of step k;
-    the caller controls whether these come fresh from a generator or from a
-    cached matrix (the optimizer path). A non-finite value raises
-    NumericDomainError.
+    `draws(k)` must return the length-N Brownian increments sqrt(dt) * Z of
+    step k, already scaled; the caller controls whether these come fresh
+    from a generator or from a cached matrix (the optimizer path). The
+    stepper hands each step's measure the extremes its guard computed, so
+    the clamped mean skips the clip when nothing is clamped. A non-finite
+    value raises NumericDomainError.
     """
     dt = grid.dt
     N = len(x0)
@@ -199,8 +221,9 @@ def evaluate_limit_objective(
     gamma, aleph = _policy_fns(policy)
     rng = _as_generator(seed)
     x0 = _initial_states(model, N_proxy, rng)
+    sqdt = math.sqrt(grid.dt)
     return _limit_objective_from_draws(
-        model, gamma, aleph, grid, x0, lambda k: rng.standard_normal(N_proxy)
+        model, gamma, aleph, grid, x0, lambda k: sqdt * rng.standard_normal(N_proxy)
     )
 
 
@@ -313,18 +336,18 @@ def optimize_policy(
     and evaluation sequence as scipy's method="Nelder-Mead" with
     adaptive=True) on the flat coefficient vector of the chosen parts,
     clipped to initial.bounds when set, holding the knots and the Brownian draws fixed: the
-    initial states and all increments are generated once from the seed and
-    reused for every objective call, so the search sees a smooth
-    deterministic surface. The returned policy is the best one actually
+    initial states and all increments are generated once from the seed,
+    scaled by sqrt(dt) once and reused for every objective call, so the
+    search sees a smooth deterministic surface. The returned policy is the best one actually
     evaluated (never worse than the initial policy on these draws), with
     converged=False when the evaluation budget ran out first.
     """
     parts = tuple(parts)
     rng = _as_generator(seed)
     x0 = _initial_states(model, N_proxy, rng)
-    dW_cache = np.empty((grid.steps, N_proxy))
-    for k in range(grid.steps):
-        dW_cache[k] = rng.standard_normal(N_proxy)
+    # One (steps, N) fill reads the stream as steps successive (N,) draws do.
+    dW_cache = rng.standard_normal(out=np.empty((grid.steps, N_proxy)))
+    dW_cache *= math.sqrt(grid.dt)
 
     trace: list[float] = []
     best: dict = {"value": -math.inf, "vec": None, "se": 0.0}

@@ -27,6 +27,13 @@ computed only when a caller reads it (the contract pass does; the limit
 objective and terminal-law simulation do not), and a float sigma of 1.0
 skips the sigma * dW product; neither changes a result bit.
 
+The stepper reads Brownian increments, sqrt(dt) * Z, not standard normals:
+each caller scales its draws once, in place where it owns the buffer (the
+optimizer scales its whole cached draw matrix once). The (min, max) that
+the guard computes for X_{k+1} is handed to the next step's
+EmpiricalMeasure (its private _range slot), so a clamped mean skips the
+clip when no state lies outside the clamp. Both keep every result bit.
+
 Randomness is organized around SeedSpec: one counter-based generator per
 (master_seed, spawn key) pair, so any worker can reproduce any stream
 without coordinating with the others. Within a stream the consumption order
@@ -175,23 +182,25 @@ def _initial_states(model: ModelSpec, n: int, rng: np.random.Generator) -> np.nd
 
 
 def _replication_chunks(
-    model: ModelSpec, n: int, replications: int, seed: SeedSpec, copies: int = 1
+    model: ModelSpec, n: int, grid: SimGrid, replications: int, seed: SeedSpec, copies: int = 1
 ) -> Iterator[tuple[range, np.ndarray, Callable[[int], np.ndarray]]]:
     """Independent replications grouped into (batch, n) chunks for _euler_steps.
 
     Yields (reps, x0, draws) per chunk: reps is the range of replication
     indices, x0 stacks their initial states (replication r from
-    seed.generator(r)), and draws(k) refills one reused buffer, row i from
-    the stream of replication reps[i]. Each stream is consumed exactly as a
-    lone simulation consumes it (n initial draws, then one length-n vector
-    per step), so every row matches simulate_particles on seed.child(r) bit
-    for bit.
+    seed.generator(r)), and draws(k) refills one reused buffer with the
+    Brownian increments of step k on the grid, row i from the stream of
+    replication reps[i], and scales it by sqrt(dt) in place. Each stream is
+    consumed exactly as a lone simulation consumes it (n initial draws, then
+    one length-n vector per step), so every row matches simulate_particles
+    on seed.child(r) bit for bit.
 
     copies > 1 gives each replication that many consecutive rows, all
-    starting from its initial state and reading its normals (the deviation
-    scan runs one row per cell this way); chunks are then sized so that
-    batch * copies * n stays within _BATCH_ELEMENTS.
+    starting from its initial state and reading its increments (the
+    deviation scan runs one row per cell this way); chunks are then sized so
+    that batch * copies * n stays within _BATCH_ELEMENTS.
     """
+    sqdt = math.sqrt(grid.dt)
     size = max(1, _BATCH_ELEMENTS // (n * copies))
     for start in range(0, replications, size):
         reps = range(start, min(start + size, replications))
@@ -203,6 +212,7 @@ def _replication_chunks(
         def draws(k, rows=rows, buf=buf):
             for g, row in rows:
                 g.standard_normal(out=row)
+            buf *= sqdt
             return buf if copies == 1 else np.repeat(buf, copies, axis=0)
 
         yield reps, (x0 if copies == 1 else np.repeat(x0, copies, axis=0)), draws
@@ -224,7 +234,7 @@ class _Step(NamedTuple):
     L: Any  # running cost at the played action
     b_hat: Any  # drift at the recommended action
     L_hat: Any  # running cost at the recommended action
-    dW: np.ndarray  # Brownian increment sqrt(dt) * draw
+    dW: np.ndarray  # Brownian increment sqrt(dt) * Z, as draws(k) returned it
     x_next: np.ndarray  # X_{k+1}
 
     @property
@@ -260,21 +270,25 @@ def _euler_steps(
 ) -> Iterator[_Step]:
     """Step the ensemble x (shape (n,) or (batch, n)) across the grid.
 
-    draws(k) returns the standard normals of step k: shape (n,), shared by
-    every row of a batch, or the shape of x. Each step evaluates the fields
-    and sigma at (t_k, X_k), makes one maximizer call for the recommended
-    action, moves the state by the played action (the recommendation, or
-    play(t, x, a_star) when given), guards the result, and yields a _Step.
-    The guard tests the largest and the smallest state against
-    BLOWUP_THRESHOLD, read at call time, each on its own so that a NaN fails
-    either test; max |X| is computed only for the error.
+    draws(k) returns the Brownian increments sqrt(dt) * Z of step k, already
+    scaled: shape (n,), shared by every row of a batch, or the shape of x.
+    Each step evaluates the fields and sigma at (t_k, X_k), makes one
+    maximizer call for the recommended action, moves the state by the played
+    action (the recommendation, or play(t, x, a_star) when given), guards
+    the result, and yields a _Step. The guard tests the largest and the
+    smallest state against BLOWUP_THRESHOLD, read at call time, each on its
+    own so that a NaN fails either test; max |X| is computed only for the
+    error. The (min, max) it computes becomes the _range of the next step's
+    EmpiricalMeasure (the measure of x0 has none), so callers must not
+    modify a yielded x_next in place.
     """
     times = grid.nodes
     dt = grid.dt
-    sqdt = math.sqrt(dt)
+    span = None  # (min, max) of x, once the guard has computed them
     for k in range(grid.steps):
         t = float(times[k])
         m = EmpiricalMeasure(x)
+        m._range = span
         e = aleph(t, x)
         z = gamma(t, x)
         sig = _checked_sigma(model, t, x)
@@ -285,18 +299,20 @@ def _euler_steps(
             a = play(t, x, a)
             b = model.drift_b(t, x, m, e, a)
             L = model.running_cost_L(t, x, m, e, a)
-        dW = sqdt * draws(k)
+        dW = draws(k)
         x_next = x + b * dt
         if isinstance(sig, float) and sig == 1.0:
             x_next += dW  # 1.0 * dW is dW exactly
         else:
             x_next += sig * dW
         # Each comparison fails on a NaN maximum or minimum, so NaN is caught.
-        if not (x_next.max() <= BLOWUP_THRESHOLD and x_next.min() >= -BLOWUP_THRESHOLD):
+        hi, lo = x_next.max(), x_next.min()
+        if not (hi <= BLOWUP_THRESHOLD and lo >= -BLOWUP_THRESHOLD):
             worst = np.abs(x_next).max()
             raise SimulationBlowupError(
                 k + 1, float(times[k + 1]), float(worst) if math.isfinite(worst) else math.inf
             )
+        span = (lo, hi)
         yield _Step(t, e, zsig, L, b_hat, L_hat, dW, x_next)
         x = x_next
 
@@ -323,7 +339,8 @@ def simulate_particles(
     states = np.empty((n, grid.steps + 1))
     incs = np.empty((n, grid.steps))
     states[:, 0] = x
-    steps = _euler_steps(model, gamma, aleph, x, grid, lambda k: rng.standard_normal(n))
+    sqdt = math.sqrt(grid.dt)
+    steps = _euler_steps(model, gamma, aleph, x, grid, lambda k: sqdt * rng.standard_normal(n))
     for k, step in enumerate(steps):
         states[:, k + 1] = step.x_next
         incs[:, k] = step.dW
@@ -342,12 +359,18 @@ def simulate_terminal_measure(
     """Terminal empirical measure only, with O(n) memory.
 
     Runs exactly the simulate_particles scheme (same draw order, same state
-    recursion) but stores no intermediate states; use for large ensembles
-    where only the terminal law matters (e.g. chaos sweeps).
+    recursion) but stores no intermediate states, and draws every step's
+    increments into one reused buffer; use for large ensembles where only
+    the terminal law matters (e.g. chaos sweeps).
     """
     rng = _as_generator(seed)
     x = _initial_states(model, n, rng)
-    draws = lambda k: rng.standard_normal(n)
+    sqdt = math.sqrt(grid.dt)
+    buf = np.empty(n)
+
+    def draws(k):
+        return np.multiply(rng.standard_normal(out=buf), sqdt, out=buf)
+
     for step in _euler_steps(model, gamma, aleph, x, grid, draws):
         x = step.x_next
     return EmpiricalMeasure(x)

@@ -6,9 +6,12 @@ library code, frozen below). Tests import these via plain `import conftest`
 (pytest puts this directory on sys.path).
 """
 
+import math
+
 import numpy as np
 from hypothesis import settings
 
+from palab.measures import EmpiricalMeasure
 from palab.mkv_control import analytic_multitask
 from palab.model import MultitaskParams, multitask_model
 
@@ -75,3 +78,54 @@ def multitask_sweep(kappa_bar: float, b_bars, grid, U, nu=None):
     models = [(b, multitask_model(MultitaskParams(kappa_bar, b), nu=nu, U=U)) for b in b_bars]
     am = analytic_multitask(MultitaskParams(kappa_bar), T=grid.horizon_T)
     return models, am.gamma_hat, float(U(am.V_infinity))
+
+
+def reference_multitask_objective(model, kappa_bar, b_bar, policy, grid, x0, normals):
+    """(value, se, crossings) of the multitask limit objective, written plainly.
+
+    The stepper of the library, with each step spelled out for the
+    multitask model (sigma = 1, alpha = z): the PolicyParam interval found
+    by np.searchsorted, the fields c0 + c1 * x, the clamped mean as
+    np.mean(np.clip(x, -b_bar, b_bar)) and the increment sqrt(dt) * Z with
+    Z = normals(k) on every step. model supplies L, L_P, Upsilon, g^{-1} and
+    g_P. crossings[k] tells whether the clip moved any state at step k.
+    """
+    dt = grid.dt
+    sqdt = math.sqrt(dt)
+    times = grid.nodes
+    m_int = len(policy.knots) - 1
+    x = x0
+    lhat = np.zeros(len(x0))
+    lp = np.float64(0.0)
+    crossings = []
+    for k in range(grid.steps):
+        t = float(times[k])
+        j = min(max(int(np.searchsorted(policy.knots, t, side="right")) - 1, 0), m_int - 1)
+        z = policy.gamma_c0[j] + policy.gamma_c1[j] * x
+        e = policy.aleph_c0[j] + policy.aleph_c1[j] * x
+        a = np.where(z == 0.0, 0.0, z / 1.0)
+        clipped = np.clip(x, -b_bar, b_bar)
+        crossings.append(bool(np.any(clipped != x)))
+        b = a + kappa_bar * float(np.mean(clipped))
+        L = model.running_cost_L(t, x, None, e, a)
+        x_next = x + b * dt
+        x_next += sqdt * normals(k)
+        assert np.all(np.abs(x_next) <= 1e8)
+        lhat += L * dt
+        lp = lp + model.principal_running_cost_LP(t, e) * dt
+        x = x_next
+    if np.shape(lp) != x.shape:
+        lp = np.full(x.shape, lp)
+    m = EmpiricalMeasure(x)
+
+    def ghat_p(y):
+        return float(model.principal_terminal_cost_gP(m, model.g_inverse(m, y)))
+
+    y_T = model.reservation_R - float(np.mean(lhat))
+    ups = np.asarray(model.production_utility_Upsilon(x), dtype=float)
+    value = float(np.mean(ups)) - ghat_p(y_T) - float(np.mean(lp))
+    h = 1e-6 * max(1.0, abs(y_T))
+    slope = (ghat_p(y_T + h) - ghat_p(y_T - h)) / (2.0 * h)
+    influence = ups - lp + slope * lhat
+    se = float(np.std(influence, ddof=1) / math.sqrt(len(x)))
+    return value, se, crossings

@@ -31,6 +31,60 @@ def test_clamped_mean_examples():
     assert EmpiricalMeasure([10.0, 20.0]).clamped_mean(0.5) == 0.5
 
 
+def _clip_mean(samples, b_bar):
+    clipped = np.clip(samples, -b_bar, b_bar)
+    return float(np.mean(clipped)) if clipped.ndim == 1 else np.mean(clipped, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize(
+    "samples, b_bar",
+    [
+        ([-0.5, 0.5, 0.1, -0.0], 0.5),  # samples exactly at -b_bar and b_bar
+        ([-0.0, -0.0, -0.0], 0.5),  # a -0.0 mean survives the skipped clip
+        ([-0.0, 0.0, -0.0], 0.0),  # b_bar = 0 with signed zeros
+        ([-0.0], 1e-300),
+        ([0.3, -0.7, 0.2], 0.5),  # crosses: the clip runs
+        ([[0.1, -0.2, 0.4], [0.2, 0.9, -0.1], [-0.5, 0.0, 0.5]], 0.5),  # one row crosses
+        ([[0.1, -0.2, -0.0], [0.2, 0.3, -0.1]], 0.5),  # a stack inside the clamp
+    ],
+)
+def test_clamped_mean_with_known_range_matches_clip(samples, b_bar):
+    # With _range set to the true (min, max), the skipped clip gives the
+    # bits of np.mean(np.clip(...)), signed zeros included.
+    arr = np.asarray(samples, dtype=float)
+    m = EmpiricalMeasure(arr)
+    m._range = (arr.min(), arr.max())
+    got, want = m.clamped_mean(b_bar), _clip_mean(arr, b_bar)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_clamped_mean_skips_clip_only_inside_range():
+    # The range alone decides: a range inside the clamp takes the plain mean
+    # even of samples it misdescribes, and one touching outside clips.
+    m = EmpiricalMeasure([3.0, 1.0])
+    m._range = (-1.0, 1.0)
+    assert m.clamped_mean(2.0) == 2.0
+    m._range = (1.0, 3.0)
+    assert m.clamped_mean(2.0) == 1.5
+    m._range = (float("nan"), 3.0)
+    assert m.clamped_mean(2.0) == 1.5
+
+
+@pytest.mark.parametrize("n", [1, 7, 10_000, 200_000])
+def test_average_matches_np_mean(n):
+    rng = np.random.default_rng(n)
+    one = rng.standard_normal(n)
+    stack = rng.standard_normal((3, n)) * [[1.0], [1e-3], [1e5]]
+    assert EmpiricalMeasure(one).mean() == float(np.mean(one))
+    col = EmpiricalMeasure(stack).mean()
+    assert col.shape == (3, 1)
+    assert np.array_equal(col, np.mean(stack, axis=-1, keepdims=True))
+    zeros = np.full(n, -0.0)
+    got, want = EmpiricalMeasure(zeros).mean(), float(np.mean(zeros))
+    assert got == want and np.signbit(got) == np.signbit(want)
+
+
 def test_empty_or_3d_rejected():
     with pytest.raises(ValueError):
         EmpiricalMeasure([])

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from palab.mkv_control import (
     minimize,
     optimize_policy,
 )
-from palab.model import MultitaskParams, multitask_model, point_mass
+from palab.model import MultitaskParams, multitask_model, normal_law, point_mass
 from palab.sde_engine import SeedSpec, SimGrid
 
 CLOSED_FORM_TOL = 1e-8
@@ -123,6 +124,46 @@ def test_interval_lookup():
     assert p.aleph_fn(0.2, 9.9) == 5.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_policy_param_rejects_non_finite_knots(bad):
+    # np.diff(knots) <= 0 is False next to a NaN, so only the finiteness
+    # check stops it; the interval lookup would order a NaN knot arbitrarily.
+    with pytest.raises(ValueError, match="finite"):
+        _flat_policy(knots=(0.0, bad, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        _flat_policy(knots=(0.0, 0.5, bad))
+
+
+def test_interval_lookup_matches_searchsorted():
+    knots = np.array([0.0, 0.2, 0.55, 1.0])
+    p = _flat_policy(knots=knots)
+    between = 0.5 * (knots[:-1] + knots[1:])
+    for t in [*knots, *between, -0.0, -0.5, -1e-300, 1.0 + 1e-12, 3.0, math.nan, np.float64(0.2)]:
+        j = int(np.searchsorted(knots, t, side="right")) - 1
+        assert p._interval(t) == min(max(j, 0), p.n_intervals - 1), t
+
+
+def test_field_shortcut_bits_match_affine_expression():
+    # A zero c1 returns the scalar c0, which must broadcast to the bits of
+    # c0 + c1 * x, signed zeros included; a c0 of -0.0 keeps the array.
+    x = np.array([-2.5, -1e-310, -0.0, 0.0, 1e-310, 3.0])
+    values = (0.0, -0.0, 1.5)
+    for c0 in values:
+        for c1 in values:
+            p = PolicyParam(
+                knots=np.array([0.0, 1.0]),
+                gamma_c0=np.array([c0]),
+                gamma_c1=np.array([c1]),
+                aleph_c0=np.array([c0]),
+                aleph_c1=np.array([c1]),
+            )
+            want = np.float64(c0) + np.float64(c1) * x
+            for field in (p.gamma_fn, p.aleph_fn):
+                got = np.broadcast_to(field(0.5, x), x.shape)
+                assert np.array_equal(got, want), (c0, c1)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (c0, c1)
+
+
 def test_vector_roundtrip_and_parts():
     p = PolicyParam(
         knots=np.array([0.0, 0.5, 1.0]),
@@ -188,6 +229,65 @@ def test_limit_objective_zero_policy():
         model, (_zero, _zero), N_proxy=5_000, grid=SimGrid(1.0, 50), seed=SeedSpec(23)
     )
     assert abs(est.value - 0.1) <= 3.0 * est.se + 1e-9
+
+
+def _parity_setup():
+    # b_bar = 0.5 with a narrow initial law: the early steps stay inside the
+    # clamp and the later ones cross it. L_P = e lets the rate field reach
+    # the value; the policy has -0.0 and zero-c1 entries in both fields.
+    kappa, b_bar = 0.7, 0.5
+    model = replace(
+        multitask_model(MultitaskParams(kappa, b_bar=b_bar), R=0.1, nu=normal_law(0.0, 0.05)),
+        principal_running_cost_LP=lambda t, e: e,
+    )
+    policy = PolicyParam(
+        knots=np.array([0.0, 0.3, 0.7, 1.0]),
+        gamma_c0=np.array([0.9, -0.0, 1.2]),
+        gamma_c1=np.array([0.0, 0.0, 0.4]),
+        aleph_c0=np.array([-0.0, 0.25, 0.0]),
+        aleph_c1=np.array([0.0, -0.0, 0.3]),
+    )
+    return model, kappa, b_bar, policy, SimGrid(1.0, 40)
+
+
+def test_limit_objective_equals_plain_reference_loop():
+    model, kappa, b_bar, policy, grid = _parity_setup()
+    seed, N = SeedSpec(61), 2_000
+    est = evaluate_limit_objective(model, policy, N, grid, seed)
+    rng = seed.generator()
+    x0 = np.asarray(model.initial_law_nu(N, rng), dtype=float)
+    value, se, crossings = conftest.reference_multitask_objective(
+        model, kappa, b_bar, policy, grid, x0, lambda k: rng.standard_normal(N)
+    )
+    assert any(crossings) and not all(crossings)
+    assert est.value == value and est.se == se
+
+
+def test_optimize_trace_equals_plain_reference_loop():
+    model, kappa, b_bar, policy, grid = _parity_setup()
+    seed, N, budget, parts = SeedSpec(62), 500, 20, ("gamma", "aleph_c0")
+    res = optimize_policy(model, policy, N, grid, seed, budget=budget, parts=parts)
+
+    rng = seed.generator()
+    x0 = np.asarray(model.initial_law_nu(N, rng), dtype=float)
+    normals = [rng.standard_normal(N) for _ in range(grid.steps)]
+    trace, crossed = [], set()
+
+    def value_of(vec):
+        candidate = policy.replace_from_vector(vec, parts)
+        value, _, crossings = conftest.reference_multitask_objective(
+            model, kappa, b_bar, candidate, grid, x0, normals.__getitem__
+        )
+        trace.append(value)
+        crossed.update(crossings)
+        return value
+
+    v0 = policy.to_vector(parts)
+    value_of(v0)
+    minimize(lambda v: -value_of(v), v0, None, budget, xatol=1e-4, fatol=1e-7)
+    assert crossed == {True, False}
+    assert len(trace) == budget + 1  # the initial policy, then the search
+    assert res.trace == trace
 
 
 def test_objective_concave_in_constant_slope():

@@ -142,6 +142,23 @@ def test_terminal_measure_matches_full_paths():
     assert np.array_equal(m.samples, paths.states[:, -1])
 
 
+def test_stepper_hands_each_measure_the_guarded_range():
+    # The measure of X_k carries X_k's (min, max) from the guard of step k,
+    # for one ensemble and for a (batch, n) stack; the measure of x0 has none.
+    seen = []
+
+    def drift(t, x, m, e, a):
+        seen.append((m._range, None if m._range is None else (x.min(), x.max())))
+        return a + 0.0 * x
+
+    model = replace(multitask_model(MultitaskParams(0.0), nu=normal_law()), drift_b=drift)
+    grid = SimGrid(1.0, 6)
+    simulate_terminal_measure(model, _one, _zero, 9, grid, SeedSpec(5))
+    estimate_n_player_value(model, _one, _zero, 4, grid, 3, SeedSpec(5))
+    assert [r is None for r, _ in seen] == ([True] + [False] * 5) * 2
+    assert all(r == want for r, want in seen if r is not None)
+
+
 def test_initial_law_shape_checked():
     # Every entry point draws its initial states through the one check, the
     # limit objective and the policy search included.
