@@ -29,10 +29,10 @@ lives in the run_meta.json sidecar (not written by self-check, whose
 output must be byte-stable).
 
 Exit codes: 0 success, 2 config error, 3 numeric blowup (a state left the
-guard threshold), 4 self-check failure, 5 numeric-domain error (a
-coefficient, the volatility, the Hamiltonian maximizer or the terminal
-payment map produced a non-finite, negative-volatility or ambiguous value,
-or a result value is NaN).
+guard threshold), 4 self-check failure, 5 numeric-domain error (the
+initial law, a coefficient, the volatility, the Hamiltonian maximizer or
+the terminal payment map produced a non-finite, negative-volatility or
+ambiguous value, or a result value is NaN).
 """
 
 from __future__ import annotations
@@ -191,6 +191,14 @@ def _field(cfg: dict, path: str, kind: str, default=_MISSING, *, ge=None, gt=Non
     return val
 
 
+def _finite_field(cfg: dict, path: str, default: float, **bounds) -> float:
+    """A "number" _field that must also be finite (the horizon, the initial law)."""
+    val = _field(cfg, path, "number", default, **bounds)
+    if not math.isfinite(val):
+        raise ConfigError(f"{path}: must be finite, got {val!r}")
+    return val
+
+
 def config_hash(cfg: dict) -> str:
     """Stable 16-hex-digit digest of a config; insensitive to key order."""
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
@@ -256,18 +264,16 @@ def _model_plan(cfg: dict) -> dict:
     plan = {
         "name": name,
         "R": _field(cfg, "model.R", "number", 0.0),
-        "T": _field(cfg, "model.T", "number", 1.0, gt=0),
+        "T": _finite_field(cfg, "model.T", 1.0, gt=0),
         "utility": _field(cfg, "model.utility", "str", "identity", choices=("identity", "exp")),
         "sigma_scale": _field(cfg, "model.sigma_scale", "number", 1.0, ge=0),
         "nu_kind": _field(cfg, "model.nu.kind", "str", "point", choices=("point", "normal")),
     }
-    if plan["T"] == math.inf:
-        raise ConfigError("model.T: must be finite, got inf")
     if plan["nu_kind"] == "point":
-        plan["E_iota"], plan["nu_std"] = _field(cfg, "model.nu.value", "number", 0.0), 0.0
+        plan["E_iota"], plan["nu_std"] = _finite_field(cfg, "model.nu.value", 0.0), 0.0
     else:
-        plan["E_iota"] = _field(cfg, "model.nu.mean", "number", 0.0)
-        plan["nu_std"] = _field(cfg, "model.nu.std", "number", 1.0, ge=0)
+        plan["E_iota"] = _finite_field(cfg, "model.nu.mean", 0.0)
+        plan["nu_std"] = _finite_field(cfg, "model.nu.std", 1.0, ge=0)
     if name == "multitask":
         plan["kappa_bar"] = _field(cfg, "model.params.kappa_bar", "number")
         plan["b_bar"] = _field(cfg, "model.params.b_bar", "number", math.inf, gt=0)

@@ -249,11 +249,11 @@ def _contract_pass(
 ) -> dict:
     """Simulate the contracted n-agent system and price every replication.
 
-    Replication r reads seed.generator(r) as simulate_particles would; its
-    agents play the recommended response to gamma (or play(t, x, a_star))
-    while Y, started at y0, accumulates through contract_y_step. With
-    copies > 1 each replication runs as that many consecutive rows
-    (_replication_chunks).
+    Replication r reads seed.generator(r) as `simulate_particles` on
+    `seed.child(r)` would; its agents play the recommended response to gamma
+    (or play(t, x, a_star)) while Y, started at y0, accumulates through
+    contract_y_step. With copies > 1 each replication runs as that many
+    consecutive rows (_replication_chunks).
 
     Each chunk is priced once, by _price, on its stacked terminal
     EmpiricalMeasure mu_T with the levels as a (batch, 1) column. Returns a

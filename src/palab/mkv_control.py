@@ -33,7 +33,7 @@ import numpy as np
 from .estimates import MCEstimate, _central_slope
 from .measures import EmpiricalMeasure
 from .model import ModelSpec, MultitaskParams, NumericDomainError
-from .sde_engine import SeedSpec, SimGrid, _as_generator, _euler_steps, _initial_states
+from .sde_engine import SeedSpec, SimGrid, _euler_steps, _stream
 
 _COEFF_FIELDS = ("gamma_c0", "gamma_c1", "aleph_c0", "aleph_c1")
 
@@ -219,12 +219,8 @@ def evaluate_limit_objective(
     under one seed are compared with common random numbers.
     """
     gamma, aleph = _policy_fns(policy)
-    rng = _as_generator(seed)
-    x0 = _initial_states(model, N_proxy, rng)
-    sqdt = math.sqrt(grid.dt)
-    return _limit_objective_from_draws(
-        model, gamma, aleph, grid, x0, lambda k: sqdt * rng.standard_normal(N_proxy)
-    )
+    x0, draws = _stream(model, N_proxy, grid, seed)
+    return _limit_objective_from_draws(model, gamma, aleph, grid, x0, draws)
 
 
 class _BudgetSpent(Exception):
@@ -336,18 +332,17 @@ def optimize_policy(
     and evaluation sequence as scipy's method="Nelder-Mead" with
     adaptive=True) on the flat coefficient vector of the chosen parts,
     clipped to initial.bounds when set, holding the knots and the Brownian draws fixed: the
-    initial states and all increments are generated once from the seed,
-    scaled by sqrt(dt) once and reused for every objective call, so the
-    search sees a smooth deterministic surface. The returned policy is the best one actually
+    initial states and all increments are read once from the seed's stream
+    into a (steps, N) cache reused by every objective call, so the search
+    sees a smooth deterministic surface. The returned policy is the best one actually
     evaluated (never worse than the initial policy on these draws), with
     converged=False when the evaluation budget ran out first.
     """
     parts = tuple(parts)
-    rng = _as_generator(seed)
-    x0 = _initial_states(model, N_proxy, rng)
-    # One (steps, N) fill reads the stream as steps successive (N,) draws do.
-    dW_cache = rng.standard_normal(out=np.empty((grid.steps, N_proxy)))
-    dW_cache *= math.sqrt(grid.dt)
+    x0, draws = _stream(model, N_proxy, grid, seed)
+    dW_cache = np.empty((grid.steps, N_proxy))
+    for k in range(grid.steps):
+        dW_cache[k] = draws(k)
 
     trace: list[float] = []
     best: dict = {"value": -math.inf, "vec": None, "se": 0.0}

@@ -27,12 +27,16 @@ computed only when a caller reads it (the contract pass does; the limit
 objective and terminal-law simulation do not), and a float sigma of 1.0
 skips the sigma * dW product; neither changes a result bit.
 
-The stepper reads Brownian increments, sqrt(dt) * Z, not standard normals:
-each caller scales its draws once, in place where it owns the buffer (the
-optimizer scales its whole cached draw matrix once). The (min, max) that
-the guard computes for X_{k+1} is handed to the next step's
-EmpiricalMeasure (its private _range slot), so a clamped mean skips the
-clip when no state lies outside the clamp. Both keep every result bit.
+The stepper reads Brownian increments, sqrt(dt) * Z, not standard normals.
+One ensemble's stream is set up in one place, _stream: its generator, its
+initial states and a draws(k) that refills one reused length-n buffer and
+scales it in place, so a step loop allocates no draw arrays (the optimizer
+copies the draws row by row into its cache once per search). The batched
+replications of the contract pass read _replication_chunks, which refills
+one (batch, n) buffer the same way. The (min, max) that the guard computes
+for X_{k+1} is handed to the next step's EmpiricalMeasure (its private
+_range slot), so a clamped mean skips the clip when no state lies outside
+the clamp. Both keep every result bit.
 
 Randomness is organized around SeedSpec: one counter-based generator per
 (master_seed, spawn key) pair, so any worker can reproduce any stream
@@ -54,9 +58,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, NamedTuple, Optional, Union
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
+# Loaded with the module, not on the first draw: a process pool forked after
+# import then shares it instead of importing it in every worker.
+from numpy.random import Generator, Philox, SeedSequence
 
 from .measures import EmpiricalMeasure
 from .model import ModelSpec, NumericDomainError, _recommended, slope_over_sigma
@@ -126,41 +133,20 @@ class SeedSpec:
     def child(self, *key: int) -> "SeedSpec":
         return SeedSpec(self.master_seed, self.prefix + tuple(int(k) for k in key))
 
-    def generator(self, *key: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            self.master_seed, spawn_key=self.prefix + tuple(int(k) for k in key)
-        )
-        return np.random.Generator(np.random.Philox(ss))
-
-
-SeedLike = Union[SeedSpec, np.random.Generator]
-
-
-def _as_generator(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, SeedSpec):
-        return seed.generator()
-    if isinstance(seed, np.random.Generator):
-        return seed
-    raise TypeError(f"seed must be a SeedSpec or numpy Generator, got {type(seed)!r}")
+    def generator(self, *key: int) -> Generator:
+        ss = SeedSequence(self.master_seed, spawn_key=self.prefix + tuple(int(k) for k in key))
+        return Generator(Philox(ss))
 
 
 @dataclass
 class ParticlePaths:
     """Materialized ensemble paths on a uniform grid.
 
-    states has shape (n, steps+1) with states[:, 0] the initial draws;
-    increments are the Brownian increments, shape (n, steps).
+    states has shape (n, steps+1) with states[:, 0] the initial draws.
     """
 
     times: np.ndarray
     states: np.ndarray
-    increments: np.ndarray
-
-    def __post_init__(self):
-        if self.states.shape != (self.increments.shape[0], len(self.times)):
-            raise ValueError("states must be (n, len(times))")
-        if self.increments.shape[1] != len(self.times) - 1:
-            raise ValueError("increments must be (n, len(times)-1)")
 
     @property
     def n_particles(self) -> int:
@@ -171,14 +157,40 @@ class ParticlePaths:
         return self.states.shape[1] - 1
 
 
-def _initial_states(model: ModelSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The n initial draws of one ensemble, checked to be a length-n vector."""
+def _initial_states(model: ModelSpec, n: int, rng: Generator) -> np.ndarray:
+    """The n initial draws of one ensemble, checked to be a finite length-n vector."""
     if n < 1:
         raise ValueError(f"need at least one particle, got n={n}")
     x = np.asarray(model.initial_law_nu(n, rng), dtype=float)
     if x.shape != (n,):
         raise ValueError(f"initial law returned shape {x.shape}, expected ({n},)")
+    if not np.isfinite(x).all():
+        raise NumericDomainError("initial law returned a non-finite state")
     return x
+
+
+def _stream(
+    model: ModelSpec, n: int, grid: SimGrid, seed: SeedSpec
+) -> tuple[np.ndarray, Callable[[int], np.ndarray]]:
+    """The initial states and step increments of one ensemble, read from seed.
+
+    Returns (x0, draws): x0 holds the n initial draws of seed.generator(),
+    and draws(k) refills one reused length-n buffer with the next n standard
+    normals and scales it by sqrt(dt) in place, so each call overwrites the
+    previous step's increments. A seed that is not a SeedSpec raises
+    TypeError.
+    """
+    if not isinstance(seed, SeedSpec):
+        raise TypeError(f"seed must be a SeedSpec, got {type(seed)!r}")
+    rng = seed.generator()
+    x0 = _initial_states(model, n, rng)
+    sqdt = math.sqrt(grid.dt)
+    buf = np.empty(n)
+
+    def draws(k):
+        return np.multiply(rng.standard_normal(out=buf), sqdt, out=buf)
+
+    return x0, draws
 
 
 def _replication_chunks(
@@ -234,7 +246,6 @@ class _Step(NamedTuple):
     L: Any  # running cost at the played action
     b_hat: Any  # drift at the recommended action
     L_hat: Any  # running cost at the recommended action
-    dW: np.ndarray  # Brownian increment sqrt(dt) * Z, as draws(k) returned it
     x_next: np.ndarray  # X_{k+1}
 
     @property
@@ -313,7 +324,7 @@ def _euler_steps(
                 k + 1, float(times[k + 1]), float(worst) if math.isfinite(worst) else math.inf
             )
         span = (lo, hi)
-        yield _Step(t, e, zsig, L, b_hat, L_hat, dW, x_next)
+        yield _Step(t, e, zsig, L, b_hat, L_hat, x_next)
         x = x_next
 
 
@@ -323,7 +334,7 @@ def simulate_particles(
     aleph: Callable,
     n: int,
     grid: SimGrid,
-    seed: SeedLike,
+    seed: SeedSpec,
 ) -> ParticlePaths:
     """Simulate the n-agent system under feedback fields gamma and aleph.
 
@@ -334,18 +345,12 @@ def simulate_particles(
     Returns the materialized paths. Raises SimulationBlowupError if a state
     leaves [-BLOWUP_THRESHOLD, BLOWUP_THRESHOLD] or goes non-finite.
     """
-    rng = _as_generator(seed)
-    x = _initial_states(model, n, rng)
+    x, draws = _stream(model, n, grid, seed)
     states = np.empty((n, grid.steps + 1))
-    incs = np.empty((n, grid.steps))
     states[:, 0] = x
-    sqdt = math.sqrt(grid.dt)
-    steps = _euler_steps(model, gamma, aleph, x, grid, lambda k: sqdt * rng.standard_normal(n))
-    for k, step in enumerate(steps):
+    for k, step in enumerate(_euler_steps(model, gamma, aleph, x, grid, draws)):
         states[:, k + 1] = step.x_next
-        incs[:, k] = step.dW
-
-    return ParticlePaths(times=grid.nodes, states=states, increments=incs)
+    return ParticlePaths(times=grid.nodes, states=states)
 
 
 def simulate_terminal_measure(
@@ -354,23 +359,15 @@ def simulate_terminal_measure(
     aleph: Callable,
     n: int,
     grid: SimGrid,
-    seed: SeedLike,
+    seed: SeedSpec,
 ) -> EmpiricalMeasure:
     """Terminal empirical measure only, with O(n) memory.
 
-    Runs exactly the simulate_particles scheme (same draw order, same state
-    recursion) but stores no intermediate states, and draws every step's
-    increments into one reused buffer; use for large ensembles where only
-    the terminal law matters (e.g. chaos sweeps).
+    Runs exactly the simulate_particles scheme (same stream, same state
+    recursion) but stores no intermediate states; use for large ensembles
+    where only the terminal law matters (e.g. chaos sweeps).
     """
-    rng = _as_generator(seed)
-    x = _initial_states(model, n, rng)
-    sqdt = math.sqrt(grid.dt)
-    buf = np.empty(n)
-
-    def draws(k):
-        return np.multiply(rng.standard_normal(out=buf), sqdt, out=buf)
-
+    x, draws = _stream(model, n, grid, seed)
     for step in _euler_steps(model, gamma, aleph, x, grid, draws):
         x = step.x_next
     return EmpiricalMeasure(x)

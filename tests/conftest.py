@@ -80,6 +80,19 @@ def multitask_sweep(kappa_bar: float, b_bars, grid, U, nu=None):
     return models, am.gamma_hat, float(U(am.V_infinity))
 
 
+def stream_increments(model, n, grid, seed):
+    """The (n, steps) Brownian increments an ensemble of n reads from seed.
+
+    Replays the documented stream layout of seed.generator(): the initial
+    law's draws for n agents (n normals for normal_law, none for a point
+    mass), then one length-n vector of standard normals per step, each
+    scaled by sqrt(dt).
+    """
+    rng = seed.generator()
+    model.initial_law_nu(n, rng)
+    return (math.sqrt(grid.dt) * rng.standard_normal((grid.steps, n))).T
+
+
 def reference_multitask_objective(model, kappa_bar, b_bar, policy, grid, x0, normals):
     """(value, se, crossings) of the multitask limit objective, written plainly.
 

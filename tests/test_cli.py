@@ -459,10 +459,14 @@ def _policy_opt_config(**policy):
     }
 
 
+def _with_nu(cfg, **nu):
+    return {**cfg, "model": {**cfg["model"], "nu": nu}}
+
+
 # Each of these fields is checked before any work starts: the library would
 # otherwise fail mid-run on it, report an se of 0 from one particle, treat
 # a truncation level of -inf as no truncation, or report an infinite horizon
-# as a blow-up at its first step.
+# or initial law as a blow-up at its first step.
 @pytest.mark.parametrize(
     "command, cfg, field",
     [
@@ -478,6 +482,10 @@ def _policy_opt_config(**policy):
             {**_contract_config(), "model": {"name": "multitask", "T": "inf", "params": {"kappa_bar": 0.0}}},
             "model.T",
         ),
+        ("contract-eval", _with_nu(_contract_config(), value="inf"), "model.nu.value"),
+        ("contract-eval", _with_nu(_contract_config(), kind="normal", mean="inf"), "model.nu.mean"),
+        ("policy-opt", _with_nu(_policy_opt_config(), kind="normal", mean="-inf"), "model.nu.mean"),
+        ("policy-opt", _with_nu(_policy_opt_config(), kind="normal", std="inf"), "model.nu.std"),
     ],
     ids=[
         "bounds-reversed",
@@ -488,6 +496,10 @@ def _policy_opt_config(**policy):
         "contract-y0-below-reservation",
         "contract-truncation-minus-inf",
         "contract-horizon-inf",
+        "contract-nu-value-inf",
+        "contract-nu-mean-inf",
+        "policy-opt-nu-mean-minus-inf",
+        "policy-opt-nu-std-inf",
     ],
 )
 def test_config_error_names_field(tmp_path, capsys, command, cfg, field):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import conftest
 from palab.contracts import (
     Contract,
     ContractEvaluationError,
@@ -105,13 +106,14 @@ def test_zero_slope_pays_exactly_y0():
 def test_constant_slope_pathwise_identity():
     # kappa = 0, gamma = c: per step H = c^2/2 and dX = c dt + dW, so
     # Y_T = Y0 + c^2 T / 2 + c * mean_i(sum_k dW_ik); reconstruct from the
-    # stored increments and match.
+    # stream's increments and match.
     cval = 0.8
     model = multitask_model(MultitaskParams(0.0), nu=normal_law())
     c = Contract(Y0=0.1, gamma=lambda t, x: cval, aleph=_zero)
     paths = _simulated(c, model, 25, 32)
     xi, y_path = evaluate_terminal_payment(c, model, paths)
-    expected = 0.1 + 0.5 * cval * cval + cval * float(np.mean(paths.increments.sum(axis=1)))
+    increments = conftest.stream_increments(model, 25, SimGrid(1.0, 32), SeedSpec(42).child(0))
+    expected = 0.1 + 0.5 * cval * cval + cval * float(np.mean(increments.sum(axis=1)))
     assert abs(xi - expected) <= PATH_TOL
     assert xi == y_path[-1]  # identity g
 

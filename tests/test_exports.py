@@ -36,3 +36,18 @@ def test_principal_n_builds_no_model():
             modules = {node.module or ""} if isinstance(node, ast.ImportFrom) else names
             assert not any("mkv_control" in m for m in modules), ast.unparse(node)
             assert not builders & names, ast.unparse(node)
+
+
+def test_only_sde_engine_reads_the_stream():
+    # the limit problem and the contract pass take their initial states and
+    # increments from sde_engine, so only it knows the stream layout
+    import palab.contracts as contracts
+    import palab.mkv_control as mkv_control
+
+    for module in (mkv_control, contracts):
+        tree = ast.parse(inspect.getsource(module))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in {"standard_normal", "generator"}, (
+                    f"{module.__name__}: {ast.unparse(node)}"
+                )

@@ -15,6 +15,7 @@ from palab.model import (
     multitask_model,
     normal_law,
     point_mass,
+    quadratic_generic_model,
 )
 from palab import sde_engine
 from palab.principal_n import estimate_n_player_value
@@ -85,7 +86,6 @@ def test_simulation_bitwise_deterministic():
     p1 = simulate_particles(model, _one, _zero, 50, grid, SeedSpec(9).child(0))
     p2 = simulate_particles(model, _one, _zero, 50, grid, SeedSpec(9).child(0))
     assert p1.states.tobytes() == p2.states.tobytes()
-    assert p1.increments.tobytes() == p2.increments.tobytes()
     p3 = simulate_particles(model, _one, _zero, 50, grid, SeedSpec(9).child(1))
     assert p1.states.tobytes() != p3.states.tobytes()
     # shapes and grid bookkeeping
@@ -94,44 +94,28 @@ def test_simulation_bitwise_deterministic():
     assert np.array_equal(p1.times, grid.nodes)
 
 
-class _PermutedDraws(np.random.Generator):
-    """Generator whose length-n normal vectors come back permuted by p."""
-
-    def __init__(self, bit_generator, p):
-        super().__init__(bit_generator)
-        self._p = np.asarray(p)
-
-    def standard_normal(self, size=None):
-        out = super().standard_normal(size)
-        if isinstance(size, int) and size == self._p.size:
-            return out[self._p]
-        return out
-
-
 def test_exchangeability_under_relabeling():
-    # Relabeling the particles (same draws, permuted) permutes the paths and
-    # nothing else. Without interaction the drift sees no ensemble statistic,
-    # so the identity is bitwise.
+    # Relabeling the particles (same initial states and increments, permuted)
+    # permutes the paths and nothing else. Without interaction the drift sees
+    # no ensemble statistic, so the identity is bitwise.
     n = 17
     rng = np.random.default_rng(555)
     p = rng.permutation(n)
-    model = multitask_model(MultitaskParams(0.0), nu=normal_law())
     grid = SimGrid(1.0, 20)
-    g_plain = np.random.Generator(np.random.Philox(314))
-    g_perm = _PermutedDraws(np.random.Philox(314), p)
-    paths1 = simulate_particles(model, _one, _zero, n, grid, g_plain)
-    paths2 = simulate_particles(model, _one, _zero, n, grid, g_perm)
-    assert np.array_equal(paths2.states, paths1.states[p, :])
+    x0 = rng.standard_normal(n)
+    dW = math.sqrt(grid.dt) * rng.standard_normal((grid.steps, n))
+
+    def paths(model, perm):
+        steps = sde_engine._euler_steps(model, _one, _zero, x0[perm], grid, lambda k: dW[k, perm])
+        return np.stack([x0[perm]] + [step.x_next for step in steps], axis=1)
+
+    same = np.arange(n)
+    model = multitask_model(MultitaskParams(0.0))
+    assert np.array_equal(paths(model, p), paths(model, same)[p, :])
     # with interaction the ensemble mean re-sums in a different order, so
     # agreement is to rounding, not bitwise
-    model_i = multitask_model(MultitaskParams(0.5), nu=normal_law())
-    paths3 = simulate_particles(
-        model_i, _one, _zero, n, grid, np.random.Generator(np.random.Philox(314))
-    )
-    paths4 = simulate_particles(
-        model_i, _one, _zero, n, grid, _PermutedDraws(np.random.Philox(314), p)
-    )
-    assert np.allclose(paths4.states, paths3.states[p, :], atol=1e-10)
+    model_i = multitask_model(MultitaskParams(0.5))
+    assert np.allclose(paths(model_i, p), paths(model_i, same)[p, :], atol=1e-10)
 
 
 def test_terminal_measure_matches_full_paths():
@@ -174,6 +158,39 @@ def test_initial_law_shape_checked():
     for run in runs:
         with pytest.raises(ValueError, match="initial law returned shape"):
             run()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+def test_initial_law_nonfinite_rejected(value):
+    # A non-finite initial draw is a numeric-domain error before the first
+    # step, on the analytic and the numeric maximizer alike, not a blow-up at
+    # step 1 or a Hamiltonian probe error.
+    grid = SimGrid(1.0, 2)
+    runs = {
+        "simulate_particles": lambda m: simulate_particles(m, _zero, _zero, 5, grid, SeedSpec(0)),
+        "estimate_n_player_value": lambda m: estimate_n_player_value(
+            m, _zero, _zero, 5, grid, 2, SeedSpec(0)
+        ),
+        "evaluate_limit_objective": lambda m: evaluate_limit_objective(
+            m, (_zero, _zero), 5, grid, SeedSpec(0)
+        ),
+    }
+    for model in (multitask_model(MultitaskParams(0.0)), quadratic_generic_model()):
+        bad = replace(model, initial_law_nu=lambda n, rng: np.full(n, value))
+        for name, run in runs.items():
+            with pytest.raises(NumericDomainError, match="initial law returned a non-finite"):
+                run(bad)
+                pytest.fail(f"{name} accepted a non-finite initial state")
+
+
+def test_seed_must_be_seedspec():
+    model = multitask_model(MultitaskParams(0.0), nu=normal_law())
+    grid = SimGrid(1.0, 2)
+    rng = np.random.default_rng(0)
+    with pytest.raises(TypeError, match="SeedSpec"):
+        simulate_particles(model, _zero, _zero, 3, grid, rng)
+    with pytest.raises(TypeError, match="SeedSpec"):
+        evaluate_limit_objective(model, (_zero, _zero), 3, grid, rng)
 
 
 def test_negative_volatility_rejected():
@@ -235,18 +252,19 @@ def test_deterministic_ode_limit():
 def test_ensemble_mean_replays_linear_recursion():
     # With the clamp slack, the ensemble mean follows
     #   xbar_{k+1} = (1 + kappa dt) xbar_k + gamma(t_k) dt + mean(sigma dW_k)
-    # exactly; replaying the recursion from the stored increments must match.
+    # exactly; replaying the recursion from the stream's increments must match.
     kappa = 0.5
     model = multitask_model(MultitaskParams(kappa, b_bar=10.0))
     grid = SimGrid(1.0, 40)
     gamma = lambda t, x: math.exp(kappa * (1.0 - t))
     paths = simulate_particles(model, gamma, _zero, 500, grid, SeedSpec(21))
+    increments = conftest.stream_increments(model, 500, grid, SeedSpec(21))
     xbar = float(np.mean(paths.states[:, 0]))
     dt = grid.dt
     for k in range(grid.steps):
         t = float(paths.times[k])
         xbar = xbar + (gamma(t, None) + kappa * xbar) * dt + float(
-            np.mean(paths.increments[:, k])
+            np.mean(increments[:, k])
         )
     assert abs(xbar - float(np.mean(paths.states[:, -1]))) <= 1e-10
 
@@ -271,21 +289,21 @@ def test_blowup_threshold_override(monkeypatch):
         simulate_particles(model, lambda t, x: 100.0, _zero, 5, SimGrid(1.0, 10), SeedSpec(0))
 
 
-def _held_states(x0):
-    """One Euler step of a model with zero drift and zero volatility from x0.
+def _held_states(states):
+    """One Euler step (dt = 1, zero volatility) from X_0 = 0 under drift `states`.
 
-    X_1 = X_0 exactly, so the guard, at a threshold lowered to 2.0, sees the
-    given states as they are.
+    X_1 = 0 + states * 1 = states exactly, so the guard, at a threshold
+    lowered to 2.0, sees the given states as they are. (A non-finite X_0
+    is rejected before the first step, by the initial-law check.)
     """
     model = replace(
-        multitask_model(MultitaskParams(0.0)),
-        drift_b=lambda t, x, m, e, a: 0.0,
+        multitask_model(MultitaskParams(0.0), nu=point_mass(0.0)),
+        drift_b=lambda t, x, m, e, a: np.array(states, dtype=float),
         vol_sigma=lambda t, x: 0.0,
-        initial_law_nu=lambda n, rng: np.array(x0, dtype=float),
     )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sde_engine, "BLOWUP_THRESHOLD", 2.0)
-        paths = simulate_particles(model, _zero, _zero, len(x0), SimGrid(1.0, 1), SeedSpec(0))
+        paths = simulate_particles(model, _zero, _zero, len(states), SimGrid(1.0, 1), SeedSpec(0))
     return paths.states[:, -1]
 
 
