@@ -30,7 +30,11 @@ picked silently.
 
 Coefficient functions must accept numpy arrays for the state/action/payment
 arguments and broadcast (the simulation engine calls them once per time step
-on whole particle ensembles). The measure argument ``m`` is an
+on whole particle ensembles). Without an analytic maximizer, the drift and
+running cost also receive actions with a leading axis in front of the
+state's shape (all probes of the numeric search at once, or its
+golden-section pair), so they must act elementwise in the action and
+broadcast against it. The measure argument ``m`` is an
 EmpiricalMeasure, whose ``mean()``, ``moment(p)`` and ``clamped_mean(b_bar)``
 return floats for a single ensemble and (batch, 1) columns for a stack of
 ensembles, so drift expressions written against them broadcast in both
@@ -287,7 +291,16 @@ def maximize_hamiltonian(model: ModelSpec, t, x, m, e, z):
     is returned; if two of them lie more than TOL_A apart while their values
     agree within TOL_H, AmbiguousMaximizerError is raised — the underlying
     theory assumes a unique maximizer and we will not pick one arbitrarily.
-    Scalar arguments are a size-1 search and return a float.
+
+    The drift and running cost are called with actions that carry a leading
+    axis in front of x's shape: all probes in one call, then the golden
+    pair (c, d) in one call per step, so an untied search makes 1 + n_iter
+    calls of each. They must act elementwise in a and broadcast. The search
+    runs on the shape their values take, which is smaller than x's when the
+    objective does not depend on x, and the answer is broadcast to x's shape
+    once at the end, as a fresh writable array; a slope or coefficient whose
+    values do not broadcast to x's shape raises ValueError. Scalar arguments
+    are a size-1 search and return a float.
 
     Note the slope convention: to obtain the maximizer of h(·, z, a) pass
     z/sigma(t, x) here (that is what reduced_coefficients does).
@@ -298,28 +311,50 @@ def maximize_hamiltonian(model: ModelSpec, t, x, m, e, z):
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"numeric maximization needs finite action_bounds lo < hi, got {lo, hi}")
     x = np.asarray(x, dtype=float)
+    if np.ndim(z) > x.ndim:
+        # a leading axis of length 1 would merge into the actions' axis
+        raise ValueError(f"slope of shape {np.shape(z)} has more dimensions than x {x.shape}")
 
     def objective(a):
-        return model.drift_b(t, x, m, e, a) * z + model.running_cost_L(t, x, m, e, a)
+        """b·z + L at the actions a, which carry a leading axis; the values keep it."""
+        v = model.drift_b(t, x, m, e, a) * z + model.running_cost_L(t, x, m, e, a)
+        if np.ndim(v) <= x.ndim:  # constant in a
+            v = np.broadcast_to(v, np.broadcast_shapes(np.shape(v), a.shape))
+        return v
 
     grid = np.linspace(lo, hi, DEFAULT_PROBES)
-    vals = np.stack([np.broadcast_to(objective(a), x.shape) for a in grid])
+    vals = objective(grid.reshape((-1,) + (1,) * x.ndim))
+    shape = vals.shape[1:]
+    if np.broadcast_shapes(shape, x.shape) != x.shape:
+        raise ValueError(f"Hamiltonian values of shape {shape} do not broadcast to x {x.shape}")
     if not np.isfinite(vals).all():
         raise NumericDomainError("non-finite Hamiltonian probe value")
     step = grid[1] - grid[0]
     n_iter = max(int(math.ceil(math.log(TOL_A / (2.0 * step)) / math.log(_INVPHI))) + 1, 1)
+    pair = np.empty((2,) + shape)
+    c, d = pair[0, ...], pair[1, ...]
+    w = np.empty(shape)
+    left = np.empty(shape, dtype=bool)
 
     def refine(probe):
         """Golden-section search on the bracket grid[probe] ± step, per element."""
-        a_lo = np.maximum(grid[probe] - step, lo)
-        a_hi = np.minimum(grid[probe] + step, hi)
+        a_lo = np.maximum(grid[probe] - step, lo, out=np.empty(shape))
+        a_hi = np.minimum(grid[probe] + step, hi, out=np.empty(shape))
         for _ in range(n_iter):
-            c = a_hi - _INVPHI * (a_hi - a_lo)
-            d = a_lo + _INVPHI * (a_hi - a_lo)
-            take_left = objective(c) >= objective(d)
-            a_hi = np.where(take_left, d, a_hi)
-            a_lo = np.where(take_left, a_lo, c)
+            np.multiply(np.subtract(a_hi, a_lo, out=w), _INVPHI, out=w)
+            np.subtract(a_hi, w, out=c)
+            np.add(a_lo, w, out=d)
+            v = objective(pair)
+            np.greater_equal(v[0], v[1], out=left)
+            np.copyto(a_hi, d, where=left)
+            np.logical_not(left, out=left)
+            np.copyto(a_lo, c, where=left)
         return 0.5 * (a_lo + a_hi)
+
+    def full(a):
+        if x.ndim == 0:
+            return float(a)
+        return a if a.shape == x.shape else np.broadcast_to(a, x.shape).copy()
 
     best = np.argmax(vals, axis=0)
     a_star = refine(best)
@@ -330,7 +365,7 @@ def maximize_hamiltonian(model: ModelSpec, t, x, m, e, z):
     np.put_along_axis(peaks, best[None], False, axis=0)
     multi = peaks.any(axis=0)
     if not multi.any():
-        return float(a_star) if a_star.ndim == 0 else a_star
+        return full(a_star)
 
     # Tie check: refine the other peaks one rank at a time (an element out
     # of peaks repeats its best probe) and compare every refined candidate
@@ -341,7 +376,7 @@ def maximize_hamiltonian(model: ModelSpec, t, x, m, e, z):
         np.put_along_axis(peaks, probe[None], False, axis=0)
         cands.append(refine(probe))
     cands = np.stack(cands)
-    values = np.stack([np.broadcast_to(objective(a), x.shape) for a in cands])
+    values = objective(cands)
     top = np.argmax(values, axis=0)[None]
     a_top = np.take_along_axis(cands, top, axis=0)
     h_top = np.take_along_axis(values, top, axis=0)
@@ -352,8 +387,7 @@ def maximize_hamiltonian(model: ModelSpec, t, x, m, e, z):
             f"two maximizers at a={a_top[(0, *where)]:.10g} and "
             f"a={cands[(rank, *where)]:.10g} with values within {TOL_H}"
         )
-    a_star = np.where(multi, a_top[0], a_star)
-    return float(a_star) if a_star.ndim == 0 else a_star
+    return full(np.where(multi, a_top[0], a_star))
 
 
 def _recommended(model: ModelSpec, t, x, m, e, zsig):

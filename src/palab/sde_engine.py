@@ -210,8 +210,11 @@ def _replication_chunks(
     copies > 1 gives each replication that many consecutive rows, all
     starting from its initial state and reading its increments (the
     deviation scan runs one row per cell this way); chunks are then sized so
-    that batch * copies * n stays within _BATCH_ELEMENTS.
+    that batch * copies * n stays within _BATCH_ELEMENTS. A seed that is
+    not a SeedSpec raises TypeError.
     """
+    if not isinstance(seed, SeedSpec):
+        raise TypeError(f"seed must be a SeedSpec, got {type(seed)!r}")
     sqdt = math.sqrt(grid.dt)
     size = max(1, _BATCH_ELEMENTS // (n * copies))
     for start in range(0, replications, size):

@@ -12,6 +12,9 @@ from hypothesis import example, given
 from palab.contracts import Contract, contract_report
 from palab.measures import EmpiricalMeasure
 from palab.model import (
+    DEFAULT_PROBES,
+    TOL_A,
+    TOL_H,
     AmbiguousMaximizerError,
     ModelSpec,
     MultitaskParams,
@@ -264,6 +267,150 @@ def test_maximize_needs_finite_bounds():
             maximize_hamiltonian(model, 0.0, 0.0, _measure(), 0.0, 0.0)
         with pytest.raises(ValueError):
             maximize_hamiltonian(model, 0.0, np.zeros(2), _measure(), 0.0, np.zeros(2))
+
+
+def _reference_maximizer(model, t, x, m, e, z):
+    """The per-probe, two-calls-per-step search maximize_hamiltonian replaced.
+
+    Every probe is one objective call broadcast to x's shape, and each
+    golden step calls the objective at c and at d separately; the result
+    bits must not depend on which of the two searches ran.
+    """
+    lo, hi = model.action_bounds
+    x = np.asarray(x, dtype=float)
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def objective(a):
+        return model.drift_b(t, x, m, e, a) * z + model.running_cost_L(t, x, m, e, a)
+
+    grid = np.linspace(lo, hi, DEFAULT_PROBES)
+    vals = np.stack([np.broadcast_to(objective(a), x.shape) for a in grid])
+    if not np.isfinite(vals).all():
+        raise NumericDomainError("non-finite Hamiltonian probe value")
+    step = grid[1] - grid[0]
+    n_iter = max(int(math.ceil(math.log(TOL_A / (2.0 * step)) / math.log(invphi))) + 1, 1)
+
+    def refine(probe):
+        a_lo = np.maximum(grid[probe] - step, lo)
+        a_hi = np.minimum(grid[probe] + step, hi)
+        for _ in range(n_iter):
+            c = a_hi - invphi * (a_hi - a_lo)
+            d = a_lo + invphi * (a_hi - a_lo)
+            take_left = objective(c) >= objective(d)
+            a_hi = np.where(take_left, d, a_hi)
+            a_lo = np.where(take_left, a_lo, c)
+        return 0.5 * (a_lo + a_hi)
+
+    best = np.argmax(vals, axis=0)
+    a_star = refine(best)
+    peaks = np.ones(vals.shape, dtype=bool)
+    peaks[1:] &= vals[1:] >= vals[:-1]
+    peaks[:-1] &= vals[:-1] >= vals[1:]
+    np.put_along_axis(peaks, best[None], False, axis=0)
+    multi = peaks.any(axis=0)
+    if not multi.any():
+        return float(a_star) if a_star.ndim == 0 else a_star
+    cands = [a_star]
+    while peaks.any():
+        probe = np.where(peaks.any(axis=0), np.argmax(peaks, axis=0), best)
+        np.put_along_axis(peaks, probe[None], False, axis=0)
+        cands.append(refine(probe))
+    cands = np.stack(cands)
+    values = np.stack([np.broadcast_to(objective(a), x.shape) for a in cands])
+    top = np.argmax(values, axis=0)[None]
+    a_top = np.take_along_axis(cands, top, axis=0)
+    h_top = np.take_along_axis(values, top, axis=0)
+    tie = multi & (np.abs(cands - a_top) > TOL_A) & (np.abs(values - h_top) < TOL_H)
+    if tie.any():
+        raise AmbiguousMaximizerError("two maximizers")
+    a_star = np.where(multi, a_top[0], a_star)
+    return float(a_star) if a_star.ndim == 0 else a_star
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(16)
+    quad = quadratic_generic_model(a_base=0.3, sigma0=1.0)
+    stack = rng.normal(size=(6, 100))
+    x1 = rng.normal(size=100)
+    # drift a·(1 + tanh(x)/2) depends on x; drift a·(1 + mean/4) on the measure
+    x_drift = replace(quad, drift_b=lambda t, x, m, e, a: a * (1.0 + 0.5 * np.tanh(x)))
+    m_drift = replace(quad, drift_b=lambda t, x, m, e, a: a * (1.0 + 0.25 * m.mean()))
+    two_peaks = replace(
+        _bimodal_model(),
+        running_cost_L=lambda t, x, m, e, a: np.exp(-np.square((np.asarray(a) + 4.0) / 2.0))
+        + 1.5 * np.exp(-np.square((np.asarray(a) - 2.25) / 0.25)),
+        action_bounds=(-8.0, 8.0),
+    )
+    return {
+        "quadratic-scalar-slope": (quad, stack, 0.7),
+        "quadratic-array-slope": (quad, stack, rng.uniform(-3.0, 3.0, stack.shape)),
+        "quadratic-column-slope": (quad, stack, rng.uniform(-3.0, 3.0, (6, 1))),
+        "x-dependent-drift": (x_drift, x1, rng.uniform(-3.0, 3.0, x1.shape)),
+        "measure-dependent-drift": (m_drift, stack, 1.1),
+        "scalar-x": (quad, 0.4, -1.3),
+        "higher-of-two-peaks": (two_peaks, np.zeros((2, 3)), 0.0),
+    }
+
+
+@pytest.mark.parametrize("case", list(_oracle_cases()))
+def test_maximizer_bits_match_reference(case):
+    model, x, z = _oracle_cases()[case]
+    m = EmpiricalMeasure(x) if np.ndim(x) else _measure()
+    got = maximize_hamiltonian(model, 0.3, x, m, 0.0, z)
+    want = _reference_maximizer(model, 0.3, x, m, 0.0, z)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want) == np.shape(x)
+    assert np.array_equal(got, want)
+
+
+def test_maximizer_ties_raise_in_both_searches():
+    x = np.zeros(4)
+    flat = replace(
+        _bimodal_model(),
+        drift_b=lambda t, x, m, e, a: np.zeros_like(x),
+        running_cost_L=lambda t, x, m, e, a: -np.square(x),
+    )
+    for search in (maximize_hamiltonian, _reference_maximizer):
+        with pytest.raises(AmbiguousMaximizerError):
+            search(_bimodal_model(), 0.0, x, EmpiricalMeasure(x), 0.0, 0.0)
+        with pytest.raises(AmbiguousMaximizerError):
+            search(_bimodal_model(), 0.0, 0.0, _measure(), 0.0, 0.0)
+        # an objective that ignores the action ties everywhere
+        with pytest.raises(AmbiguousMaximizerError):
+            search(flat, 0.0, x, EmpiricalMeasure(x), 0.0, 0.5)
+
+
+def test_maximizer_work_and_result_shape():
+    # all probes in one objective call, then one call per golden step
+    calls = []
+
+    def drift(t, x, m, e, a):
+        calls.append(np.shape(a))
+        return np.asarray(a, dtype=float) + 0.0
+
+    # on the (-8, 8) bounds: 1 probe call + 40 golden steps
+    model = replace(quadratic_generic_model(), drift_b=drift)
+    x = np.zeros((6, 100))
+    m = EmpiricalMeasure(x)
+    for z in (0.5, np.linspace(-1.0, 1.0, 600).reshape(x.shape)):
+        calls.clear()
+        first = maximize_hamiltonian(model, 0.0, x, m, 0.0, z)
+        assert len(calls) == 41
+        second = maximize_hamiltonian(model, 0.0, x, m, 0.0, z)
+        for a_star in (first, second):
+            assert a_star.shape == x.shape
+            assert a_star.flags.writeable
+        assert not np.shares_memory(first, second)
+    # a slope with more dimensions than x is refused, also when its leading
+    # axis has length 1 and would line up with the actions' axis
+    for z in (np.zeros((1, 6, 100)), np.zeros((2, 6, 100))):
+        with pytest.raises(ValueError):
+            maximize_hamiltonian(model, 0.0, x, m, 0.0, z)
+    with pytest.raises(ValueError):
+        maximize_hamiltonian(model, 0.0, 0.0, _measure(), 0.0, np.zeros(1))
+    # values that do not broadcast to x's shape are refused before the search
+    with pytest.raises(ValueError, match="do not broadcast"):
+        maximize_hamiltonian(model, 0.0, np.zeros((6, 1)), m, 0.0, np.zeros((6, 100)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import conftest
-from palab.contracts import Contract, evaluate_terminal_payment, mkv_contract_payment
+from palab.contracts import (
+    Contract,
+    contract_report,
+    evaluate_terminal_payment,
+    joint_deviation_scan,
+    mkv_contract_payment,
+)
 from palab.mkv_control import PolicyParam, evaluate_limit_objective, optimize_policy
 from palab.model import (
     MultitaskParams,
@@ -191,6 +197,14 @@ def test_seed_must_be_seedspec():
         simulate_particles(model, _zero, _zero, 3, grid, rng)
     with pytest.raises(TypeError, match="SeedSpec"):
         evaluate_limit_objective(model, (_zero, _zero), 3, grid, rng)
+    # the batched replications check it too, before the first generator call
+    contract = Contract(0.0, _zero, _zero)
+    with pytest.raises(TypeError, match="SeedSpec"):
+        estimate_n_player_value(model, _zero, _zero, 3, grid, 2, rng)
+    with pytest.raises(TypeError, match="SeedSpec"):
+        contract_report(contract, model, 3, grid, 2, rng)
+    with pytest.raises(TypeError, match="SeedSpec"):
+        joint_deviation_scan(contract, model, [0.0, 1.0], 2, grid, 2, rng)
 
 
 def test_negative_volatility_rejected():
