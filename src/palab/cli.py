@@ -16,10 +16,14 @@ Every emitted record carries the hash of the *effective* config (after any
 Each command runs in three phases. It first reads every config field it
 uses through one checked accessor, _field, into a plan of plain picklable
 values, so a bad field fails before any work starts and names itself; pool
-workers take (plan, task index) and never see the raw config. It then
+workers take (plan, task index) and never see the raw config. A number
+field must be finite; only a level (a clamp, a truncation level, a policy
+bound) may be "inf" / "-inf". It then
 computes, and finally renders every result file before writing the first:
 a NaN anywhere in a result raises NumericDomainError and leaves no result
-file (+-inf is written as the string "inf" / "-inf").
+file (+-inf is written as the string "inf" / "-inf"). Every JSON result
+file carries the experiment, the config hash and its records, and every
+CSV result file ends each row with the config hash.
 
 Determinism contract: all result files are byte-identical across reruns
 with the same effective config, regardless of --workers — every random
@@ -61,6 +65,7 @@ from .contracts import (
 )
 from .measures import EmpiricalMeasure, wasserstein_p
 from .mkv_control import (
+    POLICY_PARTS,
     PolicyParam,
     analytic_multitask,
     evaluate_limit_objective,
@@ -103,8 +108,6 @@ EXIT_NUMERIC = 5
 
 _MISSING = object()  # an absent field, and the default of a required one
 
-_POLICY_PARTS = ("gamma", "aleph", "gamma_c0", "gamma_c1", "aleph_c0", "aleph_c1")
-
 
 class ConfigError(Exception):
     """A config failed validation; the message names the offending field path."""
@@ -124,7 +127,7 @@ def _walk(cfg: dict, path: str):
     return cur
 
 
-_LIST_ITEMS = {"int": "integers", "number": "numbers", "str": "strings"}
+_LIST_ITEMS = {"int": "integers", "number": "numbers", "level": "numbers", "str": "strings"}
 
 
 def _coerce(path: str, val, kind: str):
@@ -137,8 +140,9 @@ def _coerce(path: str, val, kind: str):
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigError(f"{path}: expected an integer, got {val!r}")
         return int(val)
-    if kind == "number":
-        # "inf" (as a string) is accepted where a level may be unbounded.
+    if kind in ("number", "level"):
+        # A number may be written as a string ("1e-3", "inf"); only a level
+        # (a clamp, a truncation, a bound) may be infinite.
         if isinstance(val, str):
             try:
                 out = float(val)
@@ -150,6 +154,8 @@ def _coerce(path: str, val, kind: str):
             out = float(val)
         if math.isnan(out):
             raise ConfigError(f"{path}: NaN is not a valid value")
+        if kind == "number" and math.isinf(out):
+            raise ConfigError(f"{path}: must be finite, got {out!r}")
         return out
     if kind == "str":
         if not isinstance(val, str):
@@ -170,8 +176,9 @@ def _field(cfg: dict, path: str, kind: str, default=_MISSING, *, ge=None, gt=Non
     """The checked value of the config field at a dotted path.
 
     An absent (or null) field takes the default; without one it is an error.
-    The value must be of kind ("int", "number", "str", "bool", "dict", or a
-    non-empty "int-list", "number-list", "str-list"), and ge, gt and choices
+    The value must be of kind ("int", "number" (finite), "level" (a number
+    that may be +-inf), "str", "bool", "dict", or a non-empty list of one of
+    the first four, e.g. "number-list"), and ge, gt and choices
     bound the value or, for a list, each entry. Every failure is a
     ConfigError whose message starts with the path.
     """
@@ -188,14 +195,6 @@ def _field(cfg: dict, path: str, kind: str, default=_MISSING, *, ge=None, gt=Non
             raise ConfigError(f"{path}: must be > {gt}, got {v!r}")
         if choices is not None and v not in choices:
             raise ConfigError(f"{path}: expected one of {', '.join(map(repr, choices))}; got {v!r}")
-    return val
-
-
-def _finite_field(cfg: dict, path: str, default: float, **bounds) -> float:
-    """A "number" _field that must also be finite (the horizon, the initial law)."""
-    val = _field(cfg, path, "number", default, **bounds)
-    if not math.isfinite(val):
-        raise ConfigError(f"{path}: must be finite, got {val!r}")
     return val
 
 
@@ -264,19 +263,19 @@ def _model_plan(cfg: dict) -> dict:
     plan = {
         "name": name,
         "R": _field(cfg, "model.R", "number", 0.0),
-        "T": _finite_field(cfg, "model.T", 1.0, gt=0),
+        "T": _field(cfg, "model.T", "number", 1.0, gt=0),
         "utility": _field(cfg, "model.utility", "str", "identity", choices=("identity", "exp")),
         "sigma_scale": _field(cfg, "model.sigma_scale", "number", 1.0, ge=0),
         "nu_kind": _field(cfg, "model.nu.kind", "str", "point", choices=("point", "normal")),
     }
     if plan["nu_kind"] == "point":
-        plan["E_iota"], plan["nu_std"] = _finite_field(cfg, "model.nu.value", 0.0), 0.0
+        plan["E_iota"], plan["nu_std"] = _field(cfg, "model.nu.value", "number", 0.0), 0.0
     else:
-        plan["E_iota"] = _finite_field(cfg, "model.nu.mean", 0.0)
-        plan["nu_std"] = _finite_field(cfg, "model.nu.std", 1.0, ge=0)
+        plan["E_iota"] = _field(cfg, "model.nu.mean", "number", 0.0)
+        plan["nu_std"] = _field(cfg, "model.nu.std", "number", 1.0, ge=0)
     if name == "multitask":
         plan["kappa_bar"] = _field(cfg, "model.params.kappa_bar", "number")
-        plan["b_bar"] = _field(cfg, "model.params.b_bar", "number", math.inf, gt=0)
+        plan["b_bar"] = _field(cfg, "model.params.b_bar", "level", math.inf, gt=0)
     else:
         plan["a_base"] = _field(cfg, "model.params.a_base", "number", 0.5)
         plan["sigma0"] = _field(cfg, "model.params.sigma0", "number", 1.0, gt=0)
@@ -345,22 +344,6 @@ def _feedback(model: dict, policy: dict):
 # ---------------------------------------------------------------------------
 
 
-def _record(ec: ExperimentConfig, metric: str, value, se=None) -> dict:
-    """One named scalar result, tagged with its experiment and config hash.
-
-    runtime is always null inside result files (they must be byte-stable
-    across reruns); wall-clock numbers live in run_meta.json.
-    """
-    return {
-        "experiment": ec.experiment,
-        "config_hash": ec.hash,
-        "metric": metric,
-        "value": value,
-        "se": se,
-        "runtime": None,
-    }
-
-
 def _sanitize(obj):
     """Recursively turn numpy scalars/arrays into plain JSON-safe values.
 
@@ -388,14 +371,36 @@ def _json_text(obj) -> str:
     return json.dumps(_sanitize(obj), indent=2, sort_keys=True) + "\n"
 
 
+def _result_json(ec: ExperimentConfig, records: list, **payload) -> str:
+    """A JSON result file: the payload under the run's experiment and config hash.
+
+    records are (metric, value, se) triples; each becomes a record tagged
+    with the experiment and hash, whose runtime is null (result files must
+    be byte-stable across reruns; wall-clock numbers live in run_meta.json).
+    """
+    tag = {"experiment": ec.experiment, "config_hash": ec.hash}
+    records = [{**tag, "metric": m, "value": v, "se": se, "runtime": None} for m, v, se in records]
+    return _json_text({**tag, "records": records, **payload})
+
+
 def _fmt_cell(v) -> str:
     v = _sanitize(v)
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)] + [",".join(_fmt_cell(v) for v in row) for row in rows]
+def _result_csv(ec: ExperimentConfig, header: list, rows) -> str:
+    """A CSV result file whose last column, config_hash, tags every row."""
+    lines = [",".join(header + ["config_hash"])]
+    lines += [",".join([*map(_fmt_cell, row), ec.hash]) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _rate_fit(ns, values) -> dict:
+    """fit_rate's fields, or {"error": message} when the values cannot be fitted."""
+    try:
+        return dataclasses.asdict(fit_rate(ns, values))
+    except InsufficientDataError as exc:
+        return {"error": str(exc)}
 
 
 def _write_results(out_dir: str, files: dict) -> None:
@@ -502,7 +507,7 @@ def cmd_multitask_convergence(ec: ExperimentConfig, out_dir: str, workers: int) 
         "steps": ec.steps,
         "seed": ec.master_seed,
         "n_list": _field(cfg, "mc.n_list", "int-list", ge=1),
-        "b_bar_list": _field(cfg, "mc.b_bar_list", "number-list", gt=0),
+        "b_bar_list": _field(cfg, "mc.b_bar_list", "level-list", gt=0),
         "replications": _field(cfg, "mc.replications", "int", ge=2),
     }
     n_list, b_bar_list = plan["n_list"], plan["b_bar_list"]
@@ -519,11 +524,7 @@ def cmd_multitask_convergence(ec: ExperimentConfig, out_dir: str, workers: int) 
     fits = {}
     for b in b_bar_list:
         group = [c for c in cells if c["b_bar"] == b]
-        try:
-            fit = fit_rate([c["n"] for c in group], [c["gap"] for c in group])
-            fits[repr(b)] = dataclasses.asdict(fit)
-        except InsufficientDataError as exc:
-            fits[repr(b)] = {"error": str(exc)}
+        fits[repr(b)] = _rate_fit([c["n"] for c in group], [c["gap"] for c in group])
 
     n0 = min(n_list)
     calib = [c for c in cells if c["n"] == n0]
@@ -536,8 +537,8 @@ def cmd_multitask_convergence(ec: ExperimentConfig, out_dir: str, workers: int) 
         bound_ok &= ok
         bound_rows.append({"n": c["n"], "b_bar": c["b_bar"], "bound": limit, "ok": ok})
 
-    records = [_record(ec, f"gap[n={c['n']},b_bar={c['b_bar']!r}]", c["gap"], c["se"]) for c in cells]
-    records.append(_record(ec, "v_limit", v_limit, 0.0))
+    records = [(f"gap[n={c['n']},b_bar={c['b_bar']!r}]", c["gap"], c["se"]) for c in cells]
+    records.append(("v_limit", v_limit, 0.0))
 
     am = _analytic(model)
     lines = [
@@ -571,23 +572,23 @@ def cmd_multitask_convergence(ec: ExperimentConfig, out_dir: str, workers: int) 
     lines.append(f"verdict: gaps within bound (3*se slack): {'yes' if bound_ok else 'NO'}")
 
     _write_results(out_dir, {
-        "gaps.csv": _csv_text(
-            ["n", "b_bar", "v_n", "se", "v_limit", "gap", "config_hash"],
-            [[c["n"], c["b_bar"], c["v_n"], c["se"], c["v_limit"], c["gap"], ec.hash] for c in cells],
+        "gaps.csv": _result_csv(
+            ec,
+            ["n", "b_bar", "v_n", "se", "v_limit", "gap"],
+            [[c["n"], c["b_bar"], c["v_n"], c["se"], c["v_limit"], c["gap"]] for c in cells],
         ),
-        "fit.json": _json_text({
-            "experiment": ec.experiment,
-            "config_hash": ec.hash,
-            "records": records,
-            "rate_fits_by_b_bar": fits,
-            "bound": {
+        "fit.json": _result_json(
+            ec,
+            records,
+            rate_fits_by_b_bar=fits,
+            bound={
                 "constant_C": C,
                 "calibrated_at_n": n0,
                 "form": "gap <= C * (n^-0.5 + 1/b_bar) + 3*se",
                 "satisfied": bool(bound_ok),
                 "cells": bound_rows,
             },
-        }),
+        ),
         "summary.txt": "\n".join(lines) + "\n",
     })
     return EXIT_OK
@@ -611,8 +612,8 @@ def _deviation_config(cfg: dict, replications: int):
     lo = _field(cfg, "mc.deviation.min", "number", -3.0)
     hi = _field(cfg, "mc.deviation.max", "number", 3.0)
     step = _field(cfg, "mc.deviation.step", "number", 0.25)
-    if not 0 < step < math.inf or hi <= lo:
-        raise ConfigError("mc.deviation: need a finite step > 0 and max > min")
+    if not step > 0 or hi <= lo:
+        raise ConfigError("mc.deviation: need a step > 0 and max > min")
     # np.arange(lo, stop, step) has ceil((stop - lo) / step) entries, so the
     # actions are counted from the same doubles; a count past the cap (or
     # inf) is not taken. The exponent is capped at 64: any grid of >= 2
@@ -633,7 +634,7 @@ def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
     cfg = ec.raw
     plan = _model_plan(cfg)
     policy = _feedback_plan(cfg, plan)
-    trunc = _field(cfg, "policy.truncation_l", "number", math.inf, gt=-math.inf)
+    trunc = _field(cfg, "policy.truncation_l", "level", math.inf, gt=-math.inf)
     symmetric = _field(cfg, "policy.symmetric", "bool", False)
     y0 = _field(cfg, "policy.Y0", "number", plan["R"], ge=plan["R"])
     n = _field(cfg, "mc.n", "int", ge=1)
@@ -649,17 +650,10 @@ def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
 
     report = contract_report(contract, model, n, grid, replications, seed.child(0))
     records = [
-        _record(ec, key, report[key].value, report[key].se)
+        (key, report[key].value, report[key].se)
         for key in ("xi", "agent_reward", "principal_inside", "principal_outside")
     ]
-    payload = {
-        "experiment": ec.experiment,
-        "config_hash": ec.hash,
-        "n": n,
-        "replications": replications,
-        "records": records,
-        "per_replication": report["per_replication"],
-    }
+    payload = {"n": n, "replications": replications, "per_replication": report["per_replication"]}
     if policy["source"] == "analytic":
         payload["analytic_reference"] = {
             "xi_mean": _analytic(plan).xi_mean,
@@ -678,10 +672,11 @@ def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
                 np.where(scan["gain"] > 0, np.inf, 0.0),
             )
         no_improvement = bool(np.all(scan["gain"] <= 3.0 * scan["se"] + 1e-15))
-        files["pareto.csv"] = _csv_text(
-            [f"a_{i}" for i in range(d_n)] + ["gain", "se", "config_hash"],
+        files["pareto.csv"] = _result_csv(
+            ec,
+            [f"a_{i}" for i in range(d_n)] + ["gain", "se"],
             [
-                list(scan["actions"][j]) + [float(scan["gain"][j]), float(scan["se"][j]), ec.hash]
+                list(scan["actions"][j]) + [float(scan["gain"][j]), float(scan["se"][j])]
                 for j in range(len(scan["gain"]))
             ],
         )
@@ -696,14 +691,14 @@ def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
             "baseline_reward": scan["baseline"].value,
             "baseline_se": scan["baseline"].se,
         }
-        records.append(_record(ec, "pareto_max_gain", float(scan["gain"][best]), float(scan["se"][best])))
-        records.append(_record(ec, "pareto_baseline", scan["baseline"].value, scan["baseline"].se))
+        records.append(("pareto_max_gain", float(scan["gain"][best]), float(scan["se"][best])))
+        records.append(("pareto_baseline", scan["baseline"].value, scan["baseline"].se))
 
     paths = None
     if dump_paths:
         paths = simulate_particles(model, contract.gamma_l, contract.aleph_l, n, grid, seed.child(2))
 
-    files["contract_summary.json"] = _json_text(payload)
+    files["contract_summary.json"] = _result_json(ec, records, **payload)
     _write_results(out_dir, files)
     if paths is not None:  # the path dump holds only guarded, finite states
         save_paths_csv(paths, os.path.join(out_dir, "paths.csv"))
@@ -732,10 +727,10 @@ def cmd_policy_opt(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
     plan = _model_plan(cfg)
     knots = _knots_from_config(cfg, plan["T"])
     init_gamma = _field(cfg, "policy.init_gamma", "number", 0.5)
-    bounds = _field(cfg, "policy.bounds", "number-list", None)
+    bounds = _field(cfg, "policy.bounds", "level-list", None)
     if bounds is not None and (len(bounds) != 2 or not bounds[0] < bounds[1]):
         raise ConfigError(f"policy.bounds: expected [lo, hi] with lo < hi, got {bounds!r}")
-    parts = tuple(_field(cfg, "policy.parts", "str-list", ["gamma"], choices=_POLICY_PARTS))
+    parts = tuple(_field(cfg, "policy.parts", "str-list", ["gamma"], choices=POLICY_PARTS))
     budget = _field(cfg, "policy.budget", "int", 400, ge=1)
     N_proxy = _field(cfg, "mc.N_proxy", "int", 20_000, ge=2)
 
@@ -761,13 +756,8 @@ def cmd_policy_opt(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
     )
 
     best = result.policy
+    records = [("best_value", result.value, result.se), ("initial_value", result.initial_value, None)]
     payload = {
-        "experiment": ec.experiment,
-        "config_hash": ec.hash,
-        "records": [
-            _record(ec, "best_value", result.value, result.se),
-            _record(ec, "initial_value", result.initial_value),
-        ],
         "converged": result.converged,
         "n_evaluations": result.n_evaluations,
         "policy": {
@@ -790,11 +780,8 @@ def cmd_policy_opt(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
             "value_error": float(abs(result.value - model.principal_utility_U(am.V_infinity))),
         }
     _write_results(out_dir, {
-        "policy_best.json": _json_text(payload),
-        "trace.csv": _csv_text(
-            ["evaluation", "value", "config_hash"],
-            [[i, v, ec.hash] for i, v in enumerate(result.trace)],
-        ),
+        "policy_best.json": _result_json(ec, records, **payload),
+        "trace.csv": _result_csv(ec, ["evaluation", "value"], enumerate(result.trace)),
     })
     return EXIT_OK
 
@@ -823,31 +810,26 @@ def cmd_chaos(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
     means = w.mean(axis=0)
     se_means = w.std(axis=0, ddof=1) / math.sqrt(replications) if replications > 1 else np.zeros(len(n_list))
 
-    try:
-        fit = dataclasses.asdict(fit_rate(n_list, medians))
-    except InsufficientDataError as exc:
-        fit = {"error": str(exc)}
     records = [
-        _record(ec, f"median_w1[n={n}]", float(medians[i]), float(se_means[i]))
-        for i, n in enumerate(n_list)
+        (f"median_w1[n={n}]", float(medians[i]), float(se_means[i])) for i, n in enumerate(n_list)
     ]
     _write_results(out_dir, {
-        "chaos.csv": _csv_text(
-            ["n", "median_w1", "mean_w1", "se_mean", "config_hash"],
+        "chaos.csv": _result_csv(
+            ec,
+            ["n", "median_w1", "mean_w1", "se_mean"],
             [
-                [n, float(medians[i]), float(means[i]), float(se_means[i]), ec.hash]
+                [n, float(medians[i]), float(means[i]), float(se_means[i])]
                 for i, n in enumerate(n_list)
             ],
         ),
-        "chaos_fit.json": _json_text({
-            "experiment": ec.experiment,
-            "config_hash": ec.hash,
-            "records": records,
-            "replications": replications,
-            "N_proxy": plan["N_proxy"],
-            "rate_fit": fit,
-            "reference_slope": -0.5,
-        }),
+        "chaos_fit.json": _result_json(
+            ec,
+            records,
+            replications=replications,
+            N_proxy=plan["N_proxy"],
+            rate_fit=_rate_fit(n_list, medians),
+            reference_slope=-0.5,
+        ),
     })
     return EXIT_OK
 
@@ -1026,19 +1008,11 @@ _SELF_CHECKS: list = [
 def cmd_self_check(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
     results = _map_ordered(_self_check_worker, ec.master_seed, len(_SELF_CHECKS), workers)
     all_passed = all(r["passed"] for r in results)
-    records = [
-        _record(ec, f"self_check.{r['name']}", 1.0 if r["passed"] else 0.0, 0.0) for r in results
-    ]
+    records = [(f"self_check.{r['name']}", 1.0 if r["passed"] else 0.0, 0.0) for r in results]
     for r in results:
         print(f"{'PASS' if r['passed'] else 'FAIL'}  {r['name']}")
     _write_results(out_dir, {
-        "self_check.json": _json_text({
-            "experiment": ec.experiment,
-            "config_hash": ec.hash,
-            "all_passed": all_passed,
-            "checks": results,
-            "records": records,
-        }),
+        "self_check.json": _result_json(ec, records, all_passed=all_passed, checks=results),
     })
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 

@@ -115,14 +115,15 @@ def contract_y_step(y, dt: float, H, zsig, dX):
 
 def _g_inverse(model: ModelSpec, m: EmpiricalMeasure, y):
     # A (batch, 1) column of levels is named by its range, so the message
-    # stays on one line.
-    at = f"y={y!r}" if np.ndim(y) == 0 else f"y in [{float(np.min(y))!r}, {float(np.max(y))!r}]"
+    # stays on one line. It is built only on failure: the limit objective
+    # calls this three times per evaluation.
+    at = lambda: f"y={y!r}" if np.ndim(y) == 0 else f"y in [{float(np.min(y))!r}, {float(np.max(y))!r}]"
     try:
         out = model.g_inverse(m, y)
     except Exception as exc:  # noqa: BLE001 - user-supplied map
-        raise ContractEvaluationError(f"g_inverse failed at {at}: {exc}") from exc
-    if not np.all(np.isfinite(out)):
-        raise ContractEvaluationError(f"g_inverse returned non-finite payment at {at}")
+        raise ContractEvaluationError(f"g_inverse failed at {at()}: {exc}") from exc
+    if not np.isfinite(out).all():
+        raise ContractEvaluationError(f"g_inverse returned non-finite payment at {at()}")
     return out
 
 
@@ -133,9 +134,7 @@ def _check_level(y, t: float) -> None:
 
 def _replay_steps(contract: Contract, model: ModelSpec, paths: ParticlePaths):
     """Per step of stored paths: (t, dt, H, z/sigma, dX), recomputed at each left node."""
-    times = paths.times
-    # Matches SimGrid.dt exactly for grids built by SimGrid.nodes.
-    dt = (float(times[-1]) - float(times[0])) / (len(times) - 1)
+    times, dt = paths.times, paths.grid.dt
     for k in range(paths.n_steps):
         t = float(times[k])
         x = paths.states[:, k]

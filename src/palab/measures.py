@@ -4,7 +4,7 @@ The particle systems in this package are one-dimensional, so every measure is
 an unweighted atom cloud (mass 1/n each) and the p-Wasserstein distance between
 two clouds of equal size is computed exactly by sorting — the 1-D optimal
 coupling is the monotone one. Unequal sample counts are compared through
-inverse-CDF interpolation on a common quantile grid.
+their inverse CDFs, looked up at the levels of a common quantile grid.
 
 One EmpiricalMeasure holds one ensemble or a stack of independent ensembles
 stepped together; its statistics reduce over the samples of each ensemble.
@@ -91,7 +91,12 @@ class EmpiricalMeasure:
         return self._average(np.clip(self.samples, -b_bar, b_bar))
 
     def quantiles(self, levels: np.ndarray) -> np.ndarray:
-        """Left-continuous inverse CDF x_(ceil(u·n)) at the given levels."""
+        """Inverse CDF at the given levels: the order statistic x_(floor(u·n)+1).
+
+        This is the right-continuous inverse inf{x : F(x) > u}, capped at
+        x_(n); where u·n is an integer k it returns x_(k+1), not the
+        left-continuous x_(k).
+        """
         s = self.sorted_samples
         n = s.size
         idx = np.minimum((np.asarray(levels) * n).astype(int), n - 1)
@@ -104,8 +109,8 @@ def wasserstein_p(a: EmpiricalMeasure, b: EmpiricalMeasure, p: float = 1.0) -> f
     Equal sample counts use the exact sorted-sample coupling
     ((1/n)·Σ|a_(i) − b_(i)|^p)^(1/p). Unequal counts are compared through the
     inverse CDFs sampled at QUANTILE_GRID_SIZE midpoint levels, which is the
-    same formula applied to the interpolated clouds. Both measures must hold
-    one ensemble each; a stack raises ValueError.
+    same formula applied to the two clouds' quantiles at those levels. Both
+    measures must hold one ensemble each; a stack raises ValueError.
     """
     if p < 1:
         raise ValueError(f"wasserstein_p needs p >= 1, got {p}")

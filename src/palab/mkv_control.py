@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
+from .contracts import _g_inverse
 from .estimates import MCEstimate, _central_slope
 from .measures import EmpiricalMeasure
 from .model import ModelSpec, MultitaskParams, NumericDomainError
@@ -37,18 +38,21 @@ from .sde_engine import SeedSpec, SimGrid, _euler_steps, _stream
 
 _COEFF_FIELDS = ("gamma_c0", "gamma_c1", "aleph_c0", "aleph_c1")
 
+# The names a `parts` argument accepts, each with the coefficient arrays it
+# selects: a whole field ("gamma", "aleph") or one array of it.
+POLICY_PARTS = {
+    "gamma": ("gamma_c0", "gamma_c1"),
+    "aleph": ("aleph_c0", "aleph_c1"),
+    **{name: (name,) for name in _COEFF_FIELDS},
+}
+
 
 def _normalize_parts(parts: Iterable[str]) -> tuple[str, ...]:
     out: list[str] = []
     for p in parts:
-        if p == "gamma":
-            out += ["gamma_c0", "gamma_c1"]
-        elif p == "aleph":
-            out += ["aleph_c0", "aleph_c1"]
-        elif p in _COEFF_FIELDS:
-            out.append(p)
-        else:
+        if p not in POLICY_PARTS:
             raise ValueError(f"unknown policy part {p!r}")
+        out += POLICY_PARTS[p]
     return tuple(dict.fromkeys(out))
 
 
@@ -123,8 +127,7 @@ class PolicyParam:
         return self._affine(self.aleph_c0[j], self.aleph_c1[j], x)
 
     # -- flat-vector round trip for the optimizer -------------------------
-    # parts: any of "gamma_c0", "gamma_c1", "aleph_c0", "aleph_c1", with
-    # "gamma"/"aleph" as shorthand for the respective (c0, c1) pair.
+    # parts: any of the POLICY_PARTS names.
 
     def to_vector(self, parts: Iterable[str] = ("gamma",)) -> np.ndarray:
         return np.concatenate([getattr(self, p) for p in _normalize_parts(parts)])
@@ -169,7 +172,8 @@ def _limit_objective_from_draws(
     from a generator or from a cached matrix (the optimizer path). The
     stepper hands each step's measure the extremes its guard computed, so
     the clamped mean skips the clip when nothing is clamped. A non-finite
-    value raises NumericDomainError.
+    value raises NumericDomainError, and a g^{-1} that fails or returns a
+    non-finite payment raises ContractEvaluationError.
     """
     dt = grid.dt
     N = len(x0)
@@ -189,7 +193,7 @@ def _limit_objective_from_draws(
     m = EmpiricalMeasure(x)
 
     def ghat_p(y: float) -> float:
-        return float(model.principal_terminal_cost_gP(m, model.g_inverse(m, y)))
+        return float(model.principal_terminal_cost_gP(m, _g_inverse(model, m, y)))
 
     ups = np.asarray(model.production_utility_Upsilon(x), dtype=float)
     value = float(np.mean(ups)) - ghat_p(y_T) - float(np.mean(lp_acc))

@@ -95,7 +95,7 @@ def gap_sweep(
         n = int(n)
         # gamma through the per-agent loading gamma / n and back: the round
         # trip moves the last bit at some n, and the recorded sweep results
-        # keep it until they are re-recorded (ROADMAP item 5).
+        # keep it until they are re-recorded (ROADMAP item 6).
         gamma_n = lambda t, x, n=n: n * (gamma(t, x) / n)
         for b_bar, model in models:
             est, details = estimate_n_player_value(

@@ -140,13 +140,17 @@ class SeedSpec:
 
 @dataclass
 class ParticlePaths:
-    """Materialized ensemble paths on a uniform grid.
+    """Materialized ensemble paths on the grid they were simulated on.
 
     states has shape (n, steps+1) with states[:, 0] the initial draws.
     """
 
-    times: np.ndarray
+    grid: SimGrid
     states: np.ndarray
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.grid.nodes
 
     @property
     def n_particles(self) -> int:
@@ -353,7 +357,7 @@ def simulate_particles(
     states[:, 0] = x
     for k, step in enumerate(_euler_steps(model, gamma, aleph, x, grid, draws)):
         states[:, k + 1] = step.x_next
-    return ParticlePaths(times=grid.nodes, states=states)
+    return ParticlePaths(grid=grid, states=states)
 
 
 def simulate_terminal_measure(

@@ -1,5 +1,6 @@
 """End-to-end tests of the palab command line: configs, outputs, determinism."""
 
+import copy
 import csv
 import dataclasses
 import json
@@ -459,8 +460,34 @@ def _policy_opt_config(**policy):
     }
 
 
-def _with_nu(cfg, **nu):
-    return {**cfg, "model": {**cfg["model"], "nu": nu}}
+def _with(cfg, path, value):
+    """A copy of cfg with the field at a dotted path set to value."""
+    cfg = copy.deepcopy(cfg)
+    *parents, last = path.split(".")
+    node = cfg
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[last] = value
+    return cfg
+
+
+# Number fields that must be finite, each with a config that reads it. An
+# infinite value is a config error whether it is written as a string or as
+# JSON's Infinity; unchecked, it would fail mid-run as a blow-up or a
+# numeric error, or (policy.aleph_value, which neither built-in model reads)
+# not at all.
+_FINITE_ONLY = [
+    ("contract-eval", _contract_config(), "model.R"),
+    ("contract-eval", _contract_config(), "model.sigma_scale"),
+    ("contract-eval", _contract_config(), "model.params.kappa_bar"),
+    ("contract-eval", {**_contract_config(), "model": {"name": "quadratic"}}, "model.params.a_base"),
+    ("contract-eval", {**_contract_config(), "model": {"name": "quadratic"}}, "model.params.sigma0"),
+    ("contract-eval", _contract_config(), "policy.Y0"),
+    ("contract-eval", _contract_config(), "policy.value"),
+    ("contract-eval", _contract_config(), "policy.aleph_value"),
+    ("policy-opt", _policy_opt_config(), "policy.init_gamma"),
+]
+_INFINITIES = {"string-inf": "inf", "string-minus-inf": "-inf", "json-inf": math.inf, "json-minus-inf": -math.inf}
 
 
 # Each of these fields is checked before any work starts: the library would
@@ -482,10 +509,15 @@ def _with_nu(cfg, **nu):
             {**_contract_config(), "model": {"name": "multitask", "T": "inf", "params": {"kappa_bar": 0.0}}},
             "model.T",
         ),
-        ("contract-eval", _with_nu(_contract_config(), value="inf"), "model.nu.value"),
-        ("contract-eval", _with_nu(_contract_config(), kind="normal", mean="inf"), "model.nu.mean"),
-        ("policy-opt", _with_nu(_policy_opt_config(), kind="normal", mean="-inf"), "model.nu.mean"),
-        ("policy-opt", _with_nu(_policy_opt_config(), kind="normal", std="inf"), "model.nu.std"),
+        ("contract-eval", _with(_contract_config(), "model.nu", {"value": "inf"}), "model.nu.value"),
+        ("contract-eval", _with(_contract_config(), "model.nu", {"kind": "normal", "mean": "inf"}), "model.nu.mean"),
+        ("policy-opt", _with(_policy_opt_config(), "model.nu", {"kind": "normal", "mean": "-inf"}), "model.nu.mean"),
+        ("policy-opt", _with(_policy_opt_config(), "model.nu", {"kind": "normal", "std": "inf"}), "model.nu.std"),
+        *[
+            (command, _with(cfg, field, value), field)
+            for command, cfg, field in _FINITE_ONLY
+            for value in _INFINITIES.values()
+        ],
     ],
     ids=[
         "bounds-reversed",
@@ -500,6 +532,7 @@ def _with_nu(cfg, **nu):
         "contract-nu-mean-inf",
         "policy-opt-nu-mean-minus-inf",
         "policy-opt-nu-std-inf",
+        *[f"{field}-{spelling}" for _, _, field in _FINITE_ONLY for spelling in _INFINITIES],
     ],
 )
 def test_config_error_names_field(tmp_path, capsys, command, cfg, field):
@@ -510,6 +543,23 @@ def test_config_error_names_field(tmp_path, capsys, command, cfg, field):
     assert err.startswith(f"config error: {field}")
     assert len(err.strip().splitlines()) == 1
     assert os.listdir(out) == []
+
+
+def test_levels_may_be_infinite(tmp_path):
+    # a clamp level, a truncation level and an optimizer bound may be
+    # unbounded; for the clamp and the truncation, "inf" means what leaving
+    # the field out means
+    def run(command, cfg, name):
+        out = tmp_path / name
+        assert cli.main([command, "--config", _write_config(tmp_path, cfg, f"{name}.json"), "--out", str(out)]) == 0
+        return out
+
+    unbounded = _with(_with(_contract_config(), "model.params.b_bar", "inf"), "policy.truncation_l", "inf")
+    outs = [run("contract-eval", _contract_config(), "ce-default"), run("contract-eval", unbounded, "ce-inf")]
+    summaries = [json.loads((out / "contract_summary.json").read_text()) for out in outs]
+    assert summaries[0]["per_replication"] == summaries[1]["per_replication"]
+    run("policy-opt", _with(_policy_opt_config(), "policy.bounds", [0, "inf"]), "po-bounds")
+    run("multitask-convergence", _conv_config(**{"mc.b_bar_list": ["inf", 10.0], "mc.replications": 4}), "conv")
 
 
 # ---------------------------------------------------------------------------
@@ -537,16 +587,43 @@ def test_chaos_outputs(tmp_path):
 
 
 def test_records_have_null_runtime_and_hash(tmp_path):
-    # runtimes live in run_meta.json, not in result records; every record
-    # carries the config hash
-    cfg = _conv_config(**{"mc.n_list": [4], "mc.replications": 10})
-    out = tmp_path / "out"
-    assert cli.main(["multitask-convergence", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
-    fit = json.loads((out / "fit.json").read_text())
-    ec = cli.parse_config(cfg)
-    for rec in fit["records"]:
-        assert rec["runtime"] is None
-        assert rec["config_hash"] == ec.hash
+    # runtimes live in run_meta.json, not in result records; every JSON
+    # result file and each of its records carries the experiment and config
+    # hash, and every CSV result file ends each row with the hash (paths.csv
+    # is the library's path dump and has no hash column)
+    runs = [
+        ("multitask-convergence", _conv_config(**{"mc.n_list": [4], "mc.replications": 10})),
+        (
+            "contract-eval",
+            {**_contract_config(deviation={"n": 1, "min": 0.0, "max": 1.0, "step": 1.0}), "output": {"dump_paths": True}},
+        ),
+        ("policy-opt", _policy_opt_config()),
+        ("chaos", _chaos_config()),
+        ("self-check", {**_chaos_config(), "experiment": "self-check-smoke"}),
+    ]
+    seen = set()
+    for command, cfg in runs:
+        out = tmp_path / command
+        assert cli.main([command, "--config", _write_config(tmp_path, cfg, f"{command}.json"), "--out", str(out)]) == 0
+        ec = cli.parse_config(cfg)
+        for path in out.iterdir():
+            seen.add(path.name)
+            if path.suffix == ".json" and path.name != "run_meta.json":
+                payload = json.loads(path.read_text())
+                assert (payload["experiment"], payload["config_hash"]) == (ec.experiment, ec.hash)
+                assert payload["records"]
+                for rec in payload["records"]:
+                    assert rec["runtime"] is None
+                    assert (rec["experiment"], rec["config_hash"]) == (ec.experiment, ec.hash)
+            elif path.suffix == ".csv" and path.name != "paths.csv":
+                lines = path.read_text().splitlines()
+                assert lines[0].split(",")[-1] == "config_hash"
+                assert len(lines) > 1
+                assert all(line.split(",")[-1] == ec.hash for line in lines[1:])
+    assert {
+        "fit.json", "contract_summary.json", "policy_best.json", "chaos_fit.json", "self_check.json",
+        "gaps.csv", "pareto.csv", "trace.csv", "chaos.csv",
+    } <= seen
 
 
 def _run_python(code):

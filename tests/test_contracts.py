@@ -162,19 +162,27 @@ def test_recommended_controls_follow_truncated_slope():
 
 
 def test_g_inverse_failure_is_wrapped():
+    # a g^{-1} that raises or returns a non-finite payment is a
+    # ContractEvaluationError wherever a payment is priced: on stored paths,
+    # in the n-agent pass and in the limit objective
     model = multitask_model(MultitaskParams(0.0))
 
     def bad_inverse(m, y):
-        raise ArithmeticError("no inverse here")
+        raise ZeroDivisionError("no inverse here")
 
-    broken = replace(model, g_inverse=bad_inverse)
     c = Contract(Y0=0.0, gamma=_zero, aleph=_zero)
     paths = _simulated(c, model, 4, 5)
-    with pytest.raises(ContractEvaluationError):
-        evaluate_terminal_payment(c, broken, paths)
-    nonfinite = replace(model, g_inverse=lambda m, y: math.inf)
-    with pytest.raises(ContractEvaluationError):
-        evaluate_terminal_payment(c, nonfinite, paths)
+    grid = SimGrid(1.0, 5)
+    pricers = [
+        lambda m: evaluate_terminal_payment(c, m, paths),
+        lambda m: contract_report(c, m, 4, grid, 2, SeedSpec(3)),
+        lambda m: evaluate_limit_objective(m, (_one, _zero), N_proxy=8, grid=grid, seed=SeedSpec(3)),
+    ]
+    for g_inverse in (bad_inverse, lambda m, y: math.inf):
+        broken = replace(model, g_inverse=g_inverse)
+        for price in pricers:
+            with pytest.raises(ContractEvaluationError, match="g_inverse"):
+                price(broken)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+from pathlib import Path
 
 import palab
 
@@ -51,3 +52,22 @@ def test_only_sde_engine_reads_the_stream():
                 assert node.attr not in {"standard_normal", "generator"}, (
                     f"{module.__name__}: {ast.unparse(node)}"
                 )
+
+
+def test_only_contracts_g_inverse_calls_g_inverse():
+    # every payment is priced through contracts._g_inverse, which turns a
+    # g^{-1} that fails or returns a non-finite value into a typed error
+    callers = []
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "g_inverse":
+                callers.append(f"{module}.{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted(Path(palab.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "<module>")
+    assert callers == ["contracts._g_inverse"]

@@ -97,7 +97,7 @@ def test_simulation_bitwise_deterministic():
     # shapes and grid bookkeeping
     assert p1.states.shape == (50, 26)
     assert p1.n_particles == 50 and p1.n_steps == 25
-    assert np.array_equal(p1.times, grid.nodes)
+    assert p1.grid == grid and np.array_equal(p1.times, grid.nodes)
 
 
 def test_exchangeability_under_relabeling():
