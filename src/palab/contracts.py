@@ -14,6 +14,10 @@ terminal map receives the terminal EmpiricalMeasure mu_T. The same
 one-step update (contract_y_step below) is used by the stored-path pricer
 evaluate_terminal_payment and by the one simulating pass, _contract_pass,
 so they agree bit for bit on the same draws, not just in distribution.
+The replays stay separate pricers of stored paths, which is what lets them
+check the pass, but they share its node evaluation (sde_engine._node): the
+rate, the checked volatility, z/sigma and the recommended action's drift
+and running cost come from the one function the stepper calls.
 The pass also prices what it simulates, once per chunk of replications on
 the stacked terminal measure with (batch, 1) levels, and the n-player value
 estimator, contract_report and the joint-deviation scan all read its
@@ -38,8 +42,8 @@ import numpy as np
 
 from .estimates import MCEstimate, _central_slope, mean_se
 from .measures import EmpiricalMeasure
-from .model import ModelSpec, NumericDomainError, _recommended, slope_over_sigma
-from .sde_engine import ParticlePaths, SeedSpec, SimGrid, _checked_sigma, _euler_steps, _replication_chunks
+from .model import ModelSpec, NumericDomainError
+from .sde_engine import ParticlePaths, SeedSpec, SimGrid, _euler_steps, _node, _replication_chunks
 
 MAX_DEVIATION_CELLS = 20_000
 
@@ -138,9 +142,8 @@ def _replay_steps(contract: Contract, model: ModelSpec, paths: ParticlePaths):
     for k in range(paths.n_steps):
         t = float(times[k])
         x = paths.states[:, k]
-        e = contract.aleph_l(t, x)
-        zsig = slope_over_sigma(contract.gamma_l(t, x), _checked_sigma(model, t, x))
-        _, b_hat, L_hat = _recommended(model, t, x, EmpiricalMeasure(x), e, zsig)
+        m = EmpiricalMeasure(x)
+        _, _, zsig, _, b_hat, L_hat = _node(model, contract.gamma_l, contract.aleph_l, t, x, m)
         yield t, dt, b_hat * zsig + L_hat, zsig, paths.states[:, k + 1] - x
 
 
@@ -274,7 +277,8 @@ def _contract_pass(
         raise ValueError("replications must be >= 1")
     dt = grid.dt
     out = {}
-    for reps, x, draws in _replication_chunks(model, n, grid, replications, seed, copies):
+    keys = [(r,) for r in range(replications)]
+    for reps, x, draws in _replication_chunks(model, n, grid, seed, keys, copies):
         y = np.full(len(x), float(y0))
         l_acc = np.zeros(x.shape) if running_L else None
         # L_P is summed as a scalar while it stays one (it broadcasts to an

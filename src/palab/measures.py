@@ -95,11 +95,15 @@ class EmpiricalMeasure:
 
         This is the right-continuous inverse inf{x : F(x) > u}, capped at
         x_(n); where u·n is an integer k it returns x_(k+1), not the
-        left-continuous x_(k).
+        left-continuous x_(k). A level outside [0, 1], or NaN, raises
+        ValueError.
         """
+        levels = np.asarray(levels)
+        if not ((levels >= 0) & (levels <= 1)).all():
+            raise ValueError("quantile levels must lie in [0, 1]")
         s = self.sorted_samples
         n = s.size
-        idx = np.minimum((np.asarray(levels) * n).astype(int), n - 1)
+        idx = np.minimum((levels * n).astype(int), n - 1)
         return s[idx]
 
 
@@ -110,10 +114,11 @@ def wasserstein_p(a: EmpiricalMeasure, b: EmpiricalMeasure, p: float = 1.0) -> f
     ((1/n)·Σ|a_(i) − b_(i)|^p)^(1/p). Unequal counts are compared through the
     inverse CDFs sampled at QUANTILE_GRID_SIZE midpoint levels, which is the
     same formula applied to the two clouds' quantiles at those levels. Both
-    measures must hold one ensemble each; a stack raises ValueError.
+    measures must hold one ensemble each; a stack raises ValueError, and so
+    does a p outside [1, inf), NaN included.
     """
-    if p < 1:
-        raise ValueError(f"wasserstein_p needs p >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"wasserstein_p needs 1 <= p < inf, got {p}")
     if a.samples.ndim != 1 or b.samples.ndim != 1:
         raise ValueError("wasserstein_p compares single ensembles, not (batch, n) stacks")
     if len(a) == len(b):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -147,16 +147,6 @@ class PolicyParam:
         return replace(self, **fields)
 
 
-PolicyLike = Union[PolicyParam, tuple]
-
-
-def _policy_fns(policy: PolicyLike) -> tuple[Callable, Callable]:
-    if isinstance(policy, PolicyParam):
-        return policy.gamma_fn, policy.aleph_fn
-    gamma, aleph = policy
-    return gamma, aleph
-
-
 def _limit_objective_from_draws(
     model: ModelSpec,
     gamma: Callable,
@@ -210,19 +200,20 @@ def _limit_objective_from_draws(
 
 def evaluate_limit_objective(
     model: ModelSpec,
-    policy: PolicyLike,
+    policy: tuple[Callable, Callable],
     N_proxy: int,
     grid: SimGrid,
     seed: SeedSpec,
 ) -> MCEstimate:
     """Monte Carlo estimate of the limit objective under the given policy.
 
-    policy is a PolicyParam or a (gamma, aleph) pair of (t, x) callables.
+    policy is a (gamma, aleph) pair of (t, x) callables; for a PolicyParam p
+    pass (p.gamma_fn, p.aleph_fn).
     The estimate is a deterministic function of (policy, N_proxy, grid,
     seed): the same seed always yields the same draws, so policies compared
     under one seed are compared with common random numbers.
     """
-    gamma, aleph = _policy_fns(policy)
+    gamma, aleph = policy
     x0, draws = _stream(model, N_proxy, grid, seed)
     return _limit_objective_from_draws(model, gamma, aleph, grid, x0, draws)
 

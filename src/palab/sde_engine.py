@@ -14,29 +14,32 @@ states: the coefficients at step k see the measure of the step-k states.
 Every step loop in the package runs on one private stepper, _euler_steps.
 It steps an (n,) ensemble or a (batch, n) stack of ensembles, hands the
 coefficients one EmpiricalMeasure of that state (whose statistics are
-floats for an ensemble and (batch, 1) columns for a stack), makes one
-maximizer call per step (model._recommended), and applies the one guard:
-sigma must be finite and >= 0 (NumericDomainError, from _checked_sigma,
-which the stored-path replays in contracts also call), and every state must
-stay finite with |X| <= BLOWUP_THRESHOLD (SimulationBlowupError). It yields
-the per-step values to its callers, each with its own accumulators: the
-two path simulators below, the limit objective, and the one contract pass
-(contracts._contract_pass), which serves the n-player estimator,
-contract_report and the deviation scan. The reduced Hamiltonian H is
-computed only when a caller reads it (the contract pass does; the limit
-objective and terminal-law simulation do not), and a float sigma of 1.0
-skips the sigma * dW product; neither changes a result bit.
+floats for an ensemble and (batch, 1) columns for a stack), and evaluates
+each node once through _node: the fields, sigma (which must be finite and
+>= 0, else NumericDomainError) and one maximizer call (model._recommended).
+The stored-path replays in contracts call the same _node. The one guard
+on the states is that each stays finite with |X| <= BLOWUP_THRESHOLD
+(SimulationBlowupError). The stepper yields the per-step values to its
+callers, each with its own accumulators: the two path simulators below,
+the limit objective, and the one contract pass (contracts._contract_pass),
+which serves the n-player estimator, contract_report and the deviation
+scan. The reduced Hamiltonian H is computed only when a caller reads it
+(the contract pass does; the limit objective and terminal-law simulation
+do not), and a float sigma of 1.0 skips the sigma * dW product; neither
+changes a result bit.
 
 The stepper reads Brownian increments, sqrt(dt) * Z, not standard normals.
-One ensemble's stream is set up in one place, _stream: its generator, its
-initial states and a draws(k) that refills one reused length-n buffer and
-scales it in place, so a step loop allocates no draw arrays (the optimizer
-copies the draws row by row into its cache once per search). The batched
-replications of the contract pass read _replication_chunks, which refills
-one (batch, n) buffer the same way. The (min, max) that the guard computes
-for X_{k+1} is handed to the next step's EmpiricalMeasure (its private
-_range slot), so a clamped mean skips the clip when no state lies outside
-the clamp. Both keep every result bit.
+Every stream is read in one function, _replication_chunks. Given a list of
+spawn keys, it builds one generator per key, checks and stacks the initial
+states, and its draws(k) refills one reused (batch, n) buffer, one
+generator call per row, and scales it by sqrt(dt) in place, so a step loop
+allocates no draw arrays. The contract pass hands it one key per
+replication. A single ensemble (_stream) is row 0 of a one-row chunk on the
+empty key, seed.generator() (the optimizer copies its draws row by row into
+its cache once per search). The (min, max) that the guard computes for
+X_{k+1} is handed to the next step's EmpiricalMeasure (its private _range
+slot), so a clamped mean skips the clip when no state lies outside the
+clamp. Neither changes a result bit.
 
 Randomness is organized around SeedSpec: one counter-based generator per
 (master_seed, spawn key) pair, so any worker can reproduce any stream
@@ -173,57 +176,33 @@ def _initial_states(model: ModelSpec, n: int, rng: Generator) -> np.ndarray:
     return x
 
 
-def _stream(
-    model: ModelSpec, n: int, grid: SimGrid, seed: SeedSpec
-) -> tuple[np.ndarray, Callable[[int], np.ndarray]]:
-    """The initial states and step increments of one ensemble, read from seed.
-
-    Returns (x0, draws): x0 holds the n initial draws of seed.generator(),
-    and draws(k) refills one reused length-n buffer with the next n standard
-    normals and scales it by sqrt(dt) in place, so each call overwrites the
-    previous step's increments. A seed that is not a SeedSpec raises
-    TypeError.
-    """
-    if not isinstance(seed, SeedSpec):
-        raise TypeError(f"seed must be a SeedSpec, got {type(seed)!r}")
-    rng = seed.generator()
-    x0 = _initial_states(model, n, rng)
-    sqdt = math.sqrt(grid.dt)
-    buf = np.empty(n)
-
-    def draws(k):
-        return np.multiply(rng.standard_normal(out=buf), sqdt, out=buf)
-
-    return x0, draws
-
-
 def _replication_chunks(
-    model: ModelSpec, n: int, grid: SimGrid, replications: int, seed: SeedSpec, copies: int = 1
+    model: ModelSpec, n: int, grid: SimGrid, seed: SeedSpec, keys, copies: int = 1
 ) -> Iterator[tuple[range, np.ndarray, Callable[[int], np.ndarray]]]:
-    """Independent replications grouped into (batch, n) chunks for _euler_steps.
+    """Independent ensembles grouped into (batch, n) chunks for _euler_steps.
 
-    Yields (reps, x0, draws) per chunk: reps is the range of replication
-    indices, x0 stacks their initial states (replication r from
-    seed.generator(r)), and draws(k) refills one reused buffer with the
-    Brownian increments of step k on the grid, row i from the stream of
-    replication reps[i], and scales it by sqrt(dt) in place. Each stream is
-    consumed exactly as a lone simulation consumes it (n initial draws, then
-    one length-n vector per step), so every row matches simulate_particles
-    on seed.child(r) bit for bit.
+    The one reader of a stream: ensemble i comes from seed.generator(*keys[i]).
+    Yields (reps, x0, draws) per chunk: reps is the range of indices into
+    keys, x0 stacks their checked initial states, and draws(k) refills one
+    reused buffer with the Brownian increments of step k on the grid, one
+    generator call per row, and scales it by sqrt(dt) in place. Each stream
+    is consumed exactly as a lone simulation consumes it (n initial draws,
+    then one length-n vector per step), so row i matches simulate_particles
+    on seed.child(*keys[i]) bit for bit.
 
-    copies > 1 gives each replication that many consecutive rows, all
-    starting from its initial state and reading its increments (the
-    deviation scan runs one row per cell this way); chunks are then sized so
-    that batch * copies * n stays within _BATCH_ELEMENTS. A seed that is
-    not a SeedSpec raises TypeError.
+    copies > 1 gives each ensemble that many consecutive rows, all starting
+    from its initial state and reading its increments (the deviation scan
+    runs one row per cell this way); chunks are then sized so that
+    batch * copies * n stays within _BATCH_ELEMENTS. A seed that is not a
+    SeedSpec raises TypeError.
     """
     if not isinstance(seed, SeedSpec):
         raise TypeError(f"seed must be a SeedSpec, got {type(seed)!r}")
     sqdt = math.sqrt(grid.dt)
     size = max(1, _BATCH_ELEMENTS // (n * copies))
-    for start in range(0, replications, size):
-        reps = range(start, min(start + size, replications))
-        gens = [seed.generator(r) for r in reps]
+    for start in range(0, len(keys), size):
+        reps = range(start, min(start + size, len(keys)))
+        gens = [seed.generator(*keys[i]) for i in reps]
         x0 = np.stack([_initial_states(model, n, g) for g in gens])
         buf = np.empty_like(x0)
         rows = list(zip(gens, buf))
@@ -235,6 +214,17 @@ def _replication_chunks(
             return buf if copies == 1 else np.repeat(buf, copies, axis=0)
 
         yield reps, (x0 if copies == 1 else np.repeat(x0, copies, axis=0)), draws
+
+
+def _stream(
+    model: ModelSpec, n: int, grid: SimGrid, seed: SeedSpec
+) -> tuple[np.ndarray, Callable[[int], np.ndarray]]:
+    """(x0, draws) of the one ensemble on seed.generator(): row 0 of a one-row chunk.
+
+    Each draws(k) call overwrites the previous step's increments.
+    """
+    ((_, x0, draws),) = _replication_chunks(model, n, grid, seed, [()])
+    return x0[0], lambda k: draws(k)[0]
 
 
 class _Step(NamedTuple):
@@ -261,12 +251,19 @@ class _Step(NamedTuple):
         return self.b_hat * self.zsig + self.L_hat
 
 
-def _checked_sigma(model: ModelSpec, t: float, x):
-    """sigma(t, x), raising NumericDomainError unless it is finite and >= 0.
+def _node(model: ModelSpec, gamma: Callable, aleph: Callable, t: float, x, m: EmpiricalMeasure):
+    """(e, sigma, z/sigma, a*, b_hat, L_hat) at one grid node (t, x) under measure m.
 
-    The theory requires sigma > 0; sigma == 0 is allowed so that ODE-limit
+    The one node evaluation, shared by the stepper and the stored-path
+    replays in contracts: the rate e = aleph(t, x), the checked volatility,
+    the slope over volatility, and one maximizer call (model._recommended)
+    for the recommended action with the drift and running cost at it.
+    sigma must be finite and >= 0, else NumericDomainError: the theory
+    requires sigma > 0, and sigma == 0 is allowed so that ODE-limit
     diagnostics run. A float sigma is checked without numpy; NaN fails.
     """
+    e = aleph(t, x)
+    z = gamma(t, x)
     sig = model.vol_sigma(t, x)
     if isinstance(sig, float):
         sig_ok = 0.0 <= sig < math.inf
@@ -274,7 +271,8 @@ def _checked_sigma(model: ModelSpec, t: float, x):
         sig_ok = np.all((sig >= 0.0) & (sig < math.inf))
     if not sig_ok:
         raise NumericDomainError(f"volatility must be finite and >= 0 (t={t}): {sig!r}")
-    return sig
+    zsig = slope_over_sigma(z, sig)
+    return (e, sig, zsig) + _recommended(model, t, x, m, e, zsig)
 
 
 def _euler_steps(
@@ -307,11 +305,7 @@ def _euler_steps(
         t = float(times[k])
         m = EmpiricalMeasure(x)
         m._range = span
-        e = aleph(t, x)
-        z = gamma(t, x)
-        sig = _checked_sigma(model, t, x)
-        zsig = slope_over_sigma(z, sig)
-        a, b_hat, L_hat = _recommended(model, t, x, m, e, zsig)
+        e, sig, zsig, a, b_hat, L_hat = _node(model, gamma, aleph, t, x, m)
         b, L = b_hat, L_hat
         if play is not None:
             a = play(t, x, a)

@@ -305,7 +305,8 @@ def test_policy_search_recovers_closed_form():
 
     # unbiased value of the recovered policy, finer grid and fresh draws
     final = evaluate_limit_objective(
-        model, result.policy, N_proxy=100_000, grid=SimGrid(1.0, 200),
+        model, (result.policy.gamma_fn, result.policy.aleph_fn), N_proxy=100_000,
+        grid=SimGrid(1.0, 200),
         seed=SeedSpec(991).child(0),
     )
     value_err = abs(final.value - am.V_infinity)
@@ -381,7 +382,8 @@ def test_variance_baseline_and_weak_error_halving():
             aleph_c1=zeros,
         )
         est = evaluate_limit_objective(
-            model, policy, N_proxy=1_000_000, grid=SimGrid(1.0, steps),
+            model, (policy.gamma_fn, policy.aleph_fn), N_proxy=1_000_000,
+            grid=SimGrid(1.0, steps),
             seed=SeedSpec(272).child(steps),
         )
         errors.append(abs(est.value - target))

@@ -359,7 +359,7 @@ def test_report_payment_equals_replay_pipeline(model_name, monkeypatch):
     seed = SeedSpec(31)
     if model_name == "quadratic-chunked":
         monkeypatch.setattr(sde_engine, "_BATCH_ELEMENTS", 2 * n)
-        chunks = sde_engine._replication_chunks(model, n, grid, reps, seed)
+        chunks = sde_engine._replication_chunks(model, n, grid, seed, [(r,) for r in range(reps)])
         assert [len(r) for r, _, _ in chunks] == [2, 2, 1]
     rep = contract_report(c, model, n, grid, reps, seed)
     for r in range(reps):

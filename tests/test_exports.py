@@ -44,7 +44,9 @@ def test_only_sde_engine_reads_the_stream():
     # increments from sde_engine, so only it knows the stream layout
     import palab.contracts as contracts
     import palab.mkv_control as mkv_control
+    import palab.sde_engine as sde_engine
 
+    node_parts = {"_recommended", "slope_over_sigma", "_checked_sigma"}
     for module in (mkv_control, contracts):
         tree = ast.parse(inspect.getsource(module))
         for node in ast.walk(tree):
@@ -52,6 +54,19 @@ def test_only_sde_engine_reads_the_stream():
                 assert node.attr not in {"standard_normal", "generator"}, (
                     f"{module.__name__}: {ast.unparse(node)}"
                 )
+            # the node evaluation is sde_engine._node's, not rebuilt from parts
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                assert not node_parts & names, f"{module.__name__}: {ast.unparse(node)}"
+
+    # within sde_engine, one function reads every stream
+    readers = set()
+    for top in ast.parse(inspect.getsource(sde_engine)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in {"standard_normal", "generator"}:
+                    readers.add(getattr(top, "name", "<module>"))
+    assert readers == {"_replication_chunks"}
 
 
 def test_only_contracts_g_inverse_calls_g_inverse():

@@ -1,6 +1,7 @@
 """Tests for the empirical-measure layer: statistics, stacks, distances."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -179,9 +180,11 @@ def test_wasserstein_unequal_shift():
 
 
 def test_wasserstein_p_below_one_rejected():
+    # p = inf used to return 1.0 for any pair (mean(d**inf) ** 0) and NaN NaN
     a = EmpiricalMeasure([0.0, 1.0])
-    with pytest.raises(ValueError):
-        wasserstein_p(a, a, 0.5)
+    for p in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            wasserstein_p(a, a, p)
 
 
 def test_wasserstein_rejects_stacked_measure():
@@ -210,8 +213,18 @@ def test_batched_measure_matches_rowwise():
             assert col[i, 0] == lone
 
 
-def test_quantiles_left_continuous():
+def test_quantiles_right_continuous():
+    # x_(floor(u*n)+1): where u*n is an integer k > 0 the answer is x_(k+1)
     m = EmpiricalMeasure([3.0, 1.0, 2.0])
-    levels = np.array([0.0, 0.2, 0.34, 0.5, 0.99])
+    levels = np.array([0.0, 0.2, 0.34, 0.5, 0.99, 1.0])
     q = m.quantiles(levels)
-    assert np.array_equal(q, [1.0, 1.0, 2.0, 2.0, 3.0])
+    assert np.array_equal(q, [1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
+    assert EmpiricalMeasure([4.0, 2.0, 1.0, 3.0]).quantiles(np.array([0.25, 0.5])).tolist() == [2.0, 3.0]
+
+
+def test_quantiles_reject_levels_outside_unit_interval():
+    # a negative level used to read from the end, and NaN raised IndexError
+    m = EmpiricalMeasure([1.0, 2.0, 3.0, 4.0])
+    for u in (-0.3, 1.5, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="levels"):
+            m.quantiles(np.array([0.5, u]))

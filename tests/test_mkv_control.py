@@ -253,7 +253,7 @@ def _parity_setup():
 def test_limit_objective_equals_plain_reference_loop():
     model, kappa, b_bar, policy, grid = _parity_setup()
     seed, N = SeedSpec(61), 2_000
-    est = evaluate_limit_objective(model, policy, N, grid, seed)
+    est = evaluate_limit_objective(model, (policy.gamma_fn, policy.aleph_fn), N, grid, seed)
     rng = seed.generator()
     x0 = np.asarray(model.initial_law_nu(N, rng), dtype=float)
     value, se, crossings = conftest.reference_multitask_objective(
