@@ -41,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .estimates import MCEstimate, _central_slope, mean_se
-from .measures import EmpiricalMeasure
+from .measures import EmpiricalMeasure, _mean_last
 from .model import ModelSpec, NumericDomainError
 from .sde_engine import ParticlePaths, SeedSpec, SimGrid, _euler_steps, _node, _replication_chunks
 
@@ -111,7 +111,7 @@ def contract_y_step(y, dt: float, H, zsig, dX):
     """
 
     def ensemble_mean(v):
-        return np.mean(v, axis=-1) if np.ndim(v) else v
+        return _mean_last(v) if np.ndim(v) else v
 
     y_next = y - dt * ensemble_mean(H) + ensemble_mean(zsig * dX)
     return float(y_next) if np.ndim(y) == 0 else y_next
@@ -221,7 +221,7 @@ def _price(model: ModelSpec, x: np.ndarray, y: np.ndarray, l_acc, lp_acc) -> dic
         return np.broadcast_to(np.asarray(v, dtype=float), level.shape)
 
     def average(v):
-        return np.mean(np.broadcast_to(v, x.shape), axis=1, keepdims=True)
+        return _mean_last(np.broadcast_to(v, x.shape), keepdims=True)
 
     xi = column(_g_inverse(model, m, level))
     v = average(model.production_utility_Upsilon(x) - lp_acc) - column(

@@ -23,6 +23,15 @@ import numpy as np
 QUANTILE_GRID_SIZE = 10_000
 
 
+def _mean_last(v: np.ndarray, keepdims: bool = False):
+    """Mean of an array over its last axis, the one ensemble-mean rule.
+
+    The sum and the division np.mean performs on float64, without its
+    Python wrapper layers, so the bits are np.mean's.
+    """
+    return np.add.reduce(v, axis=-1, keepdims=keepdims) / v.shape[-1]
+
+
 class EmpiricalMeasure:
     """Uniform empirical measure (1/n)·Σ δ_{x_i} on the real line.
 
@@ -62,14 +71,10 @@ class EmpiricalMeasure:
 
     @staticmethod
     def _average(v: np.ndarray):
-        """Mean over the last axis: a float for (n,), a (batch, 1) column for (batch, n).
-
-        The sum and the division np.mean performs on float64, without its
-        Python wrapper layers, so the bits are np.mean's.
-        """
+        """Mean over the last axis (_mean_last): a float for (n,), a (batch, 1) column for (batch, n)."""
         if v.ndim == 1:
-            return float(np.add.reduce(v) / v.shape[0])
-        return np.add.reduce(v, axis=-1, keepdims=True) / v.shape[-1]
+            return float(_mean_last(v))
+        return _mean_last(v, keepdims=True)
 
     def mean(self):
         return self._average(self.samples)
@@ -96,8 +101,11 @@ class EmpiricalMeasure:
         This is the right-continuous inverse inf{x : F(x) > u}, capped at
         x_(n); where u·n is an integer k it returns x_(k+1), not the
         left-continuous x_(k). A level outside [0, 1], or NaN, raises
-        ValueError.
+        ValueError, and so does a (batch, n) stack: it holds one inverse CDF
+        per ensemble, not one.
         """
+        if self.samples.ndim != 1:
+            raise ValueError("quantiles takes a single ensemble, not a (batch, n) stack")
         levels = np.asarray(levels)
         if not ((levels >= 0) & (levels <= 1)).all():
             raise ValueError("quantile levels must lie in [0, 1]")

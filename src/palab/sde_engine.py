@@ -31,22 +31,29 @@ changes a result bit.
 The stepper reads Brownian increments, sqrt(dt) * Z, not standard normals.
 Every stream is read in one function, _replication_chunks. Given a list of
 spawn keys, it builds one generator per key, checks and stacks the initial
-states, and its draws(k) refills one reused (batch, n) buffer, one
-generator call per row, and scales it by sqrt(dt) in place, so a step loop
-allocates no draw arrays. The contract pass hands it one key per
-replication. A single ensemble (_stream) is row 0 of a one-row chunk on the
-empty key, seed.generator() (the optimizer copies its draws row by row into
-its cache once per search). The (min, max) that the guard computes for
-X_{k+1} is handed to the next step's EmpiricalMeasure (its private _range
-slot), so a clamped mean skips the clip when no state lies outside the
-clamp. Neither changes a result bit.
+states, and reads the step increments a block of steps at a time: at every
+kb-th step each generator fills its (kb, n) rows of one reused
+(batch, kb, n) buffer in a single call, and the block is scaled by sqrt(dt)
+once, so a step loop allocates no draw arrays and makes one generator call
+per row per block, not per step. draws(k) must be called for k = 0, 1, ...
+in order (any other k raises ValueError), and the increments it returns
+are a view that stays valid only until the next call: a caller that keeps
+them copies them (the optimizer copies its draws row by row into its cache
+once per search). The contract pass hands it one key per replication. A
+single ensemble (_stream) is row 0 of a one-row chunk on the empty key,
+seed.generator(). The (min, max) that the guard computes for X_{k+1} is
+handed to the next step's EmpiricalMeasure (its private _range slot), so a
+clamped mean skips the clip when no state lies outside the clamp. Neither
+changes a result bit.
 
 Randomness is organized around SeedSpec: one counter-based generator per
 (master_seed, spawn key) pair, so any worker can reproduce any stream
 without coordinating with the others. Within a stream the consumption order
 is fixed — n initial draws, then one length-n increment vector per step —
 which makes every simulation bit-reproducible regardless of how the
-surrounding experiment is parallelized. Particle i always reads lane i of
+surrounding experiment is parallelized. A generator fills an (m, n) array
+in C order with the same normals that m successive (n,) fills return, so
+reading kb steps per call changes no draw. Particle i always reads lane i of
 the step draws. Independent replications are stepped together as one
 (batch, n) ensemble (_replication_chunks), each row still reading its own
 replication's stream in that order, so batching changes no result; the
@@ -76,6 +83,10 @@ BLOWUP_THRESHOLD = 1e8
 # each (batch, n) array of a chunk stays within 128 KiB (a replication whose
 # n alone exceeds the cap runs as a chunk of one).
 _BATCH_ELEMENTS = 1 << 14
+# Each chunk reads its step increments kb steps at a time, with kb as large
+# as keeps the (batch, kb, n) block within this many elements (256 KiB); a
+# chunk whose batch * n alone exceeds it reads one step per call.
+_DRAW_BLOCK_ELEMENTS = 1 << 15
 
 
 class SimulationBlowupError(RuntimeError):
@@ -183,12 +194,19 @@ def _replication_chunks(
 
     The one reader of a stream: ensemble i comes from seed.generator(*keys[i]).
     Yields (reps, x0, draws) per chunk: reps is the range of indices into
-    keys, x0 stacks their checked initial states, and draws(k) refills one
-    reused buffer with the Brownian increments of step k on the grid, one
-    generator call per row, and scales it by sqrt(dt) in place. Each stream
-    is consumed exactly as a lone simulation consumes it (n initial draws,
-    then one length-n vector per step), so row i matches simulate_particles
-    on seed.child(*keys[i]) bit for bit.
+    keys, x0 stacks their checked initial states, and draws(k) returns the
+    (batch, n) Brownian increments of step k on the grid. Every kb steps,
+    with kb = max(1, min(steps, _DRAW_BLOCK_ELEMENTS // (batch * n))), each
+    generator fills its rows of one reused (batch, kb, n) block in one call
+    and the block is scaled by sqrt(dt) in place; draws(k) returns step k's
+    slice of it. Each stream is consumed exactly as a lone simulation
+    consumes it (n initial draws, then one length-n vector per step), so
+    row i matches simulate_particles on seed.child(*keys[i]) bit for bit.
+
+    draws(k) must be called with k = 0, 1, ..., steps - 1 in turn; a k that
+    skips a step, repeats one or passes the horizon raises ValueError. The
+    increments it returns are valid until its next call, so a caller that
+    keeps them copies them.
 
     copies > 1 gives each ensemble that many consecutive rows, all starting
     from its initial state and reading its increments (the deviation scan
@@ -198,22 +216,37 @@ def _replication_chunks(
     """
     if not isinstance(seed, SeedSpec):
         raise TypeError(f"seed must be a SeedSpec, got {type(seed)!r}")
+    steps = grid.steps
     sqdt = math.sqrt(grid.dt)
+
+    def reader(gens):
+        kb = max(1, min(steps, _DRAW_BLOCK_ELEMENTS // (len(gens) * n)))
+        block = np.empty((len(gens), kb, n))
+        rows = list(zip(gens, block))
+        expected = 0
+
+        def draws(k):
+            nonlocal expected
+            if k != expected or k >= steps:
+                raise ValueError(f"draws({k}) out of order: the next step is {expected} of {steps}")
+            expected += 1
+            j = k % kb
+            if j == 0:
+                m = min(kb, steps - k)
+                for g, r in rows:
+                    g.standard_normal(out=r[:m])
+                block[:, :m] *= sqdt
+            dW = block[:, j]
+            return dW if copies == 1 else np.repeat(dW, copies, axis=0)
+
+        return draws
+
     size = max(1, _BATCH_ELEMENTS // (n * copies))
     for start in range(0, len(keys), size):
         reps = range(start, min(start + size, len(keys)))
         gens = [seed.generator(*keys[i]) for i in reps]
         x0 = np.stack([_initial_states(model, n, g) for g in gens])
-        buf = np.empty_like(x0)
-        rows = list(zip(gens, buf))
-
-        def draws(k, rows=rows, buf=buf):
-            for g, row in rows:
-                g.standard_normal(out=row)
-            buf *= sqdt
-            return buf if copies == 1 else np.repeat(buf, copies, axis=0)
-
-        yield reps, (x0 if copies == 1 else np.repeat(x0, copies, axis=0)), draws
+        yield reps, (x0 if copies == 1 else np.repeat(x0, copies, axis=0)), reader(gens)
 
 
 def _stream(
@@ -221,7 +254,9 @@ def _stream(
 ) -> tuple[np.ndarray, Callable[[int], np.ndarray]]:
     """(x0, draws) of the one ensemble on seed.generator(): row 0 of a one-row chunk.
 
-    Each draws(k) call overwrites the previous step's increments.
+    draws(k) takes the steps in order, as _replication_chunks' does, and its
+    increments are valid until its next call; a caller that keeps them
+    copies them.
     """
     ((_, x0, draws),) = _replication_chunks(model, n, grid, seed, [()])
     return x0[0], lambda k: draws(k)[0]
@@ -288,6 +323,7 @@ def _euler_steps(
 
     draws(k) returns the Brownian increments sqrt(dt) * Z of step k, already
     scaled: shape (n,), shared by every row of a batch, or the shape of x.
+    It is called once per step, for k = 0, 1, ... in order.
     Each step evaluates the fields and sigma at (t_k, X_k), makes one
     maximizer call for the recommended action, moves the state by the played
     action (the recommendation, or play(t, x, a_star) when given), guards

@@ -228,3 +228,12 @@ def test_quantiles_reject_levels_outside_unit_interval():
     for u in (-0.3, 1.5, math.nan, -math.inf):
         with pytest.raises(ValueError, match="levels"):
             m.quantiles(np.array([0.5, u]))
+
+
+def test_quantiles_reject_a_stack():
+    # a (batch, n) stack holds one inverse CDF per row, not one for the
+    # stack, so no level has a single answer to return
+    m = EmpiricalMeasure([[1.0, 2.0], [3.0, 4.0]])
+    for u in (0.25, 0.75):
+        with pytest.raises(ValueError, match="stack"):
+            m.quantiles(np.array([u]))

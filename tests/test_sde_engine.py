@@ -207,6 +207,90 @@ def test_seed_must_be_seedspec():
         joint_deviation_scan(contract, model, [0.0, 1.0], 2, grid, 2, rng)
 
 
+# ---------------------------------------------------------------------------
+# the stream reader's step blocks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+def test_block_draws_equal_whole_horizon_reference(copies, monkeypatch):
+    # 7 steps read in blocks of kb = 3 (a budget of 3 * batch * n elements):
+    # two full blocks and a partial one. Every row of every step is its
+    # replication's stream as one whole-horizon (steps, n) fill reads it.
+    model = multitask_model(MultitaskParams(0.5), nu=normal_law())
+    n, reps, grid, seed = 5, 4, SimGrid(1.0, 7), SeedSpec(77)
+    monkeypatch.setattr(sde_engine, "_DRAW_BLOCK_ELEMENTS", 3 * reps * n)
+    keys = [(r,) for r in range(reps)]
+    ((_, _, draws),) = sde_engine._replication_chunks(model, n, grid, seed, keys, copies)
+    got = np.stack([np.array(draws(k)) for k in range(grid.steps)], axis=-1)
+    assert got.shape == (reps * copies, n, grid.steps)
+    for r in range(reps):
+        want = conftest.stream_increments(model, n, grid, seed.child(r))
+        for c in range(copies):
+            assert (got[r * copies + c] == want).all()
+
+
+def test_block_draws_one_generator_call_per_row_per_block(monkeypatch):
+    # Each chunk reads its steps in blocks of kb: batch * ceil(steps / kb)
+    # generator calls per chunk, not batch * steps. With a budget of 9 * n
+    # elements, a chunk of 3 has kb = 3 (3 * 3 calls) and a chunk of 1 has
+    # kb = 9 capped at the 7 steps (1 call). A point-mass initial law draws
+    # nothing, so every call counted is a step draw.
+    calls = []
+    make = SeedSpec.generator
+
+    class Counting:
+        def __init__(self, g):
+            self.g, self.calls = g, 0
+            calls.append(self)
+
+        def standard_normal(self, *args, **kwargs):
+            self.calls += 1
+            return self.g.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(SeedSpec, "generator", lambda self, *key: Counting(make(self, *key)))
+    n, grid = 4, SimGrid(1.0, 7)
+    monkeypatch.setattr(sde_engine, "_BATCH_ELEMENTS", 3 * n)
+    monkeypatch.setattr(sde_engine, "_DRAW_BLOCK_ELEMENTS", 9 * n)
+    model = multitask_model(MultitaskParams(0.5))
+    keys = [(r,) for r in range(7)]
+    chunks = sde_engine._replication_chunks(model, n, grid, SeedSpec(3), keys)
+    seen = []
+    for reps, _, draws in chunks:
+        before = sum(g.calls for g in calls)
+        for k in range(grid.steps):
+            draws(k)
+        seen.append((len(reps), sum(g.calls for g in calls) - before))
+    assert seen == [(3, 3 * 3), (3, 3 * 3), (1, 1)]
+
+
+def test_draws_out_of_order_rejected():
+    # draws(k) serves step k from the block read at the last multiple of kb,
+    # so a k other than the next step would return another step's increments
+    model = multitask_model(MultitaskParams(0.5), nu=normal_law())
+    grid, seed = SimGrid(1.0, 4), SeedSpec(8)
+
+    def readers():
+        yield next(sde_engine._replication_chunks(model, 3, grid, seed, [(0,), (1,)]))[2]
+        yield next(sde_engine._replication_chunks(model, 3, grid, seed, [(0,)], copies=2))[2]
+        yield sde_engine._stream(model, 3, grid, seed)[1]
+
+    bad_orders = {
+        "skip": ([0], 2),
+        "skip-first": ([], 1),
+        "repeat": ([0, 1], 1),
+        "negative": ([], -1),
+        "past-horizon": ([0, 1, 2, 3], 4),
+    }
+    for name, (good, bad) in bad_orders.items():
+        for draws in readers():
+            for k in good:
+                draws(k)
+            with pytest.raises(ValueError, match="out of order"):
+                draws(bad)
+                pytest.fail(f"{name}: draws({bad}) after {good} returned increments")
+
+
 def test_negative_volatility_rejected():
     # Every step loop runs on the one stepper, and the stored-path replays
     # read sigma through its guard, so every entry point applies the same
