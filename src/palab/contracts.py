@@ -208,11 +208,11 @@ def _price(model: ModelSpec, x: np.ndarray, y: np.ndarray, l_acc, lp_acc) -> dic
 
     The one place the contract pass calls g^{-1}, g, g_P, Upsilon and U:
     each once, on the stacked terminal measure, with levels, payments and
-    values as (batch, 1) columns. l_acc holds each agent's int L dt (None
-    to skip the agent reward) and lp_acc int L_P dt, a scalar or an array
-    that broadcasts against x. Returns (batch, 1) columns y_T, xi, v, u and
-    agent, as documented on _contract_pass; a non-finite entry in any of
-    them raises NumericDomainError naming the column.
+    values as (batch, 1) columns. l_acc holds each agent's int L dt and
+    lp_acc int L_P dt, each a scalar or an array that broadcasts against x.
+    Returns (batch, 1) columns y_T, xi, v, u and agent, as documented on
+    _contract_pass; a non-finite entry in any of them raises
+    NumericDomainError naming the column.
     """
     m = EmpiricalMeasure(x)
     level = y[:, None]
@@ -227,9 +227,9 @@ def _price(model: ModelSpec, x: np.ndarray, y: np.ndarray, l_acc, lp_acc) -> dic
     v = average(model.production_utility_Upsilon(x) - lp_acc) - column(
         model.principal_terminal_cost_gP(m, xi)
     )
-    priced = {"y_T": level, "xi": xi, "v": v, "u": column(model.principal_utility_U(v))}
-    if l_acc is not None:
-        priced["agent"] = average(l_acc + column(model.terminal_utility_g(m, xi)))
+    u = column(model.principal_utility_U(v))
+    agent = average(l_acc + column(model.terminal_utility_g(m, xi)))
+    priced = {"y_T": level, "xi": xi, "v": v, "u": u, "agent": agent}
     for name, col in priced.items():
         if not np.isfinite(col).all():
             raise NumericDomainError(f"contract pass priced a non-finite {name}")
@@ -245,7 +245,6 @@ def _contract_pass(
     grid: SimGrid,
     replications: int,
     seed: SeedSpec,
-    running_L: bool = False,
     play: Optional[Callable] = None,
     copies: int = 1,
 ) -> dict:
@@ -266,7 +265,7 @@ def _contract_pass(
         v      principal's value mean_i [Upsilon(X^i_T) - int L_P dt] - g_P(mu_T, xi)
         u      U(v)
         agent  average agent reward mean_i [int L dt + g(mu_T, xi)], with L at
-               the played action (only with running_L)
+               the played action
 
     A non-finite level raises NumericDomainError, and a state past the
     blow-up threshold SimulationBlowupError at the first step where any row
@@ -278,18 +277,17 @@ def _contract_pass(
     dt = grid.dt
     out = {}
     keys = [(r,) for r in range(replications)]
-    for reps, x, draws in _replication_chunks(model, n, grid, seed, keys, copies):
+    for reps, x, dWs in _replication_chunks(model, n, grid, seed, keys, copies):
         y = np.full(len(x), float(y0))
-        l_acc = np.zeros(x.shape) if running_L else None
-        # L_P is summed as a scalar while it stays one (it broadcasts to an
-        # array if it ever returns one); each element sees the same additions.
-        lp_acc = np.float64(0.0)
+        # L and L_P are summed as scalars while they stay ones (each broadcasts
+        # to an array if it ever returns one); each element sees the same
+        # additions, and _price averages a scalar as n equal entries.
+        l_acc = lp_acc = np.float64(0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            for step in _euler_steps(model, gamma, aleph, x, grid, draws, play):
+            for step in _euler_steps(model, gamma, aleph, x, grid, dWs, play):
                 y = contract_y_step(y, dt, step.H, step.zsig, step.x_next - x)
                 _check_level(y, step.t)
-                if running_L:
-                    l_acc += step.L * dt
+                l_acc = l_acc + step.L * dt
                 lp_acc = lp_acc + model.principal_running_cost_LP(step.t, step.e) * dt
                 x = step.x_next
 
@@ -327,8 +325,7 @@ def contract_report(
     """
     _check_floor(contract, model)
     res = _contract_pass(
-        model, contract.gamma_l, contract.aleph_l, contract.Y0, n, grid, replications, seed,
-        running_L=True,
+        model, contract.gamma_l, contract.aleph_l, contract.Y0, n, grid, replications, seed
     )
     v_est = mean_se(res["v"])
     U = model.principal_utility_U
@@ -392,7 +389,7 @@ def joint_deviation_scan(
 
     res = _contract_pass(
         model, contract.gamma_l, contract.aleph_l, contract.Y0, n, grid, replications, seed,
-        running_L=True, play=play, copies=rows,
+        play=play, copies=rows,
     )
     rewards = res["agent"].reshape(replications, rows)
 

@@ -153,17 +153,17 @@ def _limit_objective_from_draws(
     aleph: Callable,
     grid: SimGrid,
     x0: np.ndarray,
-    draws,
+    dWs: Iterable[np.ndarray],
 ) -> MCEstimate:
     """Streaming evaluation of the limit objective on given initial draws.
 
-    `draws(k)` must return the length-N Brownian increments sqrt(dt) * Z of
-    step k, already scaled; the caller controls whether these come fresh
-    from a generator or from a cached matrix (the optimizer path). The
-    stepper hands each step's measure the extremes its guard computed, so
-    the clamped mean skips the clip when nothing is clamped. A non-finite
-    value raises NumericDomainError, and a g^{-1} that fails or returns a
-    non-finite payment raises ContractEvaluationError.
+    dWs must yield the length-N Brownian increments sqrt(dt) * Z of each
+    step in turn, already scaled; the caller controls whether these come
+    fresh from the stream or from the rows of a cached matrix (the optimizer
+    path). The stepper hands each step's measure the extremes its guard
+    computed, so the clamped mean skips the clip when nothing is clamped. A
+    non-finite value raises NumericDomainError, and a g^{-1} that fails or
+    returns a non-finite payment raises ContractEvaluationError.
     """
     dt = grid.dt
     N = len(x0)
@@ -172,7 +172,7 @@ def _limit_objective_from_draws(
     # L_P is summed as a scalar while it stays one (it broadcasts to an array
     # if it ever returns one); each element sees the same additions either way.
     lp_acc = np.float64(0.0)
-    for step in _euler_steps(model, gamma, aleph, x0, grid, draws):
+    for step in _euler_steps(model, gamma, aleph, x0, grid, dWs):
         lhat_acc += step.L * dt
         lp_acc = lp_acc + model.principal_running_cost_LP(step.t, step.e) * dt
         x = step.x_next
@@ -214,8 +214,8 @@ def evaluate_limit_objective(
     under one seed are compared with common random numbers.
     """
     gamma, aleph = policy
-    x0, draws = _stream(model, N_proxy, grid, seed)
-    return _limit_objective_from_draws(model, gamma, aleph, grid, x0, draws)
+    x0, dWs = _stream(model, N_proxy, grid, seed)
+    return _limit_objective_from_draws(model, gamma, aleph, grid, x0, dWs)
 
 
 class _BudgetSpent(Exception):
@@ -334,10 +334,10 @@ def optimize_policy(
     converged=False when the evaluation budget ran out first.
     """
     parts = tuple(parts)
-    x0, draws = _stream(model, N_proxy, grid, seed)
+    x0, dWs = _stream(model, N_proxy, grid, seed)
     dW_cache = np.empty((grid.steps, N_proxy))
-    for k in range(grid.steps):
-        dW_cache[k] = draws(k)
+    for k, dW in enumerate(dWs):
+        dW_cache[k] = dW
 
     trace: list[float] = []
     best: dict = {"value": -math.inf, "vec": None, "se": 0.0}
@@ -345,7 +345,7 @@ def optimize_policy(
     def value_of(vec: np.ndarray) -> float:
         policy = initial.replace_from_vector(vec, parts)
         est = _limit_objective_from_draws(
-            model, policy.gamma_fn, policy.aleph_fn, grid, x0, lambda k: dW_cache[k]
+            model, policy.gamma_fn, policy.aleph_fn, grid, x0, iter(dW_cache)
         )
         trace.append(est.value)
         if est.value > best["value"]:

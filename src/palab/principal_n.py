@@ -53,7 +53,8 @@ def estimate_n_player_value(
         v = mean_i [Upsilon(X^i_T) - int L_P dt] - g_P(mu_T, xi),
 
     then U(v). Returns (MCEstimate of U(v) over replications, details), with
-    details the pass's per-replication arrays y_T, xi, v and u = U(v).
+    details the pass's per-replication arrays y_T, xi, v, u = U(v) and the
+    average agent reward agent = mean_i [int L dt + g(mu_T, xi)].
 
     Replications are stepped together in (batch, n) chunks, each row on its
     own stream, so results do not depend on the chunking. A non-finite

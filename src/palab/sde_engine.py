@@ -28,23 +28,23 @@ scan. The reduced Hamiltonian H is computed only when a caller reads it
 do not), and a float sigma of 1.0 skips the sigma * dW product; neither
 changes a result bit.
 
-The stepper reads Brownian increments, sqrt(dt) * Z, not standard normals.
-Every stream is read in one function, _replication_chunks. Given a list of
-spawn keys, it builds one generator per key, checks and stacks the initial
-states, and reads the step increments a block of steps at a time: at every
-kb-th step each generator fills its (kb, n) rows of one reused
-(batch, kb, n) buffer in a single call, and the block is scaled by sqrt(dt)
-once, so a step loop allocates no draw arrays and makes one generator call
-per row per block, not per step. draws(k) must be called for k = 0, 1, ...
-in order (any other k raises ValueError), and the increments it returns
-are a view that stays valid only until the next call: a caller that keeps
-them copies them (the optimizer copies its draws row by row into its cache
-once per search). The contract pass hands it one key per replication. A
-single ensemble (_stream) is row 0 of a one-row chunk on the empty key,
-seed.generator(). The (min, max) that the guard computes for X_{k+1} is
-handed to the next step's EmpiricalMeasure (its private _range slot), so a
-clamped mean skips the clip when no state lies outside the clamp. Neither
-changes a result bit.
+The stepper reads Brownian increments, sqrt(dt) * Z, not standard normals,
+from an iterator that yields one step's increments at a time, so the order
+of the steps is the order of iteration. Every stream is read in one
+function, _replication_chunks. Given a list of spawn keys, it builds one
+generator per key, checks and stacks the initial states, and reads the step
+increments a block of kb steps at a time: each generator fills its (kb, n)
+rows of one reused (batch, kb, n) buffer in a single call, and the block is
+scaled by sqrt(dt) once, so a step loop allocates no draw arrays and makes
+one generator call per row per block, not per step. A yielded increment is
+a view that stays valid only until the next one is taken: a caller that
+keeps them copies them (the optimizer copies its increments row by row into
+its cache once per search). The contract pass hands it one key per
+replication. A single ensemble (_stream) is row 0 of a one-row chunk on the
+empty key, seed.generator(). The (min, max) that the guard computes for
+X_{k+1} is handed to the next step's EmpiricalMeasure (its private _range
+slot), so a clamped mean skips the clip when no state lies outside the
+clamp. Neither changes a result bit.
 
 Randomness is organized around SeedSpec: one counter-based generator per
 (master_seed, spawn key) pair, so any worker can reproduce any stream
@@ -68,7 +68,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, NamedTuple, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 # Loaded with the module, not on the first draw: a process pool forked after
@@ -189,24 +189,21 @@ def _initial_states(model: ModelSpec, n: int, rng: Generator) -> np.ndarray:
 
 def _replication_chunks(
     model: ModelSpec, n: int, grid: SimGrid, seed: SeedSpec, keys, copies: int = 1
-) -> Iterator[tuple[range, np.ndarray, Callable[[int], np.ndarray]]]:
+) -> Iterator[tuple[range, np.ndarray, Iterator[np.ndarray]]]:
     """Independent ensembles grouped into (batch, n) chunks for _euler_steps.
 
     The one reader of a stream: ensemble i comes from seed.generator(*keys[i]).
-    Yields (reps, x0, draws) per chunk: reps is the range of indices into
-    keys, x0 stacks their checked initial states, and draws(k) returns the
-    (batch, n) Brownian increments of step k on the grid. Every kb steps,
-    with kb = max(1, min(steps, _DRAW_BLOCK_ELEMENTS // (batch * n))), each
-    generator fills its rows of one reused (batch, kb, n) block in one call
-    and the block is scaled by sqrt(dt) in place; draws(k) returns step k's
-    slice of it. Each stream is consumed exactly as a lone simulation
-    consumes it (n initial draws, then one length-n vector per step), so
-    row i matches simulate_particles on seed.child(*keys[i]) bit for bit.
-
-    draws(k) must be called with k = 0, 1, ..., steps - 1 in turn; a k that
-    skips a step, repeats one or passes the horizon raises ValueError. The
-    increments it returns are valid until its next call, so a caller that
-    keeps them copies them.
+    Yields (reps, x0, dWs) per chunk: reps is the range of indices into keys,
+    x0 stacks their checked initial states, and dWs yields the (batch, n)
+    Brownian increments of steps 0, 1, ..., steps - 1 of the grid. Every kb
+    steps, with kb = max(1, min(steps, _DRAW_BLOCK_ELEMENTS // (batch * n))),
+    each generator fills its rows of one reused (batch, kb, n) block in one
+    call and the block is scaled by sqrt(dt) in place; dWs yields its step
+    slices in turn, each valid until the next is taken, so a caller that
+    keeps them copies them. Each stream is consumed exactly as a lone
+    simulation consumes it (n initial draws, then one length-n vector per
+    step), so row i matches simulate_particles on seed.child(*keys[i]) bit
+    for bit.
 
     copies > 1 gives each ensemble that many consecutive rows, all starting
     from its initial state and reading its increments (the deviation scan
@@ -219,47 +216,36 @@ def _replication_chunks(
     steps = grid.steps
     sqdt = math.sqrt(grid.dt)
 
-    def reader(gens):
+    def increments(gens):
         kb = max(1, min(steps, _DRAW_BLOCK_ELEMENTS // (len(gens) * n)))
         block = np.empty((len(gens), kb, n))
-        rows = list(zip(gens, block))
-        expected = 0
-
-        def draws(k):
-            nonlocal expected
-            if k != expected or k >= steps:
-                raise ValueError(f"draws({k}) out of order: the next step is {expected} of {steps}")
-            expected += 1
-            j = k % kb
-            if j == 0:
-                m = min(kb, steps - k)
-                for g, r in rows:
-                    g.standard_normal(out=r[:m])
-                block[:, :m] *= sqdt
-            dW = block[:, j]
-            return dW if copies == 1 else np.repeat(dW, copies, axis=0)
-
-        return draws
+        for k in range(0, steps, kb):
+            m = min(kb, steps - k)
+            for g, r in zip(gens, block):
+                g.standard_normal(out=r[:m])
+            block[:, :m] *= sqdt
+            for j in range(m):
+                dW = block[:, j]
+                yield dW if copies == 1 else np.repeat(dW, copies, axis=0)
 
     size = max(1, _BATCH_ELEMENTS // (n * copies))
     for start in range(0, len(keys), size):
         reps = range(start, min(start + size, len(keys)))
         gens = [seed.generator(*keys[i]) for i in reps]
         x0 = np.stack([_initial_states(model, n, g) for g in gens])
-        yield reps, (x0 if copies == 1 else np.repeat(x0, copies, axis=0)), reader(gens)
+        yield reps, (x0 if copies == 1 else np.repeat(x0, copies, axis=0)), increments(gens)
 
 
 def _stream(
     model: ModelSpec, n: int, grid: SimGrid, seed: SeedSpec
-) -> tuple[np.ndarray, Callable[[int], np.ndarray]]:
-    """(x0, draws) of the one ensemble on seed.generator(): row 0 of a one-row chunk.
+) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """(x0, dWs) of the one ensemble on seed.generator(): row 0 of a one-row chunk.
 
-    draws(k) takes the steps in order, as _replication_chunks' does, and its
-    increments are valid until its next call; a caller that keeps them
-    copies them.
+    dWs yields the (n,) increments of each step in turn, each valid until
+    the next is taken, as _replication_chunks' do.
     """
-    ((_, x0, draws),) = _replication_chunks(model, n, grid, seed, [()])
-    return x0[0], lambda k: draws(k)[0]
+    ((_, x0, dWs),) = _replication_chunks(model, n, grid, seed, [()])
+    return x0[0], (dW[0] for dW in dWs)
 
 
 class _Step(NamedTuple):
@@ -316,14 +302,14 @@ def _euler_steps(
     aleph: Callable,
     x: np.ndarray,
     grid: SimGrid,
-    draws: Callable[[int], np.ndarray],
+    dWs: Iterable[np.ndarray],
     play: Optional[Callable] = None,
 ) -> Iterator[_Step]:
     """Step the ensemble x (shape (n,) or (batch, n)) across the grid.
 
-    draws(k) returns the Brownian increments sqrt(dt) * Z of step k, already
-    scaled: shape (n,), shared by every row of a batch, or the shape of x.
-    It is called once per step, for k = 0, 1, ... in order.
+    dWs yields the Brownian increments sqrt(dt) * Z of each step in turn,
+    already scaled: shape (n,), shared by every row of a batch, or the
+    shape of x. It must yield exactly grid.steps of them, else ValueError.
     Each step evaluates the fields and sigma at (t_k, X_k), makes one
     maximizer call for the recommended action, moves the state by the played
     action (the recommendation, or play(t, x, a_star) when given), guards
@@ -337,7 +323,7 @@ def _euler_steps(
     times = grid.nodes
     dt = grid.dt
     span = None  # (min, max) of x, once the guard has computed them
-    for k in range(grid.steps):
+    for k, dW in zip(range(grid.steps), dWs, strict=True):
         t = float(times[k])
         m = EmpiricalMeasure(x)
         m._range = span
@@ -347,7 +333,6 @@ def _euler_steps(
             a = play(t, x, a)
             b = model.drift_b(t, x, m, e, a)
             L = model.running_cost_L(t, x, m, e, a)
-        dW = draws(k)
         x_next = x + b * dt
         if isinstance(sig, float) and sig == 1.0:
             x_next += dW  # 1.0 * dW is dW exactly
@@ -382,10 +367,10 @@ def simulate_particles(
     Returns the materialized paths. Raises SimulationBlowupError if a state
     leaves [-BLOWUP_THRESHOLD, BLOWUP_THRESHOLD] or goes non-finite.
     """
-    x, draws = _stream(model, n, grid, seed)
+    x, dWs = _stream(model, n, grid, seed)
     states = np.empty((n, grid.steps + 1))
     states[:, 0] = x
-    for k, step in enumerate(_euler_steps(model, gamma, aleph, x, grid, draws)):
+    for k, step in enumerate(_euler_steps(model, gamma, aleph, x, grid, dWs)):
         states[:, k + 1] = step.x_next
     return ParticlePaths(grid=grid, states=states)
 
@@ -404,8 +389,8 @@ def simulate_terminal_measure(
     recursion) but stores no intermediate states; use for large ensembles
     where only the terminal law matters (e.g. chaos sweeps).
     """
-    x, draws = _stream(model, n, grid, seed)
-    for step in _euler_steps(model, gamma, aleph, x, grid, draws):
+    x, dWs = _stream(model, n, grid, seed)
+    for step in _euler_steps(model, gamma, aleph, x, grid, dWs):
         x = step.x_next
     return EmpiricalMeasure(x)
 

@@ -17,6 +17,7 @@ from palab.mkv_control import (
     optimize_policy,
 )
 from palab.model import MultitaskParams, multitask_model, normal_law, point_mass
+from palab import sde_engine
 from palab.sde_engine import SeedSpec, SimGrid
 
 CLOSED_FORM_TOL = 1e-8
@@ -263,9 +264,13 @@ def test_limit_objective_equals_plain_reference_loop():
     assert est.value == value and est.se == se
 
 
-def test_optimize_trace_equals_plain_reference_loop():
+def test_optimize_trace_equals_plain_reference_loop(monkeypatch):
     model, kappa, b_bar, policy, grid = _parity_setup()
     seed, N, budget, parts = SeedSpec(62), 500, 20, ("gamma", "aleph_c0")
+    # blocks of 7 steps: the stream reuses its block for steps 7, 14, ...,
+    # so a cache that kept the yielded views instead of copying them would
+    # hold the last block's increments in every slot
+    monkeypatch.setattr(sde_engine, "_DRAW_BLOCK_ELEMENTS", 7 * N)
     res = optimize_policy(model, policy, N, grid, seed, budget=budget, parts=parts)
 
     rng = seed.generator()

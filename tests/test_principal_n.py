@@ -74,6 +74,23 @@ def test_matches_contract_pipeline_stepwise():
         assert abs(xi - details["xi"][r]) <= EXACT
 
 
+@pytest.mark.parametrize("model_name", ["multitask", "quadratic"])
+def test_estimator_agent_reward_equals_contract_report(model_name):
+    # the estimator's details carry the pass's average agent reward, priced
+    # exactly as contract_report prices it on the same seed
+    if model_name == "multitask":
+        model = multitask_model(MultitaskParams(0.5, b_bar=1.0), R=0.1, nu=normal_law())
+        gamma, aleph = (lambda t, x: 0.8 + 0.3 * np.sin(x)), (lambda t, x: 0.2 * x)
+    else:
+        model = quadratic_generic_model(a_base=0.3, sigma0=0.7, nu=normal_law())
+        gamma, aleph = (lambda t, x: 0.5 + 0.3 * np.sin(x)), _zero
+    n, grid, reps, seed = 6, SimGrid(1.0, 10), 5, SeedSpec(93)
+    _, details = estimate_n_player_value(model, gamma, aleph, n, grid, reps, seed)
+    contract = Contract(Y0=model.reservation_R, gamma=gamma, aleph=aleph)
+    report = contract_report(contract, model, n, grid, reps, seed)
+    assert details["agent"].tolist() == report["per_replication"]["agent_reward"]
+
+
 def test_chunked_replications_equal_lone_replays(monkeypatch):
     # replications are stepped together in (batch, n) chunks; capping the
     # batch so 7 replications run as chunks of 3, 3, 1 must still give every

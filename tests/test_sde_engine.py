@@ -3,8 +3,10 @@
 import math
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 import conftest
 from palab.contracts import (
@@ -112,7 +114,7 @@ def test_exchangeability_under_relabeling():
     dW = math.sqrt(grid.dt) * rng.standard_normal((grid.steps, n))
 
     def paths(model, perm):
-        steps = sde_engine._euler_steps(model, _one, _zero, x0[perm], grid, lambda k: dW[k, perm])
+        steps = sde_engine._euler_steps(model, _one, _zero, x0[perm], grid, iter(dW[:, perm]))
         return np.stack([x0[perm]] + [step.x_next for step in steps], axis=1)
 
     same = np.arange(n)
@@ -215,14 +217,17 @@ def test_seed_must_be_seedspec():
 @pytest.mark.parametrize("copies", [1, 3])
 def test_block_draws_equal_whole_horizon_reference(copies, monkeypatch):
     # 7 steps read in blocks of kb = 3 (a budget of 3 * batch * n elements):
-    # two full blocks and a partial one. Every row of every step is its
-    # replication's stream as one whole-horizon (steps, n) fill reads it.
+    # two full blocks and a partial one, so exactly 7 increments, no more.
+    # Every row of every step is its replication's stream as one
+    # whole-horizon (steps, n) fill reads it.
     model = multitask_model(MultitaskParams(0.5), nu=normal_law())
     n, reps, grid, seed = 5, 4, SimGrid(1.0, 7), SeedSpec(77)
     monkeypatch.setattr(sde_engine, "_DRAW_BLOCK_ELEMENTS", 3 * reps * n)
     keys = [(r,) for r in range(reps)]
-    ((_, _, draws),) = sde_engine._replication_chunks(model, n, grid, seed, keys, copies)
-    got = np.stack([np.array(draws(k)) for k in range(grid.steps)], axis=-1)
+    ((_, _, dWs),) = sde_engine._replication_chunks(model, n, grid, seed, keys, copies)
+    got = [np.array(dW) for dW in dWs]
+    assert len(got) == grid.steps
+    got = np.stack(got, axis=-1)
     assert got.shape == (reps * copies, n, grid.steps)
     for r in range(reps):
         want = conftest.stream_increments(model, n, grid, seed.child(r))
@@ -256,39 +261,25 @@ def test_block_draws_one_generator_call_per_row_per_block(monkeypatch):
     keys = [(r,) for r in range(7)]
     chunks = sde_engine._replication_chunks(model, n, grid, SeedSpec(3), keys)
     seen = []
-    for reps, _, draws in chunks:
+    for reps, _, dWs in chunks:
         before = sum(g.calls for g in calls)
-        for k in range(grid.steps):
-            draws(k)
+        for _ in dWs:
+            pass
         seen.append((len(reps), sum(g.calls for g in calls) - before))
     assert seen == [(3, 3 * 3), (3, 3 * 3), (1, 1)]
 
 
-def test_draws_out_of_order_rejected():
-    # draws(k) serves step k from the block read at the last multiple of kb,
-    # so a k other than the next step would return another step's increments
-    model = multitask_model(MultitaskParams(0.5), nu=normal_law())
-    grid, seed = SimGrid(1.0, 4), SeedSpec(8)
-
-    def readers():
-        yield next(sde_engine._replication_chunks(model, 3, grid, seed, [(0,), (1,)]))[2]
-        yield next(sde_engine._replication_chunks(model, 3, grid, seed, [(0,)], copies=2))[2]
-        yield sde_engine._stream(model, 3, grid, seed)[1]
-
-    bad_orders = {
-        "skip": ([0], 2),
-        "skip-first": ([], 1),
-        "repeat": ([0, 1], 1),
-        "negative": ([], -1),
-        "past-horizon": ([0, 1, 2, 3], 4),
-    }
-    for name, (good, bad) in bad_orders.items():
-        for draws in readers():
-            for k in good:
-                draws(k)
-            with pytest.raises(ValueError, match="out of order"):
-                draws(bad)
-                pytest.fail(f"{name}: draws({bad}) after {good} returned increments")
+def test_stepper_takes_exactly_one_increment_per_step():
+    # the stepper pairs step k with the k-th increment, so a source one
+    # short or one long is an error, not a silently shifted or truncated path
+    model = multitask_model(MultitaskParams(0.5))
+    grid, x0 = SimGrid(1.0, 4), np.zeros(3)
+    for count in (grid.steps - 1, grid.steps + 1):
+        dWs = iter(np.zeros((count, 3)))
+        with pytest.raises(ValueError):
+            for _ in sde_engine._euler_steps(model, _one, _zero, x0, grid, dWs):
+                pass
+            pytest.fail(f"{count} increments for {grid.steps} steps were accepted")
 
 
 def test_negative_volatility_rejected():
@@ -385,6 +376,47 @@ def test_blowup_threshold_override(monkeypatch):
     model = multitask_model(MultitaskParams(0.0))
     with pytest.raises(SimulationBlowupError):
         simulate_particles(model, lambda t, x: 100.0, _zero, 5, SimGrid(1.0, 10), SeedSpec(0))
+
+
+@given(
+    steps=st.integers(1, 12),
+    data=st.data(),
+    n=st.integers(1, 5),
+    replications=st.integers(1, 4),
+    key=st.integers(0, 2**16),
+)
+def test_blowup_step_is_the_breaching_step(steps, data, n, replications, key):
+    # The drift is zero before t_s and, from t_s on, moves every state about
+    # ten times the threshold in one step, so X_{s+1} is the first breaching
+    # state. Every entry point must report step s + 1 at its grid time: the
+    # stepper pairs step k with the k-th increment and the k-th node.
+    s = data.draw(st.integers(0, steps - 1), label="breach_step")
+    grid, seed = SimGrid(1.0, steps), SeedSpec(key)
+    t_s = float(grid.nodes[s])
+    push = 10 * sde_engine.BLOWUP_THRESHOLD / grid.dt
+    model = replace(
+        multitask_model(MultitaskParams(0.5), nu=normal_law()),
+        drift_b=lambda t, x, m, e, a: push if t >= t_s else 0.0,
+    )
+    contract = Contract(model.reservation_R, _one, _zero)
+    runs = {
+        "simulate_particles": lambda: simulate_particles(model, _one, _zero, n, grid, seed),
+        "simulate_terminal_measure": lambda: simulate_terminal_measure(
+            model, _one, _zero, n, grid, seed
+        ),
+        "estimate_n_player_value": lambda: estimate_n_player_value(
+            model, _one, _zero, n, grid, replications, seed
+        ),
+        "contract_report": lambda: contract_report(contract, model, n, grid, replications, seed),
+        "evaluate_limit_objective": lambda: evaluate_limit_objective(
+            model, (_one, _zero), n, grid, seed
+        ),
+    }
+    for name, run in runs.items():
+        with pytest.raises(SimulationBlowupError) as exc:
+            run()
+            pytest.fail(f"{name} did not blow up")
+        assert (exc.value.step, exc.value.t) == (s + 1, grid.nodes[s + 1]), name
 
 
 def _held_states(states):
