@@ -1,42 +1,12 @@
 """Experiment harness: config-driven runs of the library's main pipelines.
 
-Subcommands
------------
-multitask-convergence   signed gap to the limit value over (n, b_bar) cells
-contract-eval           build a terminal-payment contract, simulate, report
-policy-opt              derivative-free policy search on the limit objective
-chaos                   terminal-law Wasserstein distance to a large proxy
-self-check              deterministic invariant battery (CI gate)
-
-Configs are JSON (see README for the schema); results are JSON for machine
-consumption and CSV for series, plus a human-readable summary where useful.
-Every emitted record carries the hash of the *effective* config (after any
---seed override), so records with equal hashes are comparable runs.
-
-Each command runs in three phases. It first reads every config field it
-uses through one checked accessor, _field, into a plan of plain picklable
+Each command in _COMMANDS runs in three phases. It reads every config field
+it uses through one checked accessor, _field, into a plan of plain picklable
 values, so a bad field fails before any work starts and names itself; pool
-workers take (plan, task index) and never see the raw config. A number
-field must be finite; only a level (a clamp, a truncation level, a policy
-bound) may be "inf" / "-inf". It then
-computes, and finally renders every result file before writing the first:
-a NaN anywhere in a result raises NumericDomainError and leaves no result
-file (+-inf is written as the string "inf" / "-inf"). Every JSON result
-file carries the experiment, the config hash and its records, and every
-CSV result file ends each row with the config hash.
-
-Determinism contract: all result files are byte-identical across reruns
-with the same effective config, regardless of --workers — every random
-stream is keyed by (master_seed, stable task key), never by the work
-partition. Wall-clock data therefore never goes into result files; it
-lives in the run_meta.json sidecar (not written by self-check, whose
-output must be byte-stable).
-
-Exit codes: 0 success, 2 config error, 3 numeric blowup (a state left the
-guard threshold), 4 self-check failure, 5 numeric-domain error (the
-initial law, a coefficient, the volatility, the Hamiltonian maximizer or
-the terminal payment map produced a non-finite, negative-volatility or
-ambiguous value, or a result value is NaN).
+workers take (plan, task index) and never see the raw config. It then
+computes, and finally renders every result file before writing the first.
+The README documents the commands, the config schema, the exit codes and
+the determinism contract.
 """
 
 from __future__ import annotations
@@ -223,14 +193,17 @@ def parse_config(raw, seed_override: Optional[int] = None) -> ExperimentConfig:
     """Validate the reproducibility-critical fields and freeze the config.
 
     grid.steps (no silent time step) and mc.master_seed (no wall-clock
-    seeding) are mandatory for every command; a --seed flag replaces the
-    master seed *before* hashing so the hash always matches the run.
+    seeding) are mandatory for every command. A --seed flag replaces the
+    master seed *before* hashing, so the hash always matches the run; an mc
+    block that is present but not an object is then a ConfigError.
     """
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
     eff = copy.deepcopy(raw)
     if seed_override is not None:
-        eff.setdefault("mc", {})["master_seed"] = int(seed_override)
+        if not isinstance(eff.setdefault("mc", {}), dict):
+            raise ConfigError(f"mc: expected an object, got {eff['mc']!r}")
+        eff["mc"]["master_seed"] = int(seed_override)
 
     experiment = _field(eff, "experiment", "str")
     _field(eff, "model", "dict")
@@ -243,13 +216,16 @@ def parse_config(raw, seed_override: Optional[int] = None) -> ExperimentConfig:
 
 
 def load_config(path: str) -> dict:
+    """The JSON document at path; a file that cannot be read or decoded is a ConfigError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"--config: file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--config: invalid JSON in {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"--config: cannot read {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +286,7 @@ def _analytic(plan: dict):
 
 
 def _feedback_plan(cfg: dict, model: dict) -> dict:
-    """The (gamma, aleph) feedback fields named by policy.source.
-
-    "analytic" (the multitask default) is the closed-form optimal slope of
-    the multitask model, "constant" a flat policy.value, "zero" (the
-    quadratic default) the null field. The rate field is the constant
-    policy.aleph_value (default 0).
-    """
+    """The feedback plan of policy.source: "analytic" (closed-form slope), "constant" or "zero"."""
     default = "analytic" if model["name"] == "multitask" else "zero"
     source = _field(cfg, "policy.source", "str", default, choices=("analytic", "constant", "zero"))
     if source == "analytic" and model["name"] != "multitask":
@@ -345,11 +315,7 @@ def _feedback(model: dict, policy: dict):
 
 
 def _sanitize(obj):
-    """Recursively turn numpy scalars/arrays into plain JSON-safe values.
-
-    +-inf becomes the string "inf" / "-inf" (JSON has no literal for it); a
-    NaN raises NumericDomainError.
-    """
+    """obj as plain JSON values: +-inf becomes "inf" / "-inf", and NaN raises NumericDomainError."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -372,12 +338,7 @@ def _json_text(obj) -> str:
 
 
 def _result_json(ec: ExperimentConfig, records: list, **payload) -> str:
-    """A JSON result file: the payload under the run's experiment and config hash.
-
-    records are (metric, value, se) triples; each becomes a record tagged
-    with the experiment and hash, whose runtime is null (result files must
-    be byte-stable across reruns; wall-clock numbers live in run_meta.json).
-    """
+    """A JSON result file: the payload and (metric, value, se) records, tagged with the config hash."""
     tag = {"experiment": ec.experiment, "config_hash": ec.hash}
     records = [{**tag, "metric": m, "value": v, "se": se, "runtime": None} for m, v, se in records]
     return _json_text({**tag, "records": records, **payload})
@@ -404,11 +365,7 @@ def _rate_fit(ns, values) -> dict:
 
 
 def _write_results(out_dir: str, files: dict) -> None:
-    """Write result files from their rendered text.
-
-    Every file renders before the first is written, so a NaN found while
-    rendering leaves no result file behind.
-    """
+    """Write result files from their text, rendered in full before the first is written."""
     for name, text in files.items():
         with open(os.path.join(out_dir, name), "w") as fh:
             fh.write(text)
@@ -435,11 +392,7 @@ def _write_run_meta(out_dir: str, command: str, ec: ExperimentConfig, workers: i
 
 
 def _map_ordered(fn: Callable, plan, count: int, workers: int) -> list:
-    """[fn(plan, i) for i in range(count)], on a process pool when it can help.
-
-    Every task's random streams are keyed by master_seed and a stable key
-    of the task alone, so the results are identical for any workers value.
-    """
+    """[fn(plan, i) for i in range(count)], on a pool when it helps; fn must use (plan, i) alone."""
     if workers <= 1 or count <= 1:
         return [fn(plan, i) for i in range(count)]
     from concurrent.futures import ProcessPoolExecutor
@@ -600,11 +553,7 @@ def cmd_multitask_convergence(ec: ExperimentConfig, out_dir: str, workers: int) 
 
 
 def _deviation_config(cfg: dict, replications: int):
-    """(n, replications, action grid) of the mc.deviation block, or None.
-
-    Everything is validated, and the cell count checked against the scan's
-    cap, before the action grid is allocated.
-    """
+    """(n, replications, action grid) of the mc.deviation block, or None; the cap is checked first."""
     if _field(cfg, "mc.deviation", "dict", None) is None:
         return None
     d_n = _field(cfg, "mc.deviation.n", "int", 2, ge=1)
@@ -837,9 +786,6 @@ def cmd_chaos(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
 # ---------------------------------------------------------------------------
 # self-check battery
 # ---------------------------------------------------------------------------
-# Each check is deterministic given the master seed; streams are keyed by
-# the check's own stream key in _SELF_CHECKS, never by the worker partition,
-# so the output file is byte-identical for any --workers value.
 
 
 def _check_limit_oracle(seed: SeedSpec) -> dict:
@@ -1048,16 +994,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers: must be >= 1, got {args.workers}")
         ec = parse_config(load_config(args.config), seed_override=args.seed)
         out_dir = args.out or _field(ec.raw, "output.directory", "str", None)
         if out_dir is None:
             raise ConfigError("output.directory: required (or pass --out)")
         os.makedirs(out_dir, exist_ok=True)
-        workers = max(1, int(args.workers))
         t0 = time.time()
-        code = _COMMANDS[args.command](ec, out_dir, workers)
+        code = _COMMANDS[args.command](ec, out_dir, args.workers)
         if args.command != "self-check":
-            _write_run_meta(out_dir, args.command, ec, workers, time.time() - t0)
+            _write_run_meta(out_dir, args.command, ec, args.workers, time.time() - t0)
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

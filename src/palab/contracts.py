@@ -1,34 +1,24 @@
 """Contract construction and reward evaluation for the n-agent system.
 
-A Contract is the triple (Y0, gamma, aleph) plus a truncation level l: the
-fields actually written into the contract are gamma ^ l and aleph ^ l
-(one-sided pointwise minimum; a symmetric clip is available behind a flag
-for bounded-feedback experiments). The terminal payment is defined through
-the ensemble certainty-equivalent process
+A Contract is the triple (Y0, gamma, aleph) with a truncation level l; the
+fields written into it are gamma ^ l and aleph ^ l. It pays
+xi = g^{-1}(mu_T, Y_T), where mu_T is the terminal measure and Y the
+ensemble certainty-equivalent process
 
     Y_{k+1} = Y_k  -  dt * mean_i H(t_k, X^i_k, mu_k, e^i_k, z^i_k)
                    +  mean_i [ z^i_k / sigma(t_k, X^i_k) * (X^i_{k+1} - X^i_k) ],
 
-with z = gamma ^ l along the paths, and xi = g^{-1}(mu_T, Y_T), where every
-terminal map receives the terminal EmpiricalMeasure mu_T. The same
-one-step update (contract_y_step below) is used by the stored-path pricer
-evaluate_terminal_payment and by the one simulating pass, _contract_pass,
-so they agree bit for bit on the same draws, not just in distribution.
-The replays stay separate pricers of stored paths, which is what lets them
-check the pass, but they share its node evaluation (sde_engine._node): the
-rate, the checked volatility, z/sigma and the recommended action's drift
-and running cost come from the one function the stepper calls.
-The pass also prices what it simulates, once per chunk of replications on
-the stacked terminal measure with (batch, 1) levels, and the n-player value
-estimator, contract_report and the joint-deviation scan all read its
-per-replication arrays. In the pass and in both stored-path replays, a
-non-finite level or volatility, or a negative one, raises NumericDomainError
-at the step where it appears, and so does a non-finite priced value.
+with z = gamma ^ l along the paths. For an agent playing the recommended
+response, X^i_{k+1} - X^i_k = b_hat dt + sigma dW, so the H terms cancel
+pathwise and the update is -L_hat dt + z dW: the contract pays the
+reservation level in expectation, and the recommended response is optimal
+up to O(1/n) terms.
 
-Because X^i_{k+1} - X^i_k = b_hat dt + sigma dW for an agent playing the
-recommended response, the two H terms cancel pathwise and the update
-reduces to -L_hat dt + z dW: the contract pays the reservation level in
-expectation and the recommended response is optimal up to O(1/n) terms.
+One simulating pass, _contract_pass, serves contract_report, the
+joint-deviation scan and principal_n's estimator. The stored-path replay
+evaluate_terminal_payment is a separate pricer, so that it can check the
+pass, but it shares the pass's node evaluation (sde_engine._node) and Y step
+(contract_y_step), so on the same draws the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -57,9 +47,9 @@ class Contract:
     """Terminal-payment contract: initial level, slope field, rate field.
 
     gamma and aleph are (t, x) -> value callables that broadcast over state
-    arrays. truncation_l caps both fields from above (value ^ l, the
-    literal one-sided minimum); use math.inf for the untruncated contract,
-    or symmetric=True to clip into [-l, l] instead.
+    arrays. truncation_l caps both fields from above (the one-sided minimum
+    value ^ l), or clips them into [-l, l] with symmetric=True; math.inf
+    leaves them untruncated, and NaN or -inf raises ValueError.
     """
 
     Y0: float
@@ -97,17 +87,13 @@ def _check_floor(contract: Contract, model: ModelSpec) -> None:
 
 
 def contract_y_step(y, dt: float, H, zsig, dX):
-    """One ensemble step of the certainty-equivalent accumulation.
+    """Y_{k+1} from Y_k = y: the ensemble means of H and of z/sigma * dX, accumulated.
 
-    Shared between evaluate_terminal_payment and _contract_pass so both
-    produce bit-identical Y paths on the same inputs: per step, take the
-    ensemble mean of H and of z/sigma * dX, then accumulate.
-
-    y is one float level for an (n,) ensemble, or a (batch,) array of levels
-    for a (batch, n) stack of ensembles. H and z/sigma * dX are averaged
-    over their last axis only where they have one: a scalar or (batch, 1)
-    H is used as it is, since the mean of n copies of h need not be h bit
-    for bit. Returns a float for a float y, else a (batch,) array.
+    y is a float level for an (n,) ensemble, or a (batch,) array for a
+    (batch, n) stack. H and zsig * dX are averaged over their last axis where
+    they have one; a scalar or (batch, 1) H is used as it is, since the mean
+    of n copies of h need not be h bit for bit. Returns a float for a float
+    y, else a (batch,) array.
     """
 
     def ensemble_mean(v):
@@ -118,9 +104,9 @@ def contract_y_step(y, dt: float, H, zsig, dX):
 
 
 def _g_inverse(model: ModelSpec, m: EmpiricalMeasure, y):
-    # A (batch, 1) column of levels is named by its range, so the message
-    # stays on one line. It is built only on failure: the limit objective
-    # calls this three times per evaluation.
+    """g^{-1}(m, y); a failure or a non-finite payment raises ContractEvaluationError."""
+    # The message is built only on failure, and names a column of levels by
+    # its range so that it stays on one line.
     at = lambda: f"y={y!r}" if np.ndim(y) == 0 else f"y in [{float(np.min(y))!r}, {float(np.max(y))!r}]"
     try:
         out = model.g_inverse(m, y)
@@ -152,14 +138,11 @@ def evaluate_terminal_payment(
     model: ModelSpec,
     paths: ParticlePaths,
 ) -> tuple[float, np.ndarray]:
-    """Terminal payment xi and the ensemble Y path along simulated paths.
+    """(xi, y_path): the ensemble Y path along stored paths and the payment it makes.
 
-    Returns (xi, y_path) with y_path of length steps+1, y_path[0] = Y0 and
-    xi = g^{-1}(mu_T, y_path[-1]) for the terminal measure mu_T. The paths
-    are expected to come from simulate_particles under this contract's
-    truncated fields. This replay is independent of the simulating pass, so
-    it can check that pass; like the pass, it raises NumericDomainError at
-    the first non-finite level.
+    y_path has length steps+1, y_path[0] = Y0 and xi = g^{-1}(mu_T, y_path[-1]).
+    The paths should come from simulate_particles under this contract's
+    truncated fields. A non-finite level raises NumericDomainError at its step.
     """
     _check_floor(contract, model)
     y_path = [float(contract.Y0)]
@@ -176,20 +159,15 @@ def mkv_contract_payment(
     paths: ParticlePaths,
     return_levels: bool = False,
 ):
-    """Limit-regime payment: per-path levels, averaged, then inverted.
+    """Limit-regime payment along stored paths: per-path levels, averaged, then inverted.
 
-    Each path carries its own accumulation
-
-        s^i = Y0 - sum_k H^i_k dt + sum_k (z/sigma)^i_k dX^i_k,
-
-    and the payment is g^{-1}(mu_T, mean_i s^i) — the level average is
-    taken before inverting g, matching the limit construction. This is the
-    contract of the principal-agent problem with McKean-Vlasov dynamics,
-    built from a solution of the limit control problem: on the multitask
-    model with gamma_hat it pays R + (1/2) int gamma_hat^2 in expectation
-    and leaves the principal V_infinity. Returns the scalar payment, or
-    (payment, levels) with return_levels=True. A non-finite level raises
-    NumericDomainError at the step where it appears.
+    Path i accumulates s^i = Y0 - sum_k H^i_k dt + sum_k (z/sigma)^i_k dX^i_k,
+    and the payment is g^{-1}(mu_T, mean_i s^i). This is the contract of the
+    principal-agent problem with McKean-Vlasov dynamics: on the multitask
+    model with gamma_hat it pays R + (1/2) int gamma_hat^2 in expectation and
+    leaves the principal V_infinity. Returns the payment, or (payment,
+    levels) with return_levels=True. A non-finite level raises
+    NumericDomainError at its step.
     """
     _check_floor(contract, model)
     levels = np.full(paths.n_particles, float(contract.Y0))
@@ -204,15 +182,11 @@ def mkv_contract_payment(
 
 
 def _price(model: ModelSpec, x: np.ndarray, y: np.ndarray, l_acc, lp_acc) -> dict:
-    """Price a chunk of terminal ensembles x, shape (batch, n), at levels y, shape (batch,).
+    """The (batch, 1) columns of _contract_pass for terminal states x, shape (batch, n), at levels y.
 
-    The one place the contract pass calls g^{-1}, g, g_P, Upsilon and U:
-    each once, on the stacked terminal measure, with levels, payments and
-    values as (batch, 1) columns. l_acc holds each agent's int L dt and
-    lp_acc int L_P dt, each a scalar or an array that broadcasts against x.
-    Returns (batch, 1) columns y_T, xi, v, u and agent, as documented on
-    _contract_pass; a non-finite entry in any of them raises
-    NumericDomainError naming the column.
+    l_acc and lp_acc hold each agent's int L dt and int L_P dt, scalars or
+    arrays that broadcast against x. Each terminal map is called once, on
+    the stacked terminal measure.
     """
     m = EmpiricalMeasure(x)
     level = y[:, None]
@@ -250,27 +224,25 @@ def _contract_pass(
 ) -> dict:
     """Simulate the contracted n-agent system and price every replication.
 
-    Replication r reads seed.generator(r) as `simulate_particles` on
-    `seed.child(r)` would; its agents play the recommended response to gamma
-    (or play(t, x, a_star)) while Y, started at y0, accumulates through
-    contract_y_step. With copies > 1 each replication runs as that many
-    consecutive rows (_replication_chunks).
-
-    Each chunk is priced once, by _price, on its stacked terminal
-    EmpiricalMeasure mu_T with the levels as a (batch, 1) column. Returns a
-    dict of per-row arrays, replications * copies long:
+    Replication r reads seed.generator(r), as simulate_particles on
+    seed.child(r) would; its agents play the recommended response to gamma,
+    or play(t, x, a_star), while Y, started at y0, follows contract_y_step.
+    With copies > 1 each replication runs as that many consecutive rows.
+    Returns per-row arrays, replications * copies long, which do not depend
+    on how replications are chunked:
 
         y_T    terminal level Y_T
         xi     payment g^{-1}(mu_T, Y_T)
         v      principal's value mean_i [Upsilon(X^i_T) - int L_P dt] - g_P(mu_T, xi)
         u      U(v)
-        agent  average agent reward mean_i [int L dt + g(mu_T, xi)], with L at
-               the played action
+        agent  average agent reward mean_i [int L dt + g(mu_T, xi)], L at the played action
 
-    A non-finite level raises NumericDomainError, and a state past the
-    blow-up threshold SimulationBlowupError at the first step where any row
-    of the chunk breaches it; numpy's overflow warnings are silenced in
-    favour of these guards and g^{-1}'s.
+    Guards: a non-finite level or priced value raises NumericDomainError, and
+    a g^{-1} that fails or returns a non-finite payment
+    ContractEvaluationError. A state past the blow-up threshold raises
+    SimulationBlowupError at the first step where any row of its chunk
+    breaches it, which need not be in the first failing replication. numpy's
+    overflow warnings are silenced in favour of these guards.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -306,22 +278,13 @@ def contract_report(
     replications: int,
     seed: SeedSpec,
 ) -> dict:
-    """Simulate the contracted system and report across-replication stats.
+    """Across-replication estimates for the contract, from one _contract_pass.
 
-    One _contract_pass simulates n agents per replication playing the
-    recommended response to the truncated contract fields and prices each
-    replication: the payment xi = g^{-1}(mu_T, Y_T), the average agent
-    reward mean_i [int L_hat dt + g(mu_T, xi)], and the principal's
-    pre-utility value v = mean_i [Upsilon(X^i_T) - int L_P dt] - g_P(mu_T, xi).
-    Replication r draws from seed.child(r), exactly as simulate_particles
-    would, so its payment equals evaluate_terminal_payment on those stored
-    paths. The report gives across-replication estimates of E[xi] and the
-    agent reward, plus the principal's value under both utility
-    conventions: "principal_inside" averages U(v) over replications and
+    Replication r draws from seed.child(r) as simulate_particles would, so its
+    payment equals evaluate_terminal_payment on those stored paths. Reports
+    E[xi], the agent reward and the principal's value under both utility
+    conventions: "principal_inside" averages U(v) over replications, and
     "principal_outside" applies U to the averaged v (delta-method SE).
-
-    The pass's guards apply: SimulationBlowupError for a state past the
-    blow-up threshold, NumericDomainError for a non-finite level.
     """
     _check_floor(contract, model)
     res = _contract_pass(
@@ -355,21 +318,16 @@ def joint_deviation_scan(
 ) -> dict:
     """Paired reward change under constant joint deviations of all n agents.
 
-    Every cell assigns each agent a constant action from action_grid (the
-    full cartesian product, so len(action_grid)**n cells — keep n tiny); a
-    baseline system where everyone plays the recommended response runs on
-    the same Brownian draws. The reported gain per cell is the across-
-    replication mean of (average agent reward under the deviation) minus
-    (average agent reward under the recommendation), a paired difference
-    with far smaller SE than either term alone. Cooperative optimality of
-    the recommendation means no gain should exceed noise.
-
+    Each cell gives every agent a constant action from action_grid, over the
+    full cartesian product: len(action_grid)**n cells, at most
+    MAX_DEVIATION_CELLS, else ValueError. A cell's gain is the
+    across-replication mean of the average agent reward under the deviation
+    minus that under the recommended response on the same draws, a paired
+    difference with a far smaller SE than either term. Cooperative optimality
+    means no gain should exceed noise. All cells of a replication and its
+    baseline are rows of one _contract_pass on that replication's draws.
     Returns {"actions": (B, n), "gain": (B,), "se": (B,), "baseline":
-    MCEstimate of the recommended-play reward}. All cells of a replication,
-    and the baseline, run as rows of one _contract_pass on that
-    replication's draws, which prices them as every other replication is
-    priced, so a deviation that drives any state past the blow-up threshold
-    raises SimulationBlowupError, like every other simulation.
+    MCEstimate of the recommended-play reward}.
     """
     _check_floor(contract, model)
     action_grid = np.asarray(action_grid, dtype=float)

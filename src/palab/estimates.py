@@ -1,8 +1,7 @@
 """Monte Carlo point estimates with standard errors.
 
 Every estimator in this package reports a value together with its standard
-error; bare point estimates are not emitted anywhere. This module holds the
-small shared record type and the aggregation helpers.
+error; bare point estimates are not emitted anywhere.
 """
 
 from __future__ import annotations
@@ -14,13 +13,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """A Monte Carlo estimate: point value, standard error, sample count.
-
-    ``se`` is the standard error of ``value`` as an estimator of the target
-    expectation, under whatever sampling scheme produced it (per-agent scatter
-    within one ensemble, or scatter across independent replications — the
-    producing function documents which).
-    """
+    """Point value, its standard error under the producer's sampling scheme, and sample count."""
 
     value: float
     se: float
@@ -28,11 +21,7 @@ class MCEstimate:
 
 
 def mean_se(samples: np.ndarray) -> MCEstimate:
-    """Sample mean with its standard error std/sqrt(m).
-
-    A single sample yields se = 0 (there is no scatter to estimate); callers
-    that need a real error bar must supply replications.
-    """
+    """Sample mean with its standard error std/sqrt(m); one sample gives se = 0, none ValueError."""
     arr = np.asarray(samples, dtype=float).ravel()
     m = arr.size
     if m == 0:

@@ -4,12 +4,8 @@ The particle systems in this package are one-dimensional, so every measure is
 an unweighted atom cloud (mass 1/n each) and the p-Wasserstein distance between
 two clouds of equal size is computed exactly by sorting — the 1-D optimal
 coupling is the monotone one. Unequal sample counts are compared through
-their inverse CDFs, looked up at the levels of a common quantile grid.
-
-One EmpiricalMeasure holds one ensemble or a stack of independent ensembles
-stepped together; its statistics reduce over the samples of each ensemble.
-Weighted atoms and measures on path space are out of scope: path-space laws
-are represented implicitly by the path ensembles themselves.
+their inverse CDFs on a common quantile grid. Weighted atoms and measures on
+path space are out of scope: the path ensembles stand for path-space laws.
 """
 
 from __future__ import annotations
@@ -24,30 +20,20 @@ QUANTILE_GRID_SIZE = 10_000
 
 
 def _mean_last(v: np.ndarray, keepdims: bool = False):
-    """Mean of an array over its last axis, the one ensemble-mean rule.
-
-    The sum and the division np.mean performs on float64, without its
-    Python wrapper layers, so the bits are np.mean's.
-    """
+    """Mean over the last axis with np.mean's float64 bits: the one ensemble-mean rule."""
     return np.add.reduce(v, axis=-1, keepdims=keepdims) / v.shape[-1]
 
 
 class EmpiricalMeasure:
     """Uniform empirical measure (1/n)·Σ δ_{x_i} on the real line.
 
-    samples is one ensemble of shape (n,) or a (batch, n) stack of
-    ensembles, and every statistic is taken over the last axis: a float for
-    one ensemble, a (batch, 1) column for a stack, so drift expressions like
-    ``a + kappa * m.clamped_mean(b)`` broadcast unchanged against the state
-    array. len() is the sample count n of each ensemble.
-
-    Immutable after construction. The sorted copy is computed on first use
-    and cached: one large proxy law is compared with several others.
-
-    The private slot _range holds the (min, max) of all samples when the
-    creator already knows it, else None. The Euler stepper sets it from the
-    extremes its blow-up guard computed, so clamped_mean can skip the clip
-    when no sample lies outside [-b_bar, b_bar]; it is never inferred here.
+    samples is one ensemble of shape (n,) or a (batch, n) stack, and every
+    statistic is taken over the last axis: a float for one ensemble, a
+    (batch, 1) column for a stack, so drift expressions like
+    ``a + kappa * m.clamped_mean(b)`` broadcast against the state array.
+    len() is the sample count n of each ensemble. Immutable after
+    construction; the sorted copy is cached. The private _range is the
+    (min, max) of all samples when the creator knows it, else None.
     """
 
     __slots__ = ("samples", "_sorted", "_range")
@@ -71,7 +57,7 @@ class EmpiricalMeasure:
 
     @staticmethod
     def _average(v: np.ndarray):
-        """Mean over the last axis (_mean_last): a float for (n,), a (batch, 1) column for (batch, n)."""
+        """_mean_last as a float for (n,), as a (batch, 1) column for (batch, n)."""
         if v.ndim == 1:
             return float(_mean_last(v))
         return _mean_last(v, keepdims=True)
@@ -84,12 +70,9 @@ class EmpiricalMeasure:
         return self._average(np.abs(self.samples) ** p)
 
     def clamped_mean(self, b_bar: float):
-        """Sample mean of (-b_bar) ∨ (b_bar ∧ x); b_bar = inf means no clamp.
-
-        When _range shows every sample inside [-b_bar, b_bar], the clip
-        would return each sample unchanged (signed zeros included), so the
-        plain mean is taken; a NaN bound or range always clips.
-        """
+        """Sample mean of (-b_bar) ∨ (b_bar ∧ x); b_bar = inf means no clamp."""
+        # A _range inside [-b_bar, b_bar] means the clip would change no sample,
+        # signed zeros included; a NaN bound or range fails the test and clips.
         span = self._range
         if math.isinf(b_bar) or (span is not None and -b_bar <= span[0] and span[1] <= b_bar):
             return self._average(self.samples)
@@ -119,11 +102,10 @@ def wasserstein_p(a: EmpiricalMeasure, b: EmpiricalMeasure, p: float = 1.0) -> f
     """p-Wasserstein distance between two 1-D empirical measures.
 
     Equal sample counts use the exact sorted-sample coupling
-    ((1/n)·Σ|a_(i) − b_(i)|^p)^(1/p). Unequal counts are compared through the
-    inverse CDFs sampled at QUANTILE_GRID_SIZE midpoint levels, which is the
-    same formula applied to the two clouds' quantiles at those levels. Both
-    measures must hold one ensemble each; a stack raises ValueError, and so
-    does a p outside [1, inf), NaN included.
+    ((1/n)·Σ|a_(i) − b_(i)|^p)^(1/p); unequal counts apply the same formula
+    to the two quantile functions at QUANTILE_GRID_SIZE midpoint levels. A
+    (batch, n) stack raises ValueError, and so does a p outside [1, inf),
+    NaN included.
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"wasserstein_p needs 1 <= p < inf, got {p}")

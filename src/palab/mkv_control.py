@@ -7,13 +7,11 @@ objective is
     J(gamma, aleph) = E[Upsilon(X_T)] - g_P(mu, g^{-1}(mu, Y_T)) - E[int L_P dt],
     Y_T = Y_0 - E[int L_hat dt],       Y_0 = reservation level R,
 
-estimated here by one large particle ensemble standing in for the limiting
-law. Policies are piecewise constant in time and affine in the state
-(PolicyParam); optimize_policy runs a derivative-free search over the
-coefficient vector with common random numbers, so the objective seen by the
-optimizer is a deterministic function of the parameters. The search is the
-in-house adaptive Nelder-Mead `minimize`, whose arithmetic matches scipy's
-bit for bit, so this module needs numpy only.
+estimated by one large particle ensemble standing in for the limiting law.
+Policies are piecewise constant in time and affine in the state
+(PolicyParam); optimize_policy searches their coefficients with common
+random numbers, so the objective it sees is a deterministic function of the
+parameters.
 
 The linear-interaction quadratic-cost model has a closed-form solution
 (analytic_multitask): slope gamma_hat(t) = exp(kappa_bar (T - t)) and value
@@ -60,17 +58,12 @@ def _normalize_parts(parts: Iterable[str]) -> tuple[str, ...]:
 class PolicyParam:
     """Piecewise-constant-in-time, affine-in-state policy pair.
 
-    knots are the m+1 interval endpoints (finite, strictly increasing,
-    spanning the horizon); on [knots[j], knots[j+1]) the slope field is
+    knots are the m+1 interval endpoints, finite and strictly increasing,
+    kept as a read-only copy; on [knots[j], knots[j+1]) the slope field is
     gamma_c0[j] + gamma_c1[j]*x and the rate field aleph_c0[j] +
-    aleph_c1[j]*x. bounds, when set, is a (lo, hi) box applied to every
-    coefficient during optimization.
-
-    A field whose c1[j] is zero returns the scalar c0[j] on that interval,
-    which broadcasts to the same value c0 + c1 * x has at every finite x;
-    a c0[j] of -0.0 keeps the array, since -0.0 + (+-0.0) takes the sign of
-    the product. The knots are copied into a read-only array, and t is
-    located by bisect on a list of them.
+    aleph_c1[j]*x; a time outside the knots takes the nearest interval.
+    bounds, when set, is a (lo, hi) box applied to every coefficient during
+    optimization.
     """
 
     knots: np.ndarray
@@ -114,6 +107,9 @@ class PolicyParam:
 
     @staticmethod
     def _affine(c0, c1, x):
+        # With c1 == 0 the scalar c0 broadcasts to the value c0 + c1 * x has at
+        # every finite x, except for c0 = -0.0: -0.0 + (+-0.0) takes the sign
+        # of the product, so that case keeps the array.
         if c1 == 0.0 and (c0 != 0.0 or math.copysign(1.0, c0) > 0.0):
             return c0
         return c0 + c1 * x
@@ -155,15 +151,12 @@ def _limit_objective_from_draws(
     x0: np.ndarray,
     dWs: Iterable[np.ndarray],
 ) -> MCEstimate:
-    """Streaming evaluation of the limit objective on given initial draws.
+    """The limit objective on the initial states x0 and the increments dWs.
 
-    dWs must yield the length-N Brownian increments sqrt(dt) * Z of each
-    step in turn, already scaled; the caller controls whether these come
-    fresh from the stream or from the rows of a cached matrix (the optimizer
-    path). The stepper hands each step's measure the extremes its guard
-    computed, so the clamped mean skips the clip when nothing is clamped. A
+    dWs yields the scaled length-N increments sqrt(dt) * Z of each step,
+    fresh from the stream or from a cached matrix (the optimizer's). A
     non-finite value raises NumericDomainError, and a g^{-1} that fails or
-    returns a non-finite payment raises ContractEvaluationError.
+    returns a non-finite payment ContractEvaluationError.
     """
     dt = grid.dt
     N = len(x0)
@@ -205,13 +198,11 @@ def evaluate_limit_objective(
     grid: SimGrid,
     seed: SeedSpec,
 ) -> MCEstimate:
-    """Monte Carlo estimate of the limit objective under the given policy.
+    """Monte Carlo estimate of the limit objective under the policy (gamma, aleph).
 
-    policy is a (gamma, aleph) pair of (t, x) callables; for a PolicyParam p
-    pass (p.gamma_fn, p.aleph_fn).
-    The estimate is a deterministic function of (policy, N_proxy, grid,
-    seed): the same seed always yields the same draws, so policies compared
-    under one seed are compared with common random numbers.
+    For a PolicyParam p pass (p.gamma_fn, p.aleph_fn). The estimate is a
+    deterministic function of its arguments, so policies compared under one
+    seed are compared with common random numbers.
     """
     gamma, aleph = policy
     x0, dWs = _stream(model, N_proxy, grid, seed)
@@ -323,15 +314,12 @@ def optimize_policy(
 ) -> PolicyOptResult:
     """Derivative-free ascent of the limit objective over PolicyParam coefficients.
 
-    Runs the in-house adaptive Nelder-Mead (`minimize`, the same arithmetic
-    and evaluation sequence as scipy's method="Nelder-Mead" with
-    adaptive=True) on the flat coefficient vector of the chosen parts,
-    clipped to initial.bounds when set, holding the knots and the Brownian draws fixed: the
-    initial states and all increments are read once from the seed's stream
-    into a (steps, N) cache reused by every objective call, so the search
-    sees a smooth deterministic surface. The returned policy is the best one actually
-    evaluated (never worse than the initial policy on these draws), with
-    converged=False when the evaluation budget ran out first.
+    Runs minimize on the flat coefficient vector of the chosen parts,
+    clipped to initial.bounds when set, holding the knots and the draws
+    fixed: the initial states and all increments are read once from the
+    seed's stream, so the search sees a deterministic surface. The returned
+    policy is the best one evaluated, never worse than the initial policy on
+    these draws, with converged=False when the budget ran out first.
     """
     parts = tuple(parts)
     x0, dWs = _stream(model, N_proxy, grid, seed)

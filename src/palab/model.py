@@ -1,13 +1,10 @@
 """Model primitives and the reduced-Hamiltonian machinery.
 
-A ModelSpec bundles the coefficient functions of one interacting-agent
-contract problem: production drift b, volatility sigma, the agents' running
-cost L, the terminal-utility pair (g, g^{-1}), the principal's costs (L_P,
-g_P), the production payoff Upsilon, the principal's utility U, and the
-initial law. Everything downstream (simulation, contracts, value estimation)
-is written against this one record.
-
-The pointwise machinery:
+A ModelSpec bundles the coefficients of one interacting-agent contract
+problem: production drift b, volatility sigma, the agents' running cost L,
+the terminal-utility pair (g, g^{-1}), the principal's costs (L_P, g_P), the
+production payoff Upsilon, the principal's utility U and the initial law.
+Everything downstream is written against this one record. Pointwise,
 
     h(t, x, m, e, z, a)  =  b(t, x, m, e, a) · z / sigma(t, x)  +  L(t, x, m, e, a)
 
@@ -17,28 +14,10 @@ The pointwise machinery:
 
     H(t, x, m, e, z)  =  b_hat · z / sigma  +  L_hat   ( = max_a h(t, x, m, e, z, a) )
 
-Note the slope convention: ``maximize_hamiltonian`` takes the *raw* slope of
-the linear term b·z + L, while the reduced coefficients feed it z/sigma, so
-that H is the upper envelope of h in the action argument. This matches how
-the contract construction consumes these objects.
-
-Without an analytic maximizer, alpha_hat is found numerically by one
-vectorized routine for scalar and array arguments alike, and every call
-checks its answer for ties: the theory assumes a unique maximizer, so two
-equally good actions raise AmbiguousMaximizerError instead of one being
-picked silently.
-
-Coefficient functions must accept numpy arrays for the state/action/payment
-arguments and broadcast (the simulation engine calls them once per time step
-on whole particle ensembles). Without an analytic maximizer, the drift and
-running cost also receive actions with a leading axis in front of the
-state's shape (all probes of the numeric search at once, or its
-golden-section pair), so they must act elementwise in the action and
-broadcast against it. The measure argument ``m`` is an
-EmpiricalMeasure, whose ``mean()``, ``moment(p)`` and ``clamped_mean(b_bar)``
-return floats for a single ensemble and (batch, 1) columns for a stack of
-ensembles, so drift expressions written against them broadcast in both
-modes.
+so maximize_hamiltonian takes the raw slope of b·z + L, and the reduced
+coefficients feed it z/sigma, which makes H the upper envelope of h in the
+action. The theory assumes a unique maximizer, so the numeric search raises
+AmbiguousMaximizerError on a tie instead of picking one.
 """
 
 from __future__ import annotations
@@ -62,33 +41,28 @@ class NumericDomainError(ValueError):
 
 
 class AmbiguousMaximizerError(RuntimeError):
-    """Two probe maxima tie in value but not in location.
-
-    The theory this package implements assumes the action Hamiltonian has a
-    unique maximizer; when the numeric search finds two locations more than
-    TOL_A apart whose values agree within TOL_H, that assumption is violated
-    and we refuse to pick one silently.
-    """
+    """Two maximizers more than TOL_A apart have values within TOL_H of each other."""
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """All coefficient functions and constants of one model instance.
+    """All coefficient functions and constants of one model; immutable, safe to share.
 
-    Immutable after construction; safe to share across workers. See the
-    module docstring for the calling conventions of the coefficient fields.
-
-    Terminal maps (terminal_utility_g, g_inverse, principal_terminal_cost_gP)
-    receive the terminal EmpiricalMeasure as their measure argument; running
-    coefficients receive the current-time one. The contract pass prices a
-    chunk of replications at once: its terminal maps get a stack of
-    ensembles with levels and payments as (batch, 1) columns, Upsilon the
-    (batch, n) terminal states and U a (batch, 1) column, so all of them
-    must broadcast.
+    Coefficients take numpy arrays for the state, action and payment and
+    broadcast: the stepper calls them once per step on a whole ensemble or a
+    (batch, n) stack of ensembles. The measure argument m is an
+    EmpiricalMeasure, whose statistics are floats for one ensemble and
+    (batch, 1) columns for a stack. Running coefficients get the current
+    measure, the terminal maps (g, g_inverse, g_P) the terminal one. The
+    contract pass prices a stack at once: its terminal maps get levels and
+    payments as (batch, 1) columns, Upsilon the (batch, n) terminal states
+    and U a (batch, 1) column. Without an analytic_maximizer, the drift and
+    running cost also get actions with a leading axis in front of the
+    state's shape, so they must act elementwise in the action.
     """
 
     drift_b: Callable  # (t, x, m, e, a) -> drift
-    vol_sigma: Callable  # (t, x) -> volatility, strictly positive
+    vol_sigma: Callable  # (t, x) -> volatility, finite and >= 0
     running_cost_L: Callable  # (t, x, m, e, a) -> running reward rate (cost is negative)
     terminal_utility_g: Callable  # (m, e) -> utility level
     g_inverse: Callable  # (m, y) -> payment, inverse of g in e
@@ -206,12 +180,11 @@ def quadratic_generic_model(
     nu: Callable | None = None,
     U: Callable = identity_utility,
 ) -> ModelSpec:
-    """A small demo model without an analytic maximizer.
+    """A demo model on the numeric maximizer: drift = a, sigma = sigma0, L = -(a - a_base)²/2.
 
-    drift = a, sigma = sigma0, L = -(a - a_base)²/2. The true maximizer of
-    b·z + L is a_base + z (derivable by hand), but it is deliberately not
-    registered so this model exercises the numeric golden-section path
-    end to end. g, g_P identity; Upsilon(x) = x; L_P = 0.
+    The maximizer of b·z + L is a_base + z, deliberately not registered so
+    that this model runs the numeric search. g, g_P identity; Upsilon(x) = x;
+    L_P = 0.
     """
     if sigma0 <= 0:
         raise ValueError("sigma0 must be positive")
@@ -240,18 +213,12 @@ def quadratic_generic_model(
 
 
 def slope_over_sigma(z, sig):
-    """z / sigma with the convention 0/sigma = 0 even at sigma = 0.
-
-    The theory assumes sigma > 0, but degenerate diagnostic runs (sigma
-    scaled to zero, slope identically zero) are legitimate ODE limits; this
-    keeps them finite instead of producing 0/0.
-    """
+    """z / sigma with 0/sigma = +0.0 even at sigma = 0, so zero-volatility ODE limits stay finite."""
     z = np.asarray(z, dtype=float)
     if isinstance(sig, float) and 0.0 < sig < math.inf:
-        # Same bits as the general path: z + 0.0 maps -0.0 to +0.0 and
-        # leaves every other z (NaN included) as it is, and a positive sig
-        # keeps the sign, so a zero z gives +0.0 while a nonzero z that
-        # underflows keeps its signed zero. z / 1.0 is z exactly.
+        # The general path's bits: z + 0.0 turns -0.0 into +0.0 and keeps
+        # every other z, and a positive sig keeps the sign of a quotient that
+        # underflows. z / 1.0 is z exactly.
         out = z + 0.0
         if sig != 1.0:
             out /= sig
@@ -280,30 +247,17 @@ def hamiltonian_h(model: ModelSpec, t, x, m, e, z, a):
 def maximize_hamiltonian(model: ModelSpec, t, x, m, e, z):
     """Maximizer of a -> b(t,x,m,e,a)·z + L(t,x,m,e,a) over action_bounds.
 
-    When the model carries an analytic_maximizer it is returned directly.
-    Otherwise every element of x (e and z broadcast against it) is searched
-    at once: a uniform probe grid of DEFAULT_PROBES points over
-    action_bounds, then a fixed number of golden-section steps on the
-    bracket of the best probe, enough to shrink it below TOL_A. A non-finite
-    probe value raises NumericDomainError. Where an element's probe values
-    have more than one local maximum (endpoints count with one-sided
-    neighbourhoods), each is refined the same way and the best refined one
-    is returned; if two of them lie more than TOL_A apart while their values
-    agree within TOL_H, AmbiguousMaximizerError is raised — the underlying
-    theory assumes a unique maximizer and we will not pick one arbitrarily.
-
-    The drift and running cost are called with actions that carry a leading
-    axis in front of x's shape: all probes in one call, then the golden
-    pair (c, d) in one call per step, so an untied search makes 1 + n_iter
-    calls of each. They must act elementwise in a and broadcast. The search
-    runs on the shape their values take, which is smaller than x's when the
-    objective does not depend on x, and the answer is broadcast to x's shape
-    once at the end, as a fresh writable array; a slope or coefficient whose
-    values do not broadcast to x's shape raises ValueError. Scalar arguments
-    are a size-1 search and return a float.
-
-    Note the slope convention: to obtain the maximizer of h(·, z, a) pass
-    z/sigma(t, x) here (that is what reduced_coefficients does).
+    A model's analytic_maximizer is returned as it is. Otherwise every
+    element of x (e and z broadcast against it) is searched at once, on
+    finite action_bounds: DEFAULT_PROBES probes in one call of the drift and
+    running cost, then golden-section steps, one call each, on the best
+    probe's bracket down to TOL_A. Every other local probe maximum (endpoints
+    one-sided) is refined too and the best is returned; two more than TOL_A
+    apart with values within TOL_H raise AmbiguousMaximizerError. A
+    non-finite probe value raises NumericDomainError, and a slope or values
+    that do not broadcast to x's shape ValueError. The answer is a fresh
+    writable array of x's shape, or a float for a scalar x. For the
+    maximizer of h, pass z/sigma(t, x), as reduced_coefficients does.
     """
     if model.analytic_maximizer is not None:
         return model.analytic_maximizer(t, x, m, e, z)
@@ -391,14 +345,7 @@ def maximize_hamiltonian(model: ModelSpec, t, x, m, e, z):
 
 
 def _recommended(model: ModelSpec, t, x, m, e, zsig):
-    """(alpha, b_hat, L_hat) at the slope zsig = z/sigma.
-
-    The one place the Hamiltonian maximizer runs for the simulation and
-    contract code: alpha comes from maximize_hamiltonian (analytic or
-    numeric), and b_hat and L_hat are evaluated at it once. H = b_hat·zsig
-    + L_hat is left to the callers that read it, so that the ones that do
-    not (the limit objective, terminal-law simulation) skip its two passes.
-    """
+    """(alpha_hat, b_hat, L_hat) at the slope zsig = z/sigma: the one maximizer call of a node."""
     a_star = maximize_hamiltonian(model, t, x, m, e, zsig)
     b_hat = model.drift_b(t, x, m, e, a_star)
     L_hat = model.running_cost_L(t, x, m, e, a_star)
@@ -406,14 +353,10 @@ def _recommended(model: ModelSpec, t, x, m, e, zsig):
 
 
 def reduced_coefficients(model: ModelSpec, t, x, m, e, z):
-    """(b_hat, L_hat, H) with the maximizer evaluated at slope z/sigma.
+    """(b_hat, L_hat, H) at the slope z, for scalar or array (x, e, z).
 
-    b_hat = b(·, alpha), L_hat = L(·, alpha) with alpha the maximizer at
-    slope z/sigma(t,x), and H = b_hat·z/sigma + L_hat, so that
-    H(t,x,m,e,z) = max_a h(t,x,m,e,z,a) (the envelope property).
-
-    Accepts scalars or arrays for (x, e, z), with or without an analytic
-    maximizer.
+    b_hat and L_hat are b and L at the maximizer for the slope z/sigma(t, x),
+    and H = b_hat·z/sigma + L_hat = max_a h(t, x, m, e, z, a).
     """
     zsig = slope_over_sigma(z, model.vol_sigma(t, x))
     _, b_hat, L_hat = _recommended(model, t, x, m, e, zsig)

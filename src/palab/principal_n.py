@@ -1,20 +1,12 @@
 """Finite-n principal value estimation and convergence measurement.
 
-estimate_n_player_value simulates the n-agent system under a slope field
-gamma and a rate field aleph on the contract pass that contract_report also
-runs, and averages the principal's realized utility across replications.
-The pass steps and prices replications together as (batch, n) chunks of
-ensembles, each row on its own stream, so the same draws give the estimator
-and contract_report bit-identical payments and values. gap_sweep runs the
-estimator over a grid of ensemble sizes and the models it is given, and
-reports each cell's gap to the limit value it is given: no model and no
-closed form is built here. fit_rate turns (n, gap) rows into a log-log
-convergence slope.
-
-Replication r of any sweep cell draws from the generator keyed by that
-cell's n-index and r alone, so cells that differ only in the clamp level
-see identical Brownian draws (common random numbers) and their gaps are
-directly comparable.
+estimate_n_player_value averages the principal's realized utility over
+replications of the n-agent system, on the contract pass that
+contract_report also runs, so on the same draws the two give bit-identical
+payments and values. gap_sweep runs it over a grid of ensemble sizes and the
+(b_bar, model) cells it is given, and reports each cell's gap to the limit
+value it is given: no model and no closed form is built here. fit_rate
+turns (n, gap) rows into a log-log convergence slope.
 """
 
 from __future__ import annotations
@@ -47,22 +39,10 @@ def estimate_n_player_value(
 
     Each replication simulates n agents playing the optimal response to the
     slope field gamma(t, x) under the payment rate aleph(t, x), accumulates
-    the contract level Y from R (one contract pass, as in contract_report),
-    pays xi = g^{-1}(mu_T, Y_T), and records
-
-        v = mean_i [Upsilon(X^i_T) - int L_P dt] - g_P(mu_T, xi),
-
-    then U(v). Returns (MCEstimate of U(v) over replications, details), with
-    details the pass's per-replication arrays y_T, xi, v, u = U(v) and the
-    average agent reward agent = mean_i [int L dt + g(mu_T, xi)].
-
-    Replications are stepped together in (batch, n) chunks, each row on its
-    own stream, so results do not depend on the chunking. A non-finite
-    payment raises ContractEvaluationError, and a non-finite level or
-    priced value NumericDomainError, as in contract_report. A state past
-    the blow-up threshold in any replication of a chunk raises
-    SimulationBlowupError whose step and t locate the first step at which
-    the chunk breached it, which need not be the first failing replication.
+    the contract level Y from R, pays xi = g^{-1}(mu_T, Y_T), and records
+    U(v) with v = mean_i [Upsilon(X^i_T) - int L_P dt] - g_P(mu_T, xi).
+    Returns (MCEstimate of U(v), details), where details are the
+    per-replication arrays of contracts._contract_pass, whose guards apply.
     """
     details = _contract_pass(model, gamma, aleph, model.reservation_R, n, grid, replications, seed)
     return mean_se(details["u"]), details
@@ -77,17 +57,13 @@ def gap_sweep(
     replications: int,
     seed: SeedSpec,
 ) -> list[dict]:
-    """Gap to a limit value over a grid of ensemble sizes and models.
+    """Signed gap v_limit - J_n over a grid of ensemble sizes and (b_bar, model) cells.
 
-    models is a sequence of (b_bar, model) cells, one per clamp level; a
-    repeated b_bar still gives its own rows. For every n and every cell:
-    offer the slope field gamma(t, x) as the contract (no payment rate),
-    estimate the n-agent value (utility inside), and record the signed gap
-    v_limit - J_n, positive when the finite system falls short of the limit
-    value v_limit of these models on the grid's horizon. Cells sharing n
-    share Brownian draws (seed.child(i_n)) across clamp levels, so clamp
-    comparisons at fixed n are paired; each row carries its per-replication
-    U(v) samples as "values" for paired-difference SEs.
+    For every n and every cell (a repeated b_bar still gives its own rows),
+    the slope field gamma(t, x) is offered as the contract with no payment
+    rate and J_n is the n-agent value, utility inside. Cells sharing n share
+    their draws (seed.child(i_n)), so clamp comparisons at fixed n are
+    paired; each row carries its per-replication U(v) as "values".
     """
     no_rate = lambda t, x: 0.0
 

@@ -4,63 +4,21 @@ The n agents follow
 
     dX^i_t = b(t, X^i_t, mu^n_t, e^i_t, a^i_t) dt + sigma(t, X^i_t) dW^i_t,
 
-where mu^n_t is the empirical measure of the current ensemble, e^i_t is a
-payment-rate field evaluated along the path, and a^i_t is the
-Hamiltonian-optimal response to a slope field gamma (only the deviation
-scan in contracts overrides it, through the stepper's play hook). The
-scheme is explicit Euler with the measure updated simultaneously with the
-states: the coefficients at step k see the measure of the step-k states.
+where mu^n_t is the empirical measure of the ensemble, e^i_t = aleph(t, X^i_t)
+the payment rate, and a^i_t the Hamiltonian-optimal response to the slope
+gamma(t, X^i_t) (only the deviation scan in contracts overrides it, through
+the stepper's play hook). The scheme is explicit Euler: the coefficients at
+step k see the measure of the step-k states. Ito sums use the left endpoint
+of each interval.
 
-Every step loop in the package runs on one private stepper, _euler_steps.
-It steps an (n,) ensemble or a (batch, n) stack of ensembles, hands the
-coefficients one EmpiricalMeasure of that state (whose statistics are
-floats for an ensemble and (batch, 1) columns for a stack), and evaluates
-each node once through _node: the fields, sigma (which must be finite and
->= 0, else NumericDomainError) and one maximizer call (model._recommended).
-The stored-path replays in contracts call the same _node. The one guard
-on the states is that each stays finite with |X| <= BLOWUP_THRESHOLD
-(SimulationBlowupError). The stepper yields the per-step values to its
-callers, each with its own accumulators: the two path simulators below,
-the limit objective, and the one contract pass (contracts._contract_pass),
-which serves the n-player estimator, contract_report and the deviation
-scan. The reduced Hamiltonian H is computed only when a caller reads it
-(the contract pass does; the limit objective and terminal-law simulation
-do not), and a float sigma of 1.0 skips the sigma * dW product; neither
-changes a result bit.
+Randomness: SeedSpec keys one Philox generator per (master_seed, spawn key),
+so any worker reproduces any stream alone. A stream is read in one fixed
+order, n initial draws and then one length-n vector of standard normals per
+step, with particle i on lane i. A result therefore depends on the seed and
+the key only, never on how replications are batched or spread over workers.
 
-The stepper reads Brownian increments, sqrt(dt) * Z, not standard normals,
-from an iterator that yields one step's increments at a time, so the order
-of the steps is the order of iteration. Every stream is read in one
-function, _replication_chunks. Given a list of spawn keys, it builds one
-generator per key, checks and stacks the initial states, and reads the step
-increments a block of kb steps at a time: each generator fills its (kb, n)
-rows of one reused (batch, kb, n) buffer in a single call, and the block is
-scaled by sqrt(dt) once, so a step loop allocates no draw arrays and makes
-one generator call per row per block, not per step. A yielded increment is
-a view that stays valid only until the next one is taken: a caller that
-keeps them copies them (the optimizer copies its increments row by row into
-its cache once per search). The contract pass hands it one key per
-replication. A single ensemble (_stream) is row 0 of a one-row chunk on the
-empty key, seed.generator(). The (min, max) that the guard computes for
-X_{k+1} is handed to the next step's EmpiricalMeasure (its private _range
-slot), so a clamped mean skips the clip when no state lies outside the
-clamp. Neither changes a result bit.
-
-Randomness is organized around SeedSpec: one counter-based generator per
-(master_seed, spawn key) pair, so any worker can reproduce any stream
-without coordinating with the others. Within a stream the consumption order
-is fixed — n initial draws, then one length-n increment vector per step —
-which makes every simulation bit-reproducible regardless of how the
-surrounding experiment is parallelized. A generator fills an (m, n) array
-in C order with the same normals that m successive (n,) fills return, so
-reading kb steps per call changes no draw. Particle i always reads lane i of
-the step draws. Independent replications are stepped together as one
-(batch, n) ensemble (_replication_chunks), each row still reading its own
-replication's stream in that order, so batching changes no result; the
-deviation scan gives each replication one row per cell, every such row
-reading that replication's stream.
-
-All Ito sums in this package use the left endpoint of each interval.
+Every step loop runs on _euler_steps, every grid node is evaluated by _node,
+and every stream is read by _replication_chunks.
 """
 
 from __future__ import annotations
@@ -79,21 +37,16 @@ from .measures import EmpiricalMeasure
 from .model import ModelSpec, NumericDomainError, _recommended, slope_over_sigma
 
 BLOWUP_THRESHOLD = 1e8
-# Replications stepped together are capped at this many state elements, so
-# each (batch, n) array of a chunk stays within 128 KiB (a replication whose
-# n alone exceeds the cap runs as a chunk of one).
+# A chunk of replications holds at most this many states, so each (batch, n)
+# array stays within 128 KiB; a replication with a larger n runs alone.
 _BATCH_ELEMENTS = 1 << 14
-# Each chunk reads its step increments kb steps at a time, with kb as large
-# as keeps the (batch, kb, n) block within this many elements (256 KiB); a
-# chunk whose batch * n alone exceeds it reads one step per call.
+# A chunk draws kb steps per generator call, kb as large as keeps the
+# (batch, kb, n) block within this many elements (256 KiB).
 _DRAW_BLOCK_ELEMENTS = 1 << 15
 
 
 class SimulationBlowupError(RuntimeError):
-    """A state exceeded the blow-up threshold (or went non-finite).
-
-    Attributes step and t locate the first offending Euler step.
-    """
+    """A state went non-finite or beyond the blow-up threshold at Euler step `step`, time t."""
 
     def __init__(self, step: int, t: float, worst: float):
         self.step = step
@@ -133,12 +86,12 @@ class SimGrid:
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Hierarchical seed: a master seed plus a tuple spawn-key prefix.
+    """Hierarchical seed: a master seed plus a spawn-key prefix.
 
-    generator(*key) builds a Philox generator keyed by prefix + key, so
-    streams are independent across distinct keys and reproducible from the
-    (master_seed, key) pair alone. child(*key) extends the prefix, letting a
-    component hand scoped sub-seeds to its own replications.
+    generator(*key) is the Philox generator keyed by prefix + key: streams of
+    distinct keys are independent, and each is reproducible from the
+    (master_seed, key) pair alone. child(*key) extends the prefix, so
+    seed.child(*a).generator(*b) is seed.generator(*a, *b).
     """
 
     master_seed: int
@@ -154,10 +107,7 @@ class SeedSpec:
 
 @dataclass
 class ParticlePaths:
-    """Materialized ensemble paths on the grid they were simulated on.
-
-    states has shape (n, steps+1) with states[:, 0] the initial draws.
-    """
+    """Ensemble paths on their grid: states[:, k] is the ensemble at node k, shape (n, steps+1)."""
 
     grid: SimGrid
     states: np.ndarray
@@ -190,26 +140,16 @@ def _initial_states(model: ModelSpec, n: int, rng: Generator) -> np.ndarray:
 def _replication_chunks(
     model: ModelSpec, n: int, grid: SimGrid, seed: SeedSpec, keys, copies: int = 1
 ) -> Iterator[tuple[range, np.ndarray, Iterator[np.ndarray]]]:
-    """Independent ensembles grouped into (batch, n) chunks for _euler_steps.
+    """Ensemble i on seed.generator(*keys[i]), stepped in (batch, n) chunks.
 
-    The one reader of a stream: ensemble i comes from seed.generator(*keys[i]).
-    Yields (reps, x0, dWs) per chunk: reps is the range of indices into keys,
-    x0 stacks their checked initial states, and dWs yields the (batch, n)
-    Brownian increments of steps 0, 1, ..., steps - 1 of the grid. Every kb
-    steps, with kb = max(1, min(steps, _DRAW_BLOCK_ELEMENTS // (batch * n))),
-    each generator fills its rows of one reused (batch, kb, n) block in one
-    call and the block is scaled by sqrt(dt) in place; dWs yields its step
-    slices in turn, each valid until the next is taken, so a caller that
-    keeps them copies them. Each stream is consumed exactly as a lone
-    simulation consumes it (n initial draws, then one length-n vector per
-    step), so row i matches simulate_particles on seed.child(*keys[i]) bit
-    for bit.
-
-    copies > 1 gives each ensemble that many consecutive rows, all starting
-    from its initial state and reading its increments (the deviation scan
-    runs one row per cell this way); chunks are then sized so that
-    batch * copies * n stays within _BATCH_ELEMENTS. A seed that is not a
-    SeedSpec raises TypeError.
+    The one reader of a stream. Yields (reps, x0, dWs) per chunk: reps is the
+    range of indices into keys, x0 stacks their checked initial states, and
+    dWs yields the (batch, n) increments sqrt(dt) * Z of each grid step in
+    turn. A yielded increment is a view valid only until the next one is
+    taken; a caller that keeps it copies it. Row i matches simulate_particles
+    on seed.child(*keys[i]) bit for bit. With copies > 1 each ensemble takes
+    that many consecutive rows, all on its initial state and increments. A
+    seed that is not a SeedSpec raises TypeError.
     """
     if not isinstance(seed, SeedSpec):
         raise TypeError(f"seed must be a SeedSpec, got {type(seed)!r}")
@@ -239,24 +179,13 @@ def _replication_chunks(
 def _stream(
     model: ModelSpec, n: int, grid: SimGrid, seed: SeedSpec
 ) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """(x0, dWs) of the one ensemble on seed.generator(): row 0 of a one-row chunk.
-
-    dWs yields the (n,) increments of each step in turn, each valid until
-    the next is taken, as _replication_chunks' do.
-    """
+    """(x0, dWs) of the ensemble on seed.generator(); an increment is valid until the next one."""
     ((_, x0, dWs),) = _replication_chunks(model, n, grid, seed, [()])
     return x0[0], (dW[0] for dW in dWs)
 
 
 class _Step(NamedTuple):
-    """What one Euler step from (t_k, X_k) saw and produced.
-
-    X_k itself is not kept: callers that need dX hold their own copy, so a
-    long-lived ensemble never has three state vectors alive at once. The
-    reduced Hamiltonian H is not stored either: the property computes
-    b_hat * zsig + L_hat on each read, so only the callers that read it pay
-    for it.
-    """
+    """What one Euler step from (t_k, X_k) saw and produced; a caller that needs dX keeps X_k."""
 
     t: float
     e: Any  # payment rate aleph(t_k, X_k)
@@ -268,20 +197,17 @@ class _Step(NamedTuple):
 
     @property
     def H(self):
-        """Reduced Hamiltonian at the recommended action."""
+        """Reduced Hamiltonian at the recommended action, computed on each read."""
         return self.b_hat * self.zsig + self.L_hat
 
 
 def _node(model: ModelSpec, gamma: Callable, aleph: Callable, t: float, x, m: EmpiricalMeasure):
-    """(e, sigma, z/sigma, a*, b_hat, L_hat) at one grid node (t, x) under measure m.
+    """(e, sigma, z/sigma, a*, b_hat, L_hat) at the grid node (t, x) under measure m.
 
-    The one node evaluation, shared by the stepper and the stored-path
-    replays in contracts: the rate e = aleph(t, x), the checked volatility,
-    the slope over volatility, and one maximizer call (model._recommended)
-    for the recommended action with the drift and running cost at it.
-    sigma must be finite and >= 0, else NumericDomainError: the theory
-    requires sigma > 0, and sigma == 0 is allowed so that ODE-limit
-    diagnostics run. A float sigma is checked without numpy; NaN fails.
+    The one node evaluation, for the stepper and the stored-path replays in
+    contracts. sigma must be finite and >= 0 (NaN fails), else
+    NumericDomainError: the theory needs sigma > 0, and sigma == 0 is
+    allowed so that ODE-limit diagnostics run.
     """
     e = aleph(t, x)
     z = gamma(t, x)
@@ -305,20 +231,14 @@ def _euler_steps(
     dWs: Iterable[np.ndarray],
     play: Optional[Callable] = None,
 ) -> Iterator[_Step]:
-    """Step the ensemble x (shape (n,) or (batch, n)) across the grid.
+    """Step the ensemble x, shape (n,) or (batch, n), across the grid, yielding a _Step each.
 
-    dWs yields the Brownian increments sqrt(dt) * Z of each step in turn,
-    already scaled: shape (n,), shared by every row of a batch, or the
-    shape of x. It must yield exactly grid.steps of them, else ValueError.
-    Each step evaluates the fields and sigma at (t_k, X_k), makes one
-    maximizer call for the recommended action, moves the state by the played
-    action (the recommendation, or play(t, x, a_star) when given), guards
-    the result, and yields a _Step. The guard tests the largest and the
-    smallest state against BLOWUP_THRESHOLD, read at call time, each on its
-    own so that a NaN fails either test; max |X| is computed only for the
-    error. The (min, max) it computes becomes the _range of the next step's
-    EmpiricalMeasure (the measure of x0 has none), so callers must not
-    modify a yielded x_next in place.
+    dWs yields the scaled increments sqrt(dt) * Z of each step, of shape (n,)
+    (shared by every row) or the shape of x, exactly grid.steps of them, else
+    ValueError. Agents play the recommended action, or play(t, x, a_star).
+    A state that goes non-finite or beyond BLOWUP_THRESHOLD, read at call
+    time, raises SimulationBlowupError. The (min, max) of a yielded x_next
+    becomes the next measure's _range, so callers must not modify it in place.
     """
     times = grid.nodes
     dt = grid.dt
@@ -358,14 +278,12 @@ def simulate_particles(
     grid: SimGrid,
     seed: SeedSpec,
 ) -> ParticlePaths:
-    """Simulate the n-agent system under feedback fields gamma and aleph.
+    """Paths of the n-agent system under the slope field gamma and the rate field aleph.
 
-    gamma(t, x) is the payment slope and aleph(t, x) the payment-rate field;
-    both must broadcast over the length-n state vector. Each agent plays the
-    Hamiltonian-optimal response to slope gamma/sigma.
-
-    Returns the materialized paths. Raises SimulationBlowupError if a state
-    leaves [-BLOWUP_THRESHOLD, BLOWUP_THRESHOLD] or goes non-finite.
+    gamma(t, x) and aleph(t, x) must broadcast over the length-n state vector.
+    Each agent plays the Hamiltonian-optimal response to the slope gamma/sigma.
+    A state that goes non-finite or leaves [-BLOWUP_THRESHOLD,
+    BLOWUP_THRESHOLD] raises SimulationBlowupError.
     """
     x, dWs = _stream(model, n, grid, seed)
     states = np.empty((n, grid.steps + 1))
@@ -383,12 +301,7 @@ def simulate_terminal_measure(
     grid: SimGrid,
     seed: SeedSpec,
 ) -> EmpiricalMeasure:
-    """Terminal empirical measure only, with O(n) memory.
-
-    Runs exactly the simulate_particles scheme (same stream, same state
-    recursion) but stores no intermediate states; use for large ensembles
-    where only the terminal law matters (e.g. chaos sweeps).
-    """
+    """The terminal measure of simulate_particles on the same arguments, in O(n) memory."""
     x, dWs = _stream(model, n, grid, seed)
     for step in _euler_steps(model, gamma, aleph, x, grid, dWs):
         x = step.x_next
@@ -396,11 +309,7 @@ def simulate_terminal_measure(
 
 
 def save_paths_csv(paths: ParticlePaths, path: str) -> None:
-    """Dump paths as text CSV with columns (t, particle, state).
-
-    One row per (grid node, particle); intended for small diagnostic runs —
-    large ensembles should stay in memory.
-    """
+    """Write paths as CSV with columns (t, particle, state), one row per node and particle."""
     with open(path, "w") as fh:
         fh.write("t,particle,state\n")
         for k, t in enumerate(paths.times):

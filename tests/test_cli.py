@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,6 +109,52 @@ def test_missing_output_dir_rejected(tmp_path):
     cfg = _conv_config()  # no output.directory and no --out
     code = cli.main(["multitask-convergence", "--config", _write_config(tmp_path, cfg)])
     assert code == cli.EXIT_CONFIG
+
+
+def _assert_one_config_error(capsys, code, field):
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("mc", [None, 5, [], "x"], ids=["null", "number", "list", "string"])
+def test_seed_flag_needs_mc_object(tmp_path, capsys, mc):
+    cfg = {**_conv_config(), "mc": mc}
+    out = tmp_path / "o"
+    code = cli.main(["self-check", "--config", _write_config(tmp_path, cfg), "--out", str(out), "--seed", "3"])
+    _assert_one_config_error(capsys, code, "mc:")
+    assert not out.exists()
+
+
+def test_unreadable_config_file(tmp_path, capsys):
+    # a directory, and a file that is not UTF-8, are config errors like a
+    # missing file or malformed JSON
+    _assert_one_config_error(capsys, cli.main(["self-check", "--config", str(tmp_path)]), "--config")
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"experiment": "caf\xe9"}')
+    _assert_one_config_error(capsys, cli.main(["self-check", "--config", str(path)]), "--config")
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_rejected(tmp_path, capsys, workers):
+    out = tmp_path / "o"
+    argv = ["self-check", "--config", _write_config(tmp_path, _conv_config()), "--out", str(out)]
+    _assert_one_config_error(capsys, cli.main(argv + ["--workers", workers]), "--workers:")
+    assert not out.exists()
+
+
+def test_readme_matches_cli():
+    # the README's command table, exit codes and self-check count are the CLI's
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| command | purpose | result files |", 1)[1].split("\n\n", 1)[0]
+    commands = [line.split("`")[1] for line in table.splitlines() if line.startswith("| `")]
+    assert commands == list(cli._COMMANDS)
+    exit_text = readme.split("Exit codes:", 1)[1].split("\n\n", 1)[0]
+    documented = sorted({int(code) for code in re.findall(r"`(\d+)`", exit_text)})
+    constants = sorted({value for name, value in vars(cli).items() if name.startswith("EXIT_")})
+    assert documented == constants
+    assert [int(n) for n in re.findall(r"\((\d+) checks", readme)] == [len(cli._SELF_CHECKS)]
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +408,7 @@ def test_contract_eval_deviation_validated(tmp_path, capsys, deviation, field):
     cfg = _contract_config(deviation=deviation)
     out = tmp_path / "out"
     code = cli.main(["contract-eval", "--config", _write_config(tmp_path, cfg), "--out", str(out)])
-    assert code == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {field}")
-    assert len(err.strip().splitlines()) == 1
+    _assert_one_config_error(capsys, code, field)
     assert not any(out.glob("*"))
 
 
@@ -538,10 +582,7 @@ _INFINITIES = {"string-inf": "inf", "string-minus-inf": "-inf", "json-inf": math
 def test_config_error_names_field(tmp_path, capsys, command, cfg, field):
     out = tmp_path / "out"
     code = cli.main([command, "--config", _write_config(tmp_path, cfg), "--out", str(out)])
-    assert code == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {field}")
-    assert len(err.strip().splitlines()) == 1
+    _assert_one_config_error(capsys, code, field)
     assert os.listdir(out) == []
 
 

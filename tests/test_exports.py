@@ -46,7 +46,7 @@ def test_only_sde_engine_reads_the_stream():
     import palab.mkv_control as mkv_control
     import palab.sde_engine as sde_engine
 
-    node_parts = {"_recommended", "slope_over_sigma", "_checked_sigma"}
+    node_parts = {"_recommended", "slope_over_sigma"}
     for module in (mkv_control, contracts):
         tree = ast.parse(inspect.getsource(module))
         for node in ast.walk(tree):
