@@ -48,6 +48,7 @@ from .model import (
     exp_saturating_utility,
     hamiltonian_h,
     identity_utility,
+    maximize_hamiltonian,
     multitask_model,
     normal_law,
     point_mass,
@@ -89,9 +90,13 @@ class ConfigError(Exception):
 
 
 def _walk(cfg: dict, path: str):
+    """The value at a dotted path; null or absent blocks read as _MISSING, others must be objects."""
     cur: Any = cfg
-    for part in path.split("."):
-        if not isinstance(cur, dict) or part not in cur:
+    parts = path.split(".")
+    for i, part in enumerate(parts):
+        if not isinstance(cur, dict) and cur is not None:
+            raise ConfigError(f"{'.'.join(parts[:i])}: expected an object, got {cur!r}")
+        if cur is None or part not in cur:
             return _MISSING
         cur = cur[part]
     return cur
@@ -585,6 +590,8 @@ def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
     policy = _feedback_plan(cfg, plan)
     trunc = _field(cfg, "policy.truncation_l", "level", math.inf, gt=-math.inf)
     symmetric = _field(cfg, "policy.symmetric", "bool", False)
+    if symmetric and trunc < 0:
+        raise ConfigError(f"policy.truncation_l: must be >= 0 with policy.symmetric, got {trunc!r}")
     y0 = _field(cfg, "policy.Y0", "number", plan["R"], ge=plan["R"])
     n = _field(cfg, "mc.n", "int", ge=1)
     replications = _field(cfg, "mc.replications", "int", ge=2)
@@ -836,12 +843,11 @@ def _check_envelope(seed: SeedSpec) -> dict:
         x = float(rng.normal())
         z = float(rng.uniform(-3.0, 3.0))
         _, _, H = reduced_coefficients(model, t, x, m, 0.0, z)
-        sig = model.vol_sigma(t, x)
-        zsig = slope_over_sigma(z, sig)
         for a in rng.uniform(-5.0, 5.0, size=50):
             if hamiltonian_h(model, t, x, m, 0.0, z, float(a)) > H + 1e-10:
                 violations += 1
-        a_star = model.analytic_maximizer(t, x, m, 0.0, zsig)
+        zsig = slope_over_sigma(z, model.vol_sigma(t, x))
+        a_star = maximize_hamiltonian(model, t, x, m, 0.0, zsig)
         worst_eq = max(worst_eq, abs(hamiltonian_h(model, t, x, m, 0.0, z, a_star) - H))
     return {
         "passed": violations == 0 and worst_eq <= 1e-8,
@@ -1000,7 +1006,11 @@ def main(argv: Optional[list] = None) -> int:
         out_dir = args.out or _field(ec.raw, "output.directory", "str", None)
         if out_dir is None:
             raise ConfigError("output.directory: required (or pass --out)")
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            source = "--out" if args.out else "output.directory"
+            raise ConfigError(f"{source}: cannot create directory {out_dir}: {exc}") from None
         t0 = time.time()
         code = _COMMANDS[args.command](ec, out_dir, args.workers)
         if args.command != "self-check":

@@ -17,7 +17,7 @@ up to O(1/n) terms.
 One simulating pass, _contract_pass, serves contract_report, the
 joint-deviation scan and principal_n's estimator. The stored-path replay
 evaluate_terminal_payment is a separate pricer, so that it can check the
-pass, but it shares the pass's node evaluation (sde_engine._node) and Y step
+pass, but it shares the pass's node evaluation (model._node) and Y step
 (contract_y_step), so on the same draws the two agree bit for bit.
 """
 
@@ -32,8 +32,8 @@ import numpy as np
 
 from .estimates import MCEstimate, _central_slope, mean_se
 from .measures import EmpiricalMeasure, _mean_last
-from .model import ModelSpec, NumericDomainError
-from .sde_engine import ParticlePaths, SeedSpec, SimGrid, _euler_steps, _node, _replication_chunks
+from .model import ModelSpec, NumericDomainError, _node
+from .sde_engine import ParticlePaths, SeedSpec, SimGrid, _euler_steps, _replication_chunks
 
 MAX_DEVIATION_CELLS = 20_000
 
@@ -49,7 +49,8 @@ class Contract:
     gamma and aleph are (t, x) -> value callables that broadcast over state
     arrays. truncation_l caps both fields from above (the one-sided minimum
     value ^ l), or clips them into [-l, l] with symmetric=True; math.inf
-    leaves them untruncated, and NaN or -inf raises ValueError.
+    leaves them untruncated, and NaN, -inf or a symmetric l below 0 raises
+    ValueError.
     """
 
     Y0: float
@@ -61,6 +62,8 @@ class Contract:
     def __post_init__(self):
         if not self.truncation_l > -math.inf:  # NaN fails this test too
             raise ValueError("truncation_l must be a number or +inf")
+        if self.symmetric and self.truncation_l < 0:
+            raise ValueError(f"a symmetric truncation_l must be >= 0, got {self.truncation_l}")
 
     def _truncate(self, v):
         if math.isinf(self.truncation_l):
@@ -129,7 +132,8 @@ def _replay_steps(contract: Contract, model: ModelSpec, paths: ParticlePaths):
         t = float(times[k])
         x = paths.states[:, k]
         m = EmpiricalMeasure(x)
-        _, _, zsig, _, b_hat, L_hat = _node(model, contract.gamma_l, contract.aleph_l, t, x, m)
+        e = contract.aleph_l(t, x)
+        _, zsig, _, b_hat, L_hat = _node(model, t, x, m, e, contract.gamma_l(t, x))
         yield t, dt, b_hat * zsig + L_hat, zsig, paths.states[:, k + 1] - x
 
 

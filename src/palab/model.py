@@ -213,7 +213,12 @@ def quadratic_generic_model(
 
 
 def slope_over_sigma(z, sig):
-    """z / sigma with 0/sigma = +0.0 even at sigma = 0, so zero-volatility ODE limits stay finite."""
+    """z / sigma with 0/sigma = +0.0 even at sigma = 0, so zero-volatility ODE limits stay finite.
+
+    sigma must be finite and >= 0 (NaN fails), else NumericDomainError: the
+    theory needs sigma > 0, and sigma == 0 is allowed so that ODE-limit
+    diagnostics run.
+    """
     z = np.asarray(z, dtype=float)
     if isinstance(sig, float) and 0.0 < sig < math.inf:
         # The general path's bits: z + 0.0 turns -0.0 into +0.0 and keeps
@@ -223,6 +228,8 @@ def slope_over_sigma(z, sig):
         if sig != 1.0:
             out /= sig
     else:
+        if not np.all((sig >= 0.0) & (sig < math.inf)):
+            raise NumericDomainError(f"volatility must be finite and >= 0: {sig!r}")
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(z == 0.0, 0.0, z / sig)
     return float(out) if out.ndim == 0 else out
@@ -231,7 +238,8 @@ def slope_over_sigma(z, sig):
 def hamiltonian_h(model: ModelSpec, t, x, m, e, z, a):
     """h(t,x,m,e,z,a) = b(t,x,m,e,a)·z/sigma(t,x) + L(t,x,m,e,a).
 
-    Raises NumericDomainError if any coefficient evaluates non-finite.
+    Raises NumericDomainError if sigma is invalid (see slope_over_sigma) or
+    h evaluates non-finite.
     """
     sig = model.vol_sigma(t, x)
     b = model.drift_b(t, x, m, e, a)
@@ -344,12 +352,14 @@ def maximize_hamiltonian(model: ModelSpec, t, x, m, e, z):
     return full(np.where(multi, a_top[0], a_star))
 
 
-def _recommended(model: ModelSpec, t, x, m, e, zsig):
-    """(alpha_hat, b_hat, L_hat) at the slope zsig = z/sigma: the one maximizer call of a node."""
-    a_star = maximize_hamiltonian(model, t, x, m, e, zsig)
-    b_hat = model.drift_b(t, x, m, e, a_star)
-    L_hat = model.running_cost_L(t, x, m, e, a_star)
-    return a_star, b_hat, L_hat
+def _node(model: ModelSpec, t, x, m, e, z):
+    """The one node evaluation: (sigma, z/sigma, alpha_hat, b_hat, L_hat) at (t, x, m, e), slope z."""
+    sig = model.vol_sigma(t, x)
+    zsig = slope_over_sigma(z, sig)
+    a_hat = maximize_hamiltonian(model, t, x, m, e, zsig)
+    b_hat = model.drift_b(t, x, m, e, a_hat)
+    L_hat = model.running_cost_L(t, x, m, e, a_hat)
+    return sig, zsig, a_hat, b_hat, L_hat
 
 
 def reduced_coefficients(model: ModelSpec, t, x, m, e, z):
@@ -358,6 +368,5 @@ def reduced_coefficients(model: ModelSpec, t, x, m, e, z):
     b_hat and L_hat are b and L at the maximizer for the slope z/sigma(t, x),
     and H = b_hat·z/sigma + L_hat = max_a h(t, x, m, e, z, a).
     """
-    zsig = slope_over_sigma(z, model.vol_sigma(t, x))
-    _, b_hat, L_hat = _recommended(model, t, x, m, e, zsig)
+    _, zsig, _, b_hat, L_hat = _node(model, t, x, m, e, z)
     return b_hat, L_hat, b_hat * zsig + L_hat

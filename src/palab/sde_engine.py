@@ -17,8 +17,8 @@ order, n initial draws and then one length-n vector of standard normals per
 step, with particle i on lane i. A result therefore depends on the seed and
 the key only, never on how replications are batched or spread over workers.
 
-Every step loop runs on _euler_steps, every grid node is evaluated by _node,
-and every stream is read by _replication_chunks.
+Every step loop runs on _euler_steps, every grid node is evaluated by
+model._node, and every stream is read by _replication_chunks.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .measures import EmpiricalMeasure
-from .model import ModelSpec, NumericDomainError, _recommended, slope_over_sigma
+from .model import ModelSpec, NumericDomainError, _node
 
 BLOWUP_THRESHOLD = 1e8
 # A chunk of replications holds at most this many states, so each (batch, n)
@@ -201,27 +201,6 @@ class _Step(NamedTuple):
         return self.b_hat * self.zsig + self.L_hat
 
 
-def _node(model: ModelSpec, gamma: Callable, aleph: Callable, t: float, x, m: EmpiricalMeasure):
-    """(e, sigma, z/sigma, a*, b_hat, L_hat) at the grid node (t, x) under measure m.
-
-    The one node evaluation, for the stepper and the stored-path replays in
-    contracts. sigma must be finite and >= 0 (NaN fails), else
-    NumericDomainError: the theory needs sigma > 0, and sigma == 0 is
-    allowed so that ODE-limit diagnostics run.
-    """
-    e = aleph(t, x)
-    z = gamma(t, x)
-    sig = model.vol_sigma(t, x)
-    if isinstance(sig, float):
-        sig_ok = 0.0 <= sig < math.inf
-    else:
-        sig_ok = np.all((sig >= 0.0) & (sig < math.inf))
-    if not sig_ok:
-        raise NumericDomainError(f"volatility must be finite and >= 0 (t={t}): {sig!r}")
-    zsig = slope_over_sigma(z, sig)
-    return (e, sig, zsig) + _recommended(model, t, x, m, e, zsig)
-
-
 def _euler_steps(
     model: ModelSpec,
     gamma: Callable,
@@ -247,7 +226,8 @@ def _euler_steps(
         t = float(times[k])
         m = EmpiricalMeasure(x)
         m._range = span
-        e, sig, zsig, a, b_hat, L_hat = _node(model, gamma, aleph, t, x, m)
+        e = aleph(t, x)
+        sig, zsig, a, b_hat, L_hat = _node(model, t, x, m, e, gamma(t, x))
         b, L = b_hat, L_hat
         if play is not None:
             a = play(t, x, a)

@@ -55,6 +55,49 @@ def gamma_hat(kappa_bar: float, T: float = 1.0):
     return g
 
 
+def _clipped_normal_mean(mean: float, var: float, b_bar: float) -> float:
+    """E[clip(X, -b_bar, b_bar)] for X ~ N(mean, var); var = 0 is a point mass."""
+    if math.isinf(b_bar):
+        return mean
+    if var == 0.0:
+        return min(max(mean, -b_bar), b_bar)
+    s = math.sqrt(var)
+    lo, hi = (-b_bar - mean) / s, (b_bar - mean) / s
+    cdf = lambda u: 0.5 * (1.0 + math.erf(u / math.sqrt(2.0)))
+    pdf = lambda u: math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    inside = mean * (cdf(hi) - cdf(lo)) + s * (pdf(lo) - pdf(hi))
+    return -b_bar * cdf(lo) + b_bar * (1.0 - cdf(hi)) + inside
+
+
+def grid_limit_law(kappa_bar, b_bar, gamma, grid, R=0.0, nu_mean=0.0, nu_var=0.0):
+    """(means, variances, payment, value) of the multitask limit law on the Euler grid.
+
+    For N -> infinity the clamped mean is deterministic, so under an
+    x-independent slope gamma(t) and a point-mass (nu_var = 0) or normal
+    initial law every node law is Gaussian, for any b_bar:
+
+        m_{k+1} = m_k + (gamma(t_k) + kappa_bar E[clip(X_k, -b_bar, b_bar)]) dt,
+        v_{k+1} = v_k + dt   (sigma = 1).
+
+    means and variances hold the steps+1 node values. The limit contract pays
+    R + (1/2) sum_k gamma(t_k)^2 dt, and the principal's value is
+    m_K - payment (Upsilon = x, g and g_P the identity, L_P = 0). Like the
+    Simpson oracle, it calls nothing in palab; grid only gives horizon_T and
+    steps.
+    """
+    dt = grid.horizon_T / grid.steps
+    times = np.linspace(0.0, grid.horizon_T, grid.steps + 1)
+    means, variances = [float(nu_mean)], [float(nu_var)]
+    payment = float(R)
+    for t in times[:-1]:
+        g = float(gamma(t))
+        drift = g + kappa_bar * _clipped_normal_mean(means[-1], variances[-1], b_bar)
+        means.append(means[-1] + drift * dt)
+        variances.append(variances[-1] + dt)
+        payment += 0.5 * g * g * dt
+    return np.array(means), np.array(variances), payment, means[-1] - payment
+
+
 def variance_se(samples) -> tuple[float, float]:
     """Unbiased sample variance and its large-sample standard error.
 

@@ -550,6 +550,11 @@ _INFINITIES = {"string-inf": "inf", "string-minus-inf": "-inf", "json-inf": math
         ("contract-eval", {**_contract_config(), "policy": {"truncation_l": "-inf"}}, "policy.truncation_l"),
         (
             "contract-eval",
+            {**_contract_config(), "policy": {"truncation_l": -1.0, "symmetric": True}},
+            "policy.truncation_l",
+        ),
+        (
+            "contract-eval",
             {**_contract_config(), "model": {"name": "multitask", "T": "inf", "params": {"kappa_bar": 0.0}}},
             "model.T",
         ),
@@ -571,6 +576,7 @@ _INFINITIES = {"string-inf": "inf", "string-minus-inf": "-inf", "json-inf": math
         "convergence-sigma-scale",
         "contract-y0-below-reservation",
         "contract-truncation-minus-inf",
+        "contract-symmetric-truncation-negative",
         "contract-horizon-inf",
         "contract-nu-value-inf",
         "contract-nu-mean-inf",
@@ -584,6 +590,32 @@ def test_config_error_names_field(tmp_path, capsys, command, cfg, field):
     code = cli.main([command, "--config", _write_config(tmp_path, cfg), "--out", str(out)])
     _assert_one_config_error(capsys, code, field)
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("block", ["policy", "model.nu", "mc.deviation"])
+def test_config_block_must_be_object(tmp_path, capsys, block):
+    # a block that is not an object is an error, not a block of defaults;
+    # a null block is absent
+    out = tmp_path / "out"
+    cfg = _with(_contract_config(), block, 5)
+    code = cli.main(["contract-eval", "--config", _write_config(tmp_path, cfg), "--out", str(out)])
+    _assert_one_config_error(capsys, code, f"{block}: expected an object")
+    assert os.listdir(out) == []
+    cfg = _with(_contract_config(), block, None)
+    code = cli.main(["contract-eval", "--config", _write_config(tmp_path, cfg, "null.json"), "--out", str(out)])
+    assert code == cli.EXIT_OK
+
+
+def test_unusable_output_directory(tmp_path, capsys):
+    # an output directory that names a file cannot be created
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    config = _write_config(tmp_path, _conv_config())
+    _assert_one_config_error(capsys, cli.main(["self-check", "--config", config, "--out", str(afile)]), "--out:")
+    cfg = {**_conv_config(), "output": {"directory": str(afile / "sub")}}
+    code = cli.main(["self-check", "--config", _write_config(tmp_path, cfg, "dir.json")])
+    _assert_one_config_error(capsys, code, "output.directory:")
+    assert afile.read_text() == ""
 
 
 def test_levels_may_be_infinite(tmp_path):

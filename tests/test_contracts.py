@@ -74,6 +74,11 @@ def test_truncation_fields():
     for bad in (math.nan, -math.inf):
         with pytest.raises(ValueError):
             Contract(Y0=0.0, gamma=_zero, aleph=_zero, truncation_l=bad)
+    # [-l, l] is empty below 0, where np.clip would return -l for every value
+    with pytest.raises(ValueError, match="symmetric"):
+        Contract(Y0=0.0, gamma=_zero, aleph=_zero, truncation_l=-1.0, symmetric=True)
+    one_sided = Contract(Y0=0.0, gamma=lambda t, x: 2.0 * x, aleph=_zero, truncation_l=-1.0)
+    assert np.array_equal(one_sided.gamma_l(0.0, x), np.minimum(2.0 * x, -1.0))
 
 
 def test_floor_check():
@@ -229,10 +234,13 @@ def test_mkv_payment_closed_form_on_multitask():
     # the principal the McKean-Vlasov value V_infinity. Per path the level
     # is R + (1/2) sum gamma_hat^2 dt + sum gamma_hat dW, so E[xi] is checked
     # against the SE of the levels; the principal's value mean(X_T) - xi is
-    # checked against the SE of X_T - level. Its gap (about -0.0055, 2.2 SE
-    # on every seed tried) is the O(dt) bias of Euler's 100 steps: the
-    # noise itself nearly cancels, since the mean-field feedback offsets the
-    # slope's.
+    # checked against the SE of X_T - level, which overstates the value's own
+    # noise: that nearly cancels, since the mean-field feedback offsets the
+    # slope's. The continuous-time closed forms carry the O(dt) bias of
+    # Euler's 100 steps: the grid value is 5.54e-3 (about 2.2 SE) below
+    # V_infinity and the grid payment 4.30e-3 above R + (1/2) int gamma_hat^2.
+    # The grid-exact targets of grid_limit_law have no such bias, so they are
+    # checked at the same 3 SE.
     kappa, R, N = 0.5, 0.1, 20_000
     am = analytic_multitask(MultitaskParams(kappa), R=R)
     model = multitask_model(MultitaskParams(kappa), R=R)
@@ -244,6 +252,11 @@ def test_mkv_payment_closed_form_on_multitask():
     x_T = paths.states[:, -1]
     se_v = float(np.std(x_T - levels, ddof=1)) / math.sqrt(N)
     assert abs(float(np.mean(x_T)) - xi - am.V_infinity) <= 3.0 * se_v
+    _, _, grid_payment, grid_value = conftest.grid_limit_law(
+        kappa, math.inf, conftest.gamma_hat(kappa), paths.grid, R=R
+    )
+    assert abs(xi - grid_payment) <= 3.0 * se_xi
+    assert abs(float(np.mean(x_T)) - xi - grid_value) <= 3.0 * se_v
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ def test_only_sde_engine_reads_the_stream():
     import palab.mkv_control as mkv_control
     import palab.sde_engine as sde_engine
 
-    node_parts = {"_recommended", "slope_over_sigma"}
     for module in (mkv_control, contracts):
         tree = ast.parse(inspect.getsource(module))
         for node in ast.walk(tree):
@@ -54,10 +53,6 @@ def test_only_sde_engine_reads_the_stream():
                 assert node.attr not in {"standard_normal", "generator"}, (
                     f"{module.__name__}: {ast.unparse(node)}"
                 )
-            # the node evaluation is sde_engine._node's, not rebuilt from parts
-            if isinstance(node, ast.ImportFrom):
-                names = {alias.name for alias in node.names}
-                assert not node_parts & names, f"{module.__name__}: {ast.unparse(node)}"
 
     # within sde_engine, one function reads every stream
     readers = set()
@@ -67,6 +62,25 @@ def test_only_sde_engine_reads_the_stream():
                 if node.func.attr in {"standard_normal", "generator"}:
                     readers.add(getattr(top, "name", "<module>"))
     assert readers == {"_replication_chunks"}
+
+
+def test_only_model_evaluates_a_node():
+    # sigma, z/sigma and the maximizer of a node come from model._node, so
+    # the simulating layers neither read the volatility nor rebuild the node
+    # from its parts
+    import palab.contracts as contracts
+    import palab.mkv_control as mkv_control
+    import palab.principal_n as principal_n
+    import palab.sde_engine as sde_engine
+
+    node_parts = {"slope_over_sigma", "maximize_hamiltonian"}
+    for module in (sde_engine, contracts, mkv_control, principal_n):
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                assert not node_parts & names, f"{module.__name__}: {ast.unparse(node)}"
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "vol_sigma", f"{module.__name__}: {ast.unparse(node)}"
 
 
 def test_only_contracts_g_inverse_calls_g_inverse():

@@ -17,13 +17,16 @@ from palab.contracts import (
     mkv_contract_payment,
 )
 from palab.mkv_control import PolicyParam, evaluate_limit_objective, optimize_policy
+from palab.measures import EmpiricalMeasure
 from palab.model import (
     MultitaskParams,
     NumericDomainError,
+    hamiltonian_h,
     multitask_model,
     normal_law,
     point_mass,
     quadratic_generic_model,
+    reduced_coefficients,
 )
 from palab import sde_engine
 from palab.principal_n import estimate_n_player_value
@@ -283,13 +286,14 @@ def test_stepper_takes_exactly_one_increment_per_step():
 
 
 def test_negative_volatility_rejected():
-    # Every step loop runs on the one stepper, and the stored-path replays
-    # read sigma through its guard, so every entry point applies the same
-    # volatility guard, for float and for array sigma alike.
+    # z/sigma is formed only by slope_over_sigma, which guards sigma, so every
+    # entry point that divides by sigma rejects a negative or NaN one, for
+    # float and for array sigma alike.
     model = multitask_model(MultitaskParams(0.0))
     grid = SimGrid(1.0, 2)
     paths = simulate_particles(model, _zero, _zero, 5, grid, SeedSpec(0))
     contract = Contract(0.0, _zero, _zero)
+    x = paths.states[:, 0]
     runs = {
         "simulate_particles": lambda m: simulate_particles(m, _zero, _zero, 5, grid, SeedSpec(0)),
         "estimate_n_player_value": lambda m: estimate_n_player_value(
@@ -301,6 +305,9 @@ def test_negative_volatility_rejected():
         # the stored-path replays, on paths simulated under the valid model
         "evaluate_terminal_payment": lambda m: evaluate_terminal_payment(contract, m, paths),
         "mkv_contract_payment": lambda m: mkv_contract_payment(contract, m, paths),
+        # the node evaluation and h at a nonzero slope, outside any simulation
+        "reduced_coefficients": lambda m: reduced_coefficients(m, 0.0, x, EmpiricalMeasure(x), 0.0, 1.0),
+        "hamiltonian_h": lambda m: hamiltonian_h(m, 0.0, x, EmpiricalMeasure(x), 0.0, 1.0, 0.0),
     }
     for sigma in (lambda t, x: -1.0, lambda t, x: np.full(np.shape(x), np.nan)):
         bad = replace(model, vol_sigma=sigma)
