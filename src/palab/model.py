@@ -266,6 +266,11 @@ def maximize_hamiltonian(model: ModelSpec, t, x, m, e, z):
     that do not broadcast to x's shape ValueError. The answer is a fresh
     writable array of x's shape, or a float for a scalar x. For the
     maximizer of h, pass z/sigma(t, x), as reduced_coefficients does.
+
+    The search runs on the shape the values take. When that has one element
+    (values constant in x, or a scalar x) the bracket is kept in Python
+    floats, else in arrays; both round as float64 does, so the result bits
+    do not depend on how many elements a search has.
     """
     if model.analytic_maximizer is not None:
         return model.analytic_maximizer(t, x, m, e, z)
@@ -300,6 +305,22 @@ def maximize_hamiltonian(model: ModelSpec, t, x, m, e, z):
 
     def refine(probe):
         """Golden-section search on the bracket grid[probe] ± step, per element."""
+        if c.size == 1:
+            # one element: the same steps on Python floats, which round
+            # +, - and * as float64 does, so the bits match the array loop
+            g, s = grid.item(probe.item()), step.item()
+            a_lo, a_hi = max(g - s, float(lo)), min(g + s, float(hi))
+            cd = pair.reshape(2)
+            for _ in range(n_iter):
+                span = (a_hi - a_lo) * _INVPHI
+                cd[0] = a_c = a_hi - span
+                cd[1] = a_d = a_lo + span
+                v_c, v_d = objective(pair).reshape(2).tolist()
+                if v_c >= v_d:
+                    a_hi = a_d
+                else:
+                    a_lo = a_c
+            return np.full(shape, 0.5 * (a_lo + a_hi))
         a_lo = np.maximum(grid[probe] - step, lo, out=np.empty(shape))
         a_hi = np.minimum(grid[probe] + step, hi, out=np.empty(shape))
         for _ in range(n_iter):

@@ -341,6 +341,18 @@ def _oracle_cases():
         + 1.5 * np.exp(-np.square((np.asarray(a) - 2.25) / 0.25)),
         action_bounds=(-8.0, 8.0),
     )
+    # a running cost that is NaN on a band between the probes 0.0 and 0.5;
+    # adding 0 * x makes the same objective state-dependent
+    nan_band = replace(
+        quad,
+        running_cost_L=lambda t, x, m, e, a: np.where(
+            np.abs(a - 0.3) < 0.05, np.nan, -0.5 * np.square(a - 0.3)
+        ),
+    )
+    nan_band_x = replace(
+        quad,
+        running_cost_L=lambda t, x, m, e, a: nan_band.running_cost_L(t, x, m, e, a) + 0.0 * x,
+    )
     return {
         "quadratic-scalar-slope": (quad, stack, 0.7),
         "quadratic-array-slope": (quad, stack, rng.uniform(-3.0, 3.0, stack.shape)),
@@ -349,6 +361,9 @@ def _oracle_cases():
         "measure-dependent-drift": (m_drift, stack, 1.1),
         "scalar-x": (quad, 0.4, -1.3),
         "higher-of-two-peaks": (two_peaks, np.zeros((2, 3)), 0.0),
+        "x-dependent-drift-one-element": (x_drift, x1[:1], rng.uniform(-3.0, 3.0, 1)),
+        "nan-band-state-independent": (nan_band, stack, 0.0),
+        "nan-band-state-dependent": (nan_band_x, stack, 0.0),
     }
 
 
@@ -361,6 +376,18 @@ def test_maximizer_bits_match_reference(case):
     assert type(got) is type(want)
     assert np.shape(got) == np.shape(want) == np.shape(x)
     assert np.array_equal(got, want)
+
+
+def test_one_element_search_matches_array_search():
+    # golden steps that land in the NaN band compare NaN; a one-element
+    # search (Python floats) and a state-dependent one (arrays) must still
+    # land on the same bits
+    cases = _oracle_cases()
+    results = []
+    for case in ("nan-band-state-independent", "nan-band-state-dependent"):
+        model, x, z = cases[case]
+        results.append(maximize_hamiltonian(model, 0.3, x, EmpiricalMeasure(x), 0.0, z))
+    assert np.array_equal(results[0], results[1])
 
 
 def test_maximizer_ties_raise_in_both_searches():
