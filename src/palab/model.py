@@ -258,19 +258,20 @@ def maximize_hamiltonian(model: ModelSpec, t, x, m, e, z):
     A model's analytic_maximizer is returned as it is. Otherwise every
     element of x (e and z broadcast against it) is searched at once, on
     finite action_bounds: DEFAULT_PROBES probes in one call of the drift and
-    running cost, then golden-section steps, one call each, on the best
-    probe's bracket down to TOL_A. Every other local probe maximum (endpoints
-    one-sided) is refined too and the best is returned; two more than TOL_A
+    running cost, then one golden-section search to TOL_A on the brackets of
+    the best probe and every other probe-local maximum (endpoints one-sided),
+    one call per step: 1 + n_iter calls (41 on bounds (-8, 8)), and one more
+    to compare several candidates. The best is returned; two more than TOL_A
     apart with values within TOL_H raise AmbiguousMaximizerError. A
     non-finite probe value raises NumericDomainError, and a slope or values
     that do not broadcast to x's shape ValueError. The answer is a fresh
     writable array of x's shape, or a float for a scalar x. For the
     maximizer of h, pass z/sigma(t, x), as reduced_coefficients does.
 
-    The search runs on the shape the values take. When that has one element
-    (values constant in x, or a scalar x) the bracket is kept in Python
-    floats, else in arrays; both round as float64 does, so the result bits
-    do not depend on how many elements a search has.
+    The search runs on the shape the values take. A lone candidate with one
+    element (values constant in x, or a scalar x) keeps its bracket in
+    Python floats, other searches in arrays; both round as float64 does, so
+    the result bits do not depend on the element or candidate count.
     """
     if model.analytic_maximizer is not None:
         return model.analytic_maximizer(t, x, m, e, z)
@@ -298,88 +299,87 @@ def maximize_hamiltonian(model: ModelSpec, t, x, m, e, z):
         raise NumericDomainError("non-finite Hamiltonian probe value")
     step = grid[1] - grid[0]
     n_iter = max(int(math.ceil(math.log(TOL_A / (2.0 * step)) / math.log(_INVPHI))) + 1, 1)
-    pair = np.empty((2,) + shape)
-    c, d = pair[0, ...], pair[1, ...]
-    w = np.empty(shape)
-    left = np.empty(shape, dtype=bool)
 
-    def refine(probe):
-        """Golden-section search on the bracket grid[probe] ± step, per element."""
-        if c.size == 1:
-            # one element: the same steps on Python floats, which round
-            # +, - and * as float64 does, so the bits match the array loop
-            g, s = grid.item(probe.item()), step.item()
-            a_lo, a_hi = max(g - s, float(lo)), min(g + s, float(hi))
-            cd = pair.reshape(2)
-            for _ in range(n_iter):
-                span = (a_hi - a_lo) * _INVPHI
-                cd[0] = a_c = a_hi - span
-                cd[1] = a_d = a_lo + span
-                v_c, v_d = objective(pair).reshape(2).tolist()
-                if v_c >= v_d:
-                    a_hi = a_d
-                else:
-                    a_lo = a_c
-            return np.full(shape, 0.5 * (a_lo + a_hi))
-        a_lo = np.maximum(grid[probe] - step, lo, out=np.empty(shape))
-        a_hi = np.minimum(grid[probe] + step, hi, out=np.empty(shape))
-        for _ in range(n_iter):
-            np.multiply(np.subtract(a_hi, a_lo, out=w), _INVPHI, out=w)
-            np.subtract(a_hi, w, out=c)
-            np.add(a_lo, w, out=d)
-            v = objective(pair)
-            np.greater_equal(v[0], v[1], out=left)
-            np.copyto(a_hi, d, where=left)
-            np.logical_not(left, out=left)
-            np.copyto(a_lo, c, where=left)
-        return 0.5 * (a_lo + a_hi)
-
-    def full(a):
-        if x.ndim == 0:
-            return float(a)
-        return a if a.shape == x.shape else np.broadcast_to(a, x.shape).copy()
-
+    # Candidates: the best probe, then the other probe-local maxima
+    # (endpoints one-sided) rank by rank; an element out of peaks repeats
+    # its best probe, so that rank refines to the best one's bits.
     best = np.argmax(vals, axis=0)
-    a_star = refine(best)
-    # Probe-local maxima besides the best probe, endpoints one-sided.
     peaks = np.ones(vals.shape, dtype=bool)
     peaks[1:] &= vals[1:] >= vals[:-1]
     peaks[:-1] &= vals[:-1] >= vals[1:]
     np.put_along_axis(peaks, best[None], False, axis=0)
-    multi = peaks.any(axis=0)
-    if not multi.any():
-        return full(a_star)
-
-    # Tie check: refine the other peaks one rank at a time (an element out
-    # of peaks repeats its best probe) and compare every refined candidate
-    # with the best refined one.
-    cands = [a_star]
+    probes = [best]
     while peaks.any():
         probe = np.where(peaks.any(axis=0), np.argmax(peaks, axis=0), best)
         np.put_along_axis(peaks, probe[None], False, axis=0)
-        cands.append(refine(probe))
-    cands = np.stack(cands)
-    values = objective(cands)
-    top = np.argmax(values, axis=0)[None]
-    a_top = np.take_along_axis(cands, top, axis=0)
-    h_top = np.take_along_axis(values, top, axis=0)
-    tie = multi & (np.abs(cands - a_top) > TOL_A) & (np.abs(values - h_top) < TOL_H)
-    if tie.any():
-        rank, *where = np.argwhere(tie)[0]
-        raise AmbiguousMaximizerError(
-            f"two maximizers at a={a_top[(0, *where)]:.10g} and "
-            f"a={cands[(rank, *where)]:.10g} with values within {TOL_H}"
-        )
-    return full(np.where(multi, a_top[0], a_star))
+        probes.append(probe)
+    k = len(probes)
+    pair = np.empty((2 * k,) + shape)  # c of every candidate, then d
+    if k == 1 and best.size == 1:
+        # one element: the steps on Python floats, which round +, - and *
+        # as float64 does, so the bits match the array loop
+        g, s = grid.item(best.item()), step.item()
+        a_lo, a_hi = max(g - s, float(lo)), min(g + s, float(hi))
+        cd = pair.reshape(2)
+        for _ in range(n_iter):
+            span = (a_hi - a_lo) * _INVPHI
+            cd[0] = a_c = a_hi - span
+            cd[1] = a_d = a_lo + span
+            v_c, v_d = objective(pair).reshape(2).tolist()
+            if v_c >= v_d:
+                a_hi = a_d
+            else:
+                a_lo = a_c
+        a_star = 0.5 * (a_lo + a_hi)
+        return a_star if x.ndim == 0 else np.full(x.shape, a_star)
+    centre = grid[np.stack(probes)]
+    a_lo = np.maximum(centre - step, lo)
+    a_hi = np.minimum(centre + step, hi)
+    c, d = pair[:k], pair[k:]
+    w = np.empty(c.shape)
+    left = np.empty(c.shape, dtype=bool)
+    for _ in range(n_iter):
+        np.multiply(np.subtract(a_hi, a_lo, out=w), _INVPHI, out=w)
+        np.subtract(a_hi, w, out=c)
+        np.add(a_lo, w, out=d)
+        v = objective(pair)
+        np.greater_equal(v[:k], v[k:], out=left)
+        np.copyto(a_hi, d, where=left)
+        np.logical_not(left, out=left)
+        np.copyto(a_lo, c, where=left)
+    cands = 0.5 * (a_lo + a_hi)
+    if k > 1:
+        # a padded rank has the best one's bits: it cannot win or tie
+        values = objective(cands)
+        top = np.argmax(values, axis=0)[None]
+        a_top = np.take_along_axis(cands, top, axis=0)
+        h_top = np.take_along_axis(values, top, axis=0)
+        tie = (np.abs(cands - a_top) > TOL_A) & (np.abs(values - h_top) < TOL_H)
+        if tie.any():
+            rank, *where = np.argwhere(tie)[0]
+            raise AmbiguousMaximizerError(
+                f"two maximizers at a={a_top[(0, *where)]:.10g} and "
+                f"a={cands[(rank, *where)]:.10g} with values within {TOL_H}"
+            )
+        cands = a_top
+    return float(cands[0]) if x.ndim == 0 else np.broadcast_to(cands[0], x.shape).copy()
 
 
 def _node(model: ModelSpec, t, x, m, e, z):
-    """The one node evaluation: (sigma, z/sigma, alpha_hat, b_hat, L_hat) at (t, x, m, e), slope z."""
+    """The one node evaluation: (sigma, z/sigma, alpha_hat, b_hat, L_hat) at (t, x, m, e), slope z.
+
+    A non-finite b_hat or L_hat at a numeric maximizer (the search checks
+    only its probes) raises NumericDomainError.
+    """
     sig = model.vol_sigma(t, x)
     zsig = slope_over_sigma(z, sig)
     a_hat = maximize_hamiltonian(model, t, x, m, e, zsig)
     b_hat = model.drift_b(t, x, m, e, a_hat)
     L_hat = model.running_cost_L(t, x, m, e, a_hat)
+    if model.analytic_maximizer is None and not (
+        np.isfinite(b_hat).all() and np.isfinite(L_hat).all()
+    ):
+        raise NumericDomainError(f"non-finite drift or running cost at the numeric maximizer t={t}")
     return sig, zsig, a_hat, b_hat, L_hat
 
 

@@ -98,6 +98,33 @@ def grid_limit_law(kappa_bar, b_bar, gamma, grid, R=0.0, nu_mean=0.0, nu_var=0.0
     return np.array(means), np.array(variances), payment, means[-1] - payment
 
 
+def grid_finite_n_law(kappa_bar, gamma, grid, n, R=0.0, nu_mean=0.0, nu_var=0.0):
+    """(mu, s2, EU) of the n-agent principal value v_n of the unclamped multitask model.
+
+    Under an x-independent slope gamma(t), no clamp (a b_bar far beyond the
+    states acts as none) and a point-mass or normal initial law, the
+    ensemble mean follows the linear Euler recursion
+    Xbar_{k+1} = Phi Xbar_k + gamma_k dt + dWbar_k with Phi = 1 + kappa_bar dt,
+    Xbar_0 ~ N(E nu, Var nu / n) and dWbar_k ~ N(0, dt / n); the level is
+    Y_K = R + sum gamma_k^2 dt / 2 + sum gamma_k dWbar_k. So v_n = Xbar_K - Y_K
+    is Gaussian, with a_k = Phi^(K-k-1):
+
+        mu = Phi^K E nu + sum a_k gamma_k dt - sum gamma_k^2 dt / 2 - R,
+        s2 = (Phi^(2K) Var nu + sum (a_k - gamma_k)^2 dt) / n,
+
+    and EU = E[1 - exp(-v_n)] = 1 - exp(-mu + s2 / 2). Calls nothing in palab.
+    """
+    K = grid.steps
+    dt = grid.horizon_T / K
+    phi = 1.0 + kappa_bar * dt
+    times = np.linspace(0.0, grid.horizon_T, K + 1)[:-1]
+    g = np.array([float(gamma(t)) for t in times])
+    a = phi ** (K - 1 - np.arange(K))
+    mu = phi**K * nu_mean + float(np.sum(a * g)) * dt - float(np.sum(g * g)) * dt / 2.0 - R
+    s2 = (phi ** (2 * K) * nu_var + float(np.sum((a - g) ** 2)) * dt) / n
+    return mu, s2, 1.0 - math.exp(-mu + s2 / 2.0)
+
+
 def variance_se(samples) -> tuple[float, float]:
     """Unbiased sample variance and its large-sample standard error.
 

@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 
 import palab.cli as cli
-from conftest import HALF_GAMMA_SQ_FROZEN, multitask_sweep, simpson_gamma_sq_integral, variance_se
+from conftest import (
+    HALF_GAMMA_SQ_FROZEN,
+    gamma_hat,
+    grid_finite_n_law,
+    multitask_sweep,
+    simpson_gamma_sq_integral,
+    variance_se,
+)
 from palab import (
     Contract,
     MultitaskParams,
@@ -142,6 +149,12 @@ def test_gap_positive_nonincreasing_with_sqrt_bound():
     _report("gap decay within calibrated sqrt(n) bound", ok)
     assert ok, [(n, g, C * n**-0.5) for n, g in zip(n_values, gaps)]
     assert elapsed <= 600.0, f"took {elapsed:.1f}s"
+
+    # b_bar = 10 acts as no clamp, so each cell's E U(v_n) is exact on the
+    # Euler grid (grid_finite_n_law); seeds 0-8 give |z| <= 2.30
+    for r in rows:
+        _, _, exact = grid_finite_n_law(0.5, gamma_hat(0.5), grid, r["n"], nu_var=1.0)
+        assert abs(r["v_n"] - exact) <= 3.0 * r["se"], (r["n"], r["v_n"], exact, r["se"])
 
 
 # ---------------------------------------------------------------------------

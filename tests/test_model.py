@@ -353,6 +353,13 @@ def _oracle_cases():
         quad,
         running_cost_L=lambda t, x, m, e, a: nan_band.running_cost_L(t, x, m, e, a) + 0.0 * x,
     )
+    # the narrow peak of two_peaks scaled by max(x, 0): elements with x <= 0
+    # have one probe-local maximum, the others more, so ranks get padded
+    ragged_peaks = replace(
+        two_peaks,
+        running_cost_L=lambda t, x, m, e, a: np.exp(-np.square((np.asarray(a) + 4.0) / 2.0))
+        + 1.5 * np.maximum(x, 0.0) * np.exp(-np.square((np.asarray(a) - 2.25) / 0.25)),
+    )
     return {
         "quadratic-scalar-slope": (quad, stack, 0.7),
         "quadratic-array-slope": (quad, stack, rng.uniform(-3.0, 3.0, stack.shape)),
@@ -364,6 +371,7 @@ def _oracle_cases():
         "x-dependent-drift-one-element": (x_drift, x1[:1], rng.uniform(-3.0, 3.0, 1)),
         "nan-band-state-independent": (nan_band, stack, 0.0),
         "nan-band-state-dependent": (nan_band_x, stack, 0.0),
+        "peak-count-differs": (ragged_peaks, np.stack([np.linspace(-1.0, 2.0, 7)] * 2), 0.0),
     }
 
 
@@ -428,6 +436,16 @@ def test_maximizer_work_and_result_shape():
             assert a_star.shape == x.shape
             assert a_star.flags.writeable
         assert not np.shares_memory(first, second)
+    # two peaks: one golden search over both brackets, one call per step,
+    # and one call to compare the two refined candidates
+    two_peaks = replace(_oracle_cases()["higher-of-two-peaks"][0], drift_b=drift)
+    for x2, z in ((0.0, 0.0), (np.zeros(3), np.zeros(3)), (x, np.zeros(x.shape))):
+        calls.clear()
+        maximize_hamiltonian(two_peaks, 0.0, x2, m, 0.0, z)
+        assert len(calls) == 42
+    calls.clear()
+    maximize_hamiltonian(model, 0.0, 0.0, _measure(), 0.0, 0.5)
+    assert len(calls) == 41
     # a slope with more dimensions than x is refused, also when its leading
     # axis has length 1 and would line up with the actions' axis
     for z in (np.zeros((1, 6, 100)), np.zeros((2, 6, 100))):
@@ -443,6 +461,21 @@ def test_maximizer_work_and_result_shape():
 # ---------------------------------------------------------------------------
 # reduced coefficients / envelope
 # ---------------------------------------------------------------------------
+
+
+def test_nonfinite_coefficients_at_numeric_maximizer_raise():
+    # the search checks only its probes and ends at a = 0.34999999998, inside
+    # the NaN band of L: the node evaluation refuses the NaN running cost
+    cases = _oracle_cases()
+    x = np.zeros(4)
+    zero = lambda t, x: 0.0
+    for case in ("nan-band-state-independent", "nan-band-state-dependent"):
+        model = cases[case][0]
+        for x_node in (0.0, x):
+            with pytest.raises(NumericDomainError, match="numeric maximizer"):
+                reduced_coefficients(model, 0.3, x_node, EmpiricalMeasure(x), 0.0, 0.0)
+        with pytest.raises(NumericDomainError, match="numeric maximizer"):
+            simulate_particles(model, zero, zero, 4, SimGrid(1.0, 5), SeedSpec(0))
 
 
 def test_reduced_coefficients_multitask_closed_form():
