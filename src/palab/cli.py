@@ -102,49 +102,39 @@ def _walk(cfg: dict, path: str):
     return cur
 
 
-_LIST_ITEMS = {"int": "integers", "number": "numbers", "level": "numbers", "str": "strings"}
+# kind: (accepted types, the message's name of one value, of a list's items)
+_KINDS = {
+    "int": (int, "an integer", "integers"),
+    "number": ((int, float, str), "a number", "numbers"),
+    "level": ((int, float, str), "a number", "numbers"),
+    "str": (str, "a string", "strings"),
+    "bool": (bool, "true/false", None),
+    "dict": (dict, "an object", None),
+}
 
 
 def _coerce(path: str, val, kind: str):
     if kind.endswith("-list"):
         item = kind[: -len("-list")]
         if not isinstance(val, list) or not val:
-            raise ConfigError(f"{path}: expected a non-empty list of {_LIST_ITEMS[item]}")
+            raise ConfigError(f"{path}: expected a non-empty list of {_KINDS[item][2]}")
         return [_coerce(f"{path}[{i}]", v, item) for i, v in enumerate(val)]
-    if kind == "int":
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ConfigError(f"{path}: expected an integer, got {val!r}")
-        return int(val)
-    if kind in ("number", "level"):
-        # A number may be written as a string ("1e-3", "inf"); only a level
-        # (a clamp, a truncation, a bound) may be infinite.
-        if isinstance(val, str):
-            try:
-                out = float(val)
-            except ValueError:
-                raise ConfigError(f"{path}: expected a number, got {val!r}") from None
-        elif isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {val!r}")
-        else:
-            out = float(val)
-        if math.isnan(out):
-            raise ConfigError(f"{path}: NaN is not a valid value")
-        if kind == "number" and math.isinf(out):
-            raise ConfigError(f"{path}: must be finite, got {out!r}")
-        return out
-    if kind == "str":
-        if not isinstance(val, str):
-            raise ConfigError(f"{path}: expected a string, got {val!r}")
+    types, name, _ = _KINDS[kind]
+    if not isinstance(val, types) or (isinstance(val, bool) and types is not bool):
+        raise ConfigError(f"{path}: expected {name}, got {val!r}")
+    if kind not in ("number", "level"):
         return val
-    if kind == "bool":
-        if not isinstance(val, bool):
-            raise ConfigError(f"{path}: expected true/false, got {val!r}")
-        return val
-    if kind == "dict":
-        if not isinstance(val, dict):
-            raise ConfigError(f"{path}: expected an object, got {val!r}")
-        return val
-    raise AssertionError(f"unknown kind {kind!r}")
+    # A number may be written as a string ("1e-3", "inf"); only a level
+    # (a clamp, a truncation, a bound) may be infinite.
+    try:
+        out = float(val)
+    except ValueError:
+        raise ConfigError(f"{path}: expected a number, got {val!r}") from None
+    if math.isnan(out):
+        raise ConfigError(f"{path}: NaN is not a valid value")
+    if kind == "number" and math.isinf(out):
+        raise ConfigError(f"{path}: must be finite, got {out!r}")
+    return out
 
 
 def _field(cfg: dict, path: str, kind: str, default=_MISSING, *, ge=None, gt=None, choices=None):
@@ -611,9 +601,10 @@ def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
     ]
     payload = {"n": n, "replications": replications, "per_replication": report["per_replication"]}
     if policy["source"] == "analytic":
+        # at volatility scale s the agent plays gamma_hat / s: E xi = Y0 + 1/2 int (gamma_hat / s)^2
         payload["analytic_reference"] = {
-            "xi_mean": _analytic(plan).xi_mean,
-            "agent_reward": plan["R"],
+            "xi_mean": y0 + _analytic(plan).half_gamma_sq_integral / plan["sigma_scale"] ** 2,
+            "agent_reward": y0,
             "note": "untruncated closed form; truncation or clamping shifts these",
         }
 
@@ -725,15 +716,17 @@ def cmd_policy_opt(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
         },
     }
     if plan["name"] == "multitask":
+        # The agent plays gamma / s at volatility scale s, so s * gamma_hat is
+        # optimal; the limit objective carries no utility U.
         am = _analytic(plan)
         mids = 0.5 * (knots[:-1] + knots[1:])
-        gh = np.array([am.gamma_hat(t) for t in mids])
+        gh = plan["sigma_scale"] * np.array([am.gamma_hat(t) for t in mids])
         payload["analytic"] = {
             "gamma_hat_mid": gh,
             "max_gamma_c0_error": float(np.max(np.abs(best.gamma_c0 - gh))),
             "max_gamma_c1_abs": float(np.max(np.abs(best.gamma_c1))),
-            "value_closed_form": float(model.principal_utility_U(am.V_infinity)),
-            "value_error": float(abs(result.value - model.principal_utility_U(am.V_infinity))),
+            "value_closed_form": am.V_infinity,
+            "value_error": float(abs(result.value - am.V_infinity)),
         }
     _write_results(out_dir, {
         "policy_best.json": _result_json(ec, records, **payload),

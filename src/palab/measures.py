@@ -116,7 +116,4 @@ def wasserstein_p(a: EmpiricalMeasure, b: EmpiricalMeasure, p: float = 1.0) -> f
     else:
         levels = (np.arange(QUANTILE_GRID_SIZE) + 0.5) / QUANTILE_GRID_SIZE
         xa, xb = a.quantiles(levels), b.quantiles(levels)
-    diff = np.abs(xa - xb)
-    if p == 1.0:
-        return float(diff.mean())
-    return float(np.mean(diff**p) ** (1.0 / p))
+    return float(np.mean(np.abs(xa - xb) ** p) ** (1.0 / p))

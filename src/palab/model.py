@@ -336,17 +336,14 @@ def maximize_hamiltonian(model: ModelSpec, t, x, m, e, z):
     a_lo = np.maximum(centre - step, lo)
     a_hi = np.minimum(centre + step, hi)
     c, d = pair[:k], pair[k:]
-    w = np.empty(c.shape)
-    left = np.empty(c.shape, dtype=bool)
     for _ in range(n_iter):
-        np.multiply(np.subtract(a_hi, a_lo, out=w), _INVPHI, out=w)
-        np.subtract(a_hi, w, out=c)
-        np.add(a_lo, w, out=d)
+        span = (a_hi - a_lo) * _INVPHI
+        c[...] = a_hi - span
+        d[...] = a_lo + span
         v = objective(pair)
-        np.greater_equal(v[:k], v[k:], out=left)
-        np.copyto(a_hi, d, where=left)
-        np.logical_not(left, out=left)
-        np.copyto(a_lo, c, where=left)
+        left = v[:k] >= v[k:]
+        a_hi = np.where(left, d, a_hi)
+        a_lo = np.where(left, a_lo, c)
     cands = 0.5 * (a_lo + a_hi)
     if k > 1:
         # a padded rank has the best one's bits: it cannot win or tie

@@ -18,6 +18,7 @@ from conftest import (
     HALF_GAMMA_SQ_FROZEN,
     gamma_hat,
     grid_finite_n_law,
+    grid_limit_law,
     multitask_sweep,
     simpson_gamma_sq_integral,
     variance_se,
@@ -90,6 +91,12 @@ def test_limit_objective_matches_quadrature_oracle(kappa_bar):
     _report(f"limit objective, kappa_bar={kappa_bar}", ok)
     assert ok, (est.value, target, tol)
     assert elapsed <= 120.0, f"took {elapsed:.1f}s"
+
+    # the grid-exact limit value carries no Euler bias, so it needs no floor
+    _, _, _, grid_value = grid_limit_law(kappa_bar, 10.0, am.gamma_hat, SimGrid(1.0, 1000))
+    grid_ok = abs(est.value - grid_value) <= 3.0 * est.se
+    _report(f"limit objective on the grid, kappa_bar={kappa_bar}", grid_ok)
+    assert grid_ok, (est.value, grid_value, est.se)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +391,7 @@ def test_variance_baseline_and_weak_error_halving():
     # weak error is the left-endpoint quadrature term, linear in dt.
     target = 1.0 / 3.0
     errors = []
+    grid_z = []
     for steps in (4, 8):
         knots = np.linspace(0.0, 1.0, steps + 1)
         zeros = np.zeros(steps)
@@ -400,13 +408,18 @@ def test_variance_baseline_and_weak_error_halving():
             seed=SeedSpec(272).child(steps),
         )
         errors.append(abs(est.value - target))
+        # the grid value holds the whole weak error: left-endpoint sums
+        _, _, _, grid_value = grid_limit_law(0.0, math.inf, lambda t: 1.0 + t, SimGrid(1.0, steps))
+        grid_z.append((est.value - grid_value) / est.se)
 
     ratio = errors[0] / errors[1]
     weak_ok = errors[0] > errors[1] > 0 and ratio >= 1.7
+    grid_ok = all(abs(z) <= 3.0 for z in grid_z)
     _report(
         f"terminal variance {var:.4f} (se {var_se:.4f}), "
-        f"weak-error ratio {ratio:.2f}",
-        var_ok and weak_ok,
+        f"weak-error ratio {ratio:.2f}, grid z {grid_z[0]:.2f} and {grid_z[1]:.2f}",
+        var_ok and weak_ok and grid_ok,
     )
     assert var_ok, (var, var_se)
     assert weak_ok, (errors, ratio)
+    assert grid_ok, grid_z

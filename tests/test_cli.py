@@ -356,6 +356,30 @@ def test_contract_eval_options_reach_contract_report(tmp_path):
     assert summary["per_replication"] == report["per_replication"]
 
 
+@pytest.mark.parametrize("sigma_scale, y0", [(2.0, None), (1.0, 1.0)], ids=["sigma-scale-2", "y0-1"])
+def test_contract_eval_reference_follows_scale_and_y0(tmp_path, sigma_scale, y0):
+    # at volatility scale s the agent plays gamma_hat / s, so the analytic
+    # contract pays E xi = Y0 + 1/2 int (gamma_hat / s)^2 and leaves the agent
+    # Y0; both references must hold the measured values within 3 se
+    cfg = {
+        "experiment": "ce-reference",
+        "model": {"name": "multitask", "params": {"kappa_bar": 0.5}, "sigma_scale": sigma_scale},
+        "grid": {"steps": 50},
+        "policy": {"source": "analytic"} if y0 is None else {"source": "analytic", "Y0": y0},
+        "mc": {"master_seed": 3, "n": 200, "replications": 50},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["contract-eval", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "contract_summary.json").read_text())
+    reference = summary["analytic_reference"]
+    records = {r["metric"]: r for r in summary["records"]}
+    half = 0.5 * math.expm1(1.0)  # 1/2 int_0^1 e^(2 * 0.5 * (1 - t)) dt
+    assert reference["xi_mean"] == pytest.approx((y0 or 0.0) + half / sigma_scale**2, rel=1e-14)
+    assert reference["agent_reward"] == (y0 or 0.0)
+    for metric, key in (("xi", "xi_mean"), ("agent_reward", "agent_reward")):
+        assert abs(records[metric]["value"] - reference[key]) <= 3.0 * records[metric]["se"]
+
+
 def test_contract_eval_blowup_exit(tmp_path):
     cfg = {
         "experiment": "ce-blowup",
@@ -482,6 +506,30 @@ def test_policy_opt_outputs(tmp_path):
     assert [int(r["evaluation"]) for r in trace] == list(range(len(trace)))
 
 
+def test_policy_opt_reference_follows_scale_not_utility(tmp_path):
+    # the limit objective carries no utility U, and at volatility scale s the
+    # agent plays gamma / s, so s * gamma_hat is optimal and the optimal value
+    # is V_infinity at every s and under every U
+    def analytic(name, init_gamma=0.6, **model):
+        cfg = {
+            "experiment": "po-reference",
+            "model": {"name": "multitask", "params": {"kappa_bar": 0.0}, **model},
+            "grid": {"steps": 20},
+            "policy": {"knots": 4, "init_gamma": init_gamma, "budget": 80, "parts": ["gamma_c0"]},
+            "mc": {"master_seed": 11, "N_proxy": 2000},
+        }
+        out = tmp_path / name
+        assert cli.main(["policy-opt", "--config", _write_config(tmp_path, cfg, f"{name}.json"), "--out", str(out)]) == 0
+        return json.loads((out / "policy_best.json").read_text())["analytic"]
+
+    identity, exp = analytic("identity"), analytic("exp", utility="exp")
+    scaled = analytic("scaled", init_gamma=1.6, sigma_scale=2.0)  # 0.4 from the optimum, as above
+    assert exp == identity
+    assert identity["value_closed_form"] == scaled["value_closed_form"] == 0.5
+    assert scaled["gamma_hat_mid"] == [2.0 * g for g in identity["gamma_hat_mid"]]
+    assert scaled["max_gamma_c0_error"] <= 0.2
+
+
 def test_policy_opt_knots_must_span_horizon(tmp_path):
     cfg = {
         "experiment": "po-bad",
@@ -567,6 +615,33 @@ _INFINITIES = {"string-inf": "inf", "string-minus-inf": "-inf", "json-inf": math
             for command, cfg, field in _FINITE_ONLY
             for value in _INFINITIES.values()
         ],
+        # these cases give the whole message, so that each one stays word for word
+        ("multitask-convergence", _conv_config(**{"mc.n_list": []}), "mc.n_list: expected a non-empty list of integers\n"),
+        ("contract-eval", _with(_contract_config(), "model.R", [1.0]), "model.R: expected a number, got [1.0]\n"),
+        ("contract-eval", _with(_contract_config(), "model.R", True), "model.R: expected a number, got True\n"),
+        ("contract-eval", _with(_contract_config(), "model.R", "one"), "model.R: expected a number, got 'one'\n"),
+        ("contract-eval", _with(_contract_config(), "model.R", "nan"), "model.R: NaN is not a valid value\n"),
+        ("contract-eval", _with(_contract_config(), "model.utility", 1), "model.utility: expected a string, got 1\n"),
+        ("contract-eval", _with(_contract_config(), "policy.symmetric", 1), "policy.symmetric: expected true/false, got 1\n"),
+        ("contract-eval", [_contract_config()], "top level: expected a JSON object\n"),
+        ("contract-eval", _with(_contract_config(), "mc.master_seed", -1), "mc.master_seed: must be in [0, 2^63), got -1\n"),
+        (
+            "contract-eval",
+            _with(_contract_config(), "mc.master_seed", 2**63),
+            f"mc.master_seed: must be in [0, 2^63), got {2**63}\n",
+        ),
+        (
+            "contract-eval",
+            {**_contract_config(), "model": {"name": "quadratic"}, "policy": {"source": "analytic"}},
+            "policy.source: 'analytic' requires the multitask model\n",
+        ),
+        (
+            "multitask-convergence",
+            _conv_config(model={"name": "quadratic"}),
+            "model.name: multitask-convergence requires the multitask model\n",
+        ),
+        ("contract-eval", _contract_config(deviation={"step": 0.0}), "mc.deviation: need a step > 0 and max > min\n"),
+        ("contract-eval", _contract_config(deviation={"min": 1.0, "max": 1.0}), "mc.deviation: need a step > 0 and max > min\n"),
     ],
     ids=[
         "bounds-reversed",
@@ -583,10 +658,25 @@ _INFINITIES = {"string-inf": "inf", "string-minus-inf": "-inf", "json-inf": math
         "policy-opt-nu-mean-minus-inf",
         "policy-opt-nu-std-inf",
         *[f"{field}-{spelling}" for _, _, field in _FINITE_ONLY for spelling in _INFINITIES],
+        "empty-list",
+        "number-not-a-number",
+        "number-bool",
+        "number-unparsable-string",
+        "number-nan-string",
+        "string-not-a-string",
+        "bool-not-a-bool",
+        "top-level-not-an-object",
+        "master-seed-negative",
+        "master-seed-too-large",
+        "analytic-source-on-quadratic",
+        "convergence-on-quadratic",
+        "deviation-step-zero",
+        "deviation-empty-range",
     ],
 )
 def test_config_error_names_field(tmp_path, capsys, command, cfg, field):
     out = tmp_path / "out"
+    out.mkdir()  # some fields fail before the command would create it
     code = cli.main([command, "--config", _write_config(tmp_path, cfg), "--out", str(out)])
     _assert_one_config_error(capsys, code, field)
     assert os.listdir(out) == []

@@ -100,3 +100,35 @@ def test_only_contracts_g_inverse_calls_g_inverse():
     for path in sorted(Path(palab.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, "<module>")
     assert callers == ["contracts._g_inverse"]
+
+
+def test_names_the_benchmark_harness_binds():
+    # bench/child.py and bench/tracer.py reach into the package by name, so
+    # a rename would crash every traced run rather than fail a test: child.py
+    # wraps cli.load_config, cli.parse_config and a cli._COMMANDS entry, then
+    # runs cli.main and compares with cli.EXIT_OK; tracer.py wraps the public
+    # functions of its LAYERS modules and mkv_control.minimize, and its hooks
+    # bind the parameters below by name (reduced_coefficients' x by position)
+    import importlib
+
+    import palab.cli as cli
+
+    for name in ("load_config", "parse_config", "main"):
+        assert callable(getattr(cli, name)), name
+    assert cli.EXIT_OK == 0
+    assert {"multitask-convergence", "policy-opt", "contract-eval", "chaos"} <= set(cli._COMMANDS)
+
+    layers = ("model", "measures", "sde_engine", "contracts", "mkv_control", "principal_n", "estimates")
+    mods = {layer: importlib.import_module(f"palab.{layer}") for layer in layers}
+    assert callable(mods["mkv_control"].minimize)
+    bound = {
+        ("principal_n", "estimate_n_player_value"): {"n", "grid", "replications"},
+        ("contracts", "joint_deviation_scan"): {"action_grid", "n"},
+        ("mkv_control", "optimize_policy"): {"N_proxy", "grid"},
+        ("sde_engine", "simulate_particles"): {"n", "grid"},
+        ("sde_engine", "simulate_terminal_measure"): {"n", "grid"},
+    }
+    for (layer, fn), names in bound.items():
+        params = inspect.signature(getattr(mods[layer], fn)).parameters
+        assert names <= set(params), f"{layer}.{fn}{inspect.signature(getattr(mods[layer], fn))}"
+    assert list(inspect.signature(mods["model"].reduced_coefficients).parameters)[2] == "x"
