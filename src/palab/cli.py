@@ -113,6 +113,10 @@ _KINDS = {
 }
 
 
+def _too_large(path: str, val: int) -> ConfigError:
+    return ConfigError(f"{path}: must fit in a float, got a {len(str(abs(val)))}-digit integer")
+
+
 def _coerce(path: str, val, kind: str):
     if kind.endswith("-list"):
         item = kind[: -len("-list")]
@@ -130,6 +134,8 @@ def _coerce(path: str, val, kind: str):
         out = float(val)
     except ValueError:
         raise ConfigError(f"{path}: expected a number, got {val!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        raise _too_large(path, val) from None
     if math.isnan(out):
         raise ConfigError(f"{path}: NaN is not a valid value")
     if kind == "number" and math.isinf(out):
@@ -204,6 +210,8 @@ def parse_config(raw, seed_override: Optional[int] = None) -> ExperimentConfig:
     _field(eff, "model", "dict")
     _field(eff, "model.name", "str")
     steps = _field(eff, "grid.steps", "int", ge=1)
+    if steps > sys.float_info.max:  # the grid divides the horizon by it
+        raise _too_large("grid.steps", steps)
     seed = _field(eff, "mc.master_seed", "int")
     if not (0 <= seed < 2**63):
         raise ConfigError(f"mc.master_seed: must be in [0, 2^63), got {seed}")
@@ -603,7 +611,7 @@ def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
     if policy["source"] == "analytic":
         # at volatility scale s the agent plays gamma_hat / s: E xi = Y0 + 1/2 int (gamma_hat / s)^2
         payload["analytic_reference"] = {
-            "xi_mean": y0 + _analytic(plan).half_gamma_sq_integral / plan["sigma_scale"] ** 2,
+            "xi_mean": y0 + 0.5 * _analytic(plan).gamma_sq_integral / plan["sigma_scale"] ** 2,
             "agent_reward": y0,
             "note": "untruncated closed form; truncation or clamping shifts these",
         }

@@ -127,8 +127,8 @@ def _check_level(y, t: float) -> None:
 
 def _replay_steps(contract: Contract, model: ModelSpec, paths: ParticlePaths):
     """Per step of stored paths: (t, dt, H, z/sigma, dX), recomputed at each left node."""
-    times, dt = paths.times, paths.grid.dt
-    for k in range(paths.n_steps):
+    times, dt = paths.grid.nodes, paths.grid.dt
+    for k in range(paths.states.shape[1] - 1):
         t = float(times[k])
         x = paths.states[:, k]
         m = EmpiricalMeasure(x)
@@ -161,28 +161,22 @@ def mkv_contract_payment(
     contract: Contract,
     model: ModelSpec,
     paths: ParticlePaths,
-    return_levels: bool = False,
-):
-    """Limit-regime payment along stored paths: per-path levels, averaged, then inverted.
+) -> tuple[float, np.ndarray]:
+    """(payment, levels): limit-regime payment along stored paths from per-path levels.
 
     Path i accumulates s^i = Y0 - sum_k H^i_k dt + sum_k (z/sigma)^i_k dX^i_k,
     and the payment is g^{-1}(mu_T, mean_i s^i). This is the contract of the
     principal-agent problem with McKean-Vlasov dynamics: on the multitask
     model with gamma_hat it pays R + (1/2) int gamma_hat^2 in expectation and
-    leaves the principal V_infinity. Returns the payment, or (payment,
-    levels) with return_levels=True. A non-finite level raises
-    NumericDomainError at its step.
+    leaves the principal V_infinity. levels holds the n terminal s^i. A
+    non-finite level raises NumericDomainError at its step.
     """
     _check_floor(contract, model)
-    levels = np.full(paths.n_particles, float(contract.Y0))
+    levels = np.full(paths.states.shape[0], float(contract.Y0))
     for t, dt, H, zsig, dX in _replay_steps(contract, model, paths):
         levels = levels - H * dt + zsig * dX
         _check_level(levels, t)
-    terminal = EmpiricalMeasure(paths.states[:, -1])
-    payment = float(_g_inverse(model, terminal, float(np.mean(levels))))
-    if return_levels:
-        return payment, levels
-    return payment
+    return float(_g_inverse(model, EmpiricalMeasure(paths.states[:, -1]), float(np.mean(levels)))), levels
 
 
 def _price(model: ModelSpec, x: np.ndarray, y: np.ndarray, l_acc, lp_acc) -> dict:
@@ -297,7 +291,7 @@ def contract_report(
     v_est = mean_se(res["v"])
     U = model.principal_utility_U
     se_outside = abs(_central_slope(U, v_est.value)) * v_est.se
-    outside = MCEstimate(value=float(U(v_est.value)), se=se_outside, n_samples=replications)
+    outside = MCEstimate(value=float(U(v_est.value)), se=se_outside)
     return {
         "xi": mean_se(res["xi"]),
         "agent_reward": mean_se(res["agent"]),

@@ -13,11 +13,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Point value, its standard error under the producer's sampling scheme, and sample count."""
+    """Point value and its standard error under the producer's sampling scheme."""
 
     value: float
     se: float
-    n_samples: int
 
 
 def mean_se(samples: np.ndarray) -> MCEstimate:
@@ -28,7 +27,7 @@ def mean_se(samples: np.ndarray) -> MCEstimate:
         raise ValueError("mean_se needs at least one sample")
     value = float(arr.mean())
     se = float(arr.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-    return MCEstimate(value, se, m)
+    return MCEstimate(value, se)
 
 
 def _central_slope(f, v: float) -> float:

@@ -188,7 +188,7 @@ def _limit_objective_from_draws(
     # as frozen).
     influence = ups - lp_acc + _central_slope(ghat_p, y_T) * lhat_acc
     se = float(np.std(influence, ddof=1) / math.sqrt(N)) if N > 1 else 0.0
-    return MCEstimate(value=value, se=se, n_samples=N)
+    return MCEstimate(value=value, se=se)
 
 
 def evaluate_limit_objective(
@@ -386,19 +386,10 @@ class MultitaskAnalytic:
         return math.expm1(2.0 * k * self.T) / (2.0 * k)
 
     @property
-    def half_gamma_sq_integral(self) -> float:
-        return 0.5 * self.gamma_sq_integral
-
-    @property
-    def xi_mean(self) -> float:
-        """Expected terminal payment R + (1/2) int gamma_hat^2 dt."""
-        return self.R + self.half_gamma_sq_integral
-
-    @property
     def V_infinity(self) -> float:
         """Limit value -R + exp(kappa_bar T) E[iota] + (1/2) int gamma_hat^2 dt."""
         k = self.params.kappa_bar
-        return -self.R + math.exp(k * self.T) * self.E_iota + self.half_gamma_sq_integral
+        return -self.R + math.exp(k * self.T) * self.E_iota + 0.5 * self.gamma_sq_integral
 
 
 def analytic_multitask(

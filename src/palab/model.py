@@ -168,7 +168,6 @@ def multitask_model(
         principal_utility_U=U,
         initial_law_nu=nu,
         reservation_R=float(R),
-        action_bounds=(-64.0, 64.0),
         analytic_maximizer=lambda t, x, m, e, z: z,
     )
 

@@ -112,18 +112,6 @@ class ParticlePaths:
     grid: SimGrid
     states: np.ndarray
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.nodes
-
-    @property
-    def n_particles(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.states.shape[1] - 1
-
 
 def _initial_states(model: ModelSpec, n: int, rng: Generator) -> np.ndarray:
     """The n initial draws of one ensemble, checked to be a finite length-n vector."""
@@ -292,7 +280,6 @@ def save_paths_csv(paths: ParticlePaths, path: str) -> None:
     """Write paths as CSV with columns (t, particle, state), one row per node and particle."""
     with open(path, "w") as fh:
         fh.write("t,particle,state\n")
-        for k, t in enumerate(paths.times):
-            col = paths.states[:, k]
-            for i in range(paths.n_particles):
-                fh.write(f"{float(t)!r},{i},{float(col[i])!r}\n")
+        for t, col in zip(paths.grid.nodes.tolist(), paths.states.T):
+            for i, x in enumerate(col.tolist()):
+                fh.write(f"{t!r},{i},{x!r}\n")

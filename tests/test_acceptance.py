@@ -113,6 +113,13 @@ def test_terminal_payment_mean_and_variance_rate():
     grid = SimGrid(1.0, 400)
     target = R + 0.5 * simpson_gamma_sq_integral(0.5)
     seed = SeedSpec(505)
+    # On the grid the level is Y_K = R + sum gamma_k^2 dt / 2 + sum gamma_k dWbar_k,
+    # so xi is Gaussian with mean grid_payment (1.160215 here, against the
+    # continuous 1.159141) and variance sum gamma_k^2 dt / n, exactly at every
+    # n. Over seeds 505 and 0-7 the mean checks give |z| <= 2.02 and the
+    # variance checks |z| <= 2.12.
+    _, _, grid_payment, _ = grid_limit_law(0.5, 10.0, gamma_hat(0.5), grid, R=R, nu_var=1.0)
+    gamma_sq_sum = 2.0 * (grid_payment - R)
 
     n_values = [10, 100, 1000]
     variances = []
@@ -120,7 +127,10 @@ def test_terminal_payment_mean_and_variance_rate():
         report = contract_report(contract, model, n, grid, 100, seed.child(i))
         est = report["xi"]
         assert abs(est.value - target) <= 3.0 * est.se, (n, est.value, target, est.se)
+        assert abs(est.value - grid_payment) <= 3.0 * est.se, (n, est.value, grid_payment, est.se)
         variances.append(float(np.var(report["per_replication"]["xi"], ddof=1)))
+        exact = gamma_sq_sum / n  # a Gaussian sample variance of 100 has sd exact * sqrt(2/99)
+        assert abs(variances[-1] - exact) <= 3.0 * exact * math.sqrt(2.0 / 99.0), (n, variances[-1], exact)
 
     slope = float(np.polyfit(np.log(n_values), np.log(variances), 1)[0])
     ok = -1.2 <= slope <= -0.8
@@ -202,6 +212,37 @@ def test_clamp_difference_monotone_and_inverse_b_bound():
     # map b -> b * |J_b - J_ref| peaks near b = 1, so a constant read off at
     # b = 0.5 undershoots there.  See notes on the truncation-rate check.
     assert ok, "\n" + table
+
+
+def test_clamp_difference_table_on_grid():
+    # The N -> infinity Euler law of the cells above is Gaussian, so
+    # b * |U(V_b) - U(V_ref)| is computed, not estimated (grid_limit_law):
+    # 0.0784, 0.1026, 0.0686, 0.0055 and 0.0000 at b = 0.5, 1, 2, 4 and 8.
+    # It is larger at b = 1 than at b = 0.5, so no constant read off at
+    # b = 0.5 bounds it by C / b. The table is printed beside a Monte Carlo
+    # run of the same cells at n = 100, with a quarter of the replications.
+    b_bars = [0.5, 1.0, 2.0, 4.0, 8.0]
+    reference = 64.0
+    grid = SimGrid(1.0, 100)
+    U = exp_saturating_utility
+
+    def limit_utility(b):
+        _, _, _, value = grid_limit_law(0.5, b, gamma_hat(0.5), grid, nu_var=1.0)
+        return float(U(value))
+
+    u_ref = limit_utility(reference)
+    exact = [b * abs(limit_utility(b) - u_ref) for b in b_bars]
+    cells = multitask_sweep(0.5, b_bars + [reference], grid, U, nu=normal_law(0.0, 1.0))
+    rows = gap_sweep(*cells, [100], grid, 500, SeedSpec(11))
+    values = {r["b_bar"]: np.asarray(r["values"]) for r in rows}
+    for b, e in zip(b_bars, exact):
+        d = values[b] - values[reference]  # paired across clamps
+        se = float(np.std(d, ddof=1)) / math.sqrt(len(d))
+        print(f"  b_bar={b:<4} grid b*|dU|={e:.6f} MC b*|dJ|={b * abs(float(np.mean(d))):.6f} se={b * se:.2g}")
+
+    ok = exact[1] > exact[0]
+    _report("clamp difference b * |dU| larger at b = 1 than at b = 0.5", ok)
+    assert ok, exact
 
 
 # ---------------------------------------------------------------------------

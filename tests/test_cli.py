@@ -642,6 +642,14 @@ _INFINITIES = {"string-inf": "inf", "string-minus-inf": "-inf", "json-inf": math
         ),
         ("contract-eval", _contract_config(deviation={"step": 0.0}), "mc.deviation: need a step > 0 and max > min\n"),
         ("contract-eval", _contract_config(deviation={"min": 1.0, "max": 1.0}), "mc.deviation: need a step > 0 and max > min\n"),
+        # JSON integers beyond the float range: a number, a level and a count
+        ("contract-eval", _with(_contract_config(), "model.R", 10**400), "model.R: must fit in a float, got a 401-digit integer\n"),
+        (
+            "contract-eval",
+            _with(_contract_config(), "model.params.b_bar", 10**400),
+            "model.params.b_bar: must fit in a float, got a 401-digit integer\n",
+        ),
+        ("contract-eval", _with(_contract_config(), "grid.steps", 10**400), "grid.steps: must fit in a float, got a 401-digit integer\n"),
     ],
     ids=[
         "bounds-reversed",
@@ -672,6 +680,9 @@ _INFINITIES = {"string-inf": "inf", "string-minus-inf": "-inf", "json-inf": math
         "convergence-on-quadratic",
         "deviation-step-zero",
         "deviation-empty-range",
+        "number-beyond-float-range",
+        "level-beyond-float-range",
+        "steps-beyond-float-range",
     ],
 )
 def test_config_error_names_field(tmp_path, capsys, command, cfg, field):

@@ -199,7 +199,7 @@ def test_mkv_payment_zero_slope_levels():
     model = multitask_model(MultitaskParams(0.5), nu=normal_law())
     c = Contract(Y0=0.4, gamma=_zero, aleph=_zero)
     paths = _simulated(c, model, 20, 10)
-    payment, levels = mkv_contract_payment(c, model, paths, return_levels=True)
+    payment, levels = mkv_contract_payment(c, model, paths)
     assert np.all(levels == 0.4)  # per-path levels never move
     assert abs(payment - 0.4) <= EXACT  # averaging them rounds in the last ulp
 
@@ -211,7 +211,7 @@ def test_mkv_payment_averages_levels_before_inverting():
     cubed = replace(model, g_inverse=lambda m, y: y**3)
     c = Contract(Y0=0.0, gamma=lambda t, x: 1.0, aleph=_zero)
     paths = _simulated(c, model, 30, 12)
-    payment, levels = mkv_contract_payment(c, cubed, paths, return_levels=True)
+    payment, levels = mkv_contract_payment(c, cubed, paths)
     assert payment == float(np.mean(levels)) ** 3
     assert abs(payment - np.mean(levels**3)) > 1e-6  # really a different number
 
@@ -224,7 +224,7 @@ def test_mkv_payment_matches_ensemble_accumulation_for_linear_g():
     c = Contract(Y0=0.0, gamma=_gamma_hat(kappa), aleph=_zero)
     paths = _simulated(c, model, 40, 25)
     xi, _ = evaluate_terminal_payment(c, model, paths)
-    payment = mkv_contract_payment(c, model, paths)
+    payment, _ = mkv_contract_payment(c, model, paths)
     assert abs(xi - payment) <= PATH_TOL
 
 
@@ -249,9 +249,9 @@ def test_mkv_payment_closed_form_on_multitask():
     model = multitask_model(MultitaskParams(kappa), R=R)
     c = Contract(Y0=R, gamma=am.gamma_hat, aleph=_zero)
     paths = _simulated(c, model, N, 100)
-    xi, levels = mkv_contract_payment(c, model, paths, return_levels=True)
+    xi, levels = mkv_contract_payment(c, model, paths)
     se_xi = float(np.std(levels, ddof=1)) / math.sqrt(N)
-    assert abs(xi - am.xi_mean) <= 3.0 * se_xi
+    assert abs(xi - (R + 0.5 * am.gamma_sq_integral)) <= 3.0 * se_xi
     x_T = paths.states[:, -1]
     se_v = float(np.std(x_T - levels, ddof=1)) / math.sqrt(N)
     assert abs(float(np.mean(x_T)) - xi - am.V_infinity) <= 3.0 * se_v
@@ -263,7 +263,7 @@ def test_mkv_payment_closed_form_on_multitask():
     values = [float(np.mean(x_T)) - xi]
     for key in range(1, 8):
         more = _simulated(c, model, N, 100, key=key)
-        values.append(float(np.mean(more.states[:, -1])) - mkv_contract_payment(c, model, more))
+        values.append(float(np.mean(more.states[:, -1])) - mkv_contract_payment(c, model, more)[0])
     se_value = float(np.std(values, ddof=1)) / math.sqrt(len(values))
     assert abs(float(np.mean(values)) - grid_value) <= 3.0 * se_value
 

@@ -101,8 +101,7 @@ def test_simulation_bitwise_deterministic():
     assert p1.states.tobytes() != p3.states.tobytes()
     # shapes and grid bookkeeping
     assert p1.states.shape == (50, 26)
-    assert p1.n_particles == 50 and p1.n_steps == 25
-    assert p1.grid == grid and np.array_equal(p1.times, grid.nodes)
+    assert p1.grid == grid
 
 
 def test_exchangeability_under_relabeling():
@@ -358,7 +357,7 @@ def test_ensemble_mean_replays_linear_recursion():
     xbar = float(np.mean(paths.states[:, 0]))
     dt = grid.dt
     for k in range(grid.steps):
-        t = float(paths.times[k])
+        t = float(paths.grid.nodes[k])
         xbar = xbar + (gamma(t, None) + kappa * xbar) * dt + float(
             np.mean(increments[:, k])
         )
