@@ -30,14 +30,12 @@ from .mkv_control import (
     MultitaskAnalytic,
     PolicyOptResult,
     PolicyParam,
-    analytic_multitask,
     evaluate_limit_objective,
     optimize_policy,
 )
 from .model import (
     AmbiguousMaximizerError,
     ModelSpec,
-    MultitaskParams,
     NumericDomainError,
     exp_saturating_utility,
     hamiltonian_h,
@@ -78,7 +76,6 @@ __all__ = [
     "MCEstimate",
     "ModelSpec",
     "MultitaskAnalytic",
-    "MultitaskParams",
     "NumericDomainError",
     "ParticlePaths",
     "PolicyOptResult",
@@ -87,7 +84,6 @@ __all__ = [
     "SeedSpec",
     "SimGrid",
     "SimulationBlowupError",
-    "analytic_multitask",
     "contract_report",
     "estimate_n_player_value",
     "evaluate_limit_objective",

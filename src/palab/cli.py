@@ -36,14 +36,13 @@ from .contracts import (
 from .measures import EmpiricalMeasure, wasserstein_p
 from .mkv_control import (
     POLICY_PARTS,
+    MultitaskAnalytic,
     PolicyParam,
-    analytic_multitask,
     evaluate_limit_objective,
     optimize_policy,
 )
 from .model import (
     AmbiguousMaximizerError,
-    MultitaskParams,
     NumericDomainError,
     exp_saturating_utility,
     hamiltonian_h,
@@ -78,6 +77,7 @@ EXIT_CHECK_FAILED = 4
 EXIT_NUMERIC = 5
 
 _MISSING = object()  # an absent field, and the default of a required one
+_read: set = set()  # the key paths _field was asked for since the last parse_config
 
 
 class ConfigError(Exception):
@@ -153,6 +153,7 @@ def _field(cfg: dict, path: str, kind: str, default=_MISSING, *, ge=None, gt=Non
     bound the value or, for a list, each entry. Every failure is a
     ConfigError whose message starts with the path.
     """
+    _read.add(tuple(path.split(".")))
     val = _walk(cfg, path)
     if val is _MISSING or (val is None and default is not _MISSING):
         if default is _MISSING:
@@ -167,6 +168,20 @@ def _field(cfg: dict, path: str, kind: str, default=_MISSING, *, ge=None, gt=Non
         if choices is not None and v not in choices:
             raise ConfigError(f"{path}: expected one of {', '.join(map(repr, choices))}; got {v!r}")
     return val
+
+
+def _reject_unread(cfg: dict, keys: tuple = ()) -> None:
+    """ConfigError naming the first non-null leaf of cfg that no _field call has read.
+
+    A command calls it after its last read and before any work, so a
+    misspelled key or one of another branch is not silently ignored.
+    """
+    for key, val in cfg.items():
+        path = (*keys, key)
+        if isinstance(val, dict):
+            _reject_unread(val, path)
+        elif val is not None and path not in _read:
+            raise ConfigError(f"{'.'.join(path)}: unknown field")
 
 
 def config_hash(cfg: dict) -> str:
@@ -196,8 +211,10 @@ def parse_config(raw, seed_override: Optional[int] = None) -> ExperimentConfig:
     grid.steps (no silent time step) and mc.master_seed (no wall-clock
     seeding) are mandatory for every command. A --seed flag replaces the
     master seed *before* hashing, so the hash always matches the run; an mc
-    block that is present but not an object is then a ConfigError.
+    block that is present but not an object is then a ConfigError. It
+    starts a new record of the fields read, which _reject_unread checks.
     """
+    _read.clear()
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
     eff = copy.deepcopy(raw)
@@ -268,8 +285,7 @@ def _build_model(plan: dict):
         nu = normal_law(plan["E_iota"], plan["nu_std"])
     U = identity_utility if plan["utility"] == "identity" else exp_saturating_utility
     if plan["name"] == "multitask":
-        params = MultitaskParams(plan["kappa_bar"], plan["b_bar"])
-        model = multitask_model(params, R=plan["R"], nu=nu, U=U)
+        model = multitask_model(plan["kappa_bar"], plan["b_bar"], R=plan["R"], nu=nu, U=U)
     else:
         model = quadratic_generic_model(
             a_base=plan["a_base"], sigma0=plan["sigma0"], R=plan["R"], nu=nu, U=U
@@ -283,9 +299,7 @@ def _build_model(plan: dict):
 
 def _analytic(plan: dict):
     """Closed-form solution of the multitask limit problem of a model plan."""
-    return analytic_multitask(
-        MultitaskParams(plan["kappa_bar"]), R=plan["R"], T=plan["T"], E_iota=plan["E_iota"]
-    )
+    return MultitaskAnalytic(plan["kappa_bar"], R=plan["R"], T=plan["T"], E_iota=plan["E_iota"])
 
 
 def _feedback_plan(cfg: dict, model: dict) -> dict:
@@ -306,8 +320,7 @@ def _feedback(model: dict, policy: dict):
     aleph_value = policy["aleph_value"]
     aleph = lambda t, x: aleph_value
     if policy["source"] == "analytic":
-        am = _analytic(model)
-        return (lambda t, x: am.gamma_hat(t)), aleph
+        return _analytic(model).gamma_hat, aleph
     value = policy["value"]
     return (lambda t, x: value), aleph
 
@@ -395,12 +408,18 @@ def _write_run_meta(out_dir: str, command: str, ec: ExperimentConfig, workers: i
 
 
 def _map_ordered(fn: Callable, plan, count: int, workers: int) -> list:
-    """[fn(plan, i) for i in range(count)], on a pool when it helps; fn must use (plan, i) alone."""
-    if workers <= 1 or count <= 1:
+    """[fn(plan, i) for i in range(count)], on a pool when it helps; fn must use (plan, i) alone.
+
+    The pool has at most one process per task and per CPU this process may
+    run on, since every worker is started at once.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, count, cpus)
+    if workers <= 1:
         return [fn(plan, i) for i in range(count)]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(workers, count)) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, [plan] * count, range(count)))
 
 
@@ -466,6 +485,7 @@ def cmd_multitask_convergence(ec: ExperimentConfig, out_dir: str, workers: int) 
         "b_bar_list": _field(cfg, "mc.b_bar_list", "level-list", gt=0),
         "replications": _field(cfg, "mc.replications", "int", ge=2),
     }
+    _reject_unread(cfg)
     n_list, b_bar_list = plan["n_list"], plan["b_bar_list"]
 
     cells = [
@@ -595,6 +615,7 @@ def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
     replications = _field(cfg, "mc.replications", "int", ge=2)
     deviation = _deviation_config(cfg, replications)
     dump_paths = _field(cfg, "output.dump_paths", "bool", False)
+    _reject_unread(cfg)
 
     model = _build_model(plan)
     gamma, aleph = _feedback(plan, policy)
@@ -688,6 +709,7 @@ def cmd_policy_opt(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
     parts = tuple(_field(cfg, "policy.parts", "str-list", ["gamma"], choices=POLICY_PARTS))
     budget = _field(cfg, "policy.budget", "int", 400, ge=1)
     N_proxy = _field(cfg, "mc.N_proxy", "int", 20_000, ge=2)
+    _reject_unread(cfg)
 
     model = _build_model(plan)
     m = len(knots) - 1
@@ -711,10 +733,10 @@ def cmd_policy_opt(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
     )
 
     best = result.policy
-    records = [("best_value", result.value, result.se), ("initial_value", result.initial_value, None)]
+    records = [("best_value", result.value, result.se), ("initial_value", result.trace[0], None)]
     payload = {
         "converged": result.converged,
-        "n_evaluations": result.n_evaluations,
+        "n_evaluations": len(result.trace),
         "policy": {
             "knots": best.knots,
             "gamma_c0": best.gamma_c0,
@@ -760,6 +782,7 @@ def cmd_chaos(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
         "N_proxy": _field(cfg, "mc.N_proxy", "int", ge=2),
     }
     replications = _field(cfg, "mc.replications", "int", 20, ge=1)
+    _reject_unread(cfg)
     n_list = plan["n_list"]
 
     w = np.array(_map_ordered(_chaos_worker, plan, replications, workers))  # (reps, len(n_list))
@@ -798,11 +821,10 @@ def cmd_chaos(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
 
 def _check_limit_oracle(seed: SeedSpec) -> dict:
     """kappa_bar = 0 limit objective equals 0.5 within noise."""
-    model = multitask_model(MultitaskParams(0.0, 10.0))
-    am = analytic_multitask(MultitaskParams(0.0))
+    model = multitask_model(0.0, 10.0)
     grid = SimGrid(1.0, 200)
     est = evaluate_limit_objective(
-        model, (lambda t, x: am.gamma_hat(t), lambda t, x: 0.0), N_proxy=20_000, grid=grid, seed=seed
+        model, (MultitaskAnalytic(0.0).gamma_hat, lambda t, x: 0.0), N_proxy=20_000, grid=grid, seed=seed
     )
     tol = max(5.0 * est.se, 5e-3)
     return {
@@ -816,10 +838,9 @@ def _check_limit_oracle(seed: SeedSpec) -> dict:
 def _check_consistency(seed: SeedSpec) -> dict:
     """n-player estimator and contract evaluator agree to 1e-12 on shared draws."""
     n = 16  # self_check.json records the check at this size
-    model = multitask_model(MultitaskParams(0.5, 10.0))
-    am = analytic_multitask(MultitaskParams(0.5))
+    model = multitask_model(0.5, 10.0)
     grid = SimGrid(1.0, 50)
-    contract = Contract(Y0=0.0, gamma=lambda t, x: am.gamma_hat(t), aleph=lambda t, x: 0.0)
+    contract = Contract(Y0=0.0, gamma=MultitaskAnalytic(0.5).gamma_hat, aleph=lambda t, x: 0.0)
     _, details = estimate_n_player_value(model, contract.gamma, contract.aleph, n, grid, 1, seed)
     paths = simulate_particles(model, contract.gamma_l, contract.aleph_l, n, grid, seed.child(0))
     xi, y_path = evaluate_terminal_payment(contract, model, paths)
@@ -834,7 +855,7 @@ def _check_consistency(seed: SeedSpec) -> dict:
 
 def _check_envelope(seed: SeedSpec) -> dict:
     """H dominates h over random probes with equality at the maximizer."""
-    model = multitask_model(MultitaskParams(0.3, 10.0))
+    model = multitask_model(0.3, 10.0)
     rng = seed.generator()
     m = EmpiricalMeasure(rng.normal(size=30))
     violations = 0
@@ -880,7 +901,7 @@ def _check_wasserstein(seed: SeedSpec) -> dict:
 
 def _check_terminal_variance(seed: SeedSpec) -> dict:
     """Zero-effort system is driftless: Var(X_T) = T within chi-square noise."""
-    model = multitask_model(MultitaskParams(0.0, 10.0))
+    model = multitask_model(0.0, 10.0)
     grid = SimGrid(1.0, 50)
     n = 20_000
     m = simulate_terminal_measure(model, lambda t, x: 0.0, lambda t, x: 0.0, n, grid, seed)
@@ -895,7 +916,7 @@ def _check_quadrature(seed: SeedSpec) -> dict:
     t = 0.5 * (nodes + 1.0)  # [-1, 1] mapped onto [0, 1]
     worst = 0.0
     for kappa in (-1.0, -0.5, 0.0, 0.5, 1.0):
-        am = analytic_multitask(MultitaskParams(kappa))
+        am = MultitaskAnalytic(kappa)
         target = 0.5 * float(weights @ np.exp(2.0 * kappa * (1.0 - t)))
         worst = max(worst, abs(am.gamma_sq_integral - target))
     return {"passed": worst <= 1e-8, "observed": worst, "tolerance": 1e-8}
@@ -923,7 +944,7 @@ def _check_seed_streams(seed: SeedSpec) -> dict:
     a = seed.generator(5).standard_normal(4)
     b = seed.child(5).generator().standard_normal(4)
     c = seed.generator(6).standard_normal(4)
-    model = multitask_model(MultitaskParams(0.25, 10.0))
+    model = multitask_model(0.25, 10.0)
     grid = SimGrid(1.0, 20)
     pol = (lambda t, x: 1.0, lambda t, x: 0.0)
     e1 = evaluate_limit_objective(model, pol, N_proxy=2_000, grid=grid, seed=seed.child(7))
@@ -1004,7 +1025,8 @@ def main(argv: Optional[list] = None) -> int:
         if args.workers < 1:
             raise ConfigError(f"--workers: must be >= 1, got {args.workers}")
         ec = parse_config(load_config(args.config), seed_override=args.seed)
-        out_dir = args.out or _field(ec.raw, "output.directory", "str", None)
+        configured = _field(ec.raw, "output.directory", "str", None)  # --out overrides it
+        out_dir = args.out or configured
         if out_dir is None:
             raise ConfigError("output.directory: required (or pass --out)")
         try:

@@ -14,7 +14,7 @@ random numbers, so the objective it sees is a deterministic function of the
 parameters.
 
 The linear-interaction quadratic-cost model has a closed-form solution
-(analytic_multitask): slope gamma_hat(t) = exp(kappa_bar (T - t)) and value
+(MultitaskAnalytic): slope gamma_hat(t) = exp(kappa_bar (T - t)) and value
 V_inf = -R + exp(kappa_bar T) E[iota] + expm1(2 kappa_bar T) / (4 kappa_bar),
 with the kappa_bar -> 0 limit T/2 for the last term.
 """
@@ -31,7 +31,7 @@ import numpy as np
 from .contracts import _g_inverse
 from .estimates import MCEstimate, _central_slope
 from .measures import EmpiricalMeasure
-from .model import ModelSpec, MultitaskParams, NumericDomainError
+from .model import ModelSpec, NumericDomainError
 from .sde_engine import SeedSpec, SimGrid, _euler_steps, _stream
 
 _COEFF_FIELDS = ("gamma_c0", "gamma_c1", "aleph_c0", "aleph_c1")
@@ -297,10 +297,8 @@ class PolicyOptResult:
     policy: PolicyParam
     value: float
     se: float
-    initial_value: float
-    n_evaluations: int
     converged: bool
-    trace: list  # objective value at every evaluation, in order
+    trace: list  # objective value at every evaluation, in order; trace[0] is the initial policy's
 
 
 def optimize_policy(
@@ -341,7 +339,7 @@ def optimize_policy(
         return est.value
 
     v0 = initial.to_vector(parts)
-    initial_value = value_of(v0)
+    value_of(v0)
     box = None
     if initial.bounds is not None:
         box = (float(initial.bounds[0]), float(initial.bounds[1]))
@@ -352,8 +350,6 @@ def optimize_policy(
         policy=initial.replace_from_vector(best["vec"], parts),
         value=best["value"],
         se=best["se"],
-        initial_value=initial_value,
-        n_evaluations=len(trace),
         converged=converged,
         trace=trace,
     )
@@ -366,21 +362,25 @@ def optimize_policy(
 
 @dataclass(frozen=True)
 class MultitaskAnalytic:
-    """Closed-form optimal slope and value of the unclamped multitask model."""
+    """Closed-form optimal slope and value of the multitask limit problem.
 
-    params: MultitaskParams
-    R: float
-    T: float
-    E_iota: float
+    Exact for the unclamped model (b_bar = inf); for a finite clamp level it
+    is still the limit while the mean state stays inside the clamp.
+    """
+
+    kappa_bar: float
+    R: float = 0.0
+    T: float = 1.0
+    E_iota: float = 0.0
 
     def gamma_hat(self, t, x=None):
         """Optimal slope exp(kappa_bar (T - t)); x accepted and ignored."""
-        return np.exp(self.params.kappa_bar * (self.T - np.asarray(t, dtype=float)))
+        return np.exp(self.kappa_bar * (self.T - np.asarray(t, dtype=float)))
 
     @property
     def gamma_sq_integral(self) -> float:
         """int_0^T gamma_hat(t)^2 dt."""
-        k = self.params.kappa_bar
+        k = self.kappa_bar
         if k == 0.0:
             return self.T
         return math.expm1(2.0 * k * self.T) / (2.0 * k)
@@ -388,16 +388,5 @@ class MultitaskAnalytic:
     @property
     def V_infinity(self) -> float:
         """Limit value -R + exp(kappa_bar T) E[iota] + (1/2) int gamma_hat^2 dt."""
-        k = self.params.kappa_bar
+        k = self.kappa_bar
         return -self.R + math.exp(k * self.T) * self.E_iota + 0.5 * self.gamma_sq_integral
-
-
-def analytic_multitask(
-    params: MultitaskParams, R: float = 0.0, T: float = 1.0, E_iota: float = 0.0
-) -> MultitaskAnalytic:
-    """Closed-form solution of the multitask limit problem (no clamp).
-
-    Valid for the unclamped model (b_bar = inf); for finite clamp levels it
-    remains the correct limit whenever the mean state stays inside the clamp.
-    """
-    return MultitaskAnalytic(params=params, R=float(R), T=float(T), E_iota=float(E_iota))

@@ -76,21 +76,6 @@ class ModelSpec:
     analytic_maximizer: Optional[Callable] = None  # (t, x, m, e, z) -> action
 
 
-@dataclass(frozen=True)
-class MultitaskParams:
-    """Interaction strength and clamp level of the multitask model.
-
-    b_bar may be math.inf, in which case the clamp is the identity.
-    """
-
-    kappa_bar: float
-    b_bar: float = math.inf
-
-    def __post_init__(self):
-        if not (self.b_bar > 0):
-            raise ValueError(f"b_bar must be > 0 (or inf), got {self.b_bar}")
-
-
 # ---------------------------------------------------------------------------
 # Initial laws
 # ---------------------------------------------------------------------------
@@ -133,32 +118,11 @@ def exp_saturating_utility(v):
 # ---------------------------------------------------------------------------
 
 
-def multitask_model(
-    params: MultitaskParams,
-    R: float = 0.0,
-    nu: Callable | None = None,
-    U: Callable = identity_utility,
-) -> ModelSpec:
-    """The linear-interaction quadratic-cost benchmark model.
-
-    drift(t,x,m,e,a) = a + kappa_bar · clamped_mean(m, b_bar), sigma = 1,
-    L = -a²/2, g and g_P are the identity in the payment, Upsilon(x) = x,
-    L_P = 0, and the action Hamiltonian's maximizer is analytic: alpha = z.
-    """
-    kappa = float(params.kappa_bar)
-    b_bar = float(params.b_bar)
-    if nu is None:
-        nu = point_mass(0.0)
-
-    def drift(t, x, m, e, a):
-        return a + kappa * m.clamped_mean(b_bar)
-
-    def cost(t, x, m, e, a):
-        return -0.5 * np.square(a)
-
+def _identity_model(drift, sigma: float, cost, R, nu, U, **extra) -> ModelSpec:
+    """A built-in model: g, g^{-1}, g_P and Upsilon the identity, L_P = 0, nu by default point_mass(0)."""
     return ModelSpec(
         drift_b=drift,
-        vol_sigma=lambda t, x: 1.0,
+        vol_sigma=lambda t, x: sigma,
         running_cost_L=cost,
         terminal_utility_g=lambda m, e: e,
         g_inverse=lambda m, y: y,
@@ -166,9 +130,37 @@ def multitask_model(
         principal_terminal_cost_gP=lambda m, e: e,
         production_utility_Upsilon=lambda x: x,
         principal_utility_U=U,
-        initial_law_nu=nu,
+        initial_law_nu=point_mass(0.0) if nu is None else nu,
         reservation_R=float(R),
-        analytic_maximizer=lambda t, x, m, e, z: z,
+        **extra,
+    )
+
+
+def multitask_model(
+    kappa_bar: float,
+    b_bar: float = math.inf,
+    R: float = 0.0,
+    nu: Callable | None = None,
+    U: Callable = identity_utility,
+) -> ModelSpec:
+    """The linear-interaction quadratic-cost benchmark model.
+
+    drift(t,x,m,e,a) = a + kappa_bar · clamped_mean(m, b_bar), sigma = 1,
+    L = -a²/2, and the action Hamiltonian's maximizer is analytic: alpha = z.
+    The clamp level b_bar must be > 0; math.inf makes the clamp the identity.
+    """
+    kappa, b_bar = float(kappa_bar), float(b_bar)
+    if not b_bar > 0:
+        raise ValueError(f"b_bar must be > 0 (or inf), got {b_bar}")
+
+    def drift(t, x, m, e, a):
+        return a + kappa * m.clamped_mean(b_bar)
+
+    def cost(t, x, m, e, a):
+        return -0.5 * np.square(a)
+
+    return _identity_model(
+        drift, 1.0, cost, R, nu, U, analytic_maximizer=lambda t, x, m, e, z: z
     )
 
 
@@ -181,28 +173,19 @@ def quadratic_generic_model(
 ) -> ModelSpec:
     """A demo model on the numeric maximizer: drift = a, sigma = sigma0, L = -(a - a_base)²/2.
 
-    The maximizer of b·z + L is a_base + z, deliberately not registered so
-    that this model runs the numeric search. g, g_P identity; Upsilon(x) = x;
-    L_P = 0.
+    sigma0 must be finite and > 0. The maximizer of b·z + L is a_base + z,
+    deliberately not registered so that this model runs the numeric search.
     """
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
-    if nu is None:
-        nu = point_mass(0.0)
-    return ModelSpec(
-        drift_b=lambda t, x, m, e, a: np.asarray(a, dtype=float) + 0.0,
-        vol_sigma=lambda t, x: float(sigma0),
-        running_cost_L=lambda t, x, m, e, a: -0.5 * np.square(a - a_base),
-        terminal_utility_g=lambda m, e: e,
-        g_inverse=lambda m, y: y,
-        principal_running_cost_LP=lambda t, e: 0.0,
-        principal_terminal_cost_gP=lambda m, e: e,
-        production_utility_Upsilon=lambda x: x,
-        principal_utility_U=U,
-        initial_law_nu=nu,
-        reservation_R=float(R),
+    if not 0 < sigma0 < math.inf:
+        raise ValueError(f"sigma0 must be finite and > 0, got {sigma0}")
+    return _identity_model(
+        lambda t, x, m, e, a: np.asarray(a, dtype=float) + 0.0,
+        float(sigma0),
+        lambda t, x, m, e, a: -0.5 * np.square(a - a_base),
+        R,
+        nu,
+        U,
         action_bounds=(-8.0, 8.0),
-        analytic_maximizer=None,
     )
 
 

@@ -12,8 +12,8 @@ import numpy as np
 from hypothesis import settings
 
 from palab.measures import EmpiricalMeasure
-from palab.mkv_control import analytic_multitask
-from palab.model import MultitaskParams, multitask_model
+from palab.mkv_control import MultitaskAnalytic
+from palab.model import multitask_model
 
 # Property tests draw their examples from a fixed seed (derandomize), so a
 # run is reproducible and the suite's time is bounded; no example database
@@ -69,32 +69,37 @@ def _clipped_normal_mean(mean: float, var: float, b_bar: float) -> float:
     return -b_bar * cdf(lo) + b_bar * (1.0 - cdf(hi)) + inside
 
 
-def grid_limit_law(kappa_bar, b_bar, gamma, grid, R=0.0, nu_mean=0.0, nu_var=0.0):
+def grid_limit_law(kappa_bar, b_bar, gamma, grid, R=0.0, nu_mean=0.0, nu_var=0.0, gamma_c1=None):
     """(means, variances, payment, value) of the multitask limit law on the Euler grid.
 
-    For N -> infinity the clamped mean is deterministic, so under an
-    x-independent slope gamma(t) and a point-mass (nu_var = 0) or normal
-    initial law every node law is Gaussian, for any b_bar:
+    For N -> infinity the clamped mean is deterministic, so under a slope
+    c0_k + c1_k x that is affine in x on each step, with c0_k = gamma(t_k)
+    and c1_k = gamma_c1(t_k) (0 when gamma_c1 is None), and a point-mass
+    (nu_var = 0) or normal initial law, every node law is Gaussian, for any
+    b_bar:
 
-        m_{k+1} = m_k + (gamma(t_k) + kappa_bar E[clip(X_k, -b_bar, b_bar)]) dt,
-        v_{k+1} = v_k + dt   (sigma = 1).
+        m_{k+1} = m_k + (c0_k + c1_k m_k + kappa_bar E[clip(X_k, -b_bar, b_bar)]) dt,
+        v_{k+1} = (1 + c1_k dt)^2 v_k + dt   (sigma = 1, alpha = z).
 
     means and variances hold the steps+1 node values. The limit contract pays
-    R + (1/2) sum_k gamma(t_k)^2 dt, and the principal's value is
-    m_K - payment (Upsilon = x, g and g_P the identity, L_P = 0). Like the
-    Simpson oracle, it calls nothing in palab; grid only gives horizon_T and
-    steps.
+    R + (1/2) sum_k E[(c0_k + c1_k X_k)^2] dt
+      = R + (1/2) sum_k [(c0_k + c1_k m_k)^2 + c1_k^2 v_k] dt,
+    and the principal's value is m_K - payment (Upsilon = x, g and g_P the
+    identity, L_P = 0). Like the Simpson oracle, it calls nothing in palab;
+    grid only gives horizon_T and steps.
     """
     dt = grid.horizon_T / grid.steps
     times = np.linspace(0.0, grid.horizon_T, grid.steps + 1)
     means, variances = [float(nu_mean)], [float(nu_var)]
     payment = float(R)
     for t in times[:-1]:
-        g = float(gamma(t))
-        drift = g + kappa_bar * _clipped_normal_mean(means[-1], variances[-1], b_bar)
-        means.append(means[-1] + drift * dt)
-        variances.append(variances[-1] + dt)
-        payment += 0.5 * g * g * dt
+        c1 = 0.0 if gamma_c1 is None else float(gamma_c1(t))
+        m, v = means[-1], variances[-1]
+        g = float(gamma(t)) + c1 * m
+        drift = g + kappa_bar * _clipped_normal_mean(m, v, b_bar)
+        means.append(m + drift * dt)
+        variances.append((1.0 + c1 * dt) ** 2 * v + dt)
+        payment += 0.5 * g * g * dt + 0.5 * c1 * c1 * v * dt
     return np.array(means), np.array(variances), payment, means[-1] - payment
 
 
@@ -145,8 +150,8 @@ def multitask_sweep(kappa_bar: float, b_bars, grid, U, nu=None):
     gamma_hat and the limit value U(V_infinity), both on the grid's horizon.
     nu (default: point mass at 0) must have mean 0, the E[iota] of the limit.
     """
-    models = [(b, multitask_model(MultitaskParams(kappa_bar, b), nu=nu, U=U)) for b in b_bars]
-    am = analytic_multitask(MultitaskParams(kappa_bar), T=grid.horizon_T)
+    models = [(b, multitask_model(kappa_bar, b, nu=nu, U=U)) for b in b_bars]
+    am = MultitaskAnalytic(kappa_bar, T=grid.horizon_T)
     return models, am.gamma_hat, float(U(am.V_infinity))
 
 

@@ -25,11 +25,10 @@ from conftest import (
 )
 from palab import (
     Contract,
-    MultitaskParams,
+    MultitaskAnalytic,
     PolicyParam,
     SeedSpec,
     SimGrid,
-    analytic_multitask,
     contract_report,
     evaluate_limit_objective,
     exp_saturating_utility,
@@ -69,9 +68,8 @@ CRIT1_KAPPAS = [-0.5, 0.0, 0.5]
 def test_limit_objective_matches_quadrature_oracle(kappa_bar):
     # identity utility, point-mass start at 0, R = 0, unit horizon, clamp 10
     start = time.monotonic()
-    params = MultitaskParams(kappa_bar, b_bar=10.0)
-    model = multitask_model(params)
-    am = analytic_multitask(params)
+    model = multitask_model(kappa_bar, 10.0)
+    am = MultitaskAnalytic(kappa_bar)
     est = evaluate_limit_objective(
         model,
         (am.gamma_hat, _zero),
@@ -105,10 +103,9 @@ def test_limit_objective_matches_quadrature_oracle(kappa_bar):
 
 
 def test_terminal_payment_mean_and_variance_rate():
-    params = MultitaskParams(0.5, b_bar=10.0)
     R = 0.3
-    model = multitask_model(params, R=R, nu=normal_law(0.0, 1.0))
-    am = analytic_multitask(params, R=R)
+    model = multitask_model(0.5, 10.0, R=R, nu=normal_law(0.0, 1.0))
+    am = MultitaskAnalytic(0.5, R=R)
     contract = Contract(Y0=R, gamma=am.gamma_hat, aleph=_zero)
     grid = SimGrid(1.0, 400)
     target = R + 0.5 * simpson_gamma_sq_integral(0.5)
@@ -251,10 +248,9 @@ def test_clamp_difference_table_on_grid():
 
 
 def test_joint_deviations_never_beat_recommended_controls():
-    params = MultitaskParams(0.5, b_bar=10.0)
     R = 0.3
-    model = multitask_model(params, R=R)
-    am = analytic_multitask(params, R=R)
+    model = multitask_model(0.5, 10.0, R=R)
+    am = MultitaskAnalytic(0.5, R=R)
     contract = Contract(Y0=R, gamma=am.gamma_hat, aleph=_zero)
     action_grid = np.linspace(-3.0, 3.0, 25)  # step 0.25
 
@@ -279,7 +275,7 @@ def test_joint_deviations_never_beat_recommended_controls():
 def test_hamiltonian_envelope_zero_violations():
     rng = np.random.default_rng(808)
     models = [
-        multitask_model(MultitaskParams(0.7, b_bar=5.0)),
+        multitask_model(0.7, b_bar=5.0),
         quadratic_generic_model(a_base=0.4, sigma0=1.3),
     ]
     probes = np.linspace(-8.0, 8.0, 1000)
@@ -305,9 +301,8 @@ def test_hamiltonian_envelope_zero_violations():
 
 
 def test_wasserstein_convergence_rate():
-    params = MultitaskParams(0.5, b_bar=10.0)
-    model = multitask_model(params, nu=normal_law(0.0, 1.0))
-    am = analytic_multitask(params)
+    model = multitask_model(0.5, 10.0, nu=normal_law(0.0, 1.0))
+    am = MultitaskAnalytic(0.5)
     grid = SimGrid(1.0, 20)
     master = SeedSpec(90210)
     n_values = [100, 1000, 10_000]
@@ -336,9 +331,8 @@ def test_wasserstein_convergence_rate():
 
 
 def test_policy_search_recovers_closed_form():
-    params = MultitaskParams(0.5)
-    model = multitask_model(params)
-    am = analytic_multitask(params)
+    model = multitask_model(0.5)
+    am = MultitaskAnalytic(0.5)
     knots = np.linspace(0.0, 1.0, 9)
     m = len(knots) - 1
     initial = PolicyParam(
@@ -357,7 +351,7 @@ def test_policy_search_recovers_closed_form():
         budget=3000,
         parts=("gamma",),  # knot values and state coefficients both free
     )
-    assert result.value >= result.initial_value
+    assert result.value >= result.trace[0]
 
     mids = 0.5 * (knots[:-1] + knots[1:])
     targets = np.array([am.gamma_hat(t) for t in mids])
@@ -372,15 +366,29 @@ def test_policy_search_recovers_closed_form():
     )
     value_err = abs(final.value - am.V_infinity)
 
-    ok = knot_err <= 0.05 and state_mag <= 0.05 and value_err <= 0.02
+    # The grid value of the recovered policy, whose slope is affine in x on
+    # each interval: 0.856031 here (V_infinity = 0.859141). The se treats
+    # the measure as frozen, so it understates the spread by about
+    # sqrt((e^(2 kappa) - 1) / (2 kappa)) = 1.3; over evaluation seeds 991
+    # and 0-7 the check still gives |z| <= 2.32.
+    pol = result.policy
+    interval = lambda t: min(max(int(np.searchsorted(knots, t, side="right")) - 1, 0), m - 1)
+    _, _, _, grid_value = grid_limit_law(
+        0.5, math.inf, lambda t: pol.gamma_c0[interval(t)], SimGrid(1.0, 200),
+        gamma_c1=lambda t: pol.gamma_c1[interval(t)],
+    )
+    grid_z = (final.value - grid_value) / final.se
+
+    ok = knot_err <= 0.05 and state_mag <= 0.05 and value_err <= 0.02 and abs(grid_z) <= 3.0
     _report(
         f"policy recovery: knot err {knot_err:.3f}, state coeff {state_mag:.3f}, "
-        f"value err {value_err:.4f}",
+        f"value err {value_err:.4f}, grid z {grid_z:+.2f}",
         ok,
     )
     assert knot_err <= 0.05, (result.policy.gamma_c0, targets)
     assert state_mag <= 0.05, result.policy.gamma_c1
     assert value_err <= 0.02, (final.value, am.V_infinity)
+    assert abs(grid_z) <= 3.0, (final.value, grid_value, final.se)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +428,7 @@ def test_self_check_byte_identical_across_workers(tmp_path):
 
 def test_variance_baseline_and_weak_error_halving():
     # zero drift, unit volatility: Var(X_T) = T
-    model = multitask_model(MultitaskParams(0.0))
+    model = multitask_model(0.0)
     ensemble = simulate_terminal_measure(
         model, _zero, _zero, 100_000, SimGrid(1.0, 16), SeedSpec(314).child(0)
     )

@@ -16,7 +16,7 @@ import pytest
 
 import palab.cli as cli
 from palab.contracts import Contract, contract_report
-from palab.model import MultitaskParams, multitask_model, normal_law
+from palab.model import multitask_model, normal_law
 from palab.sde_engine import SeedSpec, SimGrid
 
 
@@ -248,6 +248,39 @@ def test_workers_do_not_change_results(tmp_path, command, cfg, files):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_pool_is_capped_at_usable_cpus(monkeypatch):
+    # every pool worker is started at once, so --workers beyond the CPUs this
+    # process may use would only start idle interpreters
+    import concurrent.futures
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    square = lambda plan, i: plan * i * i
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert cli._map_ordered(square, 2, 500, 500) == [2 * i * i for i in range(500)]
+    assert cli._map_ordered(square, 2, 2, 500) == [0, 2]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cli._map_ordered(square, 2, 500, 500)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU, no pool
+    assert cli._map_ordered(square, 2, 500, 500) == [2 * i * i for i in range(500)]
+    assert sizes == [3, 2, 2]
+
+
 def test_convergence_seed_flag(tmp_path):
     cfg_path = _write_config(tmp_path, _conv_config())
     outs = [tmp_path / x for x in ("s7", "s7again", "s8")]
@@ -343,7 +376,7 @@ def test_contract_eval_options_reach_contract_report(tmp_path):
     assert cli.main(["contract-eval", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
     summary = json.loads((out / "contract_summary.json").read_text())
 
-    base = multitask_model(MultitaskParams(0.5, 10.0), nu=normal_law(0.2, 0.5))
+    base = multitask_model(0.5, 10.0, nu=normal_law(0.2, 0.5))
     model = dataclasses.replace(base, vol_sigma=lambda t, x: 1.5 * base.vol_sigma(t, x))
     contract = Contract(
         Y0=0.1,
@@ -650,6 +683,17 @@ _INFINITIES = {"string-inf": "inf", "string-minus-inf": "-inf", "json-inf": math
             "model.params.b_bar: must fit in a float, got a 401-digit integer\n",
         ),
         ("contract-eval", _with(_contract_config(), "grid.steps", 10**400), "grid.steps: must fit in a float, got a 401-digit integer\n"),
+        # a key the command never reads: misspelled, or of another branch
+        ("multitask-convergence", _conv_config(**{"mc.replicatons": 99}), "mc.replicatons: unknown field\n"),
+        ("contract-eval", {**_contract_config(), "polcy": {"source": "zero"}}, "polcy.source: unknown field\n"),
+        ("policy-opt", _policy_opt_config(budgett=50), "policy.budgett: unknown field\n"),
+        ("chaos", _with(_chaos_config(), "mc.N_proxyy", 5), "mc.N_proxyy: unknown field\n"),
+        (
+            "contract-eval",
+            _with(_contract_config(), "model.nu", {"kind": "normal", "value": 0.3}),
+            "model.nu.value: unknown field\n",
+        ),
+        ("contract-eval", _with(_contract_config(), "model.params.a_base", 0.5), "model.params.a_base: unknown field\n"),
     ],
     ids=[
         "bounds-reversed",
@@ -683,6 +727,12 @@ _INFINITIES = {"string-inf": "inf", "string-minus-inf": "-inf", "json-inf": math
         "number-beyond-float-range",
         "level-beyond-float-range",
         "steps-beyond-float-range",
+        "convergence-misspelled-key",
+        "contract-misspelled-block",
+        "policy-opt-misspelled-key",
+        "chaos-misspelled-key",
+        "nu-value-of-normal-law",
+        "a-base-on-multitask",
     ],
 )
 def test_config_error_names_field(tmp_path, capsys, command, cfg, field):
@@ -705,6 +755,15 @@ def test_config_block_must_be_object(tmp_path, capsys, block):
     cfg = _with(_contract_config(), block, None)
     code = cli.main(["contract-eval", "--config", _write_config(tmp_path, cfg, "null.json"), "--out", str(out)])
     assert code == cli.EXIT_OK
+
+
+def test_null_and_overridden_fields_are_not_unknown(tmp_path):
+    # a null leaf counts as absent, and --out overrides output.directory
+    # rather than leaving it unread
+    cfg = _with(_with(_contract_config(), "mc.N_proxy", None), "output.directory", str(tmp_path / "unused"))
+    out = tmp_path / "out"
+    assert cli.main(["contract-eval", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == cli.EXIT_OK
+    assert (out / "contract_summary.json").exists() and not (tmp_path / "unused").exists()
 
 
 def test_unusable_output_directory(tmp_path, capsys):

@@ -16,9 +16,8 @@ from palab.contracts import (
     joint_deviation_scan,
     mkv_contract_payment,
 )
-from palab.mkv_control import analytic_multitask, evaluate_limit_objective
+from palab.mkv_control import MultitaskAnalytic, evaluate_limit_objective
 from palab.model import (
-    MultitaskParams,
     NumericDomainError,
     exp_saturating_utility,
     multitask_model,
@@ -82,7 +81,7 @@ def test_truncation_fields():
 
 
 def test_floor_check():
-    model = multitask_model(MultitaskParams(0.0), R=1.0)
+    model = multitask_model(0.0, R=1.0)
     c = Contract(Y0=0.5, gamma=_zero, aleph=_zero)
     paths = _simulated(Contract(Y0=1.0, gamma=_zero, aleph=_zero), model, 4, 5)
     with pytest.raises(ValueError):
@@ -99,7 +98,7 @@ def test_floor_check():
 def test_zero_slope_pays_exactly_y0():
     # gamma = 0 kills both the H drift (optimal action 0, zero cost) and the
     # martingale term, so the level never moves — even with interaction on.
-    model = multitask_model(MultitaskParams(0.5), nu=normal_law())
+    model = multitask_model(0.5, nu=normal_law())
     c = Contract(Y0=0.25, gamma=_zero, aleph=_zero)
     model = replace(model, reservation_R=0.0)
     paths = _simulated(c, model, 30, 20)
@@ -113,7 +112,7 @@ def test_constant_slope_pathwise_identity():
     # Y_T = Y0 + c^2 T / 2 + c * mean_i(sum_k dW_ik); reconstruct from the
     # stream's increments and match.
     cval = 0.8
-    model = multitask_model(MultitaskParams(0.0), nu=normal_law())
+    model = multitask_model(0.0, nu=normal_law())
     c = Contract(Y0=0.1, gamma=lambda t, x: cval, aleph=_zero)
     paths = _simulated(c, model, 25, 32)
     xi, y_path = evaluate_terminal_payment(c, model, paths)
@@ -127,7 +126,7 @@ def test_expected_payment_identity():
     # E[xi] = R + (1/2) sum_k gamma_hat(t_k)^2 dt exactly for the discrete
     # scheme; check to 3 SE across replications.
     kappa, steps, reps, n = 0.5, 50, 60, 50
-    model = multitask_model(MultitaskParams(kappa, b_bar=10.0))
+    model = multitask_model(kappa, b_bar=10.0)
     c = Contract(Y0=0.0, gamma=_gamma_hat(kappa), aleph=_zero)
     grid = SimGrid(1.0, steps)
     xis = []
@@ -148,7 +147,7 @@ def test_recommended_controls_follow_truncated_slope():
     # sigma = 1 and alpha = z for the multitask model: agents left to the
     # recommendation move exactly like agents forced to play gamma_hat ^ l
     kappa = 0.5
-    model = multitask_model(MultitaskParams(kappa))
+    model = multitask_model(kappa)
     c = Contract(Y0=0.0, gamma=_gamma_hat(kappa), aleph=_zero, truncation_l=1.2)
     paths = _simulated(c, model, 10, 8)
     forced_play = lambda t, x, m, e, z: min(_gamma_hat(kappa)(t, x), 1.2)
@@ -170,7 +169,7 @@ def test_g_inverse_failure_is_wrapped():
     # a g^{-1} that raises or returns a non-finite payment is a
     # ContractEvaluationError wherever a payment is priced: on stored paths,
     # in the n-agent pass and in the limit objective
-    model = multitask_model(MultitaskParams(0.0))
+    model = multitask_model(0.0)
 
     def bad_inverse(m, y):
         raise ZeroDivisionError("no inverse here")
@@ -196,7 +195,7 @@ def test_g_inverse_failure_is_wrapped():
 
 
 def test_mkv_payment_zero_slope_levels():
-    model = multitask_model(MultitaskParams(0.5), nu=normal_law())
+    model = multitask_model(0.5, nu=normal_law())
     c = Contract(Y0=0.4, gamma=_zero, aleph=_zero)
     paths = _simulated(c, model, 20, 10)
     payment, levels = mkv_contract_payment(c, model, paths)
@@ -207,7 +206,7 @@ def test_mkv_payment_zero_slope_levels():
 def test_mkv_payment_averages_levels_before_inverting():
     # distinguishable only through a nonlinear g^{-1}: the payment must be
     # g^{-1}(mean(levels)), not mean(g^{-1}(levels))
-    model = multitask_model(MultitaskParams(0.0), nu=normal_law())
+    model = multitask_model(0.0, nu=normal_law())
     cubed = replace(model, g_inverse=lambda m, y: y**3)
     c = Contract(Y0=0.0, gamma=lambda t, x: 1.0, aleph=_zero)
     paths = _simulated(c, model, 30, 12)
@@ -220,7 +219,7 @@ def test_mkv_payment_matches_ensemble_accumulation_for_linear_g():
     # with identity g the per-path-then-average and average-per-step orders
     # agree up to rounding
     kappa = 0.5
-    model = multitask_model(MultitaskParams(kappa, b_bar=10.0), nu=normal_law())
+    model = multitask_model(kappa, b_bar=10.0, nu=normal_law())
     c = Contract(Y0=0.0, gamma=_gamma_hat(kappa), aleph=_zero)
     paths = _simulated(c, model, 40, 25)
     xi, _ = evaluate_terminal_payment(c, model, paths)
@@ -245,8 +244,8 @@ def test_mkv_payment_closed_form_on_multitask():
     # first): that SE is about 2e-5, over 100 times below se_v, so this
     # check resolves the Euler bias (about 300 of these SE) that se_v hides.
     kappa, R, N = 0.5, 0.1, 20_000
-    am = analytic_multitask(MultitaskParams(kappa), R=R)
-    model = multitask_model(MultitaskParams(kappa), R=R)
+    am = MultitaskAnalytic(kappa, R=R)
+    model = multitask_model(kappa, R=R)
     c = Contract(Y0=R, gamma=am.gamma_hat, aleph=_zero)
     paths = _simulated(c, model, N, 100)
     xi, levels = mkv_contract_payment(c, model, paths)
@@ -286,7 +285,7 @@ def test_mkv_payment_closed_form_on_multitask():
 def test_non_finite_priced_value_rejected(field, bad, quantity, reads_limit):
     # a terminal map that returns inf or NaN must not come back as an
     # estimate of inf or NaN: each pricer names the non-finite quantity
-    model = replace(multitask_model(MultitaskParams(0.5)), **{field: bad})
+    model = replace(multitask_model(0.5), **{field: bad})
     grid = SimGrid(1.0, 5)
     contract = Contract(0.0, _one, _zero)
     with pytest.raises(NumericDomainError, match=rf"non-finite {quantity}$"):
@@ -303,7 +302,7 @@ def test_contract_report_agent_breaks_even():
     # the contract built from gamma_hat with Y0 = R leaves the agents exactly
     # their reservation utility in expectation
     kappa, R = 0.5, 0.3
-    model = multitask_model(MultitaskParams(kappa, b_bar=10.0), R=R)
+    model = multitask_model(kappa, b_bar=10.0, R=R)
     c = Contract(Y0=R, gamma=_gamma_hat(kappa), aleph=_zero)
     rep = contract_report(c, model, 40, SimGrid(1.0, 40), 50, SeedSpec(11))
     agent = rep["agent_reward"]
@@ -315,7 +314,7 @@ def test_contract_report_agent_breaks_even():
 
 def test_report_utility_conventions():
     kappa = 0.0
-    model = multitask_model(MultitaskParams(kappa))
+    model = multitask_model(kappa)
     c = Contract(Y0=0.0, gamma=_gamma_hat(kappa), aleph=_zero)
     rep = contract_report(c, model, 20, SimGrid(1.0, 10), 30, SeedSpec(5))
     # identity utility: inside and outside coincide
@@ -331,7 +330,7 @@ def test_report_utility_conventions():
 def test_agent_reward_direct_formula():
     # zero slope, flat rate field: reward = integral of L(a=0) dt + g(xi)
     # with L(0) = 0, so it is exactly the payment
-    model = multitask_model(MultitaskParams(0.0), nu=normal_law())
+    model = multitask_model(0.0, nu=normal_law())
     c = Contract(Y0=0.7, gamma=_zero, aleph=lambda t, x: 0.3)
     rep = contract_report(c, model, 15, SimGrid(1.0, 8), 4, SeedSpec(42))
     assert rep["per_replication"]["xi"] == [0.7] * 4
@@ -372,7 +371,7 @@ def test_report_payment_equals_replay_pipeline(model_name, monkeypatch):
     # the replication batch so the 5 replications run as chunks of 2, 2, 1.
     n, reps = 9, 5
     if model_name == "multitask":
-        model = multitask_model(MultitaskParams(0.5, b_bar=1.0), R=0.1, nu=normal_law())
+        model = multitask_model(0.5, b_bar=1.0, R=0.1, nu=normal_law())
         c = Contract(Y0=0.1, gamma=_gamma_hat(0.5), aleph=lambda t, x: 0.2 * x, truncation_l=1.3)
     else:
         model = quadratic_generic_model(a_base=0.3, sigma0=0.7, nu=normal_law())
@@ -401,7 +400,7 @@ def test_joint_deviation_scan_no_gain():
     # kappa = 0 makes the recommended action identically 1; the (1, 1) cell
     # replays the recommendation and must have exactly zero gain, and no cell
     # may beat the recommendation beyond noise.
-    model = multitask_model(MultitaskParams(0.0))
+    model = multitask_model(0.0)
     c = Contract(Y0=0.0, gamma=lambda t, x: 1.0, aleph=_zero)
     grid_a = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
     out = joint_deviation_scan(c, model, grid_a, n=2, grid=SimGrid(1.0, 20), replications=40, seed=SeedSpec(9))
@@ -416,7 +415,7 @@ def test_joint_deviation_scan_no_gain():
 
 
 def test_joint_deviation_cell_cap():
-    model = multitask_model(MultitaskParams(0.0))
+    model = multitask_model(0.0)
     c = Contract(Y0=0.0, gamma=lambda t, x: 1.0, aleph=_zero)
     too_many = np.linspace(-3, 3, 150)  # 150^2 > 20000 cells
     with pytest.raises(ValueError):

@@ -11,12 +11,11 @@ import conftest
 from palab.mkv_control import (
     MultitaskAnalytic,
     PolicyParam,
-    analytic_multitask,
     evaluate_limit_objective,
     minimize,
     optimize_policy,
 )
-from palab.model import MultitaskParams, multitask_model, normal_law, point_mass
+from palab.model import multitask_model, normal_law, point_mass
 from palab import sde_engine
 from palab.sde_engine import SeedSpec, SimGrid
 
@@ -36,7 +35,7 @@ def _zero(t, x):
 
 def test_closed_form_against_quadrature():
     for kappa, frozen in conftest.HALF_GAMMA_SQ_FROZEN.items():
-        am = analytic_multitask(MultitaskParams(kappa))
+        am = MultitaskAnalytic(kappa)
         oracle = 0.5 * conftest.simpson_gamma_sq_integral(kappa)
         assert abs(0.5 * am.gamma_sq_integral - oracle) <= CLOSED_FORM_TOL
         assert abs(0.5 * am.gamma_sq_integral - frozen) <= 1e-12
@@ -44,18 +43,18 @@ def test_closed_form_against_quadrature():
 
 def test_closed_form_assembly():
     R, T, E_iota, kappa = 0.3, 1.0, 0.25, 0.5
-    am = analytic_multitask(MultitaskParams(kappa), R=R, T=T, E_iota=E_iota)
+    am = MultitaskAnalytic(kappa, R=R, T=T, E_iota=E_iota)
     half = conftest.HALF_GAMMA_SQ_FROZEN[kappa]
     assert abs(R + 0.5 * am.gamma_sq_integral - (R + half)) <= 1e-12
     assert abs(am.V_infinity - (-R + math.exp(kappa * T) * E_iota + half)) <= 1e-12
     # kappa = 0 degenerates to the flat slope with integral T
-    am0 = analytic_multitask(MultitaskParams(0.0))
+    am0 = MultitaskAnalytic(0.0)
     assert am0.gamma_sq_integral == 1.0
     assert am0.V_infinity == 0.5
 
 
 def test_gamma_hat_shape():
-    am = analytic_multitask(MultitaskParams(0.5), T=1.0)
+    am = MultitaskAnalytic(0.5, T=1.0)
     assert abs(am.gamma_hat(1.0) - 1.0) <= 1e-15
     assert abs(am.gamma_hat(0.0) - math.exp(0.5)) <= 1e-15
     # state argument is ignored (the optimal slope is a function of time only)
@@ -68,7 +67,7 @@ def test_gamma_hat_solves_terminal_condition():
     # gamma_hat is the unique solution of gamma'(t) = -kappa gamma, gamma(T) = 1;
     # verify the ODE by finite differences on a fine grid
     kappa = -0.7
-    am = analytic_multitask(MultitaskParams(kappa), T=2.0)
+    am = MultitaskAnalytic(kappa, T=2.0)
     t = np.linspace(0.0, 2.0, 2001)
     g = np.array([am.gamma_hat(s) for s in t])
     dg = np.gradient(g, t)
@@ -201,8 +200,8 @@ def test_vector_roundtrip_and_parts():
 
 
 def test_limit_objective_is_seed_deterministic():
-    model = multitask_model(MultitaskParams(0.5, b_bar=10.0))
-    am = analytic_multitask(MultitaskParams(0.5))
+    model = multitask_model(0.5, b_bar=10.0)
+    am = MultitaskAnalytic(0.5)
     pol = (am.gamma_hat, _zero)
     grid = SimGrid(1.0, 20)
     a = evaluate_limit_objective(model, pol, N_proxy=500, grid=grid, seed=SeedSpec(3).child(1))
@@ -214,7 +213,7 @@ def test_limit_objective_is_seed_deterministic():
 
 def test_limit_objective_flat_slope_value():
     # kappa = 0: the optimal slope is identically 1 and the value is 1/2
-    model = multitask_model(MultitaskParams(0.0))
+    model = multitask_model(0.0)
     est = evaluate_limit_objective(
         model, (lambda t, x: 1.0, _zero), N_proxy=20_000, grid=SimGrid(1.0, 100), seed=SeedSpec(17)
     )
@@ -224,7 +223,7 @@ def test_limit_objective_flat_slope_value():
 def test_limit_objective_zero_policy():
     # gamma = 0 and kappa = 0: no action, no cost, no interaction drift;
     # the value reduces to E[iota] - R
-    model = multitask_model(MultitaskParams(0.0), R=0.2, nu=point_mass(0.3))
+    model = multitask_model(0.0, R=0.2, nu=point_mass(0.3))
     est = evaluate_limit_objective(
         model, (_zero, _zero), N_proxy=5_000, grid=SimGrid(1.0, 50), seed=SeedSpec(23)
     )
@@ -237,7 +236,7 @@ def _parity_setup():
     # the value; the policy has -0.0 and zero-c1 entries in both fields.
     kappa, b_bar = 0.7, 0.5
     model = replace(
-        multitask_model(MultitaskParams(kappa, b_bar=b_bar), R=0.1, nu=normal_law(0.0, 0.05)),
+        multitask_model(kappa, b_bar=b_bar, R=0.1, nu=normal_law(0.0, 0.05)),
         principal_running_cost_LP=lambda t, e: e,
     )
     policy = PolicyParam(
@@ -297,7 +296,7 @@ def test_optimize_trace_equals_plain_reference_loop(monkeypatch):
 def test_objective_concave_in_constant_slope():
     # under common random numbers the sampled objective inherits the exact
     # concavity of c -> c - c^2/2 around the optimum at c = 1
-    model = multitask_model(MultitaskParams(0.0))
+    model = multitask_model(0.0)
     grid = SimGrid(1.0, 50)
     vals = {}
     for c in (0.0, 0.5, 1.0, 1.5, 2.0):
@@ -318,7 +317,7 @@ def test_objective_concave_in_constant_slope():
 
 
 def test_optimize_recovers_flat_optimum():
-    model = multitask_model(MultitaskParams(0.0))
+    model = multitask_model(0.0)
     initial = _flat_policy(c0=0.5, knots=np.linspace(0.0, 1.0, 5))
     res = optimize_policy(
         model,
@@ -332,8 +331,8 @@ def test_optimize_recovers_flat_optimum():
     assert np.max(np.abs(res.policy.gamma_c0 - 1.0)) <= KNOT_TOL
     assert np.all(res.policy.gamma_c1 == 0.0)  # frozen parts untouched
     assert abs(res.value - 0.5) <= 0.05
-    assert res.value >= res.initial_value
-    assert res.n_evaluations == len(res.trace) <= 200 + 2
+    assert res.value >= res.trace[0]
+    assert len(res.trace) <= 200 + 2
     assert res.value == max(res.trace)
 
 
@@ -341,8 +340,8 @@ def test_optimize_keeps_optimum():
     # started exactly at the closed-form slope, the best-seen policy cannot
     # drift away: the optimum is a fixed point up to search noise
     kappa = 0.5
-    am = analytic_multitask(MultitaskParams(kappa))
-    model = multitask_model(MultitaskParams(kappa, b_bar=10.0))
+    am = MultitaskAnalytic(kappa)
+    model = multitask_model(kappa, b_bar=10.0)
     knots = np.linspace(0.0, 1.0, 5)
     mids = 0.5 * (knots[:-1] + knots[1:])
     zeros = np.zeros(4)
@@ -351,13 +350,13 @@ def test_optimize_keeps_optimum():
         model, initial, N_proxy=4_000, grid=SimGrid(1.0, 50), seed=SeedSpec(8), budget=80,
         parts=("gamma_c0",),
     )
-    assert res.value >= res.initial_value
+    assert res.value >= res.trace[0]
     targets = np.array([am.gamma_hat(t) for t in mids])
     assert np.max(np.abs(res.policy.gamma_c0 - targets)) <= KNOT_TOL
 
 
 def test_optimize_respects_bounds():
-    model = multitask_model(MultitaskParams(0.0))
+    model = multitask_model(0.0)
     initial = _flat_policy(c0=1.0, knots=(0.0, 1.0), bounds=(0.9, 1.05))
     res = optimize_policy(
         model, initial, N_proxy=1_000, grid=SimGrid(1.0, 20), seed=SeedSpec(9), budget=60,
@@ -368,7 +367,7 @@ def test_optimize_respects_bounds():
 
 
 def test_optimize_rejects_bad_input():
-    model = multitask_model(MultitaskParams(0.0))
+    model = multitask_model(0.0)
     initial = _flat_policy()
     with pytest.raises(ValueError):
         optimize_policy(model, initial, 100, SimGrid(1.0, 5), SeedSpec(0), parts=("nonsense",))

@@ -17,7 +17,6 @@ from palab.model import (
     TOL_H,
     AmbiguousMaximizerError,
     ModelSpec,
-    MultitaskParams,
     NumericDomainError,
     exp_saturating_utility,
     hamiltonian_h,
@@ -48,7 +47,7 @@ def _measure(mean=0.0):
 
 def test_hamiltonian_value_no_interaction():
     # b = a, sigma = 1, L = -a^2/2: h = a*z - a^2/2; at z = 1, a = 1 -> 1/2
-    model = multitask_model(MultitaskParams(0.0))
+    model = multitask_model(0.0)
     m = _measure(0.0)
     h = hamiltonian_h(model, 0.0, 0.0, m, 0.0, 1.0, 1.0)
     assert abs(h - 0.5) <= EXACT
@@ -56,7 +55,7 @@ def test_hamiltonian_value_no_interaction():
 
 def test_hamiltonian_value_with_interaction():
     # kappa = 0.5, measure mean 2, no clamp: b = a + 1
-    model = multitask_model(MultitaskParams(0.5))
+    model = multitask_model(0.5)
     m = _measure(2.0)
     z, a = 0.7, -0.3
     expect = (a + 0.5 * 2.0) * z - 0.5 * a * a
@@ -65,7 +64,7 @@ def test_hamiltonian_value_with_interaction():
 
 def test_hamiltonian_clamp_binds():
     # same but b_bar = 1: clamped mean is 1, not 2
-    model = multitask_model(MultitaskParams(0.5, b_bar=1.0))
+    model = multitask_model(0.5, b_bar=1.0)
     m = _measure(2.0)
     z, a = 0.7, -0.3
     expect = (a + 0.5 * 1.0) * z - 0.5 * a * a
@@ -89,7 +88,7 @@ def test_hamiltonian_affine_in_slope():
 
 
 def test_hamiltonian_nonfinite_raises():
-    model = multitask_model(MultitaskParams(0.0))
+    model = multitask_model(0.0)
     model = replace(model, vol_sigma=lambda t, x: 0.0)
     with pytest.raises(NumericDomainError):
         hamiltonian_h(model, 0.0, 0.0, _measure(), 0.0, 1.0, 1.0)
@@ -175,7 +174,7 @@ def test_maximizer_respects_action_bounds():
 def test_analytic_maximizer_agrees_with_golden():
     # strip the analytic shortcut from the multitask model and check the
     # numeric search reproduces alpha = z/sigma
-    base = multitask_model(MultitaskParams(0.5))
+    base = multitask_model(0.5)
     model = replace(base, analytic_maximizer=None)
     m = _measure(1.0)
     rng = np.random.default_rng(77)
@@ -479,7 +478,7 @@ def test_nonfinite_coefficients_at_numeric_maximizer_raise():
 
 
 def test_reduced_coefficients_multitask_closed_form():
-    model = multitask_model(MultitaskParams(0.5, b_bar=1.0))
+    model = multitask_model(0.5, b_bar=1.0)
     m = _measure(2.0)  # clamped mean = 1
     z = 0.8
     b_hat, l_hat, big_h = reduced_coefficients(model, 0.0, 0.0, m, 0.0, z)
@@ -507,8 +506,8 @@ def test_envelope_property_random_tuples():
     # H(t,x,m,e,z) >= h(t,x,m,e,z,a) for all a, equality at the maximizer
     rng = np.random.default_rng(404)
     models = [
-        multitask_model(MultitaskParams(0.5, b_bar=2.0)),
-        multitask_model(MultitaskParams(-1.0)),
+        multitask_model(0.5, b_bar=2.0),
+        multitask_model(-1.0),
         quadratic_generic_model(a_base=0.7, sigma0=1.5),
     ]
     actions = np.linspace(-8.0, 8.0, 101)
@@ -536,12 +535,18 @@ def test_envelope_property_random_tuples():
 # ---------------------------------------------------------------------------
 
 
-def test_multitask_params_validation():
-    with pytest.raises(ValueError):
-        MultitaskParams(0.5, b_bar=0.0)
-    with pytest.raises(ValueError):
-        MultitaskParams(0.5, b_bar=-1.0)
-    assert math.isinf(MultitaskParams(0.5).b_bar)
+def test_builders_validate_their_parameters():
+    # a clamp level must be > 0 (NaN fails), and the default is no clamp
+    for b_bar in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="b_bar must be > 0"):
+            multitask_model(0.5, b_bar)
+    far = EmpiricalMeasure(np.array([1e6, 1e6 + 2.0]))
+    assert multitask_model(0.5).drift_b(0.0, 0.0, far, 0.0, 0.0) == 0.5 * (1e6 + 1.0)
+    # sigma0 must be finite and > 0, so a NaN or inf fails at build time, not
+    # at the first step
+    for sigma0 in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma0 must be finite and > 0"):
+            quadratic_generic_model(sigma0=sigma0)
 
 
 def test_initial_laws():

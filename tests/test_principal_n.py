@@ -18,9 +18,8 @@ from palab.contracts import (
     joint_deviation_scan,
     mkv_contract_payment,
 )
-from palab.mkv_control import analytic_multitask
+from palab.mkv_control import MultitaskAnalytic
 from palab.model import (
-    MultitaskParams,
     NumericDomainError,
     exp_saturating_utility,
     identity_utility,
@@ -55,8 +54,8 @@ def test_matches_contract_pipeline_stepwise():
     # and contract_report also price each replication identically, bit for
     # bit: the same xi, v and U(v).
     kappa, n, steps, reps = 0.5, 16, 50, 5
-    am = analytic_multitask(MultitaskParams(kappa))
-    model = multitask_model(MultitaskParams(kappa, b_bar=10.0), nu=normal_law(), U=exp_saturating_utility)
+    am = MultitaskAnalytic(kappa)
+    model = multitask_model(kappa, b_bar=10.0, nu=normal_law(), U=exp_saturating_utility)
     grid = SimGrid(1.0, steps)
     seed = SeedSpec(2718)
     _, details = estimate_n_player_value(model, am.gamma_hat, _zero, n, grid, reps, seed)
@@ -79,7 +78,7 @@ def test_estimator_agent_reward_equals_contract_report(model_name):
     # the estimator's details carry the pass's average agent reward, priced
     # exactly as contract_report prices it on the same seed
     if model_name == "multitask":
-        model = multitask_model(MultitaskParams(0.5, b_bar=1.0), R=0.1, nu=normal_law())
+        model = multitask_model(0.5, b_bar=1.0, R=0.1, nu=normal_law())
         gamma, aleph = (lambda t, x: 0.8 + 0.3 * np.sin(x)), (lambda t, x: 0.2 * x)
     else:
         model = quadratic_generic_model(a_base=0.3, sigma0=0.7, nu=normal_law())
@@ -100,7 +99,7 @@ def test_chunked_replications_equal_lone_replays(monkeypatch):
     # column would broadcast to (batch, batch).
     kappa, n, reps = 0.5, 8, 7
     model = replace(
-        multitask_model(MultitaskParams(kappa, b_bar=1.0), R=0.1, nu=normal_law()),
+        multitask_model(kappa, b_bar=1.0, R=0.1, nu=normal_law()),
         g_inverse=lambda m, y: y + m.mean(),
     )
     grid = SimGrid(1.0, 12)
@@ -125,7 +124,7 @@ def test_chunked_replications_equal_lone_replays(monkeypatch):
 @given(
     model=st.one_of(
         st.builds(
-            lambda kappa, b_bar: multitask_model(MultitaskParams(kappa, b_bar), R=0.1, nu=normal_law()),
+            lambda kappa, b_bar: multitask_model(kappa, b_bar, R=0.1, nu=normal_law()),
             st.floats(-1.0, 1.0),
             st.sampled_from([math.inf, 0.5, 2.0]),
         ),
@@ -176,7 +175,7 @@ def test_nonfinite_level_raises():
     # payment 1.0, so the pass and the stored-path replays must stop at the
     # level itself
     model = replace(
-        multitask_model(MultitaskParams(0.5), nu=normal_law()),
+        multitask_model(0.5, nu=normal_law()),
         running_cost_L=lambda t, x, m, e, a: -math.inf,
         g_inverse=lambda m, y: np.tanh(y),
     )
@@ -199,7 +198,7 @@ def test_nonfinite_level_raises():
 def test_nonfinite_payment_raises():
     # the estimator pays through the same checked g^{-1} as contract_report
     # on a chunk's (batch, 1) column of levels, named on one line
-    model = replace(multitask_model(MultitaskParams(0.5)), g_inverse=lambda m, y: math.nan)
+    model = replace(multitask_model(0.5), g_inverse=lambda m, y: math.nan)
     with pytest.raises(ContractEvaluationError, match=r"at y in \[") as exc:
         estimate_n_player_value(model, lambda t, x: 1.0, _zero, 4, SimGrid(1.0, 5), 3, SeedSpec(0))
     assert len(str(exc.value).splitlines()) == 1
@@ -211,7 +210,7 @@ def test_batched_blowup_raises_at_first_breach_in_chunk():
     # The replications share one (batch, n) chunk, so the error's step and t
     # locate the first step at which any of them breached it, not the step
     # of the first failing replication.
-    model = multitask_model(MultitaskParams(1e6), nu=normal_law())
+    model = multitask_model(1e6, nu=normal_law())
     grid = SimGrid(1.0, 20)
     seed = SeedSpec(0)
     with pytest.raises(SimulationBlowupError) as exc:
@@ -228,7 +227,7 @@ def test_batched_blowup_raises_at_first_breach_in_chunk():
 
 def test_zero_loading_terminal_level_is_reservation():
     # Z = 0: H = 0 and the martingale term vanishes, so Y_T = R exactly
-    model = multitask_model(MultitaskParams(0.5), R=0.4, nu=normal_law())
+    model = multitask_model(0.5, R=0.4, nu=normal_law())
     est, details = estimate_n_player_value(model, _zero, _zero, 8, SimGrid(1.0, 10), 6, SeedSpec(1))
     assert np.all(details["y_T"] == 0.4)
     assert np.all(details["xi"] == 0.4)
@@ -237,7 +236,7 @@ def test_zero_loading_terminal_level_is_reservation():
 def test_single_agent_flat_slope_is_deterministic():
     # n = 1, kappa = 0, gamma = 1: the noise in production and in the
     # contract level cancels pathwise, leaving v = T/2 on every replication
-    model = multitask_model(MultitaskParams(0.0))
+    model = multitask_model(0.0)
     est, details = estimate_n_player_value(
         model, lambda t, x: 1.0, _zero, 1, SimGrid(1.0, 64), 40, SeedSpec(5)
     )
@@ -249,8 +248,8 @@ def test_value_matches_closed_form_linear_utility():
     # with U = identity the expected n-agent value equals the limit value up
     # to the Euler quadrature bias, uniformly in n
     kappa = 0.5
-    am = analytic_multitask(MultitaskParams(kappa))
-    model = multitask_model(MultitaskParams(kappa, b_bar=10.0), U=identity_utility)
+    am = MultitaskAnalytic(kappa)
+    model = multitask_model(kappa, b_bar=10.0, U=identity_utility)
     grid = SimGrid(1.0, 250)
     est, _ = estimate_n_player_value(model, am.gamma_hat, _zero, 8, grid, 300, SeedSpec(31))
     v_inf = conftest.HALF_GAMMA_SQ_FROZEN[kappa]
@@ -258,7 +257,7 @@ def test_value_matches_closed_form_linear_utility():
 
 
 def test_replications_guard():
-    model = multitask_model(MultitaskParams(0.0))
+    model = multitask_model(0.0)
     with pytest.raises(ValueError, match="replications"):
         estimate_n_player_value(model, lambda t, x: 1.0, _zero, 4, SimGrid(1.0, 5), 0, SeedSpec(0))
 

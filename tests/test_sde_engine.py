@@ -19,7 +19,6 @@ from palab.contracts import (
 from palab.mkv_control import PolicyParam, evaluate_limit_objective, optimize_policy
 from palab.measures import EmpiricalMeasure
 from palab.model import (
-    MultitaskParams,
     NumericDomainError,
     hamiltonian_h,
     multitask_model,
@@ -92,7 +91,7 @@ def test_seedspec_distinct_keys_distinct_streams():
 
 
 def test_simulation_bitwise_deterministic():
-    model = multitask_model(MultitaskParams(0.5), nu=normal_law())
+    model = multitask_model(0.5, nu=normal_law())
     grid = SimGrid(1.0, 25)
     p1 = simulate_particles(model, _one, _zero, 50, grid, SeedSpec(9).child(0))
     p2 = simulate_particles(model, _one, _zero, 50, grid, SeedSpec(9).child(0))
@@ -120,16 +119,16 @@ def test_exchangeability_under_relabeling():
         return np.stack([x0[perm]] + [step.x_next for step in steps], axis=1)
 
     same = np.arange(n)
-    model = multitask_model(MultitaskParams(0.0))
+    model = multitask_model(0.0)
     assert np.array_equal(paths(model, p), paths(model, same)[p, :])
     # with interaction the ensemble mean re-sums in a different order, so
     # agreement is to rounding, not bitwise
-    model_i = multitask_model(MultitaskParams(0.5))
+    model_i = multitask_model(0.5)
     assert np.allclose(paths(model_i, p), paths(model_i, same)[p, :], atol=1e-10)
 
 
 def test_terminal_measure_matches_full_paths():
-    model = multitask_model(MultitaskParams(0.5), nu=normal_law())
+    model = multitask_model(0.5, nu=normal_law())
     grid = SimGrid(1.0, 30)
     paths = simulate_particles(model, _one, _zero, 40, grid, SeedSpec(4).child(2))
     m = simulate_terminal_measure(model, _one, _zero, 40, grid, SeedSpec(4).child(2))
@@ -145,7 +144,7 @@ def test_stepper_hands_each_measure_the_guarded_range():
         seen.append((m._range, None if m._range is None else (x.min(), x.max())))
         return a + 0.0 * x
 
-    model = replace(multitask_model(MultitaskParams(0.0), nu=normal_law()), drift_b=drift)
+    model = replace(multitask_model(0.0, nu=normal_law()), drift_b=drift)
     grid = SimGrid(1.0, 6)
     simulate_terminal_measure(model, _one, _zero, 9, grid, SeedSpec(5))
     estimate_n_player_value(model, _one, _zero, 4, grid, 3, SeedSpec(5))
@@ -156,7 +155,7 @@ def test_stepper_hands_each_measure_the_guarded_range():
 def test_initial_law_shape_checked():
     # Every entry point draws its initial states through the one check, the
     # limit objective and the policy search included.
-    model = multitask_model(MultitaskParams(0.0))
+    model = multitask_model(0.0)
     bad = replace(model, initial_law_nu=lambda n, rng: np.zeros((n, 1)))
     grid = SimGrid(1.0, 2)
     policy = PolicyParam([0.0, 1.0], [1.0], [0.0], [0.0], [0.0])
@@ -185,7 +184,7 @@ def test_initial_law_nonfinite_rejected(value):
             m, (_zero, _zero), 5, grid, SeedSpec(0)
         ),
     }
-    for model in (multitask_model(MultitaskParams(0.0)), quadratic_generic_model()):
+    for model in (multitask_model(0.0), quadratic_generic_model()):
         bad = replace(model, initial_law_nu=lambda n, rng: np.full(n, value))
         for name, run in runs.items():
             with pytest.raises(NumericDomainError, match="initial law returned a non-finite"):
@@ -194,7 +193,7 @@ def test_initial_law_nonfinite_rejected(value):
 
 
 def test_seed_must_be_seedspec():
-    model = multitask_model(MultitaskParams(0.0), nu=normal_law())
+    model = multitask_model(0.0, nu=normal_law())
     grid = SimGrid(1.0, 2)
     rng = np.random.default_rng(0)
     with pytest.raises(TypeError, match="SeedSpec"):
@@ -222,7 +221,7 @@ def test_block_draws_equal_whole_horizon_reference(copies, monkeypatch):
     # two full blocks and a partial one, so exactly 7 increments, no more.
     # Every row of every step is its replication's stream as one
     # whole-horizon (steps, n) fill reads it.
-    model = multitask_model(MultitaskParams(0.5), nu=normal_law())
+    model = multitask_model(0.5, nu=normal_law())
     n, reps, grid, seed = 5, 4, SimGrid(1.0, 7), SeedSpec(77)
     monkeypatch.setattr(sde_engine, "_DRAW_BLOCK_ELEMENTS", 3 * reps * n)
     keys = [(r,) for r in range(reps)]
@@ -259,7 +258,7 @@ def test_block_draws_one_generator_call_per_row_per_block(monkeypatch):
     n, grid = 4, SimGrid(1.0, 7)
     monkeypatch.setattr(sde_engine, "_BATCH_ELEMENTS", 3 * n)
     monkeypatch.setattr(sde_engine, "_DRAW_BLOCK_ELEMENTS", 9 * n)
-    model = multitask_model(MultitaskParams(0.5))
+    model = multitask_model(0.5)
     keys = [(r,) for r in range(7)]
     chunks = sde_engine._replication_chunks(model, n, grid, SeedSpec(3), keys)
     seen = []
@@ -274,7 +273,7 @@ def test_block_draws_one_generator_call_per_row_per_block(monkeypatch):
 def test_stepper_takes_exactly_one_increment_per_step():
     # the stepper pairs step k with the k-th increment, so a source one
     # short or one long is an error, not a silently shifted or truncated path
-    model = multitask_model(MultitaskParams(0.5))
+    model = multitask_model(0.5)
     grid, x0 = SimGrid(1.0, 4), np.zeros(3)
     for count in (grid.steps - 1, grid.steps + 1):
         dWs = iter(np.zeros((count, 3)))
@@ -288,7 +287,7 @@ def test_negative_volatility_rejected():
     # z/sigma is formed only by slope_over_sigma, which guards sigma, so every
     # entry point that divides by sigma rejects a negative or NaN one, for
     # float and for array sigma alike.
-    model = multitask_model(MultitaskParams(0.0))
+    model = multitask_model(0.0)
     grid = SimGrid(1.0, 2)
     paths = simulate_particles(model, _zero, _zero, 5, grid, SeedSpec(0))
     contract = Contract(0.0, _zero, _zero)
@@ -323,7 +322,7 @@ def test_negative_volatility_rejected():
 
 def test_terminal_variance_is_horizon():
     # zero slope, no interaction: X_T = W_T, Var = T
-    model = multitask_model(MultitaskParams(0.0))
+    model = multitask_model(0.0)
     grid = SimGrid(1.0, 20)
     m = simulate_terminal_measure(model, _zero, _zero, 20_000, grid, SeedSpec(77))
     var, se = conftest.variance_se(m.samples)
@@ -333,7 +332,7 @@ def test_terminal_variance_is_horizon():
 def test_deterministic_ode_limit():
     # sigma scaled to zero and a forced unit action: X_T = sum dt = T exactly
     # (64 steps keeps the dt accumulation exact in binary floating point)
-    model = multitask_model(MultitaskParams(0.0))
+    model = multitask_model(0.0)
     model = replace(model, vol_sigma=lambda t, x: 0.0)
     grid = SimGrid(1.0, 64)
     forced = replace(model, analytic_maximizer=lambda t, x, m, e, z: 1.0)
@@ -349,7 +348,7 @@ def test_ensemble_mean_replays_linear_recursion():
     #   xbar_{k+1} = (1 + kappa dt) xbar_k + gamma(t_k) dt + mean(sigma dW_k)
     # exactly; replaying the recursion from the stream's increments must match.
     kappa = 0.5
-    model = multitask_model(MultitaskParams(kappa, b_bar=10.0))
+    model = multitask_model(kappa, b_bar=10.0)
     grid = SimGrid(1.0, 40)
     gamma = lambda t, x: math.exp(kappa * (1.0 - t))
     paths = simulate_particles(model, gamma, _zero, 500, grid, SeedSpec(21))
@@ -367,7 +366,7 @@ def test_ensemble_mean_replays_linear_recursion():
 def test_blowup_detected():
     # strong positive feedback through the mean: the state doubles every few
     # steps and must trip the threshold, not overflow silently
-    model = multitask_model(MultitaskParams(50.0), nu=point_mass(1.0))
+    model = multitask_model(50.0, nu=point_mass(1.0))
     grid = SimGrid(1.0, 100)
     with pytest.raises(SimulationBlowupError) as exc:
         simulate_particles(model, _one, _zero, 10, grid, SeedSpec(0))
@@ -379,7 +378,7 @@ def test_blowup_threshold_override(monkeypatch):
     # alpha = z on the multitask model: slope 100 moves every state by about
     # 10 in the first step, past the lowered threshold
     monkeypatch.setattr(sde_engine, "BLOWUP_THRESHOLD", 1.0)
-    model = multitask_model(MultitaskParams(0.0))
+    model = multitask_model(0.0)
     with pytest.raises(SimulationBlowupError):
         simulate_particles(model, lambda t, x: 100.0, _zero, 5, SimGrid(1.0, 10), SeedSpec(0))
 
@@ -401,7 +400,7 @@ def test_blowup_step_is_the_breaching_step(steps, data, n, replications, key):
     t_s = float(grid.nodes[s])
     push = 10 * sde_engine.BLOWUP_THRESHOLD / grid.dt
     model = replace(
-        multitask_model(MultitaskParams(0.5), nu=normal_law()),
+        multitask_model(0.5, nu=normal_law()),
         drift_b=lambda t, x, m, e, a: push if t >= t_s else 0.0,
     )
     contract = Contract(model.reservation_R, _one, _zero)
@@ -433,7 +432,7 @@ def _held_states(states):
     is rejected before the first step, by the initial-law check.)
     """
     model = replace(
-        multitask_model(MultitaskParams(0.0), nu=point_mass(0.0)),
+        multitask_model(0.0, nu=point_mass(0.0)),
         drift_b=lambda t, x, m, e, a: np.array(states, dtype=float),
         vol_sigma=lambda t, x: 0.0,
     )
@@ -470,7 +469,7 @@ def test_blowup_guard_admits_states_at_threshold():
 
 
 def test_paths_csv(tmp_path):
-    model = multitask_model(MultitaskParams(0.0), nu=normal_law())
+    model = multitask_model(0.0, nu=normal_law())
     grid = SimGrid(1.0, 3)
     paths = simulate_particles(model, _zero, _zero, 4, grid, SeedSpec(2))
     out = tmp_path / "paths.csv"
