@@ -33,6 +33,7 @@ from .contracts import (
     evaluate_terminal_payment,
     joint_deviation_scan,
 )
+from .estimates import mean_se
 from .measures import EmpiricalMeasure, wasserstein_p
 from .mkv_control import (
     POLICY_PARTS,
@@ -407,11 +408,18 @@ def _write_run_meta(out_dir: str, command: str, ec: ExperimentConfig, workers: i
 # ---------------------------------------------------------------------------
 
 
+def _quiet(fn: Callable, *args):
+    """fn(*args) with numpy's overflow and invalid-value warnings off; the typed guards report those."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fn(*args)
+
+
 def _map_ordered(fn: Callable, plan, count: int, workers: int) -> list:
     """[fn(plan, i) for i in range(count)], on a pool when it helps; fn must use (plan, i) alone.
 
     The pool has at most one process per task and per CPU this process may
-    run on, since every worker is started at once.
+    run on, since every worker is started at once. Each pool task runs
+    under _quiet, whatever the start method.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(workers, count, cpus)
@@ -420,7 +428,7 @@ def _map_ordered(fn: Callable, plan, count: int, workers: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, [plan] * count, range(count)))
+        return list(pool.map(_quiet, [fn] * count, [plan] * count, range(count)))
 
 
 def _convergence_worker(plan: dict, i: int) -> list:
@@ -787,18 +795,17 @@ def cmd_chaos(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
 
     w = np.array(_map_ordered(_chaos_worker, plan, replications, workers))  # (reps, len(n_list))
     medians = np.median(w, axis=0)
-    means = w.mean(axis=0)
-    se_means = w.std(axis=0, ddof=1) / math.sqrt(replications) if replications > 1 else np.zeros(len(n_list))
+    mean = mean_se(w)
 
     records = [
-        (f"median_w1[n={n}]", float(medians[i]), float(se_means[i])) for i, n in enumerate(n_list)
+        (f"median_w1[n={n}]", float(medians[i]), float(mean.se[i])) for i, n in enumerate(n_list)
     ]
     _write_results(out_dir, {
         "chaos.csv": _result_csv(
             ec,
             ["n", "median_w1", "mean_w1", "se_mean"],
             [
-                [n, float(medians[i]), float(means[i]), float(se_means[i])]
+                [n, float(medians[i]), float(mean.value[i]), float(mean.se[i])]
                 for i, n in enumerate(n_list)
             ],
         ),
@@ -1034,10 +1041,10 @@ def main(argv: Optional[list] = None) -> int:
         except OSError as exc:
             source = "--out" if args.out else "output.directory"
             raise ConfigError(f"{source}: cannot create directory {out_dir}: {exc}") from None
-        t0 = time.time()
-        code = _COMMANDS[args.command](ec, out_dir, args.workers)
+        t0 = time.perf_counter()
+        code = _quiet(_COMMANDS[args.command], ec, out_dir, args.workers)
         if args.command != "self-check":
-            _write_run_meta(out_dir, args.command, ec, args.workers, time.time() - t0)
+            _write_run_meta(out_dir, args.command, ec, args.workers, time.perf_counter() - t0)
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

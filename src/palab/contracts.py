@@ -260,8 +260,7 @@ def _contract_pass(
                 l_acc = l_acc + step.L * dt
                 lp_acc = lp_acc + model.principal_running_cost_LP(step.t, step.e) * dt
                 x = step.x_next
-
-        priced = _price(model, x, y, l_acc, lp_acc)
+            priced = _price(model, x, y, l_acc, lp_acc)
         rows = slice(reps.start * copies, reps.stop * copies)
         for name, col in priced.items():
             out.setdefault(name, np.empty(replications * copies))[rows] = col[:, 0]
@@ -349,15 +348,10 @@ def joint_deviation_scan(
     )
     rewards = res["agent"].reshape(replications, rows)
 
-    gains = rewards[:, :B] - rewards[:, B:]
-    gain_mean = gains.mean(axis=0)
-    if replications > 1:
-        gain_se = gains.std(axis=0, ddof=1) / math.sqrt(replications)
-    else:
-        gain_se = np.zeros(B)
+    gain = mean_se(rewards[:, :B] - rewards[:, B:])
     return {
         "actions": cells,
-        "gain": gain_mean,
-        "se": gain_se,
+        "gain": gain.value,
+        "se": gain.se,
         "baseline": mean_se(rewards[:, B]),
     }

@@ -20,14 +20,18 @@ class MCEstimate:
 
 
 def mean_se(samples: np.ndarray) -> MCEstimate:
-    """Sample mean with its standard error std/sqrt(m); one sample gives se = 0, none ValueError."""
-    arr = np.asarray(samples, dtype=float).ravel()
-    m = arr.size
+    """Mean over the first axis with its standard error std/sqrt(m).
+
+    m is the length of that axis: a length-m sample gives floats, an (m, k)
+    stack length-k arrays. One sample gives se = 0, none ValueError.
+    """
+    arr = np.asarray(samples, dtype=float)
+    m = len(arr)
     if m == 0:
         raise ValueError("mean_se needs at least one sample")
-    value = float(arr.mean())
-    se = float(arr.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-    return MCEstimate(value, se)
+    value = arr.mean(axis=0)
+    se = arr.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.zeros_like(value)
+    return MCEstimate(value, se) if arr.ndim > 1 else MCEstimate(float(value), float(se))
 
 
 def _central_slope(f, v: float) -> float:

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .contracts import _g_inverse
-from .estimates import MCEstimate, _central_slope
+from .estimates import MCEstimate, _central_slope, mean_se
 from .measures import EmpiricalMeasure
 from .model import ModelSpec, NumericDomainError
 from .sde_engine import SeedSpec, SimGrid, _euler_steps, _stream
@@ -161,16 +161,15 @@ def _limit_objective_from_draws(
     dt = grid.dt
     N = len(x0)
     x = x0
-    lhat_acc = np.zeros(N)
-    # L_P is summed as a scalar while it stays one (it broadcasts to an array
-    # if it ever returns one); each element sees the same additions either way.
-    lp_acc = np.float64(0.0)
+    # L_hat and L_P are summed as scalars while they stay ones (each becomes
+    # an array, then summed in place, if it ever returns one); each element
+    # sees the same additions, and a scalar sum stands for N equal entries.
+    lhat_acc = lp_acc = np.float64(0.0)
     for step in _euler_steps(model, gamma, aleph, x0, grid, dWs):
         lhat_acc += step.L * dt
-        lp_acc = lp_acc + model.principal_running_cost_LP(step.t, step.e) * dt
+        lp_acc += model.principal_running_cost_LP(step.t, step.e) * dt
         x = step.x_next
-    if np.shape(lp_acc) != (N,):
-        lp_acc = np.full(N, lp_acc)
+    lhat_acc, lp_acc = np.broadcast_to(lhat_acc, (N,)), np.broadcast_to(lp_acc, (N,))
 
     y_T = model.reservation_R - float(np.mean(lhat_acc))
     m = EmpiricalMeasure(x)
@@ -187,8 +186,7 @@ def _limit_objective_from_draws(
     # slope of y -> g_P(g^{-1}(y)) at Y_T (the measure argument is treated
     # as frozen).
     influence = ups - lp_acc + _central_slope(ghat_p, y_T) * lhat_acc
-    se = float(np.std(influence, ddof=1) / math.sqrt(N)) if N > 1 else 0.0
-    return MCEstimate(value=value, se=se)
+    return MCEstimate(value=value, se=mean_se(influence).se)
 
 
 def evaluate_limit_objective(

@@ -56,6 +56,9 @@ class SimulationBlowupError(RuntimeError):
             f"simulation blew up at step {step} (t={t:.6g}): max |X| = {worst:.3e}"
         )
 
+    def __reduce__(self):  # rebuilt from its fields, e.g. when a pool worker raises it
+        return type(self), (self.step, self.t, self.worst)
+
 
 @dataclass(frozen=True)
 class SimGrid:

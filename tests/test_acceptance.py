@@ -30,6 +30,7 @@ from palab import (
     SeedSpec,
     SimGrid,
     contract_report,
+    estimate_n_player_value,
     evaluate_limit_objective,
     exp_saturating_utility,
     fit_rate,
@@ -37,6 +38,7 @@ from palab import (
     hamiltonian_h,
     joint_deviation_scan,
     maximize_hamiltonian,
+    mean_se,
     multitask_model,
     normal_law,
     optimize_policy,
@@ -472,3 +474,101 @@ def test_variance_baseline_and_weak_error_halving():
     assert var_ok, (var, var_se)
     assert weak_ok, (errors, ratio)
     assert grid_ok, grid_z
+
+
+# ---------------------------------------------------------------------------
+# 11. the McKean-Vlasov slope is the principal's best at finite n
+# ---------------------------------------------------------------------------
+# With the exp utility and a deterministic slope gamma_k, the n-agent value is
+# J_n(gamma) = 1 - exp(-mu + s2 / 2) (conftest.grid_finite_n_law). Its
+# exponent -mu + s2 / 2 is (1 + 1/n) sum (a_k - gamma_k)^2 dt / 2 plus terms
+# free of gamma, so the grid form a_k = Phi^(K-k-1) of the McKean-Vlasov slope,
+# Phi = 1 + kappa_bar dt, is the principal's best deterministic slope at every n.
+
+MV_KAPPA = 0.5
+MV_GRID = SimGrid(1.0, 100)
+
+
+def _mv_slope() -> np.ndarray:
+    K = MV_GRID.steps
+    return (1.0 + MV_KAPPA * MV_GRID.dt) ** (K - 1 - np.arange(K))
+
+
+def _step_slope(values):
+    """The slope (t, x) -> values[k] on the k-th grid interval."""
+    dt = MV_GRID.dt
+    return lambda t, x=None: values[int(round(t / dt))]
+
+
+def _exact_value(values, n) -> float:
+    return grid_finite_n_law(MV_KAPPA, _step_slope(values), MV_GRID, n, nu_var=1.0)[2]
+
+
+def _mv_perturbations(a):
+    """name -> (slope values, the slope as the n-agent run is offered it)."""
+    bump = a.copy()
+    bump[25:50] += 0.5  # on t in [0.25, 0.5)
+    out = {f"scaled {c}": (c * a, _step_slope(c * a)) for c in (0.8, 1.2)}
+    out["bump"] = (bump, _step_slope(bump))
+    for level in (1.2, 1.4):
+        contract = Contract(Y0=0.0, gamma=_step_slope(a), aleph=_zero, truncation_l=level)
+        out[f"truncated at {level}"] = (np.minimum(a, level), contract.gamma_l)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 10, 1000])
+def test_mv_slope_is_stationary_and_best_at_finite_n(n):
+    a = _mv_slope()
+    best = _exact_value(a, n)
+    h = 1e-4
+
+    def gradient(g):
+        steps = h * np.eye(len(g))
+        return np.array([(_exact_value(g + e, n) - _exact_value(g - e, n)) / (2 * h) for e in steps])
+
+    at_mv = float(np.max(np.abs(gradient(a))))
+    off_mv = float(np.min(np.abs(gradient(0.8 * a))))  # every coordinate is off its optimum
+    stationary = at_mv <= 1e-9 and off_mv >= 1e-4
+
+    times = MV_GRID.nodes[:-1]
+    candidates = {name: g for name, (g, _) in _mv_perturbations(a).items()}
+    candidates["closed form exp(kappa_bar (T - t_k))"] = np.exp(MV_KAPPA * (1.0 - times))
+    rng = np.random.default_rng(10)
+    for i, delta in enumerate(rng.normal(scale=0.1, size=(200, len(a)))):
+        candidates[f"random {i}"] = a + delta
+    losses = {name: best - _exact_value(g, n) for name, g in candidates.items()}
+    lower = all(loss > 0 for loss in losses.values())
+    _report(
+        f"MV slope stationary (max |dJ| {at_mv:.1e}) and best of {len(losses)} slopes "
+        f"(least loss {min(losses.values()):.2e}) at n={n}",
+        stationary and lower,
+    )
+    assert stationary, (at_mv, off_mv)
+    assert lower, {k: v for k, v in losses.items() if v <= 0}
+
+
+def test_mv_slope_paired_losses_match_exact_values():
+    # one SeedSpec drives the run at a_k and at every perturbation, so each
+    # replication's loss is a paired difference on common draws. 80
+    # comparisons (8 seeds, 2 sizes, 5 perturbations): the two-sided
+    # Bonferroni bound at family-wise 5 % is 3.42 se
+    k_se = 3.5
+    model = multitask_model(MV_KAPPA, 10.0, nu=normal_law(0.0, 1.0), U=exp_saturating_utility)
+    a = _mv_slope()
+    worst = 0.0
+    for seed in range(8):
+        for n in (10, 100):
+            spec = SeedSpec(seed).child(n)
+            _, base = estimate_n_player_value(model, _step_slope(a), _zero, n, MV_GRID, 500, spec)
+            best = _exact_value(a, n)
+            cells = []
+            for name, (g, gamma) in _mv_perturbations(a).items():
+                _, run = estimate_n_player_value(model, gamma, _zero, n, MV_GRID, 500, spec)
+                loss = mean_se(base["u"] - run["u"])
+                z = (loss.value - (best - _exact_value(g, n))) / loss.se
+                worst = max(worst, abs(z))
+                cells.append(f"{name} {loss.value:.5f} (z {z:+.2f})")
+            print(f"  seed {seed}, n={n}: paired losses " + ", ".join(cells))
+    ok = worst <= k_se
+    _report(f"MV slope paired losses within {k_se} se on 8 seeds (max |z| {worst:.2f})", ok)
+    assert ok, worst

@@ -1,5 +1,6 @@
 """End-to-end tests of the palab command line: configs, outputs, determinism."""
 
+import ast
 import copy
 import csv
 import dataclasses
@@ -155,6 +156,28 @@ def test_readme_matches_cli():
     constants = sorted({value for name, value in vars(cli).items() if name.startswith("EXIT_")})
     assert documented == constants
     assert [int(n) for n in re.findall(r"\((\d+) checks", readme)] == [len(cli._SELF_CHECKS)]
+
+
+def test_readme_names_every_config_key():
+    # the README's config section names, as a backticked dotted key, every
+    # path that cli.py reads with _field or _walk, and no other key; a block
+    # (`model.nu`) counts when one of its children is read
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in {"_field", "_walk"}:
+            path = node.args[1]
+            if isinstance(path, ast.Constant):
+                read.add(path.value)
+            else:  # only the defs of _field and _walk pass a variable path
+                assert ast.unparse(path) == "path", ast.unparse(node)
+    read = {key for key in read if "." in key}
+    blocks = {key.rsplit(".", i)[0] for key in read for i in range(1, key.count(".") + 1)}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config format", 1)[1].split("\n### ", 1)[0]
+    named = set(re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", section))
+    assert sorted(read - named) == []
+    assert sorted(named - read - blocks) == []
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +464,10 @@ def test_contract_eval_deviation_blowup_exit(tmp_path, capsys):
     # trip the blow-up threshold instead of yielding a verdict from NaN
     cfg = _contract_config(deviation={"min": -1e200, "max": 1e200, "step": 1e200})
     out = tmp_path / "out"
-    with np.errstate(over="ignore"):
-        code = cli.main(["contract-eval", "--config", _write_config(tmp_path, cfg), "--out", str(out)])
+    code = cli.main(["contract-eval", "--config", _write_config(tmp_path, cfg), "--out", str(out)])
     assert code == cli.EXIT_BLOWUP
-    assert "numeric blowup" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numeric blowup") and len(err.strip().splitlines()) == 1
     assert not (out / "contract_summary.json").exists()
 
 
@@ -508,6 +531,56 @@ def test_contract_eval_nan_result_writes_nothing(tmp_path, capsys, monkeypatch):
     assert err.startswith("numeric error: NumericDomainError")
     assert len(err.strip().splitlines()) == 1
     assert os.listdir(out) == []
+
+
+_CHAOS_OVERFLOW = {
+    "policy": {"source": "constant", "value": 1e200},
+    "mc": {"n_list": [5], "N_proxy": 100, "replications": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "command, blocks, workers, code",
+    [
+        ("policy-opt", {"policy": {"knots": 2, "init_gamma": 1e200, "budget": 5}, "mc": {"N_proxy": 100}},
+         1, cli.EXIT_BLOWUP),
+        ("chaos", _CHAOS_OVERFLOW, 1, cli.EXIT_BLOWUP),
+        ("chaos", _CHAOS_OVERFLOW, 2, cli.EXIT_BLOWUP),
+        ("contract-eval", {"model": {"utility": "exp"}, "policy": {"source": "constant", "value": 1e4},
+                           "mc": {"n": 4, "replications": 2}}, 1, cli.EXIT_NUMERIC),
+        ("multitask-convergence", {"model": {"utility": "exp", "R": 1e4},
+                                   "mc": {"n_list": [5], "b_bar_list": [10.0], "replications": 2}},
+         1, cli.EXIT_NUMERIC),
+    ],
+    ids=["policy-opt", "chaos", "chaos-workers-2", "contract-eval", "convergence"],
+)
+def test_overflow_prints_only_the_typed_error(tmp_path, capsys, command, blocks, workers, code):
+    # an overflow inside a command (or a pool task) reaches stderr as its one
+    # typed line: numpy's RuntimeWarning never comes first
+    cfg = {
+        "experiment": "overflow",
+        "model": {"name": "multitask", "params": {"kappa_bar": 0.5}},
+        "grid": {"steps": 10},
+        "mc": {"master_seed": 1},
+    }
+    for name, block in blocks.items():
+        cfg[name] = {**cfg.get(name, {}), **block}
+    argv = [command, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]
+    assert cli.main(argv + ["--workers", str(workers)]) == code
+    err = capsys.readouterr().err
+    prefix = "numeric blowup:" if code == cli.EXIT_BLOWUP else "numeric error:"
+    assert err.startswith(prefix) and len(err.strip().splitlines()) == 1, err
+
+
+def test_run_meta_elapsed_ignores_wall_clock_steps(tmp_path, monkeypatch):
+    # the wall clock steps back 100 s at every reading; the run's duration
+    # comes from a monotonic clock, so it stays >= 0
+    readings = iter(range(10**9, 0, -100))
+    monkeypatch.setattr(cli.time, "time", lambda: float(next(readings)))
+    out = tmp_path / "out"
+    argv = ["contract-eval", "--config", _write_config(tmp_path, _contract_config()), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert json.loads((out / "run_meta.json").read_text())["elapsed_seconds"] >= 0
 
 
 # ---------------------------------------------------------------------------

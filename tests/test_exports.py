@@ -164,3 +164,18 @@ def test_every_public_def_has_a_caller_in_the_package():
         if name not in allowed and not any(ref == name and owner is not node for ref, owner in refs)
     )
     assert unread == []
+
+
+def test_only_estimates_forms_a_standard_error():
+    # every mean +- se comes from estimates.mean_se: no other module takes a
+    # sample standard deviation (an .std call or a ddof keyword)
+    found = []
+    for path in sorted(Path(palab.__file__).parent.glob("*.py")):
+        if path.name == "estimates.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                is_std = isinstance(node.func, ast.Attribute) and node.func.attr == "std"
+                if is_std or any(kw.arg == "ddof" for kw in node.keywords):
+                    found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
