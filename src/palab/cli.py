@@ -631,7 +631,9 @@ def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
     grid = SimGrid(plan["T"], ec.steps)
     seed = SeedSpec(ec.master_seed)
 
-    report = contract_report(contract, model, n, grid, replications, seed.child(0))
+    # the path dump is one more ensemble of the report's pass, on stream key 2
+    paths_seed = seed.child(2) if dump_paths else None
+    report = contract_report(contract, model, n, grid, replications, seed.child(0), paths_seed)
     records = [
         (key, report[key].value, report[key].se)
         for key in ("xi", "agent_reward", "principal_inside", "principal_outside")
@@ -678,14 +680,10 @@ def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
         records.append(("pareto_max_gain", float(scan["gain"][best]), float(scan["se"][best])))
         records.append(("pareto_baseline", scan["baseline"].value, scan["baseline"].se))
 
-    paths = None
-    if dump_paths:
-        paths = simulate_particles(model, contract.gamma_l, contract.aleph_l, n, grid, seed.child(2))
-
     files["contract_summary.json"] = _result_json(ec, records, **payload)
     _write_results(out_dir, files)
-    if paths is not None:  # the path dump holds only guarded, finite states
-        save_paths_csv(paths, os.path.join(out_dir, "paths.csv"))
+    if dump_paths:  # the path dump holds only guarded, finite states
+        save_paths_csv(report["paths"], os.path.join(out_dir, "paths.csv"))
     return EXIT_OK
 
 

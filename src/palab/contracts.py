@@ -14,11 +14,12 @@ pathwise and the update is -L_hat dt + z dW: the contract pays the
 reservation level in expectation, and the recommended response is optimal
 up to O(1/n) terms.
 
-One simulating pass, _contract_pass, serves contract_report, the
-joint-deviation scan and principal_n's estimator. The stored-path replay
-evaluate_terminal_payment is a separate pricer, so that it can check the
-pass, but it shares the pass's node evaluation (model._node) and Y step
-(contract_y_step), so on the same draws the two agree bit for bit.
+One simulating pass, _contract_pass, serves contract_report (with the CLI's
+path dump as one more row of its pass), the joint-deviation scan and
+principal_n's estimator. The stored-path replay evaluate_terminal_payment is
+a separate pricer, so that it can check the pass, but it shares the pass's
+node evaluation (model._node) and Y step (contract_y_step), so on the same
+draws the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -219,6 +220,7 @@ def _contract_pass(
     seed: SeedSpec,
     play: Optional[Callable] = None,
     copies: int = 1,
+    paths_seed: Optional[SeedSpec] = None,
 ) -> dict:
     """Simulate the contracted n-agent system and price every replication.
 
@@ -241,30 +243,59 @@ def _contract_pass(
     SimulationBlowupError at the first step where any row of its chunk
     breaches it, which need not be in the first failing replication. numpy's
     overflow warnings are silenced in favour of these guards.
+
+    With paths_seed, one more ensemble, on the stream simulate_particles
+    reads from paths_seed, steps after the replications under the same
+    guards; its states come back as "paths", a ParticlePaths equal to
+    simulate_particles on paths_seed, and it enters no per-row array. The
+    two seeds must share a master seed (else ValueError).
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
     dt = grid.dt
     out = {}
     keys = [(r,) for r in range(replications)]
+    if paths_seed is not None:
+        for s in (seed, paths_seed):
+            if not isinstance(s, SeedSpec):
+                raise TypeError(f"seed must be a SeedSpec, got {type(s)!r}")
+        if paths_seed.master_seed != seed.master_seed:
+            raise ValueError(
+                f"paths_seed has master seed {paths_seed.master_seed}, "
+                f"the replications {seed.master_seed}"
+            )
+        keys = [seed.prefix + key for key in keys] + [paths_seed.prefix]
+        seed = SeedSpec(seed.master_seed)
     for reps, x, dWs in _replication_chunks(model, n, grid, seed, keys, copies):
+        steps = _euler_steps(model, gamma, aleph, x, grid, dWs, play)
+        if replications in reps:  # the chunk holds the paths_seed row
+            out["paths"] = ParticlePaths(grid, np.empty((n, grid.steps + 1)))
+            steps = _recorded(steps, x, (replications - reps.start) * copies, out["paths"].states)
         y = np.full(len(x), float(y0))
         # L and L_P are summed as scalars while they stay ones (each broadcasts
         # to an array if it ever returns one); each element sees the same
         # additions, and _price averages a scalar as n equal entries.
         l_acc = lp_acc = np.float64(0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            for step in _euler_steps(model, gamma, aleph, x, grid, dWs, play):
+            for step in steps:
                 y = contract_y_step(y, dt, step.H, step.zsig, step.x_next - x)
                 _check_level(y, step.t)
                 l_acc = l_acc + step.L * dt
                 lp_acc = lp_acc + model.principal_running_cost_LP(step.t, step.e) * dt
                 x = step.x_next
             priced = _price(model, x, y, l_acc, lp_acc)
-        rows = slice(reps.start * copies, reps.stop * copies)
+        rows = slice(reps.start * copies, min(reps.stop, replications) * copies)  # not the paths row
         for name, col in priced.items():
-            out.setdefault(name, np.empty(replications * copies))[rows] = col[:, 0]
+            out.setdefault(name, np.empty(replications * copies))[rows] = col[: rows.stop - rows.start, 0]
     return out
+
+
+def _recorded(steps, x, row: int, states: np.ndarray):
+    """The stepper's steps, passed through while row `row` of x and each x_next is copied into states."""
+    states[:, 0] = x[row]
+    for k, step in enumerate(steps, 1):
+        states[:, k] = step.x_next[row]
+        yield step
 
 
 def contract_report(
@@ -274,6 +305,7 @@ def contract_report(
     grid: SimGrid,
     replications: int,
     seed: SeedSpec,
+    paths_seed: Optional[SeedSpec] = None,
 ) -> dict:
     """Across-replication estimates for the contract, from one _contract_pass.
 
@@ -282,16 +314,24 @@ def contract_report(
     E[xi], the agent reward and the principal's value under both utility
     conventions: "principal_inside" averages U(v) over replications, and
     "principal_outside" applies U to the averaged v (delta-method SE).
+
+    With paths_seed, a SeedSpec on seed's master seed (else ValueError), the
+    same pass also steps the ensemble simulate_particles would draw from
+    paths_seed, and the result gains "paths": a ParticlePaths equal to that
+    call's bit for bit. That ensemble is guarded like a replication, so its
+    blow-up, non-finite level or failed payment raises as theirs would, but
+    it enters no estimate and no per_replication list.
     """
     _check_floor(contract, model)
     res = _contract_pass(
-        model, contract.gamma_l, contract.aleph_l, contract.Y0, n, grid, replications, seed
+        model, contract.gamma_l, contract.aleph_l, contract.Y0, n, grid, replications, seed,
+        paths_seed=paths_seed,
     )
     v_est = mean_se(res["v"])
     U = model.principal_utility_U
     se_outside = abs(_central_slope(U, v_est.value)) * v_est.se
     outside = MCEstimate(value=float(U(v_est.value)), se=se_outside)
-    return {
+    report = {
         "xi": mean_se(res["xi"]),
         "agent_reward": mean_se(res["agent"]),
         "principal_inside": mean_se(res["u"]),
@@ -302,6 +342,9 @@ def contract_report(
             "principal_value": res["v"].tolist(),
         },
     }
+    if paths_seed is not None:
+        report["paths"] = res["paths"]
+    return report
 
 
 def joint_deviation_scan(

@@ -281,8 +281,9 @@ def simulate_terminal_measure(
 
 def save_paths_csv(paths: ParticlePaths, path: str) -> None:
     """Write paths as CSV with columns (t, particle, state), one row per node and particle."""
+    # One write per node, so that only one node's rows are held as text.
     with open(path, "w") as fh:
         fh.write("t,particle,state\n")
         for t, col in zip(paths.grid.nodes.tolist(), paths.states.T):
-            for i, x in enumerate(col.tolist()):
-                fh.write(f"{t!r},{i},{x!r}\n")
+            t = repr(t)
+            fh.write("".join([f"{t},{i},{x!r}\n" for i, x in enumerate(col.tolist())]))

@@ -17,8 +17,8 @@ import pytest
 
 import palab.cli as cli
 from palab.contracts import Contract, contract_report
-from palab.model import multitask_model, normal_law
-from palab.sde_engine import SeedSpec, SimGrid
+from palab.model import multitask_model, normal_law, quadratic_generic_model
+from palab.sde_engine import SeedSpec, SimGrid, save_paths_csv, simulate_particles
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
@@ -436,17 +436,56 @@ def test_contract_eval_reference_follows_scale_and_y0(tmp_path, sigma_scale, y0)
         assert abs(records[metric]["value"] - reference[key]) <= 3.0 * records[metric]["se"]
 
 
-def test_contract_eval_blowup_exit(tmp_path):
+def test_contract_eval_paths_csv_equals_separate_simulation(tmp_path):
+    # the dump steps inside the report's pass, yet writes the bytes of a
+    # separate simulate_particles run on stream key 2 under the truncated
+    # contract; the quadratic model runs the numeric maximizer
     cfg = {
-        "experiment": "ce-blowup",
-        "model": {"name": "multitask", "params": {"kappa_bar": 1e6}},
-        "grid": {"steps": 50},
-        "policy": {"source": "constant", "value": 1.0},
-        "mc": {"master_seed": 1, "n": 4, "replications": 2},
+        "experiment": "ce-dump",
+        "model": {
+            "name": "quadratic",
+            "params": {"a_base": 0.3, "sigma0": 0.7},
+            "R": 0.0,
+            "nu": {"kind": "normal", "mean": 0.1, "std": 0.8},
+        },
+        "grid": {"steps": 8},
+        "policy": {"source": "constant", "value": 0.6, "truncation_l": 0.5},
+        "mc": {"master_seed": 13, "n": 6, "replications": 3},
+        "output": {"dump_paths": True},
     }
+    out = tmp_path / "out"
+    assert cli.main(["contract-eval", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+
+    model = quadratic_generic_model(a_base=0.3, sigma0=0.7, R=0.0, nu=normal_law(0.1, 0.8))
+    c = Contract(Y0=0.0, gamma=lambda t, x: 0.6, aleph=lambda t, x: 0.0, truncation_l=0.5)
+    paths = simulate_particles(model, c.gamma_l, c.aleph_l, 6, SimGrid(1.0, 8), SeedSpec(13).child(2))
+    save_paths_csv(paths, str(tmp_path / "expected.csv"))
+    assert (out / "paths.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+_CE_BLOWUP = {
+    "experiment": "ce-blowup",
+    "model": {"name": "multitask", "params": {"kappa_bar": 1e6}},
+    "grid": {"steps": 50},
+    "policy": {"source": "constant", "value": 1.0},
+    "mc": {"master_seed": 1, "n": 4, "replications": 2},
+}
+
+
+def test_contract_eval_blowup_exit(tmp_path):
+    out = tmp_path / "out"
+    code = cli.main(["contract-eval", "--config", _write_config(tmp_path, _CE_BLOWUP), "--out", str(out)])
+    assert code == cli.EXIT_BLOWUP
+
+
+def test_contract_eval_dump_blowup_exit(tmp_path):
+    # with the dump on, the blow-up is raised in the pass the dump shares with
+    # the report, still before any result file or paths.csv is written
+    cfg = {**_CE_BLOWUP, "output": {"dump_paths": True}}
     out = tmp_path / "out"
     code = cli.main(["contract-eval", "--config", _write_config(tmp_path, cfg), "--out", str(out)])
     assert code == cli.EXIT_BLOWUP
+    assert not any(out.glob("*"))
 
 
 def _contract_config(**mc):
