@@ -76,6 +76,7 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_CHECK_FAILED = 4
 EXIT_NUMERIC = 5
+EXIT_MEMORY = 6
 
 _MISSING = object()  # an absent field, and the default of a required one
 _read: set = set()  # the key paths _field was asked for since the last parse_config
@@ -106,12 +107,18 @@ def _walk(cfg: dict, path: str):
 # kind: (accepted types, the message's name of one value, of a list's items)
 _KINDS = {
     "int": (int, "an integer", "integers"),
+    "count": (int, "an integer", "integers"),
     "number": ((int, float, str), "a number", "numbers"),
     "level": ((int, float, str), "a number", "numbers"),
     "str": (str, "a string", "strings"),
     "bool": (bool, "true/false", None),
     "dict": (dict, "an object", None),
 }
+
+
+# A count sizes an array (particles, replications, steps, knots), so one past
+# the largest array size could never be allocated.
+_MAX_COUNT = int(np.iinfo(np.intp).max)
 
 
 def _too_large(path: str, val: int) -> ConfigError:
@@ -127,6 +134,10 @@ def _coerce(path: str, val, kind: str):
     types, name, _ = _KINDS[kind]
     if not isinstance(val, types) or (isinstance(val, bool) and types is not bool):
         raise ConfigError(f"{path}: expected {name}, got {val!r}")
+    if kind == "count" and val > _MAX_COUNT:
+        if val > sys.float_info.max:  # the grid divides the horizon by grid.steps
+            raise _too_large(path, val)
+        raise ConfigError(f"{path}: must be <= {_MAX_COUNT}, got {val}")
     if kind not in ("number", "level"):
         return val
     # A number may be written as a string ("1e-3", "inf"); only a level
@@ -148,9 +159,10 @@ def _field(cfg: dict, path: str, kind: str, default=_MISSING, *, ge=None, gt=Non
     """The checked value of the config field at a dotted path.
 
     An absent (or null) field takes the default; without one it is an error.
-    The value must be of kind ("int", "number" (finite), "level" (a number
-    that may be +-inf), "str", "bool", "dict", or a non-empty list of one of
-    the first four, e.g. "number-list"), and ge, gt and choices
+    The value must be of kind ("int", "count" (an int that sizes an array,
+    at most _MAX_COUNT), "number" (finite), "level" (a number that may be
+    +-inf), "str", "bool", "dict", or a non-empty list of one of the first
+    five, e.g. "count-list"), and ge, gt and choices
     bound the value or, for a list, each entry. Every failure is a
     ConfigError whose message starts with the path.
     """
@@ -227,9 +239,7 @@ def parse_config(raw, seed_override: Optional[int] = None) -> ExperimentConfig:
     experiment = _field(eff, "experiment", "str")
     _field(eff, "model", "dict")
     _field(eff, "model.name", "str")
-    steps = _field(eff, "grid.steps", "int", ge=1)
-    if steps > sys.float_info.max:  # the grid divides the horizon by it
-        raise _too_large("grid.steps", steps)
+    steps = _field(eff, "grid.steps", "count", ge=1)
     seed = _field(eff, "mc.master_seed", "int")
     if not (0 <= seed < 2**63):
         raise ConfigError(f"mc.master_seed: must be in [0, 2^63), got {seed}")
@@ -458,7 +468,7 @@ def _chaos_worker(plan: dict, r: int) -> list:
     out = []
     for i_n, n in enumerate(plan["n_list"]):
         m_n = simulate_terminal_measure(model, gamma, aleph, n, grid, seed.child(0, i_n, r))
-        out.append(float(wasserstein_p(m_n, proxy, 1.0)))
+        out.append(wasserstein_p(m_n, proxy))
     return out
 
 
@@ -489,9 +499,9 @@ def cmd_multitask_convergence(ec: ExperimentConfig, out_dir: str, workers: int) 
         "model": model,
         "steps": ec.steps,
         "seed": ec.master_seed,
-        "n_list": _field(cfg, "mc.n_list", "int-list", ge=1),
+        "n_list": _field(cfg, "mc.n_list", "count-list", ge=1),
         "b_bar_list": _field(cfg, "mc.b_bar_list", "level-list", gt=0),
-        "replications": _field(cfg, "mc.replications", "int", ge=2),
+        "replications": _field(cfg, "mc.replications", "count", ge=2),
     }
     _reject_unread(cfg)
     n_list, b_bar_list = plan["n_list"], plan["b_bar_list"]
@@ -588,7 +598,7 @@ def _deviation_config(cfg: dict, replications: int):
     if _field(cfg, "mc.deviation", "dict", None) is None:
         return None
     d_n = _field(cfg, "mc.deviation.n", "int", 2, ge=1)
-    d_reps = _field(cfg, "mc.deviation.replications", "int", replications, ge=2)
+    d_reps = _field(cfg, "mc.deviation.replications", "count", replications, ge=2)
     lo = _field(cfg, "mc.deviation.min", "number", -3.0)
     hi = _field(cfg, "mc.deviation.max", "number", 3.0)
     step = _field(cfg, "mc.deviation.step", "number", 0.25)
@@ -619,8 +629,8 @@ def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
     if symmetric and trunc < 0:
         raise ConfigError(f"policy.truncation_l: must be >= 0 with policy.symmetric, got {trunc!r}")
     y0 = _field(cfg, "policy.Y0", "number", plan["R"], ge=plan["R"])
-    n = _field(cfg, "mc.n", "int", ge=1)
-    replications = _field(cfg, "mc.replications", "int", ge=2)
+    n = _field(cfg, "mc.n", "count", ge=1)
+    replications = _field(cfg, "mc.replications", "count", ge=2)
     deviation = _deviation_config(cfg, replications)
     dump_paths = _field(cfg, "output.dump_paths", "bool", False)
     _reject_unread(cfg)
@@ -698,7 +708,7 @@ def _knots_from_config(cfg: dict, T: float) -> np.ndarray:
         if np.any(np.diff(knots) <= 0):
             raise ConfigError(f"policy.knots: must be strictly increasing, got {knots.tolist()!r}")
     else:
-        knots = np.linspace(0.0, T, _field(cfg, "policy.knots", "int", ge=1) + 1)
+        knots = np.linspace(0.0, T, _field(cfg, "policy.knots", "count", ge=1) + 1)
     if abs(knots[0]) > 1e-12 or abs(knots[-1] - T) > 1e-9:
         raise ConfigError("policy.knots: must span [0, T]")
     return knots
@@ -714,7 +724,7 @@ def cmd_policy_opt(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
         raise ConfigError(f"policy.bounds: expected [lo, hi] with lo < hi, got {bounds!r}")
     parts = tuple(_field(cfg, "policy.parts", "str-list", ["gamma"], choices=POLICY_PARTS))
     budget = _field(cfg, "policy.budget", "int", 400, ge=1)
-    N_proxy = _field(cfg, "mc.N_proxy", "int", 20_000, ge=2)
+    N_proxy = _field(cfg, "mc.N_proxy", "count", 20_000, ge=2)
     _reject_unread(cfg)
 
     model = _build_model(plan)
@@ -784,10 +794,10 @@ def cmd_chaos(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
         "policy": _feedback_plan(cfg, model),
         "steps": ec.steps,
         "seed": ec.master_seed,
-        "n_list": _field(cfg, "mc.n_list", "int-list", ge=1),
-        "N_proxy": _field(cfg, "mc.N_proxy", "int", ge=2),
+        "n_list": _field(cfg, "mc.n_list", "count-list", ge=1),
+        "N_proxy": _field(cfg, "mc.N_proxy", "count", ge=2),
     }
-    replications = _field(cfg, "mc.replications", "int", 20, ge=1)
+    replications = _field(cfg, "mc.replications", "count", 20, ge=1)
     _reject_unread(cfg)
     n_list = plan["n_list"]
 
@@ -1053,6 +1063,9 @@ def main(argv: Optional[list] = None) -> int:
     except (ContractEvaluationError, NumericDomainError, AmbiguousMaximizerError) as exc:
         print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 def entry() -> None:

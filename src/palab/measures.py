@@ -1,11 +1,12 @@
 """Sample-based empirical measures on the real line.
 
 The particle systems in this package are one-dimensional, so every measure is
-an unweighted atom cloud (mass 1/n each) and the p-Wasserstein distance between
-two clouds of equal size is computed exactly by sorting — the 1-D optimal
-coupling is the monotone one. Unequal sample counts are compared through
-their inverse CDFs on a common quantile grid. Weighted atoms and measures on
-path space are out of scope: the path ensembles stand for path-space laws.
+an unweighted atom cloud (mass 1/n each), and the one distance between two
+clouds is W1. For equal sample counts it is exact by sorting — the 1-D
+optimal coupling is the monotone one. Unequal counts are compared through
+their inverse CDFs at the QUANTILE_GRID_SIZE = 10,000 midpoint levels.
+Weighted atoms and measures on path space are out of scope: the path
+ensembles stand for path-space laws.
 """
 
 from __future__ import annotations
@@ -78,42 +79,21 @@ class EmpiricalMeasure:
             return self._average(self.samples)
         return self._average(np.clip(self.samples, -b_bar, b_bar))
 
-    def quantiles(self, levels: np.ndarray) -> np.ndarray:
-        """Inverse CDF at the given levels: the order statistic x_(floor(u·n)+1).
 
-        This is the right-continuous inverse inf{x : F(x) > u}, capped at
-        x_(n); where u·n is an integer k it returns x_(k+1), not the
-        left-continuous x_(k). A level outside [0, 1], or NaN, raises
-        ValueError, and so does a (batch, n) stack: it holds one inverse CDF
-        per ensemble, not one.
-        """
-        if self.samples.ndim != 1:
-            raise ValueError("quantiles takes a single ensemble, not a (batch, n) stack")
-        levels = np.asarray(levels)
-        if not ((levels >= 0) & (levels <= 1)).all():
-            raise ValueError("quantile levels must lie in [0, 1]")
-        s = self.sorted_samples
-        n = s.size
-        idx = np.minimum((levels * n).astype(int), n - 1)
-        return s[idx]
-
-
-def wasserstein_p(a: EmpiricalMeasure, b: EmpiricalMeasure, p: float = 1.0) -> float:
-    """p-Wasserstein distance between two 1-D empirical measures.
+def wasserstein_p(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
+    """W1 distance between two 1-D empirical measures.
 
     Equal sample counts use the exact sorted-sample coupling
-    ((1/n)·Σ|a_(i) − b_(i)|^p)^(1/p); unequal counts apply the same formula
-    to the two quantile functions at QUANTILE_GRID_SIZE midpoint levels. A
-    (batch, n) stack raises ValueError, and so does a p outside [1, inf),
-    NaN included.
+    (1/n)·Σ|a_(i) − b_(i)|. Unequal counts take the mean of |F_a⁻¹(u) −
+    F_b⁻¹(u)| over the QUANTILE_GRID_SIZE = 10,000 midpoint levels
+    u = (i + 1/2)/K, with the right-continuous inverse x_(floor(u·n)+1),
+    capped at x_(n). A (batch, n) stack raises ValueError.
     """
-    if not 1 <= p < math.inf:
-        raise ValueError(f"wasserstein_p needs 1 <= p < inf, got {p}")
     if a.samples.ndim != 1 or b.samples.ndim != 1:
         raise ValueError("wasserstein_p compares single ensembles, not (batch, n) stacks")
     if len(a) == len(b):
         xa, xb = a.sorted_samples, b.sorted_samples
     else:
-        levels = (np.arange(QUANTILE_GRID_SIZE) + 0.5) / QUANTILE_GRID_SIZE
-        xa, xb = a.quantiles(levels), b.quantiles(levels)
-    return float(np.mean(np.abs(xa - xb) ** p) ** (1.0 / p))
+        u = (np.arange(QUANTILE_GRID_SIZE) + 0.5) / QUANTILE_GRID_SIZE
+        xa, xb = (m.sorted_samples[np.minimum((u * len(m)).astype(int), len(m) - 1)] for m in (a, b))
+    return float(np.mean(np.abs(xa - xb)))

@@ -318,7 +318,7 @@ def test_wasserstein_convergence_rate():
             ensemble = simulate_terminal_measure(
                 model, am.gamma_hat, _zero, n, grid, master.child(0, i, r)
             )
-            w[r, i] = wasserstein_p(ensemble, proxy, p=1.0)
+            w[r, i] = wasserstein_p(ensemble, proxy)
 
     medians = np.median(w, axis=0)
     fit = fit_rate(n_values, medians)

@@ -10,10 +10,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import palab.cli as cli
 from palab.contracts import Contract, contract_report
@@ -269,6 +272,38 @@ def test_workers_do_not_change_results(tmp_path, command, cfg, files):
     assert cli.main([command, "--config", cfg_path, "--out", str(out2), "--workers", "3"]) == 0
     for name in files:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@given(
+    n_list=st.lists(st.integers(1, 40), min_size=2, max_size=3),
+    replications=st.integers(2, 5),
+    steps=st.integers(1, 12),
+    kappa_bar=st.floats(-1.0, 1.0),
+    b_bar=st.floats(0.25, 10.0) | st.just(math.inf),
+    seed=st.integers(0, 2**63 - 1),
+)
+@settings(max_examples=8)
+def test_workers_never_change_result_bytes(n_list, replications, steps, kappa_bar, b_bar, seed):
+    # on random small multitask configs, both pooled commands write the same
+    # bytes in one process as on a two-process pool; each has at least two
+    # tasks (n_list entries, replications), so the pool is used where the
+    # machine has two CPUs
+    model = {"name": "multitask", "params": {"kappa_bar": kappa_bar, "b_bar": b_bar}}
+    mc = {"master_seed": seed, "n_list": n_list, "replications": replications}
+    runs = [
+        ("multitask-convergence", {"b_bar_list": [b_bar]}, ("gaps.csv", "fit.json", "summary.txt")),
+        ("chaos", {"N_proxy": 60}, ("chaos.csv", "chaos_fit.json")),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, extra, files in runs:
+            cfg = {"experiment": "workers-property", "model": model, "grid": {"steps": steps}, "mc": {**mc, **extra}}
+            cfg_path = os.path.join(tmp, f"{command}.json")
+            Path(cfg_path).write_text(json.dumps(cfg))
+            outs = [os.path.join(tmp, f"{command}-w{k}") for k in (1, 2)]
+            for k, out in zip((1, 2), outs):
+                assert cli.main([command, "--config", cfg_path, "--out", out, "--workers", str(k)]) == cli.EXIT_OK
+            for name in files:
+                assert Path(outs[0], name).read_bytes() == Path(outs[1], name).read_bytes(), (command, name)
 
 
 def test_pool_is_capped_at_usable_cpus(monkeypatch):
@@ -611,6 +646,29 @@ def test_overflow_prints_only_the_typed_error(tmp_path, capsys, command, blocks,
     assert err.startswith(prefix) and len(err.strip().splitlines()) == 1, err
 
 
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError("Unable to allocate 8.00 EiB for an array"), "out of memory: Unable to allocate 8.00 EiB for an array\n"),
+        (MemoryError(), "out of memory: an allocation failed\n"),
+    ],
+    ids=["numpy-message", "no-message"],
+)
+def test_memory_error_prints_one_line(tmp_path, capsys, monkeypatch, exc, line):
+    # an allocation a command cannot make exits with its own code and one
+    # stderr line, not a traceback; the command is replaced, so nothing
+    # large is allocated
+    def command(ec, out_dir, workers):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "chaos", command)
+    out = tmp_path / "out"
+    argv = ["chaos", "--config", _write_config(tmp_path, _chaos_config()), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_MEMORY
+    assert capsys.readouterr().err == line
+    assert os.listdir(out) == []
+
+
 def test_run_meta_elapsed_ignores_wall_clock_steps(tmp_path, monkeypatch):
     # the wall clock steps back 100 s at every reading; the run's duration
     # comes from a monotonic clock, so it stays >= 0
@@ -708,6 +766,8 @@ def _with(cfg, path, value):
     return cfg
 
 
+_MAX_INTP = int(np.iinfo(np.intp).max)
+
 # Number fields that must be finite, each with a config that reads it. An
 # infinite value is a config error whether it is written as a string or as
 # JSON's Infinity; unchecked, it would fail mid-run as a blow-up or a
@@ -795,6 +855,22 @@ _INFINITIES = {"string-inf": "inf", "string-minus-inf": "-inf", "json-inf": math
             "model.params.b_bar: must fit in a float, got a 401-digit integer\n",
         ),
         ("contract-eval", _with(_contract_config(), "grid.steps", 10**400), "grid.steps: must fit in a float, got a 401-digit integer\n"),
+        # a count that sizes an array, beyond the largest np.intp: each would
+        # otherwise fail in numpy, or run until memory runs out
+        ("contract-eval", _with(_contract_config(), "mc.n", 10**30), f"mc.n: must be <= {_MAX_INTP}, got {10**30}\n"),
+        (
+            "contract-eval",
+            _with(_contract_config(), "mc.replications", 10**30),
+            f"mc.replications: must be <= {_MAX_INTP}, got {10**30}\n",
+        ),
+        ("contract-eval", _with(_contract_config(), "grid.steps", 2**63), f"grid.steps: must be <= {_MAX_INTP}, got {2**63}\n"),
+        ("contract-eval", _contract_config(deviation={"replications": 2**63}), "mc.deviation.replications: must be <="),
+        ("multitask-convergence", _conv_config(**{"mc.replications": 2**63}), "mc.replications: must be <="),
+        ("multitask-convergence", _conv_config(**{"mc.n_list": [4, 2**63]}), "mc.n_list[1]: must be <="),
+        ("chaos", _with(_chaos_config(), "mc.N_proxy", 2**63), "mc.N_proxy: must be <="),
+        ("chaos", _with(_chaos_config(), "mc.replications", 2**63), "mc.replications: must be <="),
+        ("policy-opt", _policy_opt_config(knots=2**63), "policy.knots: must be <="),
+        ("policy-opt", {**_policy_opt_config(), "mc": {"master_seed": 11, "N_proxy": 2**63}}, "mc.N_proxy: must be <="),
         # a key the command never reads: misspelled, or of another branch
         ("multitask-convergence", _conv_config(**{"mc.replicatons": 99}), "mc.replicatons: unknown field\n"),
         ("contract-eval", {**_contract_config(), "polcy": {"source": "zero"}}, "polcy.source: unknown field\n"),
@@ -839,6 +915,16 @@ _INFINITIES = {"string-inf": "inf", "string-minus-inf": "-inf", "json-inf": math
         "number-beyond-float-range",
         "level-beyond-float-range",
         "steps-beyond-float-range",
+        "contract-n-beyond-intp",
+        "contract-replications-beyond-intp",
+        "steps-beyond-intp",
+        "deviation-replications-beyond-intp",
+        "convergence-replications-beyond-intp",
+        "convergence-n-list-entry-beyond-intp",
+        "chaos-n-proxy-beyond-intp",
+        "chaos-replications-beyond-intp",
+        "policy-opt-knots-beyond-intp",
+        "policy-opt-n-proxy-beyond-intp",
         "convergence-misspelled-key",
         "contract-misspelled-block",
         "policy-opt-misspelled-key",
