@@ -116,9 +116,9 @@ _KINDS = {
 }
 
 
-# A count sizes an array (particles, replications, steps, knots), so one past
-# the largest array size could never be allocated.
-_MAX_COUNT = int(np.iinfo(np.intp).max)
+# A count sizes a float64 array (particles, replications, steps, knots), so
+# one past the longest such array numpy can address could never be allocated.
+_MAX_COUNT = int(np.iinfo(np.intp).max) // 8
 
 
 def _too_large(path: str, val: int) -> ConfigError:

@@ -16,10 +16,12 @@ up to O(1/n) terms.
 
 One simulating pass, _contract_pass, serves contract_report (with the CLI's
 path dump as one more row of its pass), the joint-deviation scan and
-principal_n's estimator. The stored-path replay evaluate_terminal_payment is
-a separate pricer, so that it can check the pass, but it shares the pass's
-node evaluation (model._node) and Y step (contract_y_step), so on the same
-draws the two agree bit for bit.
+principal_n's estimator. Each row of the pass is one SeedSpec, handed to
+sde_engine's stream reader as it is: this module never takes a seed apart.
+The stored-path replay evaluate_terminal_payment is a separate pricer, so
+that it can check the pass, but it shares the pass's node evaluation
+(model._node) and Y step (contract_y_step), so on the same draws the two
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -224,7 +226,7 @@ def _contract_pass(
 ) -> dict:
     """Simulate the contracted n-agent system and price every replication.
 
-    Replication r reads seed.generator(r), as simulate_particles on
+    Replication r reads the stream of seed.child(r), as simulate_particles on
     seed.child(r) would; its agents play the recommended response to gamma,
     or play(t, x, a_star), while Y, started at y0, follows contract_y_step.
     With copies > 1 each replication runs as that many consecutive rows.
@@ -242,35 +244,26 @@ def _contract_pass(
     ContractEvaluationError. A state past the blow-up threshold raises
     SimulationBlowupError at the first step where any row of its chunk
     breaches it, which need not be in the first failing replication. numpy's
-    overflow warnings are silenced in favour of these guards.
+    overflow warnings are silenced in favour of these guards. A seed or
+    paths_seed that is not a SeedSpec raises TypeError.
 
-    With paths_seed, one more ensemble, on the stream simulate_particles
-    reads from paths_seed, steps after the replications under the same
-    guards; its states come back as "paths", a ParticlePaths equal to
-    simulate_particles on paths_seed, and it enters no per-row array. The
-    two seeds must share a master seed (else ValueError).
+    With paths_seed, any SeedSpec, one more row, on the stream of paths_seed,
+    steps after the replications under the same guards; its states come back
+    as "paths", a ParticlePaths equal to simulate_particles on paths_seed,
+    and it enters no per-row array.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    if not isinstance(seed, SeedSpec):  # refused before seed.child is looked up
+        raise TypeError(f"seed must be a SeedSpec, got {type(seed)!r}")
+    seeds = [seed.child(r) for r in range(replications)] + ([] if paths_seed is None else [paths_seed])
     dt = grid.dt
-    out = {}
-    keys = [(r,) for r in range(replications)]
-    if paths_seed is not None:
-        for s in (seed, paths_seed):
-            if not isinstance(s, SeedSpec):
-                raise TypeError(f"seed must be a SeedSpec, got {type(s)!r}")
-        if paths_seed.master_seed != seed.master_seed:
-            raise ValueError(
-                f"paths_seed has master seed {paths_seed.master_seed}, "
-                f"the replications {seed.master_seed}"
-            )
-        keys = [seed.prefix + key for key in keys] + [paths_seed.prefix]
-        seed = SeedSpec(seed.master_seed)
-    for reps, x, dWs in _replication_chunks(model, n, grid, seed, keys, copies):
+    cols, paths = {}, None
+    for reps, x, dWs in _replication_chunks(model, n, grid, seeds, copies):
         steps = _euler_steps(model, gamma, aleph, x, grid, dWs, play)
         if replications in reps:  # the chunk holds the paths_seed row
-            out["paths"] = ParticlePaths(grid, np.empty((n, grid.steps + 1)))
-            steps = _recorded(steps, x, (replications - reps.start) * copies, out["paths"].states)
+            paths = ParticlePaths(grid, np.empty((n, grid.steps + 1)))
+            steps = _recorded(steps, x, (replications - reps.start) * copies, paths.states)
         y = np.full(len(x), float(y0))
         # L and L_P are summed as scalars while they stay ones (each broadcasts
         # to an array if it ever returns one); each element sees the same
@@ -284,9 +277,12 @@ def _contract_pass(
                 lp_acc = lp_acc + model.principal_running_cost_LP(step.t, step.e) * dt
                 x = step.x_next
             priced = _price(model, x, y, l_acc, lp_acc)
-        rows = slice(reps.start * copies, min(reps.stop, replications) * copies)  # not the paths row
+        rows = slice(reps.start * copies, reps.stop * copies)
         for name, col in priced.items():
-            out.setdefault(name, np.empty(replications * copies))[rows] = col[: rows.stop - rows.start, 0]
+            cols.setdefault(name, np.empty(len(seeds) * copies))[rows] = col[:, 0]
+    out = {name: col[: replications * copies] for name, col in cols.items()}  # not the paths_seed row
+    if paths is not None:
+        out["paths"] = paths
     return out
 
 
@@ -315,12 +311,12 @@ def contract_report(
     conventions: "principal_inside" averages U(v) over replications, and
     "principal_outside" applies U to the averaged v (delta-method SE).
 
-    With paths_seed, a SeedSpec on seed's master seed (else ValueError), the
-    same pass also steps the ensemble simulate_particles would draw from
-    paths_seed, and the result gains "paths": a ParticlePaths equal to that
-    call's bit for bit. That ensemble is guarded like a replication, so its
-    blow-up, non-finite level or failed payment raises as theirs would, but
-    it enters no estimate and no per_replication list.
+    With paths_seed, any SeedSpec, the same pass also steps the ensemble
+    simulate_particles would draw from paths_seed, and the result gains
+    "paths": a ParticlePaths equal to that call's bit for bit. That ensemble
+    is guarded like a replication, so its blow-up, non-finite level or failed
+    payment raises as theirs would, but it enters no estimate and no
+    per_replication list.
     """
     _check_floor(contract, model)
     res = _contract_pass(

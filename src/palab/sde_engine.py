@@ -129,21 +129,22 @@ def _initial_states(model: ModelSpec, n: int, rng: Generator) -> np.ndarray:
 
 
 def _replication_chunks(
-    model: ModelSpec, n: int, grid: SimGrid, seed: SeedSpec, keys, copies: int = 1
+    model: ModelSpec, n: int, grid: SimGrid, seeds, copies: int = 1
 ) -> Iterator[tuple[range, np.ndarray, Iterator[np.ndarray]]]:
-    """Ensemble i on seed.generator(*keys[i]), stepped in (batch, n) chunks.
+    """Ensemble i on seeds[i].generator(), stepped in (batch, n) chunks.
 
     The one reader of a stream. Yields (reps, x0, dWs) per chunk: reps is the
-    range of indices into keys, x0 stacks their checked initial states, and
+    range of indices into seeds, x0 stacks their checked initial states, and
     dWs yields the (batch, n) increments sqrt(dt) * Z of each grid step in
     turn. A yielded increment is a view valid only until the next one is
     taken; a caller that keeps it copies it. Row i matches simulate_particles
-    on seed.child(*keys[i]) bit for bit. With copies > 1 each ensemble takes
-    that many consecutive rows, all on its initial state and increments. A
-    seed that is not a SeedSpec raises TypeError.
+    on seeds[i] bit for bit. With copies > 1 each ensemble takes that many
+    consecutive rows, all on its initial state and increments. An entry that
+    is not a SeedSpec raises TypeError before any stream is read.
     """
-    if not isinstance(seed, SeedSpec):
-        raise TypeError(f"seed must be a SeedSpec, got {type(seed)!r}")
+    for seed in seeds:
+        if not isinstance(seed, SeedSpec):
+            raise TypeError(f"seed must be a SeedSpec, got {type(seed)!r}")
     steps = grid.steps
     sqdt = math.sqrt(grid.dt)
 
@@ -160,9 +161,9 @@ def _replication_chunks(
                 yield dW if copies == 1 else np.repeat(dW, copies, axis=0)
 
     size = max(1, _BATCH_ELEMENTS // (n * copies))
-    for start in range(0, len(keys), size):
-        reps = range(start, min(start + size, len(keys)))
-        gens = [seed.generator(*keys[i]) for i in reps]
+    for start in range(0, len(seeds), size):
+        reps = range(start, min(start + size, len(seeds)))
+        gens = [seeds[i].generator() for i in reps]
         x0 = np.stack([_initial_states(model, n, g) for g in gens])
         yield reps, (x0 if copies == 1 else np.repeat(x0, copies, axis=0)), increments(gens)
 
@@ -171,7 +172,7 @@ def _stream(
     model: ModelSpec, n: int, grid: SimGrid, seed: SeedSpec
 ) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """(x0, dWs) of the ensemble on seed.generator(); an increment is valid until the next one."""
-    ((_, x0, dWs),) = _replication_chunks(model, n, grid, seed, [()])
+    ((_, x0, dWs),) = _replication_chunks(model, n, grid, [seed])
     return x0[0], (dW[0] for dW in dWs)
 
 

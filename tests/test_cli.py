@@ -766,7 +766,7 @@ def _with(cfg, path, value):
     return cfg
 
 
-_MAX_INTP = int(np.iinfo(np.intp).max)
+_MAX_COUNT = int(np.iinfo(np.intp).max) // 8  # the longest float64 array numpy can address
 
 # Number fields that must be finite, each with a config that reads it. An
 # infinite value is a config error whether it is written as a string or as
@@ -857,13 +857,13 @@ _INFINITIES = {"string-inf": "inf", "string-minus-inf": "-inf", "json-inf": math
         ("contract-eval", _with(_contract_config(), "grid.steps", 10**400), "grid.steps: must fit in a float, got a 401-digit integer\n"),
         # a count that sizes an array, beyond the largest np.intp: each would
         # otherwise fail in numpy, or run until memory runs out
-        ("contract-eval", _with(_contract_config(), "mc.n", 10**30), f"mc.n: must be <= {_MAX_INTP}, got {10**30}\n"),
+        ("contract-eval", _with(_contract_config(), "mc.n", 10**30), f"mc.n: must be <= {_MAX_COUNT}, got {10**30}\n"),
         (
             "contract-eval",
             _with(_contract_config(), "mc.replications", 10**30),
-            f"mc.replications: must be <= {_MAX_INTP}, got {10**30}\n",
+            f"mc.replications: must be <= {_MAX_COUNT}, got {10**30}\n",
         ),
-        ("contract-eval", _with(_contract_config(), "grid.steps", 2**63), f"grid.steps: must be <= {_MAX_INTP}, got {2**63}\n"),
+        ("contract-eval", _with(_contract_config(), "grid.steps", 2**63), f"grid.steps: must be <= {_MAX_COUNT}, got {2**63}\n"),
         ("contract-eval", _contract_config(deviation={"replications": 2**63}), "mc.deviation.replications: must be <="),
         ("multitask-convergence", _conv_config(**{"mc.replications": 2**63}), "mc.replications: must be <="),
         ("multitask-convergence", _conv_config(**{"mc.n_list": [4, 2**63]}), "mc.n_list[1]: must be <="),
@@ -871,6 +871,11 @@ _INFINITIES = {"string-inf": "inf", "string-minus-inf": "-inf", "json-inf": math
         ("chaos", _with(_chaos_config(), "mc.replications", 2**63), "mc.replications: must be <="),
         ("policy-opt", _policy_opt_config(knots=2**63), "policy.knots: must be <="),
         ("policy-opt", {**_policy_opt_config(), "mc": {"master_seed": 11, "N_proxy": 2**63}}, "mc.N_proxy: must be <="),
+        # within np.intp but past the longest float64 array: numpy's size check
+        # or an empty np.linspace would otherwise end the run in a traceback
+        ("contract-eval", _with(_contract_config(), "mc.n", 2**62), f"mc.n: must be <= {_MAX_COUNT}, got {2**62}\n"),
+        ("policy-opt", _policy_opt_config(knots=2**62), f"policy.knots: must be <= {_MAX_COUNT}, got {2**62}\n"),
+        ("policy-opt", _policy_opt_config(knots=2**63 - 1), f"policy.knots: must be <= {_MAX_COUNT}, got {2**63 - 1}\n"),
         # a key the command never reads: misspelled, or of another branch
         ("multitask-convergence", _conv_config(**{"mc.replicatons": 99}), "mc.replicatons: unknown field\n"),
         ("contract-eval", {**_contract_config(), "polcy": {"source": "zero"}}, "polcy.source: unknown field\n"),
@@ -925,6 +930,9 @@ _INFINITIES = {"string-inf": "inf", "string-minus-inf": "-inf", "json-inf": math
         "chaos-replications-beyond-intp",
         "policy-opt-knots-beyond-intp",
         "policy-opt-n-proxy-beyond-intp",
+        "contract-n-beyond-longest-array",
+        "policy-opt-knots-beyond-longest-array",
+        "policy-opt-knots-at-intp-max",
         "convergence-misspelled-key",
         "contract-misspelled-block",
         "policy-opt-misspelled-key",

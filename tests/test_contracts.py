@@ -380,7 +380,8 @@ def test_report_payment_equals_replay_pipeline(model_name, monkeypatch):
     seed = SeedSpec(31)
     if model_name == "quadratic-chunked":
         monkeypatch.setattr(sde_engine, "_BATCH_ELEMENTS", 2 * n)
-        chunks = sde_engine._replication_chunks(model, n, grid, seed, [(r,) for r in range(reps)])
+        keys = [(r,) for r in range(reps)]
+        chunks = sde_engine._replication_chunks(model, n, grid, [seed.child(*k) for k in keys])
         assert [len(r) for r, _, _ in chunks] == [2, 2, 1]
     rep = contract_report(c, model, n, grid, reps, seed)
     for r in range(reps):
@@ -392,17 +393,25 @@ def test_report_payment_equals_replay_pipeline(model_name, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "model_name, n, chunk_rows",
-    [("quadratic", 9, [5]), ("multitask", sde_engine._BATCH_ELEMENTS // 2 + 1, [1, 1, 1, 1, 1])],
-    ids=["quadratic-shared-chunk", "multitask-own-chunks"],
+    "model_name, n, batch, chunk_rows",
+    [
+        ("quadratic", 9, None, [5]),
+        ("multitask", sde_engine._BATCH_ELEMENTS // 2 + 1, None, [1, 1, 1, 1, 1]),
+        ("quadratic", 9, 3 * 9, [3, 2]),
+    ],
+    ids=["quadratic-shared-chunk", "multitask-own-chunks", "quadratic-dump-mid-chunk"],
 )
-def test_report_paths_seed_adds_only_the_dump(model_name, n, chunk_rows):
+def test_report_paths_seed_adds_only_the_dump(model_name, n, batch, chunk_rows, monkeypatch):
     # the dump rides the report's pass as one more ensemble: the estimates
     # and per_replication lists keep every bit, and report["paths"] is what
     # simulate_particles draws from paths_seed. At n = 9 the 4 replications
     # and the dump step as one chunk; past half the batch budget each row
-    # steps alone. The quadratic model runs the numeric maximizer.
+    # steps alone; with a budget of 3 rows the dump is the second row of a
+    # chunk that starts at replication 3. The quadratic model runs the
+    # numeric maximizer.
     reps, grid, seed = 4, SimGrid(1.0, 6), SeedSpec(17)
+    if batch is not None:
+        monkeypatch.setattr(sde_engine, "_BATCH_ELEMENTS", batch)
     if model_name == "multitask":
         model = multitask_model(0.5, b_bar=1.0, R=0.1, nu=normal_law())
         c = Contract(Y0=0.1, gamma=_gamma_hat(0.5), aleph=lambda t, x: 0.2 * x, truncation_l=1.3)
@@ -410,7 +419,7 @@ def test_report_paths_seed_adds_only_the_dump(model_name, n, chunk_rows):
         model = quadratic_generic_model(a_base=0.3, sigma0=0.7, nu=normal_law())
         c = Contract(Y0=0.0, gamma=lambda t, x: 0.5 + 0.3 * np.sin(x), aleph=_zero)
     keys = [(0, r) for r in range(reps)] + [(2,)]
-    chunks = sde_engine._replication_chunks(model, n, grid, SeedSpec(17), keys)
+    chunks = sde_engine._replication_chunks(model, n, grid, [seed.child(*k) for k in keys])
     assert [len(r) for r, _, _ in chunks] == chunk_rows
     plain = contract_report(c, model, n, grid, reps, seed.child(0))
     dumped = contract_report(c, model, n, grid, reps, seed.child(0), paths_seed=seed.child(2))
@@ -424,9 +433,16 @@ def test_report_paths_seed_adds_only_the_dump(model_name, n, chunk_rows):
 def test_report_paths_seed_checked():
     model = multitask_model(0.0, nu=normal_law())
     c, grid = Contract(0.0, _zero, _zero), SimGrid(1.0, 2)
-    with pytest.raises(ValueError, match="master seed"):
-        contract_report(c, model, 3, grid, 2, SeedSpec(1).child(0), paths_seed=SeedSpec(2).child(2))
-    # a seed that is not a SeedSpec is refused before its prefix is read
+    # the dump may sit on any master seed: it is one more row of the pass
+    plain = contract_report(c, model, 3, grid, 2, SeedSpec(1).child(0))
+    dumped = contract_report(c, model, 3, grid, 2, SeedSpec(1).child(0), paths_seed=SeedSpec(2).child(2))
+    report_paths = dumped.pop("paths")
+    assert dumped == plain
+    paths = simulate_particles(model, c.gamma_l, c.aleph_l, 3, grid, SeedSpec(2).child(2))
+    np.testing.assert_array_equal(report_paths.states, paths.states)
+    with pytest.raises(ValueError, match="replications"):
+        contract_report(c, model, 3, grid, 0, SeedSpec(1).child(0), paths_seed=SeedSpec(1).child(2))
+    # a seed that is not a SeedSpec is refused before any stream is read
     rng = np.random.default_rng(0)
     with pytest.raises(TypeError, match="SeedSpec"):
         contract_report(c, model, 3, grid, 2, rng, paths_seed=SeedSpec(1).child(2))

@@ -64,6 +64,22 @@ def test_only_sde_engine_reads_the_stream():
     assert readers == {"_replication_chunks"}
 
 
+def test_only_sde_engine_takes_a_seed_apart():
+    # a stream is one SeedSpec, handed to sde_engine as it is: no other
+    # library module reads a seed's master seed or spawn-key prefix, or
+    # builds a SeedSpec. cli builds the experiment's seeds and is exempt.
+    found = []
+    for path in sorted(Path(palab.__file__).parent.glob("*.py")):
+        if path.stem in {"sde_engine", "cli"}:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            reads = isinstance(node, ast.Attribute) and node.attr in {"prefix", "master_seed"}
+            builds = isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "SeedSpec"
+            if reads or builds:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
 def test_only_model_evaluates_a_node():
     # sigma, z/sigma and the maximizer of a node come from model._node, so
     # the simulating layers neither read the volatility nor rebuild the node

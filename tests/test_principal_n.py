@@ -105,7 +105,8 @@ def test_chunked_replications_equal_lone_replays(monkeypatch):
     grid = SimGrid(1.0, 12)
     seed = SeedSpec(404)
     monkeypatch.setattr(sde_engine, "_BATCH_ELEMENTS", 3 * n)
-    chunks = sde_engine._replication_chunks(model, n, grid, seed, [(r,) for r in range(reps)])
+    keys = [(r,) for r in range(reps)]
+    chunks = sde_engine._replication_chunks(model, n, grid, [seed.child(*k) for k in keys])
     assert [len(r) for r, _, _ in chunks] == [3, 3, 1]
     gamma = lambda t, x: 0.8 + 0.3 * np.sin(x)
     _, details = estimate_n_player_value(model, gamma, _zero, n, grid, reps, seed)

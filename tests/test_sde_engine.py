@@ -225,7 +225,7 @@ def test_block_draws_equal_whole_horizon_reference(copies, monkeypatch):
     n, reps, grid, seed = 5, 4, SimGrid(1.0, 7), SeedSpec(77)
     monkeypatch.setattr(sde_engine, "_DRAW_BLOCK_ELEMENTS", 3 * reps * n)
     keys = [(r,) for r in range(reps)]
-    ((_, _, dWs),) = sde_engine._replication_chunks(model, n, grid, seed, keys, copies)
+    ((_, _, dWs),) = sde_engine._replication_chunks(model, n, grid, [seed.child(*k) for k in keys], copies)
     got = [np.array(dW) for dW in dWs]
     assert len(got) == grid.steps
     got = np.stack(got, axis=-1)
@@ -260,7 +260,7 @@ def test_block_draws_one_generator_call_per_row_per_block(monkeypatch):
     monkeypatch.setattr(sde_engine, "_DRAW_BLOCK_ELEMENTS", 9 * n)
     model = multitask_model(0.5)
     keys = [(r,) for r in range(7)]
-    chunks = sde_engine._replication_chunks(model, n, grid, SeedSpec(3), keys)
+    chunks = sde_engine._replication_chunks(model, n, grid, [SeedSpec(3).child(*k) for k in keys])
     seen = []
     for reps, _, dWs in chunks:
         before = sum(g.calls for g in calls)
