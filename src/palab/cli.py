@@ -597,7 +597,7 @@ def _deviation_config(cfg: dict, replications: int):
     """(n, replications, action grid) of the mc.deviation block, or None; the cap is checked first."""
     if _field(cfg, "mc.deviation", "dict", None) is None:
         return None
-    d_n = _field(cfg, "mc.deviation.n", "int", 2, ge=1)
+    d_n = _field(cfg, "mc.deviation.n", "count", 2, ge=1)
     d_reps = _field(cfg, "mc.deviation.replications", "count", replications, ge=2)
     lo = _field(cfg, "mc.deviation.min", "number", -3.0)
     hi = _field(cfg, "mc.deviation.max", "number", 3.0)
@@ -736,7 +736,6 @@ def cmd_policy_opt(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
         gamma_c1=zeros,
         aleph_c0=zeros,
         aleph_c1=zeros,
-        bounds=None if bounds is None else tuple(bounds),
     )
     result = optimize_policy(
         model,
@@ -746,6 +745,7 @@ def cmd_policy_opt(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
         seed=SeedSpec(ec.master_seed).child(0),
         budget=budget,
         parts=parts,
+        bounds=bounds,
     )
 
     best = result.policy
@@ -1060,10 +1060,14 @@ def main(argv: Optional[list] = None) -> int:
     except SimulationBlowupError as exc:
         print(f"numeric blowup: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    except (ContractEvaluationError, NumericDomainError, AmbiguousMaximizerError) as exc:
+    except (ContractEvaluationError, NumericDomainError, AmbiguousMaximizerError, ArithmeticError) as exc:
         print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses an array past its address space before allocating;
+        # a count below _MAX_COUNT (linspace's padding, a product) can reach it
+        if isinstance(exc, ValueError) and not str(exc).startswith("array is too big"):
+            raise
         print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_MEMORY
 

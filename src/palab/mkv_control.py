@@ -62,8 +62,6 @@ class PolicyParam:
     kept as a read-only copy; on [knots[j], knots[j+1]) the slope field is
     gamma_c0[j] + gamma_c1[j]*x and the rate field aleph_c0[j] +
     aleph_c1[j]*x; a time outside the knots takes the nearest interval.
-    bounds, when set, is a (lo, hi) box applied to every coefficient during
-    optimization.
     """
 
     knots: np.ndarray
@@ -71,7 +69,6 @@ class PolicyParam:
     gamma_c1: np.ndarray
     aleph_c0: np.ndarray
     aleph_c1: np.ndarray
-    bounds: Optional[tuple] = None
 
     def __post_init__(self):
         knots = np.array(self.knots, dtype=float)
@@ -90,10 +87,6 @@ class PolicyParam:
             object.__setattr__(self, name, arr)
             if arr.shape != (m,):
                 raise ValueError(f"{name} must have shape ({m},), got {arr.shape}")
-        if self.bounds is not None:
-            lo, hi = self.bounds
-            if not (float(lo) < float(hi)):
-                raise ValueError(f"bounds must satisfy lo < hi, got {self.bounds}")
 
     @property
     def n_intervals(self) -> int:
@@ -156,7 +149,8 @@ def _limit_objective_from_draws(
     dWs yields the scaled length-N increments sqrt(dt) * Z of each step,
     fresh from the stream or from a cached matrix (the optimizer's). A
     non-finite value raises NumericDomainError, and a g^{-1} that fails or
-    returns a non-finite payment ContractEvaluationError.
+    returns a non-finite payment ContractEvaluationError; numpy's overflow
+    warnings are silenced in favour of these guards, as in the contract pass.
     """
     dt = grid.dt
     N = len(x0)
@@ -165,10 +159,11 @@ def _limit_objective_from_draws(
     # an array, then summed in place, if it ever returns one); each element
     # sees the same additions, and a scalar sum stands for N equal entries.
     lhat_acc = lp_acc = np.float64(0.0)
-    for step in _euler_steps(model, gamma, aleph, x0, grid, dWs):
-        lhat_acc += step.L * dt
-        lp_acc += model.principal_running_cost_LP(step.t, step.e) * dt
-        x = step.x_next
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in _euler_steps(model, gamma, aleph, x0, grid, dWs):
+            lhat_acc += step.L * dt
+            lp_acc += model.principal_running_cost_LP(step.t, step.e) * dt
+            x = step.x_next
     lhat_acc, lp_acc = np.broadcast_to(lhat_acc, (N,)), np.broadcast_to(lp_acc, (N,))
 
     y_T = model.reservation_R - float(np.mean(lhat_acc))
@@ -296,7 +291,7 @@ class PolicyOptResult:
     value: float
     se: float
     converged: bool
-    trace: list  # objective value at every evaluation, in order; trace[0] is the initial policy's
+    trace: list  # objective value at every evaluation, in order; trace[0] is the (clipped) start's
 
 
 def optimize_policy(
@@ -307,16 +302,22 @@ def optimize_policy(
     seed: SeedSpec,
     budget: int = 400,
     parts: Iterable[str] = ("gamma",),
+    bounds: Optional[tuple] = None,
 ) -> PolicyOptResult:
     """Derivative-free ascent of the limit objective over PolicyParam coefficients.
 
     Runs minimize on the flat coefficient vector of the chosen parts,
-    clipped to initial.bounds when set, holding the knots and the draws
-    fixed: the initial states and all increments are read once from the
-    seed's stream, so the search sees a deterministic surface. The returned
-    policy is the best one evaluated, never worse than the initial policy on
-    these draws, with converged=False when the budget ran out first.
+    holding the knots and the draws fixed: the initial states and all
+    increments are read once from the seed's stream, so the search sees a
+    deterministic surface. bounds, when set, is a (lo, hi) box with lo < hi
+    (else ValueError); every point evaluated is clipped into it, the initial
+    policy's included, and a start outside it is searched from its clipped
+    point. The returned policy is the best one evaluated, never worse than
+    that start on these draws, with converged=False when the budget ran out
+    first.
     """
+    if bounds is not None and not bounds[0] < bounds[1]:
+        raise ValueError(f"bounds must satisfy lo < hi, got {bounds}")
     parts = tuple(parts)
     x0, dWs = _stream(model, N_proxy, grid, seed)
     dW_cache = np.empty((grid.steps, N_proxy))
@@ -337,12 +338,9 @@ def optimize_policy(
         return est.value
 
     v0 = initial.to_vector(parts)
-    value_of(v0)
-    box = None
-    if initial.bounds is not None:
-        box = (float(initial.bounds[0]), float(initial.bounds[1]))
+    value_of(v0 if bounds is None else np.clip(v0, *bounds))  # minimize clips v0 alike
     converged = minimize(
-        lambda v: -value_of(v), v0, box, int(budget), xatol=1e-4, fatol=1e-7
+        lambda v: -value_of(v), v0, bounds, int(budget), xatol=1e-4, fatol=1e-7
     )
     return PolicyOptResult(
         policy=initial.replace_from_vector(best["vec"], parts),

@@ -1,9 +1,11 @@
 """End-to-end tests of the palab command line: configs, outputs, determinism."""
 
 import ast
+import contextlib
 import copy
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -646,6 +648,74 @@ def test_overflow_prints_only_the_typed_error(tmp_path, capsys, command, blocks,
     assert err.startswith(prefix) and len(err.strip().splitlines()) == 1, err
 
 
+def test_closed_form_overflow_is_a_numeric_error(tmp_path, capsys):
+    # one Euler step from the atom at 0 stays finite, but the closed-form
+    # limit value exp(kappa_bar T) overflows a float in Python's math module
+    cfg = {
+        "experiment": "closed-form-overflow",
+        "model": {"name": "multitask", "params": {"kappa_bar": 1000.0}},
+        "grid": {"steps": 1},
+        "policy": {"knots": 1, "budget": 3},
+        "mc": {"master_seed": 1, "N_proxy": 10},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["policy-opt", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == "numeric error: OverflowError: math range error\n"
+    assert os.listdir(out) == []
+
+
+_FINITE = st.floats(-1e308, 1e308)
+_POSITIVE = st.floats(1e-300, 1e308)
+
+
+@given(data=st.data(), command=st.sampled_from(["contract-eval", "policy-opt", "chaos", "multitask-convergence"]))
+def test_finite_configs_never_end_in_a_traceback(data, command):
+    # Any finite value in the model, law and policy fields, however large,
+    # either runs or stops with a blow-up or numeric error on one stderr
+    # line and no result file; never exit 1. Sizes stay tiny.
+    draw = data.draw
+    name = "multitask" if command == "multitask-convergence" else draw(st.sampled_from(["multitask", "quadratic"]))
+    params = {"kappa_bar": draw(_FINITE)} if name == "multitask" else {"a_base": draw(_FINITE), "sigma0": draw(_POSITIVE)}
+    nu = draw(st.sampled_from(["point", "normal"]))
+    model = {
+        "name": name,
+        "params": params,
+        "R": draw(_FINITE),
+        "T": draw(_POSITIVE),
+        "utility": draw(st.sampled_from(["identity", "exp"])),
+        "nu": {"kind": "point", "value": draw(_FINITE)} if nu == "point" else
+              {"kind": "normal", "mean": draw(_FINITE), "std": draw(_POSITIVE | st.just(0.0))},
+    }
+    mc = {"master_seed": draw(st.integers(0, 2**63 - 1))}
+    policy = {}
+    if command == "multitask-convergence":
+        mc.update(n_list=[2, 3], b_bar_list=[draw(_POSITIVE | st.just(math.inf))], replications=2)
+    else:
+        model["sigma_scale"] = draw(_POSITIVE | st.just(0.0))
+    if command == "policy-opt":
+        policy = {"knots": draw(st.integers(1, 2)), "init_gamma": draw(_FINITE), "budget": draw(st.integers(1, 4))}
+        mc["N_proxy"] = draw(st.integers(2, 10))
+    elif command in ("contract-eval", "chaos"):
+        sources = ["constant", "zero"] + (["analytic"] if name == "multitask" else [])
+        policy = {"source": draw(st.sampled_from(sources)), "aleph_value": draw(_FINITE)}
+        if policy["source"] == "constant":
+            policy["value"] = draw(_FINITE)
+        if command == "chaos":
+            mc.update(n_list=[2, 3], N_proxy=draw(st.integers(2, 10)), replications=2)
+        else:
+            mc.update(n=draw(st.integers(1, 4)), replications=draw(st.integers(2, 3)))
+    cfg = {"experiment": "finite-property", "model": model, "grid": {"steps": draw(st.integers(1, 4))},
+           "policy": policy, "mc": mc}
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = os.path.join(tmp, "out"), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", _write_config(Path(tmp), cfg), "--out", out])
+        assert code in (cli.EXIT_OK, cli.EXIT_BLOWUP, cli.EXIT_NUMERIC), err.getvalue()
+        if code != cli.EXIT_OK:
+            assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+            assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize(
     "exc, line",
     [
@@ -707,6 +777,25 @@ def test_policy_opt_outputs(tmp_path):
     trace = _read_csv(out / "trace.csv")
     assert len(trace) == best["n_evaluations"]
     assert [int(r["evaluation"]) for r in trace] == list(range(len(trace)))
+
+
+def test_policy_opt_keeps_its_start_in_the_box(tmp_path):
+    # the initial slope 1.2 lies outside policy.bounds, so the search starts
+    # from its clipped point: the written policy stays in the box, and the
+    # start's recorded value is that of the simplex's first vertex
+    cfg = {
+        "experiment": "po-box",
+        "model": {"name": "multitask", "params": {"kappa_bar": 0.5}},
+        "grid": {"steps": 20},
+        "policy": {"knots": 2, "init_gamma": 1.2, "bounds": [0.2, 0.5], "budget": 40},
+        "mc": {"master_seed": 3, "N_proxy": 2000},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["policy-opt", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == cli.EXIT_OK
+    best = json.loads((out / "policy_best.json").read_text())
+    assert all(0.2 <= c <= 0.5 for c in best["policy"]["gamma_c0"])
+    metrics = {r["metric"]: r["value"] for r in best["records"]}
+    assert metrics["initial_value"] == float(_read_csv(out / "trace.csv")[1]["value"])
 
 
 def test_policy_opt_reference_follows_scale_not_utility(tmp_path):
@@ -865,6 +954,11 @@ _INFINITIES = {"string-inf": "inf", "string-minus-inf": "-inf", "json-inf": math
         ),
         ("contract-eval", _with(_contract_config(), "grid.steps", 2**63), f"grid.steps: must be <= {_MAX_COUNT}, got {2**63}\n"),
         ("contract-eval", _contract_config(deviation={"replications": 2**63}), "mc.deviation.replications: must be <="),
+        (
+            "contract-eval",
+            _contract_config(deviation={"n": 10**30, "min": 0.0, "max": 0.1, "step": 1.0}),
+            f"mc.deviation.n: must be <= {_MAX_COUNT}, got {10**30}\n",
+        ),
         ("multitask-convergence", _conv_config(**{"mc.replications": 2**63}), "mc.replications: must be <="),
         ("multitask-convergence", _conv_config(**{"mc.n_list": [4, 2**63]}), "mc.n_list[1]: must be <="),
         ("chaos", _with(_chaos_config(), "mc.N_proxy", 2**63), "mc.N_proxy: must be <="),
@@ -924,6 +1018,7 @@ _INFINITIES = {"string-inf": "inf", "string-minus-inf": "-inf", "json-inf": math
         "contract-replications-beyond-intp",
         "steps-beyond-intp",
         "deviation-replications-beyond-intp",
+        "deviation-n-beyond-intp-one-cell",
         "convergence-replications-beyond-intp",
         "convergence-n-list-entry-beyond-intp",
         "chaos-n-proxy-beyond-intp",
@@ -947,6 +1042,36 @@ def test_config_error_names_field(tmp_path, capsys, command, cfg, field):
     code = cli.main([command, "--config", _write_config(tmp_path, cfg), "--out", str(out)])
     _assert_one_config_error(capsys, code, field)
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("policy-opt", _policy_opt_config(knots=_MAX_COUNT)),
+        ("contract-eval", _with(_contract_config(), "grid.steps", _MAX_COUNT)),
+    ],
+    ids=["policy-opt-knots", "contract-eval-steps"],
+)
+def test_array_past_the_address_space_is_out_of_memory(tmp_path, capsys, command, cfg):
+    # the largest count passes the config check, but np.linspace pads the
+    # count + 1 nodes past numpy's longest array; numpy refuses that before
+    # allocating anything, and the refusal exits as out of memory
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == cli.EXIT_MEMORY
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: array is too big") and len(err.strip().splitlines()) == 1
+    assert os.listdir(out) == []
+
+
+def test_other_value_errors_keep_their_traceback(tmp_path, monkeypatch):
+    # only numpy's size refusal is read as out of memory
+    def command(ec, out_dir, workers):
+        raise ValueError("a defect, not a size")
+
+    monkeypatch.setitem(cli._COMMANDS, "chaos", command)
+    argv = ["chaos", "--config", _write_config(tmp_path, _chaos_config()), "--out", str(tmp_path / "out")]
+    with pytest.raises(ValueError, match="a defect"):
+        cli.main(argv)
 
 
 @pytest.mark.parametrize("block", ["policy", "model.nu", "mc.deviation"])

@@ -80,7 +80,7 @@ def test_gamma_hat_solves_terminal_condition():
 # ---------------------------------------------------------------------------
 
 
-def _flat_policy(c0=1.0, knots=(0.0, 0.5, 1.0), bounds=None):
+def _flat_policy(c0=1.0, knots=(0.0, 0.5, 1.0)):
     m = len(knots) - 1
     return PolicyParam(
         knots=np.asarray(knots),
@@ -88,7 +88,6 @@ def _flat_policy(c0=1.0, knots=(0.0, 0.5, 1.0), bounds=None):
         gamma_c1=np.zeros(m),
         aleph_c0=np.zeros(m),
         aleph_c1=np.zeros(m),
-        bounds=bounds,
     )
 
 
@@ -103,8 +102,6 @@ def test_policy_param_validation():
             aleph_c0=np.zeros(1),
             aleph_c1=np.zeros(1),
         )
-    with pytest.raises(ValueError):
-        _flat_policy(bounds=(1.0, 1.0))  # degenerate box
 
 
 def test_interval_lookup():
@@ -357,13 +354,33 @@ def test_optimize_keeps_optimum():
 
 def test_optimize_respects_bounds():
     model = multitask_model(0.0)
-    initial = _flat_policy(c0=1.0, knots=(0.0, 1.0), bounds=(0.9, 1.05))
+    initial = _flat_policy(c0=1.0, knots=(0.0, 1.0))
     res = optimize_policy(
         model, initial, N_proxy=1_000, grid=SimGrid(1.0, 20), seed=SeedSpec(9), budget=60,
-        parts=("gamma_c0",),
+        parts=("gamma_c0",), bounds=(0.9, 1.05),
     )
     assert np.all(res.policy.gamma_c0 >= 0.9 - 1e-12)
     assert np.all(res.policy.gamma_c0 <= 1.05 + 1e-12)
+
+
+def test_optimize_clips_its_start_into_the_box():
+    # a start outside the box is evaluated at its clipped point, which is
+    # also the simplex's first vertex: no point outside the box is scored,
+    # so the best policy lies inside it
+    model = multitask_model(0.5)
+    initial = _flat_policy(c0=1.2)
+    res = optimize_policy(
+        model, initial, N_proxy=1_000, grid=SimGrid(1.0, 20), seed=SeedSpec(3), budget=30,
+        bounds=(0.2, 0.5),
+    )
+    for coeffs in (res.policy.gamma_c0, res.policy.gamma_c1):
+        assert np.all((coeffs >= 0.2) & (coeffs <= 0.5))
+    assert res.trace[0] == res.trace[1]
+    start = initial.replace_from_vector(np.clip(initial.to_vector(), 0.2, 0.5))
+    clipped = evaluate_limit_objective(
+        model, (start.gamma_fn, start.aleph_fn), 1_000, SimGrid(1.0, 20), SeedSpec(3)
+    )
+    assert res.trace[0] == clipped.value
 
 
 def test_optimize_rejects_bad_input():
@@ -371,6 +388,8 @@ def test_optimize_rejects_bad_input():
     initial = _flat_policy()
     with pytest.raises(ValueError):
         optimize_policy(model, initial, 100, SimGrid(1.0, 5), SeedSpec(0), parts=("nonsense",))
+    with pytest.raises(ValueError, match="lo < hi"):  # degenerate box
+        optimize_policy(model, initial, 100, SimGrid(1.0, 5), SeedSpec(0), bounds=(1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from dataclasses import replace
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import conftest
 from palab import sde_engine
@@ -18,13 +18,14 @@ from palab.contracts import (
     joint_deviation_scan,
     mkv_contract_payment,
 )
-from palab.mkv_control import MultitaskAnalytic
+from palab.mkv_control import MultitaskAnalytic, evaluate_limit_objective
 from palab.model import (
     NumericDomainError,
     exp_saturating_utility,
     identity_utility,
     multitask_model,
     normal_law,
+    point_mass,
     quadratic_generic_model,
 )
 from palab.principal_n import (
@@ -203,6 +204,67 @@ def test_nonfinite_payment_raises():
     with pytest.raises(ContractEvaluationError, match=r"at y in \[") as exc:
         estimate_n_player_value(model, lambda t, x: 1.0, _zero, 4, SimGrid(1.0, 5), 3, SeedSpec(0))
     assert len(str(exc.value).splitlines()) == 1
+
+
+_NU = st.one_of(
+    st.builds(point_mass, st.floats(-2.0, 2.0)),
+    st.builds(normal_law, st.floats(-2.0, 2.0), st.floats(0.0, 2.0)),
+)
+
+
+@given(
+    model=st.one_of(
+        st.builds(
+            lambda kappa, b_bar, R, nu: multitask_model(kappa, b_bar, R=R, nu=nu),
+            st.floats(-1.0, 1.0),
+            st.sampled_from([math.inf, 0.5, 2.0]),
+            st.floats(-1.0, 1.0),
+            _NU,
+        ),
+        st.builds(
+            lambda a_base, sigma0, R, nu: quadratic_generic_model(a_base, sigma0, R=R, nu=nu),
+            st.floats(-1.0, 1.0),
+            st.floats(0.1, 4.0),
+            st.floats(-1.0, 1.0),
+            _NU,
+        ),
+    ),
+    coefficient=st.sampled_from(["drift_b", "vol_sigma", "running_cost_L", "principal_running_cost_LP", "gamma"]),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    step=st.integers(0, 3),
+    n=st.integers(1, 6),
+    reps=st.integers(1, 4),
+    key=st.integers(0, 2**32),
+    slope=st.floats(-1.5, 1.5),
+)
+# the limit objective once let numpy's RuntimeWarning out ahead of its guard
+@example(model=quadratic_generic_model(), coefficient="drift_b", bad=math.inf, step=0, n=1, reps=1, key=0, slope=0.0)
+def test_nonfinite_coefficient_always_ends_in_a_typed_error(model, coefficient, bad, step, n, reps, key, slope):
+    # One coefficient turns non-finite at one step, for the whole ensemble.
+    # Every estimator that steps through it must stop with a typed error,
+    # whatever the model, law, sizes and seed; never another exception and
+    # never a finite estimate.
+    grid, seed = SimGrid(1.0, 4), SeedSpec(key)
+    at = grid.nodes[step]
+
+    def spoiled(f):
+        return lambda t, *args: f(t, *args) + (bad if t == at else 0.0)
+
+    gamma = lambda t, x: slope
+    if coefficient == "gamma":
+        gamma = spoiled(gamma)
+    else:
+        model = replace(model, **{coefficient: spoiled(getattr(model, coefficient))})
+    contract = Contract(Y0=model.reservation_R, gamma=gamma, aleph=_zero)
+    runs = [
+        lambda: estimate_n_player_value(model, gamma, _zero, n, grid, reps, seed),
+        lambda: contract_report(contract, model, n, grid, reps, seed),
+        lambda: joint_deviation_scan(contract, model, [0.0, 1.0], n, grid, reps, seed),
+        lambda: evaluate_limit_objective(model, (gamma, _zero), 2 * n, grid, seed),
+    ]
+    for run in runs:
+        with pytest.raises((NumericDomainError, ContractEvaluationError, SimulationBlowupError)):
+            run()
 
 
 def test_batched_blowup_raises_at_first_breach_in_chunk():
