@@ -683,7 +683,7 @@ def cmd_contract_eval(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
             "max_gain": float(scan["gain"][best]),
             "max_gain_se": float(scan["se"][best]),
             "max_gain_actions": [float(a) for a in scan["actions"][best]],
-            "max_standardized_gain": float(np.max(std_gain)) if len(scan["gain"]) else 0.0,
+            "max_standardized_gain": float(np.max(std_gain)),
             "baseline_reward": scan["baseline"].value,
             "baseline_se": scan["baseline"].se,
         }
@@ -753,13 +753,7 @@ def cmd_policy_opt(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
     payload = {
         "converged": result.converged,
         "n_evaluations": len(result.trace),
-        "policy": {
-            "knots": best.knots,
-            "gamma_c0": best.gamma_c0,
-            "gamma_c1": best.gamma_c1,
-            "aleph_c0": best.aleph_c0,
-            "aleph_c1": best.aleph_c1,
-        },
+        "policy": dataclasses.asdict(best),
     }
     if plan["name"] == "multitask":
         # The agent plays gamma / s at volatility scale s, so s * gamma_hat is

@@ -14,14 +14,15 @@ pathwise and the update is -L_hat dt + z dW: the contract pays the
 reservation level in expectation, and the recommended response is optimal
 up to O(1/n) terms.
 
-One simulating pass, _contract_pass, serves contract_report (with the CLI's
-path dump as one more row of its pass), the joint-deviation scan and
-principal_n's estimator. Each row of the pass is one SeedSpec, handed to
+One simulating pass, _contract_pass, prices a Contract for contract_report
+(with the CLI's path dump as one more row of its pass), the joint-deviation
+scan and principal_n's estimator, and checks its floor Y0 >= R once, before
+any stream is read. Each row of the pass is one SeedSpec, handed to
 sde_engine's stream reader as it is: this module never takes a seed apart.
 The stored-path replay evaluate_terminal_payment is a separate pricer, so
 that it can check the pass, but it shares the pass's node evaluation
 (model._node) and Y step (contract_y_step), so on the same draws the two
-agree bit for bit.
+agree bit for bit. It and mkv_contract_payment check the floor themselves.
 """
 
 from __future__ import annotations
@@ -149,14 +150,16 @@ def evaluate_terminal_payment(
 
     y_path has length steps+1, y_path[0] = Y0 and xi = g^{-1}(mu_T, y_path[-1]).
     The paths should come from simulate_particles under this contract's
-    truncated fields. A non-finite level raises NumericDomainError at its step.
+    truncated fields. A non-finite level raises NumericDomainError at its step;
+    numpy's overflow warnings are silenced in favour of that guard.
     """
     _check_floor(contract, model)
     y_path = [float(contract.Y0)]
-    for t, dt, H, zsig, dX in _replay_steps(contract, model, paths):
-        y_path.append(contract_y_step(y_path[-1], dt, H, zsig, dX))
-        _check_level(y_path[-1], t)
-    xi = float(_g_inverse(model, EmpiricalMeasure(paths.states[:, -1]), y_path[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, dt, H, zsig, dX in _replay_steps(contract, model, paths):
+            y_path.append(contract_y_step(y_path[-1], dt, H, zsig, dX))
+            _check_level(y_path[-1], t)
+        xi = float(_g_inverse(model, EmpiricalMeasure(paths.states[:, -1]), y_path[-1]))
     return xi, np.array(y_path)
 
 
@@ -172,14 +175,17 @@ def mkv_contract_payment(
     principal-agent problem with McKean-Vlasov dynamics: on the multitask
     model with gamma_hat it pays R + (1/2) int gamma_hat^2 in expectation and
     leaves the principal V_infinity. levels holds the n terminal s^i. A
-    non-finite level raises NumericDomainError at its step.
+    non-finite level raises NumericDomainError at its step, as in
+    evaluate_terminal_payment.
     """
     _check_floor(contract, model)
     levels = np.full(paths.states.shape[0], float(contract.Y0))
-    for t, dt, H, zsig, dX in _replay_steps(contract, model, paths):
-        levels = levels - H * dt + zsig * dX
-        _check_level(levels, t)
-    return float(_g_inverse(model, EmpiricalMeasure(paths.states[:, -1]), float(np.mean(levels)))), levels
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, dt, H, zsig, dX in _replay_steps(contract, model, paths):
+            levels = levels - H * dt + zsig * dX
+            _check_level(levels, t)
+        payment = _g_inverse(model, EmpiricalMeasure(paths.states[:, -1]), float(np.mean(levels)))
+    return float(payment), levels
 
 
 def _price(model: ModelSpec, x: np.ndarray, y: np.ndarray, l_acc, lp_acc) -> dict:
@@ -212,10 +218,8 @@ def _price(model: ModelSpec, x: np.ndarray, y: np.ndarray, l_acc, lp_acc) -> dic
 
 
 def _contract_pass(
+    contract: Contract,
     model: ModelSpec,
-    gamma: Callable,
-    aleph: Callable,
-    y0: float,
     n: int,
     grid: SimGrid,
     replications: int,
@@ -224,12 +228,15 @@ def _contract_pass(
     copies: int = 1,
     paths_seed: Optional[SeedSpec] = None,
 ) -> dict:
-    """Simulate the contracted n-agent system and price every replication.
+    """Simulate the n-agent system under contract and price every replication.
 
-    Replication r reads the stream of seed.child(r), as simulate_particles on
-    seed.child(r) would; its agents play the recommended response to gamma,
-    or play(t, x, a_star), while Y, started at y0, follows contract_y_step.
-    With copies > 1 each replication runs as that many consecutive rows.
+    The contract's Y0 must be at or above the reservation level R, else
+    ValueError before any stream is read. Replication r reads the stream of
+    seed.child(r), as simulate_particles on seed.child(r) would; its agents
+    play the recommended response to contract.gamma_l, or play(t, x, a_star),
+    under the rate contract.aleph_l, while Y, started at contract.Y0, follows
+    contract_y_step. With copies > 1 each replication runs as that many
+    consecutive rows.
     Returns per-row arrays, replications * copies long, which do not depend
     on how replications are chunked:
 
@@ -252,6 +259,7 @@ def _contract_pass(
     as "paths", a ParticlePaths equal to simulate_particles on paths_seed,
     and it enters no per-row array.
     """
+    _check_floor(contract, model)
     if replications < 1:
         raise ValueError("replications must be >= 1")
     if not isinstance(seed, SeedSpec):  # refused before seed.child is looked up
@@ -260,11 +268,11 @@ def _contract_pass(
     dt = grid.dt
     cols, paths = {}, None
     for reps, x, dWs in _replication_chunks(model, n, grid, seeds, copies):
-        steps = _euler_steps(model, gamma, aleph, x, grid, dWs, play)
+        steps = _euler_steps(model, contract.gamma_l, contract.aleph_l, x, grid, dWs, play)
         if replications in reps:  # the chunk holds the paths_seed row
             paths = ParticlePaths(grid, np.empty((n, grid.steps + 1)))
             steps = _recorded(steps, x, (replications - reps.start) * copies, paths.states)
-        y = np.full(len(x), float(y0))
+        y = np.full(len(x), float(contract.Y0))
         # L and L_P are summed as scalars while they stay ones (each broadcasts
         # to an array if it ever returns one); each element sees the same
         # additions, and _price averages a scalar as n equal entries.
@@ -305,8 +313,10 @@ def contract_report(
 ) -> dict:
     """Across-replication estimates for the contract, from one _contract_pass.
 
-    Replication r draws from seed.child(r) as simulate_particles would, so its
-    payment equals evaluate_terminal_payment on those stored paths. Reports
+    The pass prices the contract whole and checks its floor: a Y0 below the
+    reservation level R raises ValueError. Replication r draws from
+    seed.child(r) as simulate_particles would, so its payment equals
+    evaluate_terminal_payment on those stored paths. Reports
     E[xi], the agent reward and the principal's value under both utility
     conventions: "principal_inside" averages U(v) over replications, and
     "principal_outside" applies U to the averaged v (delta-method SE).
@@ -318,11 +328,7 @@ def contract_report(
     payment raises as theirs would, but it enters no estimate and no
     per_replication list.
     """
-    _check_floor(contract, model)
-    res = _contract_pass(
-        model, contract.gamma_l, contract.aleph_l, contract.Y0, n, grid, replications, seed,
-        paths_seed=paths_seed,
-    )
+    res = _contract_pass(contract, model, n, grid, replications, seed, paths_seed=paths_seed)
     v_est = mean_se(res["v"])
     U = model.principal_utility_U
     se_outside = abs(_central_slope(U, v_est.value)) * v_est.se
@@ -361,11 +367,12 @@ def joint_deviation_scan(
     minus that under the recommended response on the same draws, a paired
     difference with a far smaller SE than either term. Cooperative optimality
     means no gain should exceed noise. All cells of a replication and its
-    baseline are rows of one _contract_pass on that replication's draws.
-    Returns {"actions": (B, n), "gain": (B,), "se": (B,), "baseline":
-    MCEstimate of the recommended-play reward}.
+    baseline are rows of one _contract_pass on that replication's draws,
+    which prices the contract whole and checks its floor: a Y0 below the
+    reservation level R raises ValueError, after the cell cap. Returns
+    {"actions": (B, n), "gain": (B,), "se": (B,), "baseline": MCEstimate of
+    the recommended-play reward}.
     """
-    _check_floor(contract, model)
     action_grid = np.asarray(action_grid, dtype=float)
     B = action_grid.size ** n
     if B > MAX_DEVIATION_CELLS:
@@ -381,10 +388,7 @@ def joint_deviation_scan(
         a_play.reshape(-1, rows, n)[:, :B, :] = cells
         return a_play
 
-    res = _contract_pass(
-        model, contract.gamma_l, contract.aleph_l, contract.Y0, n, grid, replications, seed,
-        play=play, copies=rows,
-    )
+    res = _contract_pass(contract, model, n, grid, replications, seed, play=play, copies=rows)
     rewards = res["agent"].reshape(replications, rows)
 
     gain = mean_se(rewards[:, :B] - rewards[:, B:])

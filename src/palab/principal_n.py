@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .contracts import _contract_pass
+from .contracts import Contract, _contract_pass
 from .estimates import MCEstimate, mean_se
 from .model import ModelSpec
 from .sde_engine import SeedSpec, SimGrid
@@ -37,14 +37,16 @@ def estimate_n_player_value(
 ) -> tuple[MCEstimate, dict]:
     """Across-replication estimate of the principal's n-agent value.
 
-    Each replication simulates n agents playing the optimal response to the
-    slope field gamma(t, x) under the payment rate aleph(t, x), accumulates
-    the contract level Y from R, pays xi = g^{-1}(mu_T, Y_T), and records
-    U(v) with v = mean_i [Upsilon(X^i_T) - int L_P dt] - g_P(mu_T, xi).
+    The contract priced is Contract(R, gamma, aleph): its level Y starts at
+    the reservation level R, so its floor holds. Each replication simulates
+    n agents playing the optimal response to the slope field gamma(t, x)
+    under the payment rate aleph(t, x), pays xi = g^{-1}(mu_T, Y_T), and
+    records U(v) with v = mean_i [Upsilon(X^i_T) - int L_P dt] - g_P(mu_T, xi).
     Returns (MCEstimate of U(v), details), where details are the
     per-replication arrays of contracts._contract_pass, whose guards apply.
     """
-    details = _contract_pass(model, gamma, aleph, model.reservation_R, n, grid, replications, seed)
+    contract = Contract(model.reservation_R, gamma, aleph)
+    details = _contract_pass(contract, model, n, grid, replications, seed)
     return mean_se(details["u"]), details
 
 

@@ -255,13 +255,15 @@ def simulate_particles(
     gamma(t, x) and aleph(t, x) must broadcast over the length-n state vector.
     Each agent plays the Hamiltonian-optimal response to the slope gamma/sigma.
     A state that goes non-finite or leaves [-BLOWUP_THRESHOLD,
-    BLOWUP_THRESHOLD] raises SimulationBlowupError.
+    BLOWUP_THRESHOLD] raises SimulationBlowupError; numpy's overflow warnings
+    are silenced in favour of that guard.
     """
     x, dWs = _stream(model, n, grid, seed)
     states = np.empty((n, grid.steps + 1))
     states[:, 0] = x
-    for k, step in enumerate(_euler_steps(model, gamma, aleph, x, grid, dWs)):
-        states[:, k + 1] = step.x_next
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, step in enumerate(_euler_steps(model, gamma, aleph, x, grid, dWs)):
+            states[:, k + 1] = step.x_next
     return ParticlePaths(grid=grid, states=states)
 
 
@@ -275,8 +277,9 @@ def simulate_terminal_measure(
 ) -> EmpiricalMeasure:
     """The terminal measure of simulate_particles on the same arguments, in O(n) memory."""
     x, dWs = _stream(model, n, grid, seed)
-    for step in _euler_steps(model, gamma, aleph, x, grid, dWs):
-        x = step.x_next
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in _euler_steps(model, gamma, aleph, x, grid, dWs):
+            x = step.x_next
     return EmpiricalMeasure(x)
 
 

@@ -81,13 +81,24 @@ def test_truncation_fields():
 
 
 def test_floor_check():
+    # every pricer refuses a Y0 below R: the two replays themselves, and
+    # the report and the scan through their contract pass
     model = multitask_model(0.0, R=1.0)
     c = Contract(Y0=0.5, gamma=_zero, aleph=_zero)
     paths = _simulated(Contract(Y0=1.0, gamma=_zero, aleph=_zero), model, 4, 5)
-    with pytest.raises(ValueError):
-        evaluate_terminal_payment(c, model, paths)
-    with pytest.raises(ValueError):
-        contract_report(c, model, 4, SimGrid(1.0, 5), 2, SeedSpec(0))
+    grid, seed = SimGrid(1.0, 5), SeedSpec(0)
+    runs = [
+        lambda: evaluate_terminal_payment(c, model, paths),
+        lambda: mkv_contract_payment(c, model, paths),
+        lambda: contract_report(c, model, 4, grid, 2, seed),
+        lambda: joint_deviation_scan(c, model, [0.0, 1.0], 2, grid, 2, seed),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="below the reservation level"):
+            run()
+    # the scan checks its cell cap before the pass checks the floor
+    with pytest.raises(ValueError, match="cap"):
+        joint_deviation_scan(c, model, [0.0, 1.0], 15, grid, 2, seed)
 
 
 # ---------------------------------------------------------------------------

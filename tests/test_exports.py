@@ -99,23 +99,38 @@ def test_only_model_evaluates_a_node():
                 assert node.attr != "vol_sigma", f"{module.__name__}: {ast.unparse(node)}"
 
 
-def test_only_contracts_g_inverse_calls_g_inverse():
-    # every payment is priced through contracts._g_inverse, which turns a
-    # g^{-1} that fails or returns a non-finite value into a typed error
+def _callers(name):
+    """module.function of every call in src/palab whose callee's last name is `name`."""
     callers = []
 
     def visit(node, module, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr == "g_inverse":
-                callers.append(f"{module}.{owner}")
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name:
+            callers.append(f"{module}.{owner}")
         for child in ast.iter_child_nodes(node):
             visit(child, module, owner)
 
     for path in sorted(Path(palab.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, "<module>")
-    assert callers == ["contracts._g_inverse"]
+    return callers
+
+
+def test_only_contracts_g_inverse_calls_g_inverse():
+    # every payment is priced through contracts._g_inverse, which turns a
+    # g^{-1} that fails or returns a non-finite value into a typed error
+    assert _callers("g_inverse") == ["contracts._g_inverse"]
+
+
+def test_only_the_pricers_check_the_floor():
+    # a contract's floor Y0 >= R is checked where a pricer reads Y0: in the
+    # one simulating pass and in the two stored-path replays, so the report,
+    # the scan and the n-agent estimator hand their contract to the pass
+    assert sorted(_callers("_check_floor")) == [
+        "contracts._contract_pass",
+        "contracts.evaluate_terminal_payment",
+        "contracts.mkv_contract_payment",
+    ]
 
 
 def test_names_the_benchmark_harness_binds():

@@ -34,7 +34,13 @@ from palab.principal_n import (
     fit_rate,
     gap_sweep,
 )
-from palab.sde_engine import SeedSpec, SimGrid, SimulationBlowupError, simulate_particles
+from palab.sde_engine import (
+    SeedSpec,
+    SimGrid,
+    SimulationBlowupError,
+    simulate_particles,
+    simulate_terminal_measure,
+)
 
 EXACT = 1e-12
 
@@ -241,30 +247,41 @@ _NU = st.one_of(
 @example(model=quadratic_generic_model(), coefficient="drift_b", bad=math.inf, step=0, n=1, reps=1, key=0, slope=0.0)
 def test_nonfinite_coefficient_always_ends_in_a_typed_error(model, coefficient, bad, step, n, reps, key, slope):
     # One coefficient turns non-finite at one step, for the whole ensemble.
-    # Every estimator that steps through it must stop with a typed error,
-    # whatever the model, law, sizes and seed; never another exception and
-    # never a finite estimate.
+    # Every estimator, simulator and replay that reads it must stop with a
+    # typed error, whatever the model, law, sizes and seed; never another
+    # exception, a numpy warning or a finite result.
     grid, seed = SimGrid(1.0, 4), SeedSpec(key)
     at = grid.nodes[step]
 
     def spoiled(f):
         return lambda t, *args: f(t, *args) + (bad if t == at else 0.0)
 
+    clean = model
     gamma = lambda t, x: slope
     if coefficient == "gamma":
         gamma = spoiled(gamma)
     else:
         model = replace(model, **{coefficient: spoiled(getattr(model, coefficient))})
     contract = Contract(Y0=model.reservation_R, gamma=gamma, aleph=_zero)
+    # the replays price zero-slope paths of the unspoiled model
+    paths = simulate_particles(clean, _zero, _zero, n, grid, seed)
+    # each run with the coefficients it reads; the simulators read no L
+    every = {"drift_b", "vol_sigma", "running_cost_L", "principal_running_cost_LP", "gamma"}
+    state = {"drift_b", "vol_sigma", "gamma"}
     runs = [
-        lambda: estimate_n_player_value(model, gamma, _zero, n, grid, reps, seed),
-        lambda: contract_report(contract, model, n, grid, reps, seed),
-        lambda: joint_deviation_scan(contract, model, [0.0, 1.0], n, grid, reps, seed),
-        lambda: evaluate_limit_objective(model, (gamma, _zero), 2 * n, grid, seed),
+        (every, lambda: estimate_n_player_value(model, gamma, _zero, n, grid, reps, seed)),
+        (every, lambda: contract_report(contract, model, n, grid, reps, seed)),
+        (every, lambda: joint_deviation_scan(contract, model, [0.0, 1.0], n, grid, reps, seed)),
+        (every, lambda: evaluate_limit_objective(model, (gamma, _zero), 2 * n, grid, seed)),
+        (state, lambda: simulate_particles(model, gamma, _zero, n, grid, seed)),
+        (state, lambda: simulate_terminal_measure(model, gamma, _zero, n, grid, seed)),
+        (state | {"running_cost_L"}, lambda: evaluate_terminal_payment(contract, model, paths)),
+        (state | {"running_cost_L"}, lambda: mkv_contract_payment(contract, model, paths)),
     ]
-    for run in runs:
-        with pytest.raises((NumericDomainError, ContractEvaluationError, SimulationBlowupError)):
-            run()
+    for reads, run in runs:
+        if coefficient in reads:
+            with pytest.raises((NumericDomainError, ContractEvaluationError, SimulationBlowupError)):
+                run()
 
 
 def test_batched_blowup_raises_at_first_breach_in_chunk():
