@@ -15,10 +15,12 @@ reservation level in expectation, and the recommended response is optimal
 up to O(1/n) terms.
 
 One simulating pass, _contract_pass, prices a Contract for contract_report
-(with the CLI's path dump as one more row of its pass), the joint-deviation
-scan and principal_n's estimator, and checks its floor Y0 >= R once, before
-any stream is read. Each row of the pass is one SeedSpec, handed to
-sde_engine's stream reader as it is: this module never takes a seed apart.
+(with the CLI's path dump as one more row of its pass, recorded by
+sde_engine's path recorder, the one simulate_particles uses), the
+joint-deviation scan and principal_n's estimator, and checks its floor
+Y0 >= R once, before any stream is read. Each row of the pass is one
+SeedSpec, handed to sde_engine's stream reader as it is: this module never
+takes a seed apart.
 The stored-path replay evaluate_terminal_payment is a separate pricer, so
 that it can check the pass, but it shares the pass's node evaluation
 (model._node) and Y step (contract_y_step), so on the same draws the two
@@ -37,7 +39,7 @@ import numpy as np
 from .estimates import MCEstimate, _central_slope, mean_se
 from .measures import EmpiricalMeasure, _mean_last
 from .model import ModelSpec, NumericDomainError, _node
-from .sde_engine import ParticlePaths, SeedSpec, SimGrid, _euler_steps, _replication_chunks
+from .sde_engine import ParticlePaths, SeedSpec, SimGrid, _euler_steps, _recorded, _replication_chunks
 
 MAX_DEVIATION_CELLS = 20_000
 
@@ -99,22 +101,20 @@ def contract_y_step(y, dt: float, H, zsig, dX):
     y is a float level for an (n,) ensemble, or a (batch,) array for a
     (batch, n) stack. H and zsig * dX are averaged over their last axis where
     they have one; a scalar or (batch, 1) H is used as it is, since the mean
-    of n copies of h need not be h bit for bit. Returns a float for a float
-    y, else a (batch,) array.
+    of n copies of h need not be h bit for bit. Returns Y_{k+1} in y's shape.
     """
 
     def ensemble_mean(v):
         return _mean_last(v) if np.ndim(v) else v
 
-    y_next = y - dt * ensemble_mean(H) + ensemble_mean(zsig * dX)
-    return float(y_next) if np.ndim(y) == 0 else y_next
+    return y - dt * ensemble_mean(H) + ensemble_mean(zsig * dX)
 
 
 def _g_inverse(model: ModelSpec, m: EmpiricalMeasure, y):
     """g^{-1}(m, y); a failure or a non-finite payment raises ContractEvaluationError."""
     # The message is built only on failure, and names a column of levels by
     # its range so that it stays on one line.
-    at = lambda: f"y={y!r}" if np.ndim(y) == 0 else f"y in [{float(np.min(y))!r}, {float(np.max(y))!r}]"
+    at = lambda: f"y={float(y)!r}" if np.ndim(y) == 0 else f"y in [{float(np.min(y))!r}, {float(np.max(y))!r}]"
     try:
         out = model.g_inverse(m, y)
     except Exception as exc:  # noqa: BLE001 - user-supplied map
@@ -184,7 +184,7 @@ def mkv_contract_payment(
         for t, dt, H, zsig, dX in _replay_steps(contract, model, paths):
             levels = levels - H * dt + zsig * dX
             _check_level(levels, t)
-        payment = _g_inverse(model, EmpiricalMeasure(paths.states[:, -1]), float(np.mean(levels)))
+        payment = _g_inverse(model, EmpiricalMeasure(paths.states[:, -1]), float(_mean_last(levels)))
     return float(payment), levels
 
 
@@ -292,14 +292,6 @@ def _contract_pass(
     if paths is not None:
         out["paths"] = paths
     return out
-
-
-def _recorded(steps, x, row: int, states: np.ndarray):
-    """The stepper's steps, passed through while row `row` of x and each x_next is copied into states."""
-    states[:, 0] = x[row]
-    for k, step in enumerate(steps, 1):
-        states[:, k] = step.x_next[row]
-        yield step
 
 
 def contract_report(

@@ -30,7 +30,7 @@ import numpy as np
 
 from .contracts import _g_inverse
 from .estimates import MCEstimate, _central_slope, mean_se
-from .measures import EmpiricalMeasure
+from .measures import EmpiricalMeasure, _mean_last
 from .model import ModelSpec, NumericDomainError
 from .sde_engine import SeedSpec, SimGrid, _euler_steps, _stream
 
@@ -166,14 +166,14 @@ def _limit_objective_from_draws(
             x = step.x_next
     lhat_acc, lp_acc = np.broadcast_to(lhat_acc, (N,)), np.broadcast_to(lp_acc, (N,))
 
-    y_T = model.reservation_R - float(np.mean(lhat_acc))
+    y_T = model.reservation_R - float(_mean_last(lhat_acc))
     m = EmpiricalMeasure(x)
 
     def ghat_p(y: float) -> float:
         return float(model.principal_terminal_cost_gP(m, _g_inverse(model, m, y)))
 
-    ups = np.asarray(model.production_utility_Upsilon(x), dtype=float)
-    value = float(np.mean(ups)) - ghat_p(y_T) - float(np.mean(lp_acc))
+    ups = np.broadcast_to(np.asarray(model.production_utility_Upsilon(x), dtype=float), (N,))
+    value = float(_mean_last(ups)) - ghat_p(y_T) - float(_mean_last(lp_acc))
     if not math.isfinite(value):
         raise NumericDomainError(f"limit objective value is non-finite: {value!r}")
 

@@ -91,10 +91,10 @@ class SimGrid:
 class SeedSpec:
     """Hierarchical seed: a master seed plus a spawn-key prefix.
 
-    generator(*key) is the Philox generator keyed by prefix + key: streams of
-    distinct keys are independent, and each is reproducible from the
-    (master_seed, key) pair alone. child(*key) extends the prefix, so
-    seed.child(*a).generator(*b) is seed.generator(*a, *b).
+    generator() is the Philox generator keyed by the prefix, and child(*key)
+    is the seed whose prefix is extended by key, the one way to key a stream:
+    streams of distinct keys are independent, and each is reproducible from
+    the (master_seed, prefix) pair alone.
     """
 
     master_seed: int
@@ -103,9 +103,8 @@ class SeedSpec:
     def child(self, *key: int) -> "SeedSpec":
         return SeedSpec(self.master_seed, self.prefix + tuple(int(k) for k in key))
 
-    def generator(self, *key: int) -> Generator:
-        ss = SeedSequence(self.master_seed, spawn_key=self.prefix + tuple(int(k) for k in key))
-        return Generator(Philox(ss))
+    def generator(self) -> Generator:
+        return Generator(Philox(SeedSequence(self.master_seed, spawn_key=self.prefix)))
 
 
 @dataclass
@@ -242,6 +241,19 @@ def _euler_steps(
         x = x_next
 
 
+def _recorded(steps: Iterable[_Step], x: np.ndarray, row, states: np.ndarray) -> Iterator[_Step]:
+    """The stepper's steps, passed through while row `row` of x and each x_next is copied into states.
+
+    The one path recorder: row is an index into a (batch, n) stack, or ... for
+    a single (n,) ensemble. simulate_particles records its ensemble through
+    it, and the contract pass its dump row, so the two agree bit for bit.
+    """
+    states[:, 0] = x[row]
+    for k, step in enumerate(steps, 1):
+        states[:, k] = step.x_next[row]
+        yield step
+
+
 def simulate_particles(
     model: ModelSpec,
     gamma: Callable,
@@ -260,10 +272,9 @@ def simulate_particles(
     """
     x, dWs = _stream(model, n, grid, seed)
     states = np.empty((n, grid.steps + 1))
-    states[:, 0] = x
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, step in enumerate(_euler_steps(model, gamma, aleph, x, grid, dWs)):
-            states[:, k + 1] = step.x_next
+        for _ in _recorded(_euler_steps(model, gamma, aleph, x, grid, dWs), x, ..., states):
+            pass
     return ParticlePaths(grid=grid, states=states)
 
 

@@ -210,3 +210,57 @@ def test_only_estimates_forms_a_standard_error():
                 if is_std or any(kw.arg == "ddof" for kw in node.keywords):
                     found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
+
+
+def test_only_measures_and_estimates_call_np_mean():
+    # every ensemble mean goes through measures._mean_last, the one
+    # ensemble-mean rule, and every mean +- se through estimates: no other
+    # module calls np.mean
+    found = []
+    for path in sorted(Path(palab.__file__).parent.glob("*.py")):
+        if path.stem in {"measures", "estimates"}:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in {"np.mean", "numpy.mean"}:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
+def test_only_the_stepper_reads_the_blowup_threshold():
+    # one blow-up guard: BLOWUP_THRESHOLD is read inside sde_engine._euler_steps
+    # and nowhere else in src/palab (docstrings aside)
+    readers = []
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name == "BLOWUP_THRESHOLD" and isinstance(node.ctx, ast.Load):
+            readers.append(f"{module}.{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted(Path(palab.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "<module>")
+    assert set(readers) == {"sde_engine._euler_steps"}
+
+
+def test_only_the_recorder_writes_path_states():
+    # one path recorder: sde_engine._recorded is the only code in src/palab
+    # that assigns into a states array, so simulate_particles and the contract
+    # pass's dump row record their paths alike
+    writers = []
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Subscript) and ast.unparse(target.value).split(".")[-1] == "states":
+                    writers.append(f"{module}.{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted(Path(palab.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "<module>")
+    assert set(writers) == {"sde_engine._recorded"}

@@ -227,6 +227,16 @@ def test_limit_objective_zero_policy():
     assert abs(est.value - 0.1) <= 3.0 * est.se + 1e-9
 
 
+def test_limit_objective_scalar_production_utility():
+    # a constant Upsilon returned as a scalar stands for N equal entries, as
+    # in the contract pass: it prices exactly as the same constant per particle
+    model = multitask_model(0.5)
+    kwargs = dict(policy=(lambda t, x: 1.0, _zero), N_proxy=300, grid=SimGrid(1.0, 10), seed=SeedSpec(4))
+    lone = evaluate_limit_objective(replace(model, production_utility_Upsilon=lambda x: 0.0), **kwargs)
+    full = evaluate_limit_objective(replace(model, production_utility_Upsilon=np.zeros_like), **kwargs)
+    assert lone.value == full.value and lone.se == full.se
+
+
 def _parity_setup():
     # b_bar = 0.5 with a narrow initial law: the early steps stay inside the
     # clamp and the later ones cross it. L_P = e lets the rate field reach

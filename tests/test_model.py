@@ -523,6 +523,8 @@ def test_envelope_property_random_tuples():
                 [hamiltonian_h(model, t, x, m, 0.0, z, a) for a in actions]
             )
             assert big_h >= h_vals.max() - ENVELOPE_TOL
+            # one call over the action array has the scalar calls' bits
+            assert np.array_equal(hamiltonian_h(model, t, x, m, 0.0, z, actions), h_vals)
             if analytic:
                 zsig = z / model.vol_sigma(t, x)
                 a_hat = model.analytic_maximizer(t, x, m, 0.0, zsig)

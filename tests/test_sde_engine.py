@@ -66,23 +66,34 @@ def test_grid_basics():
     assert np.array_equal(SimGrid(1.0, np.int64(4)).nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
+def _numpy_stream(master_seed, spawn_key):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed, spawn_key=spawn_key)))
+
+
 def test_seedspec_child_matches_keyed_generator():
+    # child(*key) keys the stream numpy's SeedSequence keys by prefix + key
     seed = SeedSpec(12345)
-    a = seed.generator(7).standard_normal(5)
-    b = seed.child(7).generator().standard_normal(5)
-    assert np.array_equal(a, b)
-    # deeper keys commute the same way
-    c = seed.child(1).generator(2, 3).standard_normal(4)
-    d = seed.child(1, 2).generator(3).standard_normal(4)
+    a = seed.child(7).generator().standard_normal(5)
+    assert np.array_equal(a, _numpy_stream(12345, (7,)).standard_normal(5))
+    assert np.array_equal(seed.generator().standard_normal(5), _numpy_stream(12345, ()).standard_normal(5))
+    # keys compose: however the key is split across child calls, one stream
+    c = seed.child(1).child(2, 3).generator().standard_normal(4)
+    d = seed.child(1, 2).child(3).generator().standard_normal(4)
     e = seed.child(1, 2, 3).generator().standard_normal(4)
     assert np.array_equal(c, d) and np.array_equal(d, e)
+    assert np.array_equal(e, _numpy_stream(12345, (1, 2, 3)).standard_normal(4))
+    assert np.array_equal(
+        SeedSpec(3, (4,)).child(5).generator().standard_normal(4), _numpy_stream(3, (4, 5)).standard_normal(4)
+    )
 
 
 def test_seedspec_distinct_keys_distinct_streams():
     seed = SeedSpec(0)
-    x = seed.generator(0).standard_normal(8)
-    y = seed.generator(1).standard_normal(8)
+    x = seed.child(0).generator().standard_normal(8)
+    y = seed.child(1).generator().standard_normal(8)
     assert not np.array_equal(x, y)
+    assert not np.array_equal(x, seed.generator().standard_normal(8))
+    assert not np.array_equal(x, SeedSpec(1).child(0).generator().standard_normal(8))
 
 
 # ---------------------------------------------------------------------------
