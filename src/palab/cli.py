@@ -29,6 +29,7 @@ from .contracts import (
     MAX_DEVIATION_CELLS,
     Contract,
     ContractEvaluationError,
+    _over_deviation_cap,
     contract_report,
     evaluate_terminal_payment,
     joint_deviation_scan,
@@ -606,13 +607,11 @@ def _deviation_config(cfg: dict, replications: int):
         raise ConfigError("mc.deviation: need a step > 0 and max > min")
     # np.arange(lo, stop, step) has ceil((stop - lo) / step) entries, so the
     # actions are counted from the same doubles; a count past the cap (or
-    # inf) is not taken. The exponent is capped at 64: any grid of >= 2
-    # actions is over the cap by then, and a one-action grid has one cell
-    # whatever the exponent.
+    # inf) is not taken.
     stop = hi + step / 2
     span = (stop - lo) / step
     actions = math.ceil(span) if span < MAX_DEVIATION_CELLS else math.inf
-    if actions ** min(d_n, 64) > MAX_DEVIATION_CELLS:
+    if _over_deviation_cap(actions, d_n):
         raise ConfigError(
             f"mc.deviation: ({actions} actions)^(n={d_n}) cells exceed the "
             f"{MAX_DEVIATION_CELLS} cap; raise mc.deviation.step or lower mc.deviation.n"

@@ -44,6 +44,16 @@ from .sde_engine import ParticlePaths, SeedSpec, SimGrid, _euler_steps, _recorde
 MAX_DEVIATION_CELLS = 20_000
 
 
+def _over_deviation_cap(actions, n: int) -> bool:
+    """Whether actions**n deviation cells exceed MAX_DEVIATION_CELLS.
+
+    The exponent is capped at 64, so a large n never builds a huge integer:
+    any grid of >= 2 actions is over the cap by then, and a one-action grid
+    has one cell whatever the exponent.
+    """
+    return actions ** min(n, 64) > MAX_DEVIATION_CELLS
+
+
 class ContractEvaluationError(RuntimeError):
     """g_inverse (or another terminal map) failed while pricing a contract."""
 
@@ -366,13 +376,13 @@ def joint_deviation_scan(
     the recommended-play reward}.
     """
     action_grid = np.asarray(action_grid, dtype=float)
-    B = action_grid.size ** n
-    if B > MAX_DEVIATION_CELLS:
+    if _over_deviation_cap(action_grid.size, n):
         raise ValueError(
-            f"{B} deviation cells exceed the {MAX_DEVIATION_CELLS} cap; "
-            "use a coarser action grid or fewer agents"
+            f"({action_grid.size} actions)^(n={n}) deviation cells exceed the "
+            f"{MAX_DEVIATION_CELLS} cap; use a coarser action grid or fewer agents"
         )
     cells = np.array(list(itertools.product(action_grid, repeat=n)))
+    B = len(cells)
     rows = B + 1  # last row: everyone plays the recommendation
 
     def play(t, x, a_rec):

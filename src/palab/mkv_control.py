@@ -9,9 +9,9 @@ objective is
 
 estimated by one large particle ensemble standing in for the limiting law.
 Policies are piecewise constant in time and affine in the state
-(PolicyParam); optimize_policy searches their coefficients with common
-random numbers, so the objective it sees is a deterministic function of the
-parameters.
+(PolicyParam); optimize_policy searches the coefficient arrays that its
+parts name (POLICY_PARTS) with common random numbers, so the objective it
+sees is a deterministic function of the searched vector.
 
 The linear-interaction quadratic-cost model has a closed-form solution
 (MultitaskAnalytic): slope gamma_hat(t) = exp(kappa_bar (T - t)) and value
@@ -45,15 +45,6 @@ POLICY_PARTS = {
 }
 
 
-def _normalize_parts(parts: Iterable[str]) -> tuple[str, ...]:
-    out: list[str] = []
-    for p in parts:
-        if p not in POLICY_PARTS:
-            raise ValueError(f"unknown policy part {p!r}")
-        out += POLICY_PARTS[p]
-    return tuple(dict.fromkeys(out))
-
-
 @dataclass(frozen=True)
 class PolicyParam:
     """Piecewise-constant-in-time, affine-in-state policy pair.
@@ -62,6 +53,8 @@ class PolicyParam:
     kept as a read-only copy; on [knots[j], knots[j+1]) the slope field is
     gamma_c0[j] + gamma_c1[j]*x and the rate field aleph_c0[j] +
     aleph_c1[j]*x; a time outside the knots takes the nearest interval.
+    The four coefficient arrays are what optimize_policy searches, by the
+    POLICY_PARTS names; the knots stay fixed.
     """
 
     knots: np.ndarray
@@ -88,15 +81,11 @@ class PolicyParam:
             if arr.shape != (m,):
                 raise ValueError(f"{name} must have shape ({m},), got {arr.shape}")
 
-    @property
-    def n_intervals(self) -> int:
-        return len(self.knots) - 1
-
     def _interval(self, t) -> int:
         # np.searchsorted(knots, t, side="right") - 1, clamped to the
         # intervals; a NaN t lands past the end either way.
         j = bisect.bisect_right(self._knot_list, t) - 1
-        return min(max(j, 0), self.n_intervals - 1)
+        return min(max(j, 0), len(self._knot_list) - 2)
 
     @staticmethod
     def _affine(c0, c1, x):
@@ -114,26 +103,6 @@ class PolicyParam:
     def aleph_fn(self, t, x):
         j = self._interval(t)
         return self._affine(self.aleph_c0[j], self.aleph_c1[j], x)
-
-    # -- flat-vector round trip for the optimizer -------------------------
-    # parts: any of the POLICY_PARTS names.
-
-    def to_vector(self, parts: Iterable[str] = ("gamma",)) -> np.ndarray:
-        return np.concatenate([getattr(self, p) for p in _normalize_parts(parts)])
-
-    def replace_from_vector(self, vec, parts: Iterable[str] = ("gamma",)) -> "PolicyParam":
-        vec = np.asarray(vec, dtype=float)
-        names = _normalize_parts(parts)
-        m = self.n_intervals
-        if len(vec) != m * len(names):
-            raise ValueError(
-                f"vector length {len(vec)} does not match {len(names)} parts "
-                f"of {m} coefficients"
-            )
-        fields = {
-            name: vec[i * m : (i + 1) * m] for i, name in enumerate(names)
-        }
-        return replace(self, **fields)
 
 
 def _limit_objective_from_draws(
@@ -306,19 +275,28 @@ def optimize_policy(
 ) -> PolicyOptResult:
     """Derivative-free ascent of the limit objective over PolicyParam coefficients.
 
-    Runs minimize on the flat coefficient vector of the chosen parts,
-    holding the knots and the draws fixed: the initial states and all
-    increments are read once from the seed's stream, so the search sees a
-    deterministic surface. bounds, when set, is a (lo, hi) box with lo < hi
-    (else ValueError); every point evaluated is clipped into it, the initial
-    policy's included, and a start outside it is searched from its clipped
-    point. The returned policy is the best one evaluated, never worse than
-    that start on these draws, with converged=False when the budget ran out
-    first.
+    parts names POLICY_PARTS entries; their coefficient arrays, in the order
+    given and without repeats, form the vector minimize searches (("aleph_c1",
+    "gamma") searches aleph_c1, gamma_c0, gamma_c1), and an unknown part
+    raises ValueError before any draw. The knots and the draws stay fixed:
+    the initial states and all increments are read once from the seed's
+    stream, so the search sees a deterministic surface. bounds, when set, is
+    a (lo, hi) box with lo < hi (else ValueError); every point evaluated is
+    clipped into it, the initial policy's included, and a start outside it
+    is searched from its clipped point. The returned policy is the best one
+    evaluated, never worse than that start on these draws, with
+    converged=False when the budget ran out first.
     """
     if bounds is not None and not bounds[0] < bounds[1]:
         raise ValueError(f"bounds must satisfy lo < hi, got {bounds}")
-    parts = tuple(parts)
+    parts = tuple(parts)  # read twice below, so a generator is taken whole first
+    if unknown := [p for p in parts if p not in POLICY_PARTS]:
+        raise ValueError(f"unknown policy part {unknown[0]!r}")
+    names = list(dict.fromkeys(name for p in parts for name in POLICY_PARTS[p]))
+
+    def policy_at(vec: np.ndarray) -> PolicyParam:
+        return replace(initial, **dict(zip(names, np.split(vec, len(names)))))
+
     x0, dWs = _stream(model, N_proxy, grid, seed)
     dW_cache = np.empty((grid.steps, N_proxy))
     for k, dW in enumerate(dWs):
@@ -328,7 +306,7 @@ def optimize_policy(
     best: dict = {"value": -math.inf, "vec": None, "se": 0.0}
 
     def value_of(vec: np.ndarray) -> float:
-        policy = initial.replace_from_vector(vec, parts)
+        policy = policy_at(vec)
         est = _limit_objective_from_draws(
             model, policy.gamma_fn, policy.aleph_fn, grid, x0, iter(dW_cache)
         )
@@ -337,13 +315,13 @@ def optimize_policy(
             best.update(value=est.value, vec=np.array(vec), se=est.se)
         return est.value
 
-    v0 = initial.to_vector(parts)
+    v0 = np.concatenate([getattr(initial, name) for name in names])
     value_of(v0 if bounds is None else np.clip(v0, *bounds))  # minimize clips v0 alike
     converged = minimize(
         lambda v: -value_of(v), v0, bounds, int(budget), xatol=1e-4, fatol=1e-7
     )
     return PolicyOptResult(
-        policy=initial.replace_from_vector(best["vec"], parts),
+        policy=policy_at(best["vec"]),
         value=best["value"],
         se=best["se"],
         converged=converged,

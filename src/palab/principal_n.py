@@ -106,7 +106,8 @@ def fit_rate(n_values: Sequence[float], gaps: Sequence[float]) -> RateFit:
     """Log-log convergence-rate fit, ignoring non-positive gaps.
 
     Gaps at or below zero carry no rate information on a log scale and are
-    dropped; fewer than three usable points raise InsufficientDataError.
+    dropped; fewer than three usable points, or usable points at fewer than
+    two distinct n (a slope no data determines), raise InsufficientDataError.
     """
     ns = np.asarray(n_values, dtype=float)
     gs = np.asarray(gaps, dtype=float)
@@ -117,6 +118,8 @@ def fit_rate(n_values: Sequence[float], gaps: Sequence[float]) -> RateFit:
     if used < 3:
         raise InsufficientDataError(f"need >= 3 positive gaps to fit a rate, got {used}")
     lx = np.log(ns[mask])
+    if np.all(lx == lx[0]):
+        raise InsufficientDataError(f"need >= 2 distinct n to fit a rate, got only n={ns[mask][0]:g}")
     ly = np.log(gs[mask])
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (intercept + slope * lx)

@@ -117,8 +117,6 @@ class ParticlePaths:
 
 def _initial_states(model: ModelSpec, n: int, rng: Generator) -> np.ndarray:
     """The n initial draws of one ensemble, checked to be a finite length-n vector."""
-    if n < 1:
-        raise ValueError(f"need at least one particle, got n={n}")
     x = np.asarray(model.initial_law_nu(n, rng), dtype=float)
     if x.shape != (n,):
         raise ValueError(f"initial law returned shape {x.shape}, expected ({n},)")
@@ -138,9 +136,12 @@ def _replication_chunks(
     turn. A yielded increment is a view valid only until the next one is
     taken; a caller that keeps it copies it. Row i matches simulate_particles
     on seeds[i] bit for bit. With copies > 1 each ensemble takes that many
-    consecutive rows, all on its initial state and increments. An entry that
-    is not a SeedSpec raises TypeError before any stream is read.
+    consecutive rows, all on its initial state and increments. An n below 1
+    raises ValueError and an entry that is not a SeedSpec TypeError, before
+    any stream is read.
     """
+    if n < 1:
+        raise ValueError(f"need at least one particle, got n={n}")
     for seed in seeds:
         if not isinstance(seed, SeedSpec):
             raise TypeError(f"seed must be a SeedSpec, got {type(seed)!r}")

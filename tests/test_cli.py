@@ -1145,6 +1145,27 @@ def test_chaos_outputs(tmp_path):
     assert fit["reference_slope"] == -0.5
 
 
+@pytest.mark.parametrize(
+    "command, cfg, fit_at",
+    [
+        ("multitask-convergence", _conv_config(**{"mc.n_list": [10, 10, 10]}), ("fit.json", "rate_fits_by_b_bar", "10.0")),
+        ("chaos", _with(_chaos_config(), "mc.n_list", [10, 10, 10]), ("chaos_fit.json", "rate_fit")),
+    ],
+    ids=["multitask-convergence", "chaos"],
+)
+def test_rate_fit_over_one_repeated_n_is_an_error_field(tmp_path, capsys, command, cfg, fit_at):
+    # positive gaps, all at one n: the fit is reported as an error, and the
+    # run exits 0 with nothing on stderr
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    file, *keys = fit_at
+    fit = json.loads((out / file).read_text())
+    for k in keys:
+        fit = fit[k]
+    assert fit == {"error": "need >= 2 distinct n to fit a rate, got only n=10"}
+
+
 # ---------------------------------------------------------------------------
 # output conventions
 # ---------------------------------------------------------------------------

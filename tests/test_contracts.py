@@ -1,6 +1,7 @@
 """Tests for contract construction, payment evaluation, and deviation scans."""
 
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -491,3 +492,18 @@ def test_joint_deviation_cell_cap():
     too_many = np.linspace(-3, 3, 150)  # 150^2 > 20000 cells
     with pytest.raises(ValueError):
         joint_deviation_scan(c, model, too_many, n=2, grid=SimGrid(1.0, 5), replications=2, seed=SeedSpec(0))
+
+
+def test_joint_deviation_cell_cap_never_builds_the_count():
+    # 9^5000 has 4,772 digits: the cap is read from a capped exponent and the
+    # message names the cells by their factors, promptly and in full
+    model = multitask_model(0.0)
+    c = Contract(Y0=0.0, gamma=lambda t, x: 1.0, aleph=_zero)
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        joint_deviation_scan(c, model, np.linspace(-1, 1, 9), n=5000, grid=SimGrid(1.0, 5), replications=2, seed=SeedSpec(0))
+    assert time.perf_counter() - start < 0.5
+    assert str(info.value) == (
+        "(9 actions)^(n=5000) deviation cells exceed the 20000 cap; "
+        "use a coarser action grid or fewer agents"
+    )

@@ -16,7 +16,7 @@ from palab.mkv_control import (
     optimize_policy,
 )
 from palab.model import multitask_model, normal_law, point_mass
-from palab import sde_engine
+from palab import mkv_control, sde_engine
 from palab.sde_engine import SeedSpec, SimGrid
 
 CLOSED_FORM_TOL = 1e-8
@@ -102,6 +102,9 @@ def test_policy_param_validation():
             aleph_c0=np.zeros(1),
             aleph_c1=np.zeros(1),
         )
+    for knots in ([[0.0, 0.5], [0.5, 1.0]], [0.0]):  # 2-d, a single knot
+        with pytest.raises(ValueError, match="1-d array of at least two times"):
+            PolicyParam(np.array(knots), *[np.zeros(1)] * 4)
 
 
 def test_interval_lookup():
@@ -112,7 +115,7 @@ def test_interval_lookup():
         aleph_c0=np.array([5.0, 6.0]),
         aleph_c1=np.zeros(2),
     )
-    assert p.n_intervals == 2
+    assert len(p.knots) - 1 == 2
     assert p.gamma_fn(0.0, 0.0) == 1.0
     assert p.gamma_fn(0.49, 0.0) == 1.0
     assert p.gamma_fn(0.5, 0.0) == 2.0  # right-continuous at the knot
@@ -137,7 +140,7 @@ def test_interval_lookup_matches_searchsorted():
     between = 0.5 * (knots[:-1] + knots[1:])
     for t in [*knots, *between, -0.0, -0.5, -1e-300, 1.0 + 1e-12, 3.0, math.nan, np.float64(0.2)]:
         j = int(np.searchsorted(knots, t, side="right")) - 1
-        assert p._interval(t) == min(max(j, 0), p.n_intervals - 1), t
+        assert p._interval(t) == min(max(j, 0), len(p.knots) - 2), t
 
 
 def test_field_shortcut_bits_match_affine_expression():
@@ -159,36 +162,6 @@ def test_field_shortcut_bits_match_affine_expression():
                 got = np.broadcast_to(field(0.5, x), x.shape)
                 assert np.array_equal(got, want), (c0, c1)
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (c0, c1)
-
-
-def test_vector_roundtrip_and_parts():
-    p = PolicyParam(
-        knots=np.array([0.0, 0.5, 1.0]),
-        gamma_c0=np.array([1.0, 2.0]),
-        gamma_c1=np.array([3.0, 4.0]),
-        aleph_c0=np.array([5.0, 6.0]),
-        aleph_c1=np.array([7.0, 8.0]),
-    )
-    # shorthand expands to both coefficient blocks
-    v = p.to_vector(("gamma",))
-    assert np.array_equal(v, [1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(p.to_vector(("gamma", "aleph")), np.arange(1.0, 9.0))
-    # fine-grained selection
-    assert np.array_equal(p.to_vector(("gamma_c0",)), [1.0, 2.0])
-    assert np.array_equal(p.to_vector(("aleph_c1", "gamma_c0")), [7.0, 8.0, 1.0, 2.0])
-    # duplicates collapse
-    assert np.array_equal(p.to_vector(("gamma", "gamma_c0")), v)
-    # roundtrip
-    q = p.replace_from_vector(np.array([9.0, 10.0]), ("gamma_c0",))
-    assert np.array_equal(q.gamma_c0, [9.0, 10.0])
-    assert np.array_equal(q.gamma_c1, p.gamma_c1)  # untouched
-    r = p.replace_from_vector(p.to_vector(("gamma", "aleph")), ("gamma", "aleph"))
-    for name in ("gamma_c0", "gamma_c1", "aleph_c0", "aleph_c1"):
-        assert np.array_equal(getattr(r, name), getattr(p, name))
-    with pytest.raises(ValueError):
-        p.to_vector(("delta",))
-    with pytest.raises(ValueError):
-        p.replace_from_vector(np.zeros(3), ("gamma_c0",))  # wrong length
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +242,31 @@ def test_limit_objective_equals_plain_reference_loop():
     assert est.value == value and est.se == se
 
 
+def _reference_search(names, N, seed, budget):
+    """The search's trace by a plain loop: the vector is the arrays `names`, in order."""
+    model, kappa, b_bar, policy, grid = _parity_setup()
+    rng = seed.generator()
+    x0 = np.asarray(model.initial_law_nu(N, rng), dtype=float)
+    normals = [rng.standard_normal(N) for _ in range(grid.steps)]
+    m = len(policy.knots) - 1
+    trace, crossed = [], set()
+
+    def value_of(vec):
+        candidate = replace(policy, **{name: vec[i * m : (i + 1) * m] for i, name in enumerate(names)})
+        value, _, crossings = conftest.reference_multitask_objective(
+            model, kappa, b_bar, candidate, grid, x0, normals.__getitem__
+        )
+        trace.append(value)
+        crossed.update(crossings)
+        return value
+
+    v0 = np.concatenate([getattr(policy, name) for name in names])
+    value_of(v0)
+    minimize(lambda v: -value_of(v), v0, None, budget, xatol=1e-4, fatol=1e-7)
+    assert len(trace) == budget + 1  # the initial policy, then the search
+    return trace, crossed
+
+
 def test_optimize_trace_equals_plain_reference_loop(monkeypatch):
     model, kappa, b_bar, policy, grid = _parity_setup()
     seed, N, budget, parts = SeedSpec(62), 500, 20, ("gamma", "aleph_c0")
@@ -277,27 +275,31 @@ def test_optimize_trace_equals_plain_reference_loop(monkeypatch):
     # hold the last block's increments in every slot
     monkeypatch.setattr(sde_engine, "_DRAW_BLOCK_ELEMENTS", 7 * N)
     res = optimize_policy(model, policy, N, grid, seed, budget=budget, parts=parts)
-
-    rng = seed.generator()
-    x0 = np.asarray(model.initial_law_nu(N, rng), dtype=float)
-    normals = [rng.standard_normal(N) for _ in range(grid.steps)]
-    trace, crossed = [], set()
-
-    def value_of(vec):
-        candidate = policy.replace_from_vector(vec, parts)
-        value, _, crossings = conftest.reference_multitask_objective(
-            model, kappa, b_bar, candidate, grid, x0, normals.__getitem__
-        )
-        trace.append(value)
-        crossed.update(crossings)
-        return value
-
-    v0 = policy.to_vector(parts)
-    value_of(v0)
-    minimize(lambda v: -value_of(v), v0, None, budget, xatol=1e-4, fatol=1e-7)
+    trace, crossed = _reference_search(("gamma_c0", "gamma_c1", "aleph_c0"), N, seed, budget)
     assert crossed == {True, False}
-    assert len(trace) == budget + 1  # the initial policy, then the search
     assert res.trace == trace
+
+
+def test_optimize_searches_parts_in_order_without_repeats():
+    # "gamma" expands to gamma_c0, gamma_c1 in place, a part named again adds
+    # nothing, and a generator of parts searches as its tuple does
+    model, _, _, policy, grid = _parity_setup()
+    seed, N, budget, parts = SeedSpec(63), 300, 15, ("aleph_c1", "gamma", "gamma_c0")
+    trace, _ = _reference_search(("aleph_c1", "gamma_c0", "gamma_c1"), N, seed, budget)
+    for given in (parts, iter(parts)):
+        res = optimize_policy(model, policy, N, grid, seed, budget=budget, parts=given)
+        assert res.trace == trace
+        assert np.array_equal(res.policy.aleph_c0, policy.aleph_c0)  # not searched
+
+
+def test_optimize_rejects_an_unknown_part_before_any_draw(monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("the stream was read")
+
+    monkeypatch.setattr(mkv_control, "_stream", no_stream)
+    model, _, _, policy, grid = _parity_setup()
+    with pytest.raises(ValueError, match="unknown policy part 'delta'"):
+        optimize_policy(model, policy, 100, grid, SeedSpec(0), parts=("gamma", "delta"))
 
 
 def test_objective_concave_in_constant_slope():
@@ -386,7 +388,11 @@ def test_optimize_clips_its_start_into_the_box():
     for coeffs in (res.policy.gamma_c0, res.policy.gamma_c1):
         assert np.all((coeffs >= 0.2) & (coeffs <= 0.5))
     assert res.trace[0] == res.trace[1]
-    start = initial.replace_from_vector(np.clip(initial.to_vector(), 0.2, 0.5))
+    start = replace(
+        initial,
+        gamma_c0=np.clip(initial.gamma_c0, 0.2, 0.5),
+        gamma_c1=np.clip(initial.gamma_c1, 0.2, 0.5),
+    )
     clipped = evaluate_limit_objective(
         model, (start.gamma_fn, start.aleph_fn), 1_000, SimGrid(1.0, 20), SeedSpec(3)
     )

@@ -407,3 +407,12 @@ def test_fit_rate_drops_nonpositive_gaps():
         fit_rate(ns, [1.0, 0.1, -0.5, 0.0])  # only two usable points
     with pytest.raises(ValueError):
         fit_rate([1.0, 2.0], [1.0])
+
+
+def test_fit_rate_needs_two_distinct_n():
+    # three usable points at one n leave the slope undetermined: a typed
+    # error, not a line through them with numpy's RankWarning
+    with pytest.raises(InsufficientDataError, match="distinct n"):
+        fit_rate([10, 10, 10], [0.1, 0.2, 0.3])
+    with pytest.raises(InsufficientDataError, match="distinct n"):
+        fit_rate([10, 100, 10, 10], [0.1, -0.2, 0.3, 0.4])  # the only other n is dropped

@@ -221,6 +221,41 @@ def test_seed_must_be_seedspec():
         joint_deviation_scan(contract, model, [0.0, 1.0], 2, grid, 2, rng)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "simulate_particles",
+        "simulate_terminal_measure",
+        "estimate_n_player_value",
+        "evaluate_limit_objective",
+        "contract_report",
+        "joint_deviation_scan",
+        "optimize_policy",
+    ],
+)
+def test_zero_particles_rejected_before_any_draw(entry):
+    # the stream reader checks n before it sizes a batch by it (n * copies
+    # divides the batch budget) and before the initial law is called
+    def no_draw(n, rng):
+        raise AssertionError("the initial law was called")
+
+    model = replace(multitask_model(0.0), initial_law_nu=no_draw)
+    grid, seed = SimGrid(1.0, 2), SeedSpec(0)
+    contract = Contract(0.0, _zero, _zero)
+    policy = PolicyParam([0.0, 1.0], [1.0], [0.0], [0.0], [0.0])
+    runs = {
+        "simulate_particles": lambda: simulate_particles(model, _zero, _zero, 0, grid, seed),
+        "simulate_terminal_measure": lambda: simulate_terminal_measure(model, _zero, _zero, 0, grid, seed),
+        "estimate_n_player_value": lambda: estimate_n_player_value(model, _zero, _zero, 0, grid, 2, seed),
+        "evaluate_limit_objective": lambda: evaluate_limit_objective(model, (_zero, _zero), 0, grid, seed),
+        "contract_report": lambda: contract_report(contract, model, 0, grid, 2, seed),
+        "joint_deviation_scan": lambda: joint_deviation_scan(contract, model, [0.0, 1.0], 0, grid, 2, seed),
+        "optimize_policy": lambda: optimize_policy(model, policy, 0, grid, seed, budget=2),
+    }
+    with pytest.raises(ValueError, match=r"need at least one particle, got n=0"):
+        runs[entry]()
+
+
 # ---------------------------------------------------------------------------
 # the stream reader's step blocks
 # ---------------------------------------------------------------------------
