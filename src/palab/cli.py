@@ -302,11 +302,8 @@ def _build_model(plan: dict):
         model = quadratic_generic_model(
             a_base=plan["a_base"], sigma0=plan["sigma0"], R=plan["R"], nu=nu, U=U
         )
-    s = plan["sigma_scale"]
-    if s != 1.0:
-        base = model.vol_sigma
-        model = dataclasses.replace(model, vol_sigma=lambda t, x: s * base(t, x))
-    return model
+    s, base = plan["sigma_scale"], model.vol_sigma
+    return dataclasses.replace(model, vol_sigma=lambda t, x: s * base(t, x))
 
 
 def _analytic(plan: dict):
@@ -343,17 +340,16 @@ def _feedback(model: dict, policy: dict):
 
 
 def _sanitize(obj):
-    """obj as plain JSON values: +-inf becomes "inf" / "-inf", and NaN raises NumericDomainError."""
+    """obj as plain JSON values: +-inf becomes "inf" / "-inf", and NaN raises NumericDomainError.
+
+    A numpy array or scalar of any kind (np.bool_ and 0-d arrays included) renders as its tolist().
+    """
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        obj = float(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _sanitize(obj.tolist())
     if isinstance(obj, float) and not math.isfinite(obj):
         if math.isnan(obj):
             raise NumericDomainError("a result value is NaN")
@@ -718,8 +714,8 @@ def cmd_policy_opt(ec: ExperimentConfig, out_dir: str, workers: int) -> int:
     plan = _model_plan(cfg)
     knots = _knots_from_config(cfg, plan["T"])
     init_gamma = _field(cfg, "policy.init_gamma", "number", 0.5)
-    bounds = _field(cfg, "policy.bounds", "level-list", None)
-    if bounds is not None and (len(bounds) != 2 or not bounds[0] < bounds[1]):
+    bounds = _field(cfg, "policy.bounds", "level-list", [-math.inf, math.inf])
+    if len(bounds) != 2 or not bounds[0] < bounds[1]:
         raise ConfigError(f"policy.bounds: expected [lo, hi] with lo < hi, got {bounds!r}")
     parts = tuple(_field(cfg, "policy.parts", "str-list", ["gamma"], choices=POLICY_PARTS))
     budget = _field(cfg, "policy.budget", "int", 400, ge=1)
@@ -948,9 +944,10 @@ def _check_rate_fit(seed: SeedSpec) -> dict:
 
 def _check_seed_streams(seed: SeedSpec) -> dict:
     """Seed algebra: child keys numpy's SeedSequence spawn key; repeat evaluation is bit-stable."""
-    a = seed.child(5).generator().standard_normal(4)
+    g = seed.child(5).generator()
+    a = g.standard_normal(4)
     ss = np.random.SeedSequence(seed.master_seed, spawn_key=seed.prefix + (5,))
-    b = np.random.Generator(np.random.Philox(ss)).standard_normal(4)
+    b = np.random.Generator(type(g.bit_generator)(ss)).standard_normal(4)
     c = seed.child(6).generator().standard_normal(4)
     model = multitask_model(0.25, 10.0)
     grid = SimGrid(1.0, 20)

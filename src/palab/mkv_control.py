@@ -24,7 +24,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -179,26 +179,26 @@ def minimize(fun, x0, box, maxfev, xatol, fatol) -> bool:
     """Minimize fun from x0 by the adaptive Nelder-Mead simplex search.
 
     Gao & Han (2012) parameters for N = len(x0): reflection 1, expansion
-    1 + 2/N, contraction 0.75 - 1/(2N), shrink 1 - 1/N. box is None or a
-    (lo, hi) pair of scalars or length-N arrays; x0, the initial simplex and
-    every trial point are clipped to it. fun gets a fresh copy of each point
-    and is called at most maxfev times. Returns True when the simplex
-    shrinks below xatol in x and fatol in value before the budget runs out.
+    1 + 2/N, contraction 0.75 - 1/(2N), shrink 1 - 1/N. box is a (lo, hi)
+    pair of scalars or length-N arrays, (-inf, inf) for an unbounded search;
+    x0, the initial simplex and every trial point are clipped to it. fun
+    gets a fresh copy of each point and is called at most maxfev times.
+    Returns True when the simplex shrinks below xatol in x and fatol in
+    value before the budget runs out.
 
     The arithmetic, the order of evaluations and the tie-breaking of the
     vertex sort are those of scipy 1.17.1's
     minimize(method="Nelder-Mead", options={"adaptive": True}), so the
     sequence of points handed to fun is bit-identical to scipy's.
     """
-    clip = (lambda x: x) if box is None else (lambda x: np.clip(x, *box))
+    clip = lambda x: np.clip(x, *box)
     x0 = clip(np.array(x0, dtype=float, ndmin=1))
     N = len(x0)
     chi, psi, sigma = 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
     sim = np.vstack([x0] * (N + 1))
     k = np.arange(N)
     sim[k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    if box is not None:
-        sim = clip(np.where(sim > box[1], 2 * box[1] - sim, sim))
+    sim = clip(np.where(sim > box[1], 2 * box[1] - sim, sim))
     fsim = np.full(N + 1, np.inf)
     calls = 0
 
@@ -271,7 +271,7 @@ def optimize_policy(
     seed: SeedSpec,
     budget: int = 400,
     parts: Iterable[str] = ("gamma",),
-    bounds: Optional[tuple] = None,
+    bounds: tuple = (-math.inf, math.inf),
 ) -> PolicyOptResult:
     """Derivative-free ascent of the limit objective over PolicyParam coefficients.
 
@@ -280,14 +280,14 @@ def optimize_policy(
     "gamma") searches aleph_c1, gamma_c0, gamma_c1), and an unknown part
     raises ValueError before any draw. The knots and the draws stay fixed:
     the initial states and all increments are read once from the seed's
-    stream, so the search sees a deterministic surface. bounds, when set, is
-    a (lo, hi) box with lo < hi (else ValueError); every point evaluated is
-    clipped into it, the initial policy's included, and a start outside it
-    is searched from its clipped point. The returned policy is the best one
-    evaluated, never worse than that start on these draws, with
-    converged=False when the budget ran out first.
+    stream, so the search sees a deterministic surface. bounds is a (lo, hi)
+    box with lo < hi (else ValueError), unbounded by default; every point
+    evaluated is clipped into it, the initial policy's included, and a start
+    outside it is searched from its clipped point. The returned policy is
+    the best one evaluated, never worse than that start on these draws,
+    with converged=False when the budget ran out first.
     """
-    if bounds is not None and not bounds[0] < bounds[1]:
+    if not bounds[0] < bounds[1]:
         raise ValueError(f"bounds must satisfy lo < hi, got {bounds}")
     parts = tuple(parts)  # read twice below, so a generator is taken whole first
     if unknown := [p for p in parts if p not in POLICY_PARTS]:
@@ -316,7 +316,7 @@ def optimize_policy(
         return est.value
 
     v0 = np.concatenate([getattr(initial, name) for name in names])
-    value_of(v0 if bounds is None else np.clip(v0, *bounds))  # minimize clips v0 alike
+    value_of(np.clip(v0, *bounds))  # minimize clips v0 alike
     converged = minimize(
         lambda v: -value_of(v), v0, bounds, int(budget), xatol=1e-4, fatol=1e-7
     )

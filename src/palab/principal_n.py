@@ -105,22 +105,29 @@ class RateFit:
 def fit_rate(n_values: Sequence[float], gaps: Sequence[float]) -> RateFit:
     """Log-log convergence-rate fit, ignoring non-positive gaps.
 
-    Gaps at or below zero carry no rate information on a log scale and are
-    dropped; fewer than three usable points, or usable points at fewer than
-    two distinct n (a slope no data determines), raise InsufficientDataError.
+    Gaps at or below zero (or NaN) carry no rate information on a log scale
+    and are dropped, whatever their n; a kept point whose n is not finite and
+    > 0, or whose gap is not finite, raises ValueError. Fewer than three
+    usable points, or usable points at fewer than two distinct n (a slope no
+    data determines), raise InsufficientDataError.
     """
     ns = np.asarray(n_values, dtype=float)
     gs = np.asarray(gaps, dtype=float)
     if ns.shape != gs.shape:
         raise ValueError("n_values and gaps must have the same length")
-    mask = gs > 0
-    used = int(np.sum(mask))
+    keep = gs > 0
+    ns, gs = ns[keep], gs[keep]
+    bad = ~(np.isfinite(ns) & (ns > 0) & np.isfinite(gs))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"kept point n={ns[i]:g}, gap={gs[i]:g}: need a finite n > 0 and a finite gap")
+    used = len(ns)
     if used < 3:
         raise InsufficientDataError(f"need >= 3 positive gaps to fit a rate, got {used}")
-    lx = np.log(ns[mask])
+    lx = np.log(ns)
     if np.all(lx == lx[0]):
-        raise InsufficientDataError(f"need >= 2 distinct n to fit a rate, got only n={ns[mask][0]:g}")
-    ly = np.log(gs[mask])
+        raise InsufficientDataError(f"need >= 2 distinct n to fit a rate, got only n={ns[0]:g}")
+    ly = np.log(gs)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (intercept + slope * lx)
     ss_res = float(np.sum(resid**2))

@@ -94,7 +94,9 @@ class SeedSpec:
     generator() is the Philox generator keyed by the prefix, and child(*key)
     is the seed whose prefix is extended by key, the one way to key a stream:
     streams of distinct keys are independent, and each is reproducible from
-    the (master_seed, prefix) pair alone.
+    the (master_seed, prefix) pair alone. generator() is the one place that
+    names the bit generator; the self-check's reference stream takes its
+    class from it, so it follows any change here.
     """
 
     master_seed: int

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 
 import palab.cli as cli
 from palab.contracts import Contract, contract_report
-from palab.model import multitask_model, normal_law, quadratic_generic_model
+from palab.model import NumericDomainError, multitask_model, normal_law, quadratic_generic_model
 from palab.sde_engine import SeedSpec, SimGrid, save_paths_csv, simulate_particles
 
 
@@ -1124,6 +1124,34 @@ def test_levels_may_be_infinite(tmp_path):
     assert summaries[0]["per_replication"] == summaries[1]["per_replication"]
     run("policy-opt", _with(_policy_opt_config(), "policy.bounds", [0, "inf"]), "po-bounds")
     run("multitask-convergence", _conv_config(**{"mc.b_bar_list": ["inf", 10.0], "mc.replications": 4}), "conv")
+
+
+def test_policy_bounds_default_is_the_unbounded_box(tmp_path):
+    # an absent policy.bounds is the box ["-inf", "inf"]: the same search and
+    # the same result files, byte for byte once each file's config hash (which
+    # covers the config as written) is masked
+    def texts(cfg, name):
+        out = tmp_path / name
+        assert cli.main(["policy-opt", "--config", _write_config(tmp_path, cfg, f"{name}.json"), "--out", str(out)]) == 0
+        digest = json.loads((out / "policy_best.json").read_text())["config_hash"]
+        return [(out / f).read_text().replace(digest, "<hash>") for f in ("policy_best.json", "trace.csv")]
+
+    cfg = _policy_opt_config(budget=30, parts=["gamma", "aleph"])
+    assert texts(cfg, "absent") == texts(_with(cfg, "policy.bounds", ["-inf", "inf"]), "unbounded")
+
+
+def test_sanitize_renders_numpy_values_by_one_rule():
+    # numpy scalars and arrays of any shape, 0-d included, render as the
+    # plain values of their tolist(); +-inf becomes a string and NaN raises
+    values = {"b": np.bool_(True), "i": np.int64(3), "z": np.array(2.5), "inf": np.float64("inf")}
+    plain = cli._sanitize(values)
+    assert plain == {"b": True, "i": 3, "z": 2.5, "inf": "inf"}
+    assert [type(plain[k]) for k in ("b", "i", "z")] == [bool, int, float]
+    assert cli._sanitize(np.array([[1.0, -np.inf]])) == [[1.0, "-inf"]]
+    assert json.loads(cli._json_text(values)) == plain
+    for nan in (math.nan, np.float64("nan"), np.array(np.nan), np.array([1.0, np.nan])):
+        with pytest.raises(NumericDomainError, match="NaN"):
+            cli._sanitize({"x": [nan]})
 
 
 # ---------------------------------------------------------------------------

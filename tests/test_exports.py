@@ -80,6 +80,24 @@ def test_only_sde_engine_takes_a_seed_apart():
     assert found == []
 
 
+def test_only_sde_engine_names_a_bit_generator():
+    # SeedSpec.generator is the one home of the bit generator: no other
+    # module of src/palab names a numpy bit-generator class, as a name, an
+    # attribute or an import, so switching it is a one-line change there
+    classes = {"Philox", "PCG64", "PCG64DXSM", "SFC64", "MT19937"}
+    found = []
+    for path in sorted(Path(palab.__file__).parent.glob("*.py")):
+        if path.stem == "sde_engine":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            imports = isinstance(node, (ast.Import, ast.ImportFrom))
+            names = {alias.name.split(".")[-1] for alias in node.names} if imports else {name}
+            if classes & names:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
 def test_only_model_evaluates_a_node():
     # sigma, z/sigma and the maximizer of a node come from model._node, so
     # the simulating layers neither read the volatility nor rebuild the node

@@ -262,7 +262,7 @@ def _reference_search(names, N, seed, budget):
 
     v0 = np.concatenate([getattr(policy, name) for name in names])
     value_of(v0)
-    minimize(lambda v: -value_of(v), v0, None, budget, xatol=1e-4, fatol=1e-7)
+    minimize(lambda v: -value_of(v), v0, (-math.inf, math.inf), budget, xatol=1e-4, fatol=1e-7)
     assert len(trace) == budget + 1  # the initial policy, then the search
     return trace, crossed
 
@@ -438,7 +438,7 @@ def test_minimize_matches_scipy_neldermead(case, N):
             return f
 
         x0 = rng.normal(size=N)
-        box = None
+        box = free = (-math.inf, math.inf)
         maxfev = int(rng.integers(50, 400))
         if case == "boxed":  # per-coordinate bounds
             box = (-1.0 - rng.random(N), 1.0 + rng.random(N))
@@ -455,7 +455,7 @@ def test_minimize_matches_scipy_neldermead(case, N):
             maxfev = int(rng.integers(0, N + 1))
         ours, theirs = [], []
         converged = minimize(recorded(ours), x0, box, maxfev, xatol=1e-4, fatol=1e-7)
-        bounds = None if box is None else Bounds(*(np.broadcast_to(b, N) for b in box))
+        bounds = None if box is free else Bounds(*(np.broadcast_to(b, N) for b in box))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OptimizeWarning)
             res = scipy_minimize(

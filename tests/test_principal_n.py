@@ -416,3 +416,21 @@ def test_fit_rate_needs_two_distinct_n():
         fit_rate([10, 10, 10], [0.1, 0.2, 0.3])
     with pytest.raises(InsufficientDataError, match="distinct n"):
         fit_rate([10, 100, 10, 10], [0.1, -0.2, 0.3, 0.4])  # the only other n is dropped
+
+
+@pytest.mark.parametrize(
+    "n0, g0",
+    [(0.0, 1.0), (-5.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf)],
+)
+def test_fit_rate_rejects_a_kept_point_it_cannot_log(n0, g0, capfd):
+    # a kept point (gap > 0) with an n that is not finite and > 0, or a gap
+    # that is not finite, is a ValueError raised before any np.log: no numpy
+    # warning (an error under the suite's filter) and no LAPACK line on stderr
+    with pytest.raises(ValueError, match="kept point") as info:
+        fit_rate([n0, 10.0, 100.0], [g0, 0.5, 0.2])
+    assert info.type is ValueError
+    assert capfd.readouterr().err == ""
+    # the same n on a point dropped for its gap is never read
+    fit = fit_rate([n0, 1.0, 10.0, 100.0], [0.0, 1.0, 0.5, 0.2])
+    assert fit.n_used == 3
+    assert fit_rate([n0, 1.0, 10.0, 100.0], [math.nan, 1.0, 0.5, 0.2]) == fit

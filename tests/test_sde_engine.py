@@ -67,7 +67,8 @@ def test_grid_basics():
 
 
 def _numpy_stream(master_seed, spawn_key):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed, spawn_key=spawn_key)))
+    bit_generator = type(SeedSpec(0).generator().bit_generator)
+    return np.random.Generator(bit_generator(np.random.SeedSequence(master_seed, spawn_key=spawn_key)))
 
 
 def test_seedspec_child_matches_keyed_generator():
